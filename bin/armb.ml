@@ -866,7 +866,6 @@ let trace_cmd =
 
 module Engine = Armb_service.Engine
 module Serve = Armb_service.Serve
-module Shard = Armb_service.Shard
 module Codec = Armb_service.Codec
 module Json = Armb_service.Json
 module Metrics = Armb_service.Metrics
@@ -892,12 +891,6 @@ let metrics_out =
        & info [ "metrics-out" ] ~docv:"FILE"
            ~doc:"Write the engine's metrics JSON (schema armb-serve-metrics-v1) to \
                  FILE on exit.")
-
-let domains_arg =
-  Arg.(value & opt int 1
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Shard the engine across N worker domains (consistent-hash routing, \
-                 per-domain memo caches).  1 keeps the single-domain engine.")
 
 let dump_metrics engine = function
   | None -> ()
@@ -932,56 +925,28 @@ let serve_cmd =
                    clock, with the same drain-then-exit semantics as \
                    $(b,--max-requests).")
   in
-  let run no_cache queue_bound cache_cap drain_every max_requests duration domains
-      batch_file metrics_out =
+  let run no_cache queue_bound cache_cap drain_every max_requests duration batch_file
+      metrics_out =
     if queue_bound < 1 then begin
       Printf.eprintf "armb serve: --queue-bound must be >= 1\n";
       exit 2
     end;
-    if domains < 1 then begin
-      Printf.eprintf "armb serve: --domains must be >= 1\n";
-      exit 2
-    end;
-    if domains = 1 then begin
-      let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-      (match batch_file with
-      | None ->
-        Serve.serve ~drain_every ?max_requests ?duration_s:duration engine stdin stdout
-      | Some f ->
-        let b = Serve.run_batch engine ~lines:(read_lines f) in
-        List.iter (fun r -> print_endline (Codec.response_to_line r)) b.Serve.responses);
-      dump_metrics engine metrics_out
-    end
-    else begin
-      let pool =
-        match batch_file with
-        | None -> Shard.create ~domains ~cache_cap ~queue_bound ~no_cache ~drain_every ()
-        | Some _ ->
-          (* batch drain policy: hold queued work until the drain barrier
-             so duplicates coalesce as they do on one domain *)
-          Shard.create ~domains ~cache_cap ~queue_bound ~no_cache ()
-      in
-      (match batch_file with
-      | None -> Shard.serve ?max_requests ?duration_s:duration pool stdin stdout
-      | Some f ->
-        let b = Shard.run_batch pool ~lines:(read_lines f) in
-        List.iter (fun r -> print_endline (Codec.response_to_line r)) b.Serve.responses);
-      let stray = Shard.shutdown pool in
-      List.iter (fun r -> print_endline (Codec.response_to_line r)) stray;
-      match metrics_out with
-      | None -> ()
-      | Some path ->
-        write_out path (Json.to_string (Metrics.to_json (Shard.metrics pool)) ^ "\n")
-    end
+    let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
+    (match batch_file with
+    | None ->
+      Serve.serve ~drain_every ?max_requests ?duration_s:duration engine stdin stdout
+    | Some f ->
+      let b = Serve.run_batch engine ~lines:(read_lines f) in
+      List.iter (fun r -> print_endline (Codec.response_to_line r)) b.Serve.responses);
+    dump_metrics engine metrics_out
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Job service: newline-delimited JSON requests in, responses out, with \
              content-addressed memoization, request coalescing, fair-share priority \
-             scheduling and load shedding; $(b,--domains) shards it across OCaml 5 \
-             domains.")
+             scheduling and load shedding.")
     Term.(const run $ no_cache $ queue_bound $ cache_cap $ drain_every $ max_requests
-          $ duration $ domains_arg $ batch_file $ metrics_out)
+          $ duration $ batch_file $ metrics_out)
 
 let batch_cmd =
   let file =
@@ -1018,19 +983,6 @@ let batch_cmd =
              ~doc:"Run the batch through a cacheless engine and a caching engine, \
                    verify the responses are byte-identical, and report the speedup.")
   in
-  let compare_single =
-    Arg.(value & flag
-         & info [ "compare-single" ]
-             ~doc:"Run the batch through one engine and through a pool of \
-                   $(b,--domains) shards, verify the response signatures are \
-                   identical slot-by-slot, and report the speedup.")
-  in
-  let min_coalesced =
-    Arg.(value & opt int 0
-         & info [ "min-coalesced" ] ~docv:"N"
-             ~doc:"With $(b,--compare-single): fail unless the sharded run coalesced \
-                   at least N requests (0 disables the gate).")
-  in
   let min_speedup =
     Arg.(value & opt float 0.0
          & info [ "min-speedup" ] ~docv:"X"
@@ -1050,10 +1002,16 @@ let batch_cmd =
                    cycle counts.")
   in
   (* Pair each response with its request line (responses are in input
-     order, one per non-blank line) and drive shed rows through Retry. *)
-  let retry_shed_pass ~run_line lines (b : Serve.batch) =
+     order, one per non-blank line) and drive shed rows through Retry,
+     resubmitting each as a one-line batch on the same engine. *)
+  let retry_shed_pass engine lines (b : Serve.batch) =
     let module R = Armb_service.Retry in
     let nonblank = Array.of_list (List.filter (fun l -> String.trim l <> "") lines) in
+    let run_line line =
+      match (Serve.run_batch engine ~lines:[ line ]).Serve.responses with
+      | r :: _ -> r
+      | [] -> { Engine.id = "?"; client = "?"; reply = Engine.Error "no response" }
+    in
     let retried = ref 0 and gave_up = ref 0 in
     let responses =
       List.mapi
@@ -1072,9 +1030,8 @@ let batch_cmd =
     Printf.printf "retry-shed: %d retried to completion, %d gave up\n" !retried !gave_up;
     { b with Serve.responses }
   in
-  let run file make_demo requests demo_seed zipf alpha compare_cold compare_single
-      min_speedup min_coalesced domains no_cache queue_bound cache_cap out
-      retry_shed metrics_out =
+  let run file make_demo requests demo_seed zipf alpha compare_cold min_speedup no_cache
+      queue_bound cache_cap out retry_shed metrics_out =
     if make_demo then begin
       let lines =
         if zipf then Serve.zipf_requests ~alpha ~requests ~seed:demo_seed ()
@@ -1112,65 +1069,10 @@ let batch_cmd =
           exit 1
         end
       end
-      else if compare_single then begin
-        let domains = max 2 domains in
-        let c = Shard.compare_single ~cache_cap ~domains ~lines () in
-        Printf.printf "== single (1 domain) ==\n%s\n"
-          (Serve.summary c.Shard.single c.Shard.single_metrics);
-        Printf.printf "== sharded (%d domains) ==\n%s\n" domains
-          (Serve.summary c.Shard.sharded c.Shard.sharded_metrics);
-        Printf.printf "identical: %b\ncoalesced: %d\nspeedup: %.2fx\n"
-          c.Shard.identical c.Shard.coalesced c.Shard.speedup;
-        (match out with
-        | None -> ()
-        | Some path -> write_out path (responses_text c.Shard.sharded));
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-          write_out path
-            (Json.to_string (Metrics.to_json c.Shard.sharded_metrics) ^ "\n"));
-        if not c.Shard.identical then begin
-          Printf.eprintf "armb batch: sharded responses differ from single-domain\n";
-          exit 1
-        end;
-        if min_coalesced > 0 && c.Shard.coalesced < min_coalesced then begin
-          Printf.eprintf "armb batch: coalesced %d below required %d\n"
-            c.Shard.coalesced min_coalesced;
-          exit 1
-        end
-      end
-      else if domains > 1 then begin
-        let pool = Shard.create ~domains ~cache_cap ~queue_bound ~no_cache () in
-        let b = Shard.run_batch pool ~lines in
-        let b =
-          if retry_shed then
-            retry_shed_pass lines b ~run_line:(fun line ->
-                match (Shard.run_batch pool ~lines:[ line ]).Serve.responses with
-                | r :: _ -> r
-                | [] -> { Engine.id = "?"; client = "?"; reply = Engine.Error "no response" })
-          else b
-        in
-        ignore (Shard.shutdown pool);
-        print_string (Serve.summary b (Shard.metrics pool));
-        (match out with
-        | None -> ()
-        | Some path -> write_out path (responses_text b));
-        match metrics_out with
-        | None -> ()
-        | Some path ->
-          write_out path (Json.to_string (Metrics.to_json (Shard.metrics pool)) ^ "\n")
-      end
       else begin
         let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
         let b = Serve.run_batch engine ~lines in
-        let b =
-          if retry_shed then
-            retry_shed_pass lines b ~run_line:(fun line ->
-                match (Serve.run_batch engine ~lines:[ line ]).Serve.responses with
-                | r :: _ -> r
-                | [] -> { Engine.id = "?"; client = "?"; reply = Engine.Error "no response" })
-          else b
-        in
+        let b = if retry_shed then retry_shed_pass engine lines b else b in
         print_string (Serve.summary b (Engine.metrics engine));
         (match out with
         | None -> ()
@@ -1182,14 +1084,12 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Client convenience over the job service: run an NDJSON request file \
-             through an engine (optionally sharded with $(b,--domains)) and print a \
-             summary table; verify the memo cache against a cold run \
-             ($(b,--compare-cold)), verify sharding against one domain \
-             ($(b,--compare-single)), or generate a demo batch ($(b,--make-demo), \
-             optionally $(b,--zipf)).")
+             through an engine and print a summary table; verify the memo cache \
+             against a cold run ($(b,--compare-cold)), or generate a demo batch \
+             ($(b,--make-demo), optionally $(b,--zipf)).")
     Term.(const run $ file $ make_demo $ requests $ demo_seed $ zipf $ alpha
-          $ compare_cold $ compare_single $ min_speedup $ min_coalesced $ domains_arg
-          $ no_cache $ queue_bound $ cache_cap $ out $ retry_shed $ metrics_out)
+          $ compare_cold $ min_speedup $ no_cache $ queue_bound $ cache_cap $ out
+          $ retry_shed $ metrics_out)
 
 (* ---------- soak ---------- *)
 
@@ -1257,11 +1157,7 @@ let soak_cmd =
                    seed produce byte-identical files (the reproducibility check).")
   in
   let run seed requests duration wave pool alpha snapshot_every metrics_out bundle_dir
-      retry_max emit queue_bound cache_cap domains =
-    if domains < 1 then begin
-      Printf.eprintf "armb soak: --domains must be >= 1\n";
-      exit 2
-    end;
+      retry_max emit queue_bound cache_cap =
     if requests <= 0 && duration = None && emit = None then begin
       Printf.eprintf "armb soak: give --requests N (> 0) and/or --duration S\n";
       exit 2
@@ -1282,7 +1178,6 @@ let soak_cmd =
           alpha;
           queue_bound;
           cache_cap;
-          domains;
           snapshot_every;
           metrics_out;
           bundle_dir;
@@ -1305,8 +1200,7 @@ let soak_cmd =
              responses retried with bounded backoff, violations persisted as repro \
              bundles, and a rolling armb-soak-metrics-v1 artifact written atomically.")
     Term.(const run $ seed $ requests $ duration $ wave $ pool $ alpha $ snapshot_every
-          $ metrics_out $ bundle_dir $ retry_max $ emit $ queue_bound $ cache_cap
-          $ domains_arg)
+          $ metrics_out $ bundle_dir $ retry_max $ emit $ queue_bound $ cache_cap)
 
 let () =
   let doc = "ARM barrier characterization and optimization toolkit (PPoPP'20 reproduction)" in

@@ -130,36 +130,13 @@ let serve_warm ~requests =
   ignore (Service.Serve.run_batch engine ~lines : Service.Serve.batch);
   fun () -> served (Service.Serve.run_batch engine ~lines)
 
-(* The sharded service over the Zipf-skewed batch: serve-zipf-warm is
-   the single-domain baseline on the same traffic the shard pool gets,
-   so the sharded/single ratio isolates the domain layer from the
-   traffic shape.  serve-sharded-cold includes pool spawn + shutdown
-   (the deployment cost); serve-sharded-warm times a second batch
-   against already-warm shard caches, pool construction and the warming
-   pass outside the timed region.  On hosts with fewer cores than
-   domains these measure time-slicing overhead, not scaling — the
-   scaling table in EXPERIMENTS.md records both. *)
+(* The same warm measurement over the Zipf-skewed batch: hot keys
+   dominate and 64 clients churn the scheduler lanes. *)
 let serve_zipf_warm ~requests =
   let lines = Service.Serve.zipf_requests ~requests ~seed:11 () in
   let engine = Service.Engine.create ~queue_bound:(max 256 requests) () in
   ignore (Service.Serve.run_batch engine ~lines : Service.Serve.batch);
   fun () -> served (Service.Serve.run_batch engine ~lines)
-
-let serve_sharded_cold ~domains ~requests () =
-  let lines = Service.Serve.zipf_requests ~requests ~seed:11 () in
-  let pool = Service.Shard.create ~domains ~queue_bound:(max 256 requests) () in
-  let events = served (Service.Shard.run_batch pool ~lines) in
-  ignore (Service.Shard.shutdown pool : Service.Engine.response list);
-  events
-
-(* The warm pool outlives the measurement (the process exits right
-   after); keep sharded workloads last so idle shards never overlap a
-   timed region. *)
-let serve_sharded_warm ~domains ~requests =
-  let lines = Service.Serve.zipf_requests ~requests ~seed:11 () in
-  let pool = Service.Shard.create ~domains ~queue_bound:(max 256 requests) () in
-  ignore (Service.Shard.run_batch pool ~lines : Service.Serve.batch);
-  fun () -> served (Service.Shard.run_batch pool ~lines)
 
 (* The many-core scalability workloads: a 256-core manycore machine
    running barrier episodes.  many-core-central hammers one fetch-add
@@ -213,8 +190,6 @@ let run ?(quick = false) ?fault ?only ?(progress = fun _ -> ()) () =
         ("serve-cold", serve_cold ~requests:120);
         ("serve-warm", serve_warm ~requests:120);
         ("serve-zipf-warm", serve_zipf_warm ~requests:120);
-        ("serve-sharded-cold", serve_sharded_cold ~domains:2 ~requests:120);
-        ("serve-sharded-warm", serve_sharded_warm ~domains:2 ~requests:120);
         ( "many-core-central",
           many_core ~kind:Armb_sync.Sync_barrier.Central ~cores:256 ~episodes:2 ~work:64 );
         ( "many-core-tree",
@@ -229,8 +204,6 @@ let run ?(quick = false) ?fault ?only ?(progress = fun _ -> ()) () =
         ("serve-cold", serve_cold ~requests:400);
         ("serve-warm", serve_warm ~requests:400);
         ("serve-zipf-warm", serve_zipf_warm ~requests:400);
-        ("serve-sharded-cold", serve_sharded_cold ~domains:4 ~requests:400);
-        ("serve-sharded-warm", serve_sharded_warm ~domains:4 ~requests:400);
         ( "many-core-central",
           many_core ~kind:Armb_sync.Sync_barrier.Central ~cores:256 ~episodes:32 ~work:64 );
         ( "many-core-tree",

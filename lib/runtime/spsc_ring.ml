@@ -53,66 +53,3 @@ let recv t =
   go ()
 
 let length t = max 0 (Atomic.get t.prod - Atomic.get t.cons)
-
-(* Generic payloads under the same protocol.  The slot write is plain;
-   publishing the producer counter with a seq_cst store is the release
-   edge, the consumer's counter load the acquire edge, so the payload
-   is data-race free exactly like the int ring's slots.  The consumer
-   clears the slot after reading so the ring never pins dead payloads
-   live across a lap. *)
-module Poly = struct
-  type 'a t = {
-    slots : 'a option array;
-    mask : int;
-    prod : int Atomic.t;
-    cons : int Atomic.t;
-  }
-
-  let create ~slots =
-    if slots <= 0 || slots land (slots - 1) <> 0 then
-      invalid_arg "Spsc_ring.Poly.create: slots must be a positive power of two";
-    {
-      slots = Array.make slots None;
-      mask = slots - 1;
-      prod = Atomic.make 0;
-      cons = Atomic.make 0;
-    }
-
-  let try_send t v =
-    let p = Atomic.get t.prod in
-    if p - Atomic.get t.cons > t.mask then false
-    else begin
-      t.slots.(p land t.mask) <- Some v;
-      Atomic.set t.prod (p + 1);
-      true
-    end
-
-  let send t v =
-    let b = Backoff.create () in
-    while not (try_send t v) do
-      Backoff.once b
-    done
-
-  let try_recv t =
-    let c = Atomic.get t.cons in
-    if Atomic.get t.prod = c then None
-    else begin
-      let v = t.slots.(c land t.mask) in
-      t.slots.(c land t.mask) <- None;
-      Atomic.set t.cons (c + 1);
-      v
-    end
-
-  let recv t =
-    let b = Backoff.create () in
-    let rec go () =
-      match try_recv t with
-      | Some v -> v
-      | None ->
-        Backoff.once b;
-        go ()
-    in
-    go ()
-
-  let length t = max 0 (Atomic.get t.prod - Atomic.get t.cons)
-end

@@ -1,5 +1,6 @@
-(** Native single-producer single-consumer ring buffer over OCaml 5
-    atomics — the runtime counterpart of the paper's Algorithm 2.
+(** Native single-producer single-consumer ring of ints over OCaml 5
+    atomics — the runtime counterpart of the paper's Algorithm 2, and
+    the plain-ring stage link of {!Pipeline}.
 
     OCaml exposes only sequentially-consistent atomics, so the
     counter publication already carries (more than) the DMB st
@@ -22,27 +23,3 @@ val recv : t -> int
 
 val length : t -> int
 (** Messages currently buffered (racy snapshot). *)
-
-(** The same single-producer single-consumer protocol over arbitrary
-    payloads: the slot write is published by the seq_cst producer-counter
-    store and acquired by the consumer's counter load, so boxed payloads
-    cross domains data-race free.  This is the request/response data
-    plane of the sharded job service ({!Armb_service.Shard}). *)
-module Poly : sig
-  type 'a t
-
-  val create : slots:int -> 'a t
-  (** [slots] must be a power of two. *)
-
-  val try_send : 'a t -> 'a -> bool
-
-  val send : 'a t -> 'a -> unit
-  (** Blocking send with exponential backoff. *)
-
-  val try_recv : 'a t -> 'a option
-
-  val recv : 'a t -> 'a
-
-  val length : 'a t -> int
-  (** Messages currently buffered (racy snapshot). *)
-end

@@ -405,19 +405,30 @@ let spec_of_json j =
     Ok (Job.Opt { program; algorithm; unroll })
   | k -> Error (Printf.sprintf "unknown kind %S" k)
 
+(* ["cores"] in its two wire spellings, normalized to Run_config's
+   "A,B"; the string form is checked by Run_config.of_kv. *)
+let cores_of_json v =
+  let bad () =
+    Error (Printf.sprintf "\"cores\" must be [A,B] or \"A,B\", got %s" (Json.to_string v))
+  in
+  match v with
+  | Json.List [ a; b ] -> (
+    match (Json.int a, Json.int b) with
+    | Some a, Some b -> Ok (Printf.sprintf "%d,%d" a b)
+    | _ -> bad ())
+  | Json.Str s -> Ok s
+  | _ -> bad ()
+
 let rc_of_json j =
   let kv = ref [] in
   (match Json.mem_str "platform" j with
   | Some p -> kv := ("platform", p) :: !kv
   | None -> ());
-  (match Json.member "cores" j with
-  | Some (Json.List [ a; b ]) -> (
-    match (Json.int a, Json.int b) with
-    | Some a, Some b -> kv := ("cores", Printf.sprintf "%d,%d" a b) :: !kv
-    | _ -> kv := ("cores", "bad") :: !kv)
-  | Some (Json.Str s) -> kv := ("cores", s) :: !kv
-  | Some _ -> kv := ("cores", "bad") :: !kv
-  | None -> ());
+  let* () =
+    match Json.member "cores" j with
+    | Some v -> Result.map (fun c -> kv := ("cores", c) :: !kv) (cores_of_json v)
+    | None -> Ok ()
+  in
   (match Json.mem_int "seed" j with
   | Some s -> kv := ("seed", string_of_int s) :: !kv
   | None -> ());
@@ -426,14 +437,17 @@ let rc_of_json j =
   | None -> ());
   RC.of_kv ~defaults:(RC.make ~seed:42 ~trials:40 Armb_platform.Platform.kunpeng916) !kv
 
-let request_of_json ?(default_id = "?") j =
+let envelope ?(default_id = "?") j =
   let id =
     match Json.member "id" j with
     | Some (Json.Str s) -> s
     | Some (Json.Int n) -> string_of_int n
     | _ -> default_id
   in
-  let client = Option.value ~default:"anon" (Json.mem_str "client" j) in
+  (id, Option.value ~default:"anon" (Json.mem_str "client" j))
+
+let request_of_json ?default_id j =
+  let id, client = envelope ?default_id j in
   let* priority =
     match Json.mem_str "priority" j with
     | None -> Ok Engine.Normal

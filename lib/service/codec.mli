@@ -47,6 +47,12 @@
     ["cycles"] and ["result"] (the canonical text rendering); shed adds
     ["retry_after_ms"]; error adds ["message"]. *)
 
+val envelope : ?default_id:string -> Json.t -> string * string
+(** The request's [(id, client)] as every response to it echoes them:
+    ["id"] (string or number, else [default_id], default ["?"]) and
+    ["client"] (default ["anon"]).  Total: a value that is not an
+    object yields [(default_id, "anon")]. *)
+
 val request_of_json :
   ?default_id:string -> Json.t -> (Engine.request, string) result
 

@@ -71,7 +71,6 @@ let create ?(cache_cap = 512) ?(queue_bound = 256) ?(no_cache = false) ?clock ()
 
 let pending t = t.queued
 let metrics t = t.metrics
-let totals t = (t.computations_done, t.wall_us_total)
 
 let retry_after_ms t =
   (* expected time to drain the current queue, from the mean completed

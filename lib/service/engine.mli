@@ -74,9 +74,3 @@ val live_lanes : t -> int
     (the regression the lane-index rewrite pins down). *)
 
 val metrics : t -> Metrics.t
-
-val totals : t -> int * int
-(** [(computations_done, wall_us_total)] — the completed-work account
-    behind retry-after hints.  The sharded router folds every shard's
-    totals into one delegated cell so its hints reflect global
-    progress. *)

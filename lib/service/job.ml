@@ -103,48 +103,6 @@ let key t =
        t.rc.cfg.Armb_cpu.Config.name a bcore t.rc.seed t.rc.trials t.fault);
   Key.digest (Buffer.contents b)
 
-(* A cheap structural identity hash for shard routing.  Unlike [key]
-   it does no canonicalization and no outcome enumeration — just the
-   spec's surface identity plus the run coordinates — so the router
-   can compute it per request without doing the job's work.  Jobs with
-   equal canonical keys route to the same shard whenever they share
-   surface form (always true for requests built from the catalogue via
-   the codec); a hand-built renamed variant may land on another shard,
-   which costs a duplicate cache entry there, never a wrong answer. *)
-let route_hash t =
-  let spec_tag =
-    match t.spec with
-    | Litmus test -> "litmus|" ^ String.lowercase_ascii test.Lang.name
-    | Check test -> "check|" ^ String.lowercase_ascii test.Lang.name
-    | Model { mem_ops; approach; location; nops; iters; label = _ } ->
-      Printf.sprintf "model|%s|%s|%d|%d|%d" (mem_ops_tag mem_ops)
-        (Armb_core.Ordering.to_string approach)
-        (location_tag location) nops iters
-    | Ring { combo; messages } -> Printf.sprintf "ring|%s|%d" combo messages
-    | Fuzz { tests } -> Printf.sprintf "fuzz|%d" tests
-    | Fix { test; max_edits; budget } ->
-      Printf.sprintf "fix|%s|%d|%d" (String.lowercase_ascii test.Lang.name) max_edits
-        budget
-    | Perturb { test; intensities; plan_seeds } ->
-      Printf.sprintf "perturb|%s|%s|%s"
-        (String.lowercase_ascii test.Lang.name)
-        (String.concat "," (List.map (Printf.sprintf "%.6f") intensities))
-        (String.concat "," (List.map string_of_int plan_seeds))
-    | Opt { program; algorithm; unroll } ->
-      Printf.sprintf "opt|%s|%s|%d"
-        (String.lowercase_ascii program.Armb_litmus.Cfg.name)
-        algorithm unroll
-  in
-  let a, b = t.rc.cores in
-  Hashtbl.hash
-    ( spec_tag,
-      t.rc.cfg.Armb_cpu.Config.name,
-      a,
-      b,
-      t.rc.seed,
-      t.rc.trials,
-      t.fault )
-
 let fault_plan t =
   if t.fault <= 0.0 then None
   else

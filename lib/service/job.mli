@@ -66,14 +66,6 @@ val kind : t -> string
 (** "litmus" | "check" | "model" | "ring" | "fuzz" | "fix" | "perturb"
     | "opt". *)
 
-val route_hash : t -> int
-(** Structural identity hash for shard routing: spec surface form plus
-    run coordinates, with none of [key]'s canonicalization or outcome
-    enumeration, so a router can afford it per request.  Jobs with the
-    same canonical key hash equal whenever they share surface form
-    (always true for codec-built requests); a divergence only costs a
-    duplicated cache entry on another shard. *)
-
 val label : t -> string
 (** Short human description for summary tables. *)
 

@@ -48,25 +48,6 @@ let observe_queue_depth t d = if d > t.queue_depth_peak then t.queue_depth_peak 
 
 let add_events t n = Stats.Counter.add t.events n
 
-(* Fold one shard's metrics into an aggregate.  Counters add; queue
-   depth peaks take the max (per-shard queues are independent); the
-   latency histograms merge bucket-by-bucket so the aggregate p50/p99
-   reflect every shard's computations. *)
-let merge_into ~dst src =
-  let addc get = Stats.Counter.add (get dst) (Stats.Counter.get (get src)) in
-  addc (fun m -> m.submitted);
-  addc (fun m -> m.hits);
-  addc (fun m -> m.misses);
-  addc (fun m -> m.coalesced);
-  addc (fun m -> m.shed);
-  addc (fun m -> m.failed);
-  addc (fun m -> m.completed);
-  addc (fun m -> m.events);
-  if src.queue_depth_peak > dst.queue_depth_peak then
-    dst.queue_depth_peak <- src.queue_depth_peak;
-  Stats.Histogram.merge_into ~dst:dst.latency src.latency;
-  dst.latency_n <- dst.latency_n + src.latency_n
-
 let counts t =
   [
     ("submitted", Stats.Counter.get t.submitted);

@@ -30,12 +30,6 @@ val observe_queue_depth : t -> int -> unit
 
 val add_events : t -> int -> unit
 
-val merge_into : dst:t -> t -> unit
-(** Fold [src] into [dst]: counters add, queue-depth peaks take the
-    max, latency histograms merge bucket-by-bucket.  The sharded
-    service aggregates per-domain engine metrics with this under a
-    ticket lock at shutdown. *)
-
 (** {2 Reading} *)
 
 val counts : t -> (string * int) list

@@ -4,6 +4,20 @@ let emit oc (r : Engine.response) =
   output_string oc (Codec.response_to_line r);
   output_char oc '\n'
 
+(* Decode input line [lineno] (1-based).  A line that fails is answered
+   by an error row echoing the request's own id and client whenever the
+   line is a JSON object, so clients can match errors up; only a line
+   that is not a JSON object falls back to its line number. *)
+let decode ~lineno line =
+  let default_id = string_of_int lineno in
+  let error (id, client) e = Error { Engine.id; client; reply = Engine.Error e } in
+  match Json.of_string line with
+  | Error e -> error (default_id, "anon") e
+  | Ok j -> (
+    match Codec.request_of_json ~default_id j with
+    | Ok req -> Ok req
+    | Error e -> error (Codec.envelope ~default_id j) e)
+
 (* ---------- streaming mode ---------- *)
 
 (* Shutdown drain semantics: whichever bound fires first (EOF,
@@ -31,14 +45,8 @@ let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
        incr lineno;
        if String.trim line <> "" then begin
          incr accepted;
-         (match Codec.request_of_line ~default_id:(string_of_int !lineno) line with
-         | Error e ->
-           emit oc
-             {
-               Engine.id = string_of_int !lineno;
-               client = "anon";
-               reply = Engine.Error e;
-             }
+         (match decode ~lineno:!lineno line with
+         | Error row -> emit oc row
          | Ok req -> (
            match Engine.submit engine req with
            | Some resp -> emit oc resp
@@ -62,38 +70,26 @@ let serve ?(drain_every = 16) ?max_requests ?duration_s engine ic oc =
    The map also remembers each slot's id so unanswered slots can be
    surfaced instead of silently vanishing. *)
 module Slot_map = struct
-  type t = {
-    waiting : (string, int Queue.t) Hashtbl.t;
-    mutable expected : int;  (* slots still waiting for a response *)
-  }
+  type t = (string, int Queue.t) Hashtbl.t
 
-  let create () = { waiting = Hashtbl.create 64; expected = 0 }
+  let create () : t = Hashtbl.create 64
 
   let expect t ~id ~slot =
     let q =
-      match Hashtbl.find_opt t.waiting id with
+      match Hashtbl.find_opt t id with
       | Some q -> q
       | None ->
         let q = Queue.create () in
-        Hashtbl.add t.waiting id q;
+        Hashtbl.add t id q;
         q
     in
-    Queue.push slot q;
-    t.expected <- t.expected + 1
+    Queue.push slot q
 
-  let resolve t ~id =
-    match Hashtbl.find_opt t.waiting id with
-    | Some q when not (Queue.is_empty q) ->
-      t.expected <- t.expected - 1;
-      Some (Queue.pop q)
-    | _ -> None
+  let resolve t ~id = Option.bind (Hashtbl.find_opt t id) Queue.take_opt
 
-  let pending t = t.expected
-
+  (* unanswered (id, slot) pairs, in slot order *)
   let leftovers t =
-    Hashtbl.fold
-      (fun id q acc -> Queue.fold (fun acc slot -> (id, slot) :: acc) acc q)
-      t.waiting []
+    Hashtbl.fold (fun id q acc -> Queue.fold (fun acc slot -> (id, slot) :: acc) acc q) t []
     |> List.sort (fun (_, a) (_, b) -> compare a b)
 end
 
@@ -128,11 +124,8 @@ let run_batch engine ~lines =
   let waiting = Slot_map.create () in
   List.iteri
     (fun slot (lineno, line) ->
-      let default_id = string_of_int (lineno + 1) in
-      match Codec.request_of_line ~default_id line with
-      | Error e ->
-        slots.(slot) <-
-          Some { Engine.id = default_id; client = "anon"; reply = Engine.Error e }
+      match decode ~lineno:(lineno + 1) line with
+      | Error row -> slots.(slot) <- Some row
       | Ok req -> (
         match Engine.submit engine req with
         | Some resp -> slots.(slot) <- Some resp

@@ -17,7 +17,10 @@ val serve :
     emitted as soon as the request is read; queued work is drained
     whenever [drain_every] (default 16) computations are pending and at
     end of input, so identical requests arriving close together
-    coalesce.
+    coalesce.  A line that fails to decode is answered with an error
+    row carrying the request's own ["id"] and ["client"] whenever the
+    line is a JSON object; a line that is not gets its 1-based line
+    number and client ["anon"].
 
     Termination: the loop stops reading at EOF, after [max_requests]
     accepted (non-blank) request lines, or once [duration_s] seconds of
@@ -28,38 +31,6 @@ val serve :
     input is left unread — a bounded serve is a prefix of the unbounded
     one. *)
 
-(** Matches drained responses back to input slots by request id (ids
-    may repeat: each id keys a FIFO of slots).  Shared by {!run_batch}
-    and the sharded workers ({!Shard}), so both enforce the same
-    response-count conservation. *)
-module Slot_map : sig
-  type t
-
-  val create : unit -> t
-
-  val expect : t -> id:string -> slot:int -> unit
-  (** Register a queued request's slot under its id. *)
-
-  val resolve : t -> id:string -> int option
-  (** Pop the oldest slot waiting under [id]; [None] means the response
-      is an orphan (nothing in this batch asked for it). *)
-
-  val pending : t -> int
-  (** Slots still waiting for a response. *)
-
-  val leftovers : t -> (string * int) list
-  (** Unanswered (id, slot) pairs, in slot order. *)
-end
-
-val orphan_response : Engine.response -> Engine.response
-(** Re-tag a drained response nothing was waiting for as an [Error] row
-    (it can only mean the engine held work submitted outside the
-    batch) — surfaced instead of silently dropped. *)
-
-val unanswered_response : id:string -> Engine.response
-(** The [Error] row standing in for a request the engine never
-    answered. *)
-
 type batch = {
   responses : Engine.response list;  (** in input order *)
   wall_s : float;  (** submit + drain time, monotonic, >= 0 *)
@@ -68,9 +39,9 @@ type batch = {
 val run_batch : Engine.t -> lines:string list -> batch
 (** One-shot mode: submit every request (admission control — shedding —
     applies at submit time, so a bounded queue sheds rather than
-    stalls), then drain.  Blank lines are skipped; unparseable lines
-    produce error responses.  Requests without an ["id"] get their
-    1-based line number.
+    stalls), then drain.  Blank lines are skipped; lines that fail to
+    decode produce error rows exactly as in {!serve}.  Requests without
+    an ["id"] get their 1-based line number.
 
     Response-count conservation holds: every non-blank input line gets
     exactly one response row in input order, a drained response no slot
@@ -83,8 +54,7 @@ val signature : Engine.response -> string * string
 (** The identity-relevant projection of a response: (status, result
     text).  Wall time, retry hints and cache origin are excluded — two
     responses with equal signatures answer the request identically.
-    Both the warm-vs-cold and the sharded-vs-single comparisons gate on
-    it. *)
+    The warm-vs-cold comparison gates on it. *)
 
 type comparison = {
   cold : batch;  (** computed by a [no_cache] engine: every request runs *)

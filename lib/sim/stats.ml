@@ -97,16 +97,6 @@ module Histogram = struct
 
   let bucket_count t i = t.counts.(i)
 
-  let merge_into ~dst src =
-    if dst.width <> src.width || dst.last <> src.last then
-      invalid_arg "Histogram.merge_into: shape mismatch";
-    for i = 0 to src.last do
-      dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-    done;
-    dst.total <- dst.total + src.total;
-    if src.max_sample > dst.max_sample then dst.max_sample <- src.max_sample;
-    if src.min_bucket < dst.min_bucket then dst.min_bucket <- src.min_bucket
-
   let percentile t q =
     if t.total = 0 then 0
     else if q <= 0.0 then

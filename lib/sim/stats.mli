@@ -49,11 +49,6 @@ module Histogram : sig
   val total : t -> int
   val bucket_count : t -> int -> int
 
-  (** [merge_into ~dst src] accumulates [src]'s samples into [dst]
-      bucket-by-bucket (per-shard service metrics fold into one
-      aggregate this way).  Raises [Invalid_argument] unless both
-      histograms share bucket width and count. *)
-  val merge_into : dst:t -> t -> unit
   val percentile : t -> float -> int
   (** [percentile h 0.99] returns an upper bound of the bucket containing
       the requested quantile; [percentile h 0.0] returns the lower bound

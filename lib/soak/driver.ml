@@ -1,21 +1,19 @@
 (* The long-lived bounded soak driver.
 
    Waves of generated requests are pushed through the real service
-   stack — the single memoizing engine or the multi-domain sharded
-   pool, unchanged — and every response is invariant-checked on the
-   exact bytes a client would see.  Shed responses are resubmitted
-   through the bounded-backoff Retry client (honoring the engine's
-   retry_after_ms hint), so backpressure is exercised, never fatal:
-   a request's terminal state is completed, gave-up (reported), or a
-   violation (bundled).  Violations persist as self-contained repro
-   bundles — seed, the verbatim request NDJSON line, the response —
-   and a rolling `armb-soak-metrics-v1` snapshot merges the engine's
-   own metrics with the farm's counters, rewritten atomically so a
-   tailing reader never sees a torn artifact. *)
+   stack — the memoizing engine, unchanged — and every response is
+   invariant-checked on the exact bytes a client would see.  Shed
+   responses are resubmitted through the bounded-backoff Retry client
+   (honoring the engine's retry_after_ms hint), so backpressure is
+   exercised, never fatal: a request's terminal state is completed,
+   gave-up (reported), or a violation (bundled).  Violations persist
+   as self-contained repro bundles — seed, the verbatim request NDJSON
+   line, the response — and a rolling `armb-soak-metrics-v1` snapshot
+   merges the engine's own metrics with the farm's counters, rewritten
+   atomically so a tailing reader never sees a torn artifact. *)
 
 module Engine = Armb_service.Engine
 module Serve = Armb_service.Serve
-module Shard = Armb_service.Shard
 module Metrics = Armb_service.Metrics
 module Retry = Armb_service.Retry
 module Codec = Armb_service.Codec
@@ -32,7 +30,6 @@ type config = {
   alpha : float;
   queue_bound : int;
   cache_cap : int;
-  domains : int;  (** >= 2 runs the sharded pool *)
   snapshot_every : int;  (** waves between rolling snapshots *)
   metrics_out : string option;
   bundle_dir : string option;
@@ -49,7 +46,6 @@ let default_config ~seed =
     alpha = 1.1;
     queue_bound = 24;
     cache_cap = 512;
-    domains = 1;
     snapshot_every = 4;
     metrics_out = None;
     bundle_dir = None;
@@ -83,20 +79,11 @@ type report = {
   ok : bool;  (** zero violations *)
 }
 
-type backend = Single of Engine.t | Sharded of Shard.t
-
-let backend_metrics = function
-  | Single e -> Engine.metrics e
-  | Sharded s -> Shard.metrics s
-
-let run_lines backend lines =
-  match backend with
-  | Single e -> (Serve.run_batch e ~lines).Serve.responses
-  | Sharded s -> (Shard.run_batch s ~lines).Serve.responses
+let run_lines engine lines = (Serve.run_batch engine ~lines).Serve.responses
 
 (* one-request round trip, for retries *)
-let run_one backend (job : Gen.job) =
-  match run_lines backend [ job.Gen.line ] with
+let run_one engine (job : Gen.job) =
+  match run_lines engine [ job.Gen.line ] with
   | r :: _ -> r
   | [] ->
     {
@@ -125,7 +112,6 @@ let snapshot_json ~cfg ~wall_s ~counters ~by_kind ~violations ~snapshots metrics
     [
       ("schema", Json.Str "armb-soak-metrics-v1");
       ("seed", Json.Int cfg.seed);
-      ("domains", Json.Int (max 1 cfg.domains));
       ("pool", Json.Int cfg.pool);
       ("wall_s", Json.Float wall_s);
       ("submitted", Json.Int (c "submitted"));
@@ -152,13 +138,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
   let clock = Clock.create () in
   let t0 = Clock.now_us clock in
   let wall_s () = float_of_int (Clock.elapsed_us clock ~since:t0) /. 1e6 in
-  let backend =
-    if cfg.domains >= 2 then
-      Sharded
-        (Shard.create ~domains:cfg.domains ~cache_cap:cfg.cache_cap
-           ~queue_bound:cfg.queue_bound ())
-    else Single (Engine.create ~cache_cap:cfg.cache_cap ~queue_bound:cfg.queue_bound ())
-  in
+  let engine = Engine.create ~cache_cap:cfg.cache_cap ~queue_bound:cfg.queue_bound () in
   let gen = Gen.create ~pool:cfg.pool ~alpha:cfg.alpha ~seed:cfg.seed () in
   (* injected job list (tests, fixtures) replaces the generator stream *)
   let injected = ref jobs in
@@ -217,7 +197,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
       let j =
         snapshot_json ~cfg ~wall_s:(wall_s ()) ~counters:(counters ())
           ~by_kind:(kind_counts ()) ~violations:!nviol ~snapshots:!snapshots
-          (backend_metrics backend)
+          (Engine.metrics engine)
       in
       (match Out.write ~path (Json.to_string j ^ "\n") with
       | Ok () -> ()
@@ -246,7 +226,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
       incr shed_seen;
       match
         Retry.resubmit ~policy:cfg.retry ~sleep
-          ~attempt:(fun () -> run_one backend job)
+          ~attempt:(fun () -> run_one engine job)
           resp
       with
       | Retry.Completed { response; retries = _ } ->
@@ -284,7 +264,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
     if wave_jobs = [] then finished := true
     else begin
       let lines = List.map (fun (j : Gen.job) -> j.Gen.line) wave_jobs in
-      let responses = run_lines backend lines in
+      let responses = run_lines engine lines in
       let n = List.length wave_jobs in
       List.iteri
         (fun i (resp : Engine.response) ->
@@ -296,7 +276,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
             handle job resp
           end
           else
-            (* conservation overflow: an orphan row means the backend
+            (* conservation overflow: an orphan row means the engine
                answered something this wave never asked — a violation *)
             bundle
               { Gen.id = resp.Engine.id; kind = "?"; expect = Invariant.Status_ok; line = "" }
@@ -307,20 +287,6 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
       if hit_request_bound () || hit_time_bound () then finished := true
     end
   done;
-  (* sharded engines merge their metrics into the aggregate at
-     shutdown, so the *final* snapshot (below) is the complete one —
-     rolling snapshots during a sharded run carry router-side counters
-     only.  Leftover in-flight responses would be conservation
-     breaches; surface them. *)
-  (match backend with
-  | Sharded s ->
-    List.iter
-      (fun (resp : Engine.response) ->
-        bundle
-          { Gen.id = resp.Engine.id; kind = "?"; expect = Invariant.Status_ok; line = "" }
-          resp "response still in flight at shutdown")
-      (Shard.shutdown s)
-  | Single _ -> ());
   snapshot ();
   {
     submitted = !submitted;
@@ -337,7 +303,7 @@ let run ?(sleep = Retry.default_sleep) ?jobs ?(progress = fun _ -> ()) cfg =
     violations = List.rev !violations;
     snapshots = !snapshots;
     wall_s = wall_s ();
-    metrics = backend_metrics backend;
+    metrics = Engine.metrics engine;
     ok = !violations = [];
   }
 

@@ -1,10 +1,9 @@
 (** The long-lived bounded soak driver: generated job streams as
     production traffic against the real service stack.
 
-    Waves of {!Gen} requests flow through an in-process engine (or the
-    multi-domain sharded pool when [domains >= 2]) exactly as piped
-    NDJSON would — same codec, same memo cache, coalescing, admission
-    and shedding.  Every terminal response is checked against the
+    Waves of {!Gen} requests flow through an in-process engine exactly
+    as piped NDJSON would — same codec, same memo cache, coalescing,
+    admission and shedding.  Every terminal response is checked against the
     job's {!Invariant.expect}; violations persist as self-contained
     repro bundles ([armb-soak-violation-v1]: seed, verbatim request
     line, response).  Shed responses are resubmitted through {!Retry}
@@ -16,10 +15,7 @@
     counters (jobs per kind, drift totals, violations, retry cycles)
     — is rewritten atomically every [snapshot_every] waves, so an
     external watcher can tail a live run without ever reading a torn
-    file.  During a sharded run the rolling snapshots carry
-    router-side counters only (shard engines merge their metrics into
-    the aggregate at shutdown); the final snapshot, written after
-    shutdown, is the complete one. *)
+    file. *)
 
 module Engine = Armb_service.Engine
 module Metrics = Armb_service.Metrics
@@ -34,7 +30,6 @@ type config = {
   alpha : float;
   queue_bound : int;
   cache_cap : int;
-  domains : int;  (** >= 2 runs the sharded pool *)
   snapshot_every : int;  (** waves between rolling snapshots; 0 = final only *)
   metrics_out : string option;
   bundle_dir : string option;
@@ -43,7 +38,7 @@ type config = {
 
 val default_config : seed:int -> config
 (** 500 requests, wave 32, pool {!Gen.default_pool}, alpha 1.1, queue
-    bound 24, cache 512, single engine, snapshot every 4 waves, no
+    bound 24, cache 512, snapshot every 4 waves, no
     artifact paths, {!Retry.default_policy}. *)
 
 type violation = {

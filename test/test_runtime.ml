@@ -76,50 +76,6 @@ let test_ring_cross_domain () =
   check Alcotest.bool "in order" true !ordered;
   check Alcotest.int "no loss" (n * (n + 1) / 2) !sum
 
-(* Same protocol over boxed payloads: the variant the sharded job
-   service ships requests/responses through. *)
-
-let test_poly_ring_fifo_single_threaded () =
-  let r = R.Spsc_ring.Poly.create ~slots:8 in
-  for i = 1 to 8 do
-    check Alcotest.bool "send ok" true
-      (R.Spsc_ring.Poly.try_send r (string_of_int i))
-  done;
-  check Alcotest.bool "full" false (R.Spsc_ring.Poly.try_send r "x");
-  for i = 1 to 8 do
-    check
-      (Alcotest.option Alcotest.string)
-      "fifo"
-      (Some (string_of_int i))
-      (R.Spsc_ring.Poly.try_recv r)
-  done;
-  check (Alcotest.option Alcotest.string) "empty" None (R.Spsc_ring.Poly.try_recv r)
-
-let test_poly_ring_power_of_two () =
-  match R.Spsc_ring.Poly.create ~slots:12 with
-  | _ -> Alcotest.fail "non-power-of-two accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_poly_ring_cross_domain () =
-  let r = R.Spsc_ring.Poly.create ~slots:16 in
-  let n = 5_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          R.Spsc_ring.Poly.send r (i, string_of_int i)
-        done)
-  in
-  let ok = ref true in
-  for i = 1 to n do
-    let k, s = R.Spsc_ring.Poly.recv r in
-    (* boxed payloads arrive in order and intact: the slot write is
-       published by the producer-counter store *)
-    if k <> i || s <> string_of_int i then ok := false
-  done;
-  Domain.join producer;
-  check Alcotest.bool "in order, payloads intact" true !ok;
-  check Alcotest.int "drained" 0 (R.Spsc_ring.Poly.length r)
-
 (* ---------- Pilot channel ---------- *)
 
 let test_pilot_channel_single_threaded () =
@@ -347,9 +303,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_ring_fifo_single_threaded;
           Alcotest.test_case "power of two" `Quick test_ring_power_of_two;
           Alcotest.test_case "cross-domain" `Slow test_ring_cross_domain;
-          Alcotest.test_case "poly fifo" `Quick test_poly_ring_fifo_single_threaded;
-          Alcotest.test_case "poly power of two" `Quick test_poly_ring_power_of_two;
-          Alcotest.test_case "poly cross-domain" `Slow test_poly_ring_cross_domain;
         ] );
       ( "pilot-channel",
         [

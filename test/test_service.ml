@@ -375,13 +375,20 @@ let test_golden_cold_and_warm () =
     (golden_jobs ())
 
 let test_compare_cold_identical () =
-  let lines = Serve.demo_requests ~requests:24 ~seed:3 () in
-  let c = Serve.compare_cold ~lines () in
-  check Alcotest.bool "warm responses byte-identical to cold" true c.Serve.identical;
-  check Alcotest.int "same response count" (List.length c.Serve.cold.Serve.responses)
-    (List.length c.Serve.warm.Serve.responses);
-  check Alcotest.bool "duplicates coalesced on the warm engine" true
-    (Metrics.get c.Serve.warm_metrics "coalesced" > 0)
+  List.iter
+    (fun (what, lines) ->
+      let c = Serve.compare_cold ~lines () in
+      check Alcotest.bool (what ^ ": warm responses byte-identical to cold") true
+        c.Serve.identical;
+      check Alcotest.int (what ^ ": same response count")
+        (List.length c.Serve.cold.Serve.responses)
+        (List.length c.Serve.warm.Serve.responses);
+      check Alcotest.bool (what ^ ": duplicates coalesced on the warm engine") true
+        (Metrics.get c.Serve.warm_metrics "coalesced" > 0))
+    [
+      ("demo", Serve.demo_requests ~requests:24 ~seed:3 ());
+      ("zipf", Serve.zipf_requests ~requests:60 ~seed:3 ());
+    ]
 
 (* ---------- demo batch ---------- *)
 
@@ -411,6 +418,31 @@ let test_demo_batch () =
       | Error e -> Alcotest.fail ("demo line does not decode: " ^ e))
     a
 
+let test_zipf_deterministic_and_skewed () =
+  let a = Serve.zipf_requests ~requests:400 ~seed:5 () in
+  let b = Serve.zipf_requests ~requests:400 ~seed:5 () in
+  check Alcotest.(list string) "deterministic under a fixed seed" a b;
+  check Alcotest.bool "seed changes the batch" true
+    (a <> Serve.zipf_requests ~requests:400 ~seed:6 ());
+  check Alcotest.int "requested size" 400 (List.length a);
+  (* Zipf head: the hottest job dominates far beyond the uniform 1/40 *)
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun line ->
+      let k = strip_envelope line in
+      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+    a;
+  let top = Hashtbl.fold (fun _ c acc -> max c acc) tbl 0 in
+  check Alcotest.bool
+    (Printf.sprintf "hottest job dominates (%d/400)" top)
+    true (top >= 40);
+  List.iter
+    (fun line ->
+      match Codec.request_of_line line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("zipf line does not decode: " ^ e))
+    a
+
 (* ---------- codec and JSON ---------- *)
 
 let test_codec_roundtrip () =
@@ -433,11 +465,27 @@ let test_codec_roundtrip () =
     check (Alcotest.float 1e-9) "fault" 0.25 r.Engine.job.Job.fault
 
 let test_codec_errors () =
-  let bad what line =
+  (* [mentions]: a substring the error message must contain *)
+  let bad ?(mentions = "") what line =
     match Codec.request_of_line line with
     | Ok _ -> Alcotest.fail (what ^ " should be rejected")
-    | Error _ -> ()
+    | Error m ->
+      let n = String.length mentions in
+      let rec found i =
+        i + n <= String.length m && (String.sub m i n = mentions || found (i + 1))
+      in
+      check Alcotest.bool (Printf.sprintf "%s: %S mentions %S" what m mentions) true
+        (found 0)
   in
+  let bad_cores v =
+    bad
+      ~mentions:(Printf.sprintf {|"cores" must be [A,B] or "A,B", got %s|} v)
+      ("cores " ^ v)
+      (Printf.sprintf {|{"kind":"litmus","test":"SB","cores":%s}|} v)
+  in
+  bad_cores "100000";
+  bad_cores "[1]";
+  bad_cores {|[0,"x"]|};
   bad "missing kind" {|{"test":"SB"}|};
   bad "unknown kind" {|{"kind":"nope"}|};
   bad "unknown test" {|{"kind":"litmus","test":"NOPE"}|};
@@ -501,7 +549,6 @@ let test_run_config_kv () =
 (* ---------- scalability regressions ---------- *)
 
 module Clock = Armb_service.Clock
-module Shard = Armb_service.Shard
 
 (* Client churn must not grow the scheduler: a drained lane retires, so
    the lane index tracks only clients with work in flight.  The old
@@ -596,7 +643,9 @@ let test_engine_wall_us_nonnegative () =
 
 (* Response-count conservation: work the engine held from outside the
    batch surfaces as an error-tagged orphan row instead of being
-   silently dropped, and every batch slot still gets its own row. *)
+   silently dropped, and every batch slot still gets its own row.  An
+   error row echoes the request's own id and client; only a line that
+   is not a JSON object falls back to its line number. *)
 let test_batch_conservation () =
   let e = Engine.create () in
   let tests = Array.of_list Cat.all in
@@ -606,14 +655,24 @@ let test_batch_conservation () =
       {|{"id":"a","kind":"litmus","test":"MP","trials":6,"seed":42}|};
       "";
       {|{"id":"b","kind":"litmus","test":"SB","trials":6,"seed":42}|};
+      {|{"id":"c","client":"carol","kind":"litmus","test":"MP","trials":-3}|};
+      {|{"kind":|};
     ]
   in
   let b = Serve.run_batch e ~lines in
-  check Alcotest.int "2 slots + 1 orphan" 3 (List.length b.Serve.responses);
+  check Alcotest.int "4 slots + 1 orphan" 5 (List.length b.Serve.responses);
+  let is_error (r : Engine.response) =
+    match r.Engine.reply with Engine.Error _ -> true | _ -> false
+  in
   (match b.Serve.responses with
-  | [ ra; rb; orphan ] ->
+  | [ ra; rb; rc; rbad; orphan ] ->
     check Alcotest.string "slot order" "a" ra.Engine.id;
     check Alcotest.string "slot order" "b" rb.Engine.id;
+    check Alcotest.bool "invalid request is an error row" true (is_error rc);
+    check Alcotest.string "error row echoes the request id" "c" rc.Engine.id;
+    check Alcotest.string "error row echoes the client" "carol" rc.Engine.client;
+    check Alcotest.bool "non-JSON line is an error row" true (is_error rbad);
+    check Alcotest.string "non-JSON line keyed by line number" "5" rbad.Engine.id;
     check Alcotest.string "orphan keeps its id" "outsider" orphan.Engine.id;
     (match orphan.Engine.reply with
     | Engine.Error m ->
@@ -623,7 +682,7 @@ let test_batch_conservation () =
   | _ -> Alcotest.fail "unexpected batch shape");
   (* an engine that starts empty conserves exactly *)
   let b2 = Serve.run_batch (Engine.create ()) ~lines in
-  check Alcotest.int "fresh engine: one row per non-blank line" 2
+  check Alcotest.int "fresh engine: one row per non-blank line" 4
     (List.length b2.Serve.responses)
 
 (* ---------- JSON grammar ---------- *)
@@ -723,84 +782,6 @@ let prop_json_roundtrip =
       | Ok j' -> Json.to_string j = Json.to_string j'
       | Error _ -> false)
 
-(* ---------- sharded service ---------- *)
-
-let test_shard_routing_stable_and_balanced () =
-  let a = Shard.create ~domains:4 () in
-  let b = Shard.create ~domains:4 () in
-  let counts = Array.make 4 0 in
-  for i = 0 to 9999 do
-    (* routing inputs are Hashtbl.hash outputs (Job.route_hash), so the
-       balance claim is over hash-distributed points, not raw ints *)
-    let h = Hashtbl.hash ("route", i) in
-    let s = Shard.shard_of_hash a h in
-    check Alcotest.int "same ring for the same domain count" s
-      (Shard.shard_of_hash b h);
-    check Alcotest.bool "in range" true (s >= 0 && s < 4);
-    counts.(s) <- counts.(s) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      check Alcotest.bool
-        (Printf.sprintf "shard %d owns a non-trivial share (%d)" i c)
-        true
-        (c > 500))
-    counts;
-  (* identical requests land on identical shards *)
-  (match Codec.request_of_line {|{"kind":"litmus","test":"MP","trials":6}|} with
-  | Ok r ->
-    check Alcotest.int "request routing deterministic" (Shard.shard_of a r)
-      (Shard.shard_of a r)
-  | Error e -> Alcotest.fail e);
-  ignore (Shard.shutdown a : Engine.response list);
-  ignore (Shard.shutdown b : Engine.response list)
-
-let test_shard_identical_to_single () =
-  let lines = Serve.demo_requests ~requests:60 ~seed:3 () in
-  let c = Shard.compare_single ~domains:3 ~lines () in
-  check Alcotest.bool "sharded responses signature-identical to one domain" true
-    c.Shard.identical;
-  check Alcotest.bool "duplicates coalesced on their shards" true
-    (c.Shard.coalesced > 0);
-  check Alcotest.int "same coalesce count as one domain"
-    (Metrics.get c.Shard.single_metrics "coalesced")
-    c.Shard.coalesced
-
-let test_shard_global_queue_bound () =
-  (* 60 requests over ~24 distinct jobs against a global bound of 4:
-     the router must shed in input order exactly where one engine
-     would, not per shard *)
-  let lines = Serve.demo_requests ~requests:60 ~seed:3 () in
-  let c = Shard.compare_single ~domains:3 ~queue_bound:4 ~lines () in
-  check Alcotest.bool "shed pattern identical to one domain" true c.Shard.identical;
-  check Alcotest.bool "something was shed" true
-    (Metrics.get c.Shard.single_metrics "shed" > 0)
-
-let test_shard_zipf_deterministic_and_skewed () =
-  let a = Serve.zipf_requests ~requests:400 ~seed:5 () in
-  let b = Serve.zipf_requests ~requests:400 ~seed:5 () in
-  check Alcotest.(list string) "deterministic under a fixed seed" a b;
-  check Alcotest.bool "seed changes the batch" true
-    (a <> Serve.zipf_requests ~requests:400 ~seed:6 ());
-  check Alcotest.int "requested size" 400 (List.length a);
-  (* Zipf head: the hottest job dominates far beyond the uniform 1/40 *)
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      let k = strip_envelope line in
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    a;
-  let top = Hashtbl.fold (fun _ c acc -> max c acc) tbl 0 in
-  check Alcotest.bool
-    (Printf.sprintf "hottest job dominates (%d/400)" top)
-    true (top >= 40);
-  List.iter
-    (fun line ->
-      match Codec.request_of_line line with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("zipf line does not decode: " ^ e))
-    a
-
 let () =
   Alcotest.run "service"
     [
@@ -837,16 +818,6 @@ let () =
           Alcotest.test_case "batch response-count conservation" `Quick
             test_batch_conservation;
         ] );
-      ( "shard",
-        [
-          Alcotest.test_case "routing stable and balanced" `Slow
-            test_shard_routing_stable_and_balanced;
-          Alcotest.test_case "sharded identical to single-domain" `Slow
-            test_shard_identical_to_single;
-          Alcotest.test_case "global queue bound" `Slow test_shard_global_queue_bound;
-          Alcotest.test_case "zipf traffic deterministic and skewed" `Quick
-            test_shard_zipf_deterministic_and_skewed;
-        ] );
       ( "determinism",
         [
           Alcotest.test_case "golden workloads cold and warm" `Quick
@@ -854,6 +825,8 @@ let () =
           Alcotest.test_case "compare_cold identical" `Quick
             test_compare_cold_identical;
           Alcotest.test_case "demo batch" `Quick test_demo_batch;
+          Alcotest.test_case "zipf traffic deterministic and skewed" `Quick
+            test_zipf_deterministic_and_skewed;
         ] );
       ( "codec",
         [

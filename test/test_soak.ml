@@ -1,8 +1,8 @@
 (* Tests for the continuous soak farm: seeded stream determinism,
    the inline-test / inline-program wire codecs, the retry client,
    bounded serve, the metrics-v1 artifact, violation repro bundles,
-   unified soak rounds, and end-to-end mixed runs on the single
-   engine and the sharded pool. *)
+   unified soak rounds, and end-to-end mixed runs through the
+   engine. *)
 
 module Lang = Armb_litmus.Lang
 module Cat = Armb_litmus.Catalogue
@@ -195,36 +195,56 @@ let test_retry_gives_up () =
 let litmus_line i =
   Printf.sprintf "{\"id\":\"q%d\",\"kind\":\"litmus\",\"test\":\"MP\",\"trials\":5,\"seed\":%d}" i i
 
+(* parses as JSON but fails validation: sent as line 2 *)
+let invalid_line = {|{"id":"c","client":"carol","kind":"litmus","test":"MP","trials":-3}|}
+
 let test_serve_max_requests () =
   let inp = tmp_path "serve-in.ndjson" in
   let out = tmp_path "serve-out.ndjson" in
-  (match Out.write ~path:inp (String.concat "\n" (List.init 10 litmus_line) ^ "\n") with
+  let lines = List.init 10 litmus_line in
+  (match
+     Out.write ~path:inp
+       (String.concat "\n" (List.hd lines :: invalid_line :: List.tl lines) ^ "\n")
+   with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
   let engine = Engine.create ~cache_cap:16 ~queue_bound:16 () in
   let ic = open_in inp and oc = open_out out in
-  Serve.serve ~max_requests:3 engine ic oc;
+  Serve.serve ~max_requests:4 engine ic oc;
   close_in_noerr ic;
   close_out_noerr oc;
   let responses =
     String.split_on_char '\n' (read_file out)
-    |> List.filter (fun l -> String.trim l <> "")
+    |> List.filter_map (fun l ->
+           if String.trim l = "" then None
+           else
+             match Json.of_string l with
+             | Ok j -> Some j
+             | Error e -> Alcotest.fail ("response does not parse: " ^ e))
   in
   (* the bound stops reading, never answering: exactly the accepted
      prefix is drained and answered *)
-  check Alcotest.int "exactly 3 responses" 3 (List.length responses);
-  List.iteri
-    (fun i line ->
-      match Json.of_string line with
-      | Ok j ->
+  check Alcotest.int "exactly 4 responses" 4 (List.length responses);
+  match responses with
+  | err :: computed ->
+    (* the error row is answered as soon as its line is read, and
+       echoes the request's own id and client, not the line number *)
+    check (Alcotest.option Alcotest.string) "error row" (Some "error")
+      (Json.mem_str "status" err);
+    check (Alcotest.option Alcotest.string) "error row echoes the id" (Some "c")
+      (Json.mem_str "id" err);
+    check (Alcotest.option Alcotest.string) "error row echoes the client"
+      (Some "carol") (Json.mem_str "client" err);
+    List.iteri
+      (fun i j ->
         check (Alcotest.option Alcotest.string)
           "responses are the accepted prefix, in order"
           (Some (Printf.sprintf "q%d" i))
-          (Json.mem_str "id" j)
-      | Error e -> Alcotest.fail ("response does not parse: " ^ e))
-    responses;
-  Sys.remove inp;
-  Sys.remove out
+          (Json.mem_str "id" j))
+      computed;
+    Sys.remove inp;
+    Sys.remove out
+  | [] -> Alcotest.fail "no responses"
 
 (* ---------- metrics artifact ---------- *)
 
@@ -373,25 +393,6 @@ let test_mixed_run_single_engine () =
   check Alcotest.bool "at least 5 kinds exercised" true
     (List.length r.Driver.by_kind >= 5)
 
-let test_mixed_run_sharded () =
-  let cfg =
-    {
-      (Driver.default_config ~seed:11) with
-      Driver.requests = 200;
-      wave = 48;
-      pool = 48;
-      queue_bound = 8;
-      domains = 2;
-    }
-  in
-  let r = Driver.run ~sleep:ignore cfg in
-  check Alcotest.bool "zero violations (2 domains)" true r.Driver.ok;
-  check Alcotest.int "every request submitted (2 domains)" 200 r.Driver.submitted;
-  check Alcotest.int "completed + gave_up accounts for every request (2 domains)"
-    200
-    (r.Driver.completed + r.Driver.gave_up);
-  check Alcotest.bool "memo cache hit (2 domains)" true (r.Driver.hits > 0)
-
 (* ---------- unified soak rounds ---------- *)
 
 let test_synth_rounds_fold_to_report () =
@@ -463,8 +464,6 @@ let () =
             test_injected_violation_bundle;
           Alcotest.test_case "200 mixed jobs, single engine" `Quick
             test_mixed_run_single_engine;
-          Alcotest.test_case "200 mixed jobs, 2 domains" `Quick
-            test_mixed_run_sharded;
         ] );
       ( "rounds",
         [
