@@ -3,196 +3,277 @@ type model = Wmm | Tso
 type outcome = (string * int64) list
 
 let outcome_to_string o =
-  String.concat " " (List.map (fun (r, v) -> Printf.sprintf "%s=%Ld" r v) o)
+  String.concat " " (List.map (fun (r, v) -> r ^ "=" ^ Int64.to_string v) o)
 
 type cls = C_load | C_store
 
-let cls_of = function
-  | Lang.Load _ -> Some C_load
-  | Lang.Store _ -> Some C_store
-  | Lang.Fence _ -> None
+(* Does fence [f] order an earlier access of class [a] before a later
+   one of class [b]?  The same under both models: on TSO, weaker ARM
+   fences are treated at full strength when "run" on TSO, which is
+   conservative but irrelevant for the catalogue (TSO rows use the plain
+   programs). *)
+let fence_orders f a b =
+  match f with
+  | Lang.F_dmb_full | Lang.F_dsb -> true
+  | Lang.F_dmb_st -> a = C_store && b = C_store
+  (* ctrl+ISB has DMB ld's ordering force: every prior load performs
+     before anything later; stores pass it freely. *)
+  | Lang.F_dmb_ld | Lang.F_isb -> a = C_load
 
-let fence_orders model f a b =
-  match model with
-  | Tso -> (
-    (* On TSO any full fence restores store->load order; weaker ARM
-       fences are treated at full strength when "run" on TSO, which is
-       conservative but irrelevant for the catalogue (TSO rows use the
-       plain programs). *)
-    match f with
-    | Lang.F_dmb_full | Lang.F_dsb -> true
-    | Lang.F_dmb_st -> a = C_store && b = C_store
-    | Lang.F_dmb_ld | Lang.F_isb -> a = C_load)
-  | Wmm -> (
-    match f with
-    | Lang.F_dmb_full | Lang.F_dsb -> true
-    | Lang.F_dmb_st -> a = C_store && b = C_store
-    (* ctrl+ISB has DMB ld's ordering force: every prior load performs
-       before anything later; stores pass it freely. *)
-    | Lang.F_dmb_ld | Lang.F_isb -> a = C_load)
+(* Must access [a] perform before the later access [b] of the same
+   thread?  [fences] are the fences strictly between them. *)
+let must_order model a b fences =
+  let cls = function Lang.Load _ -> C_load | _ -> C_store in
+  let ca = cls a and cb = cls b in
+  (* TSO preserves all program order except store -> later load. *)
+  (model = Tso && not (ca = C_store && cb = C_load))
+  (* Coherence: same-address accesses stay in program order. *)
+  || (match (a, b) with
+     | (Lang.Load { var = va; _ } | Lang.Store { var = va; _ }),
+       (Lang.Load { var = vb; _ } | Lang.Store { var = vb; _ }) ->
+       va = vb
+     | _ -> false)
+  (* Dependencies: b consumes a register written by a. *)
+  || (match Lang.writes_reg a with
+     | Some r -> List.mem r (Lang.reads_regs b)
+     | None -> false)
+  (* Acquire: nothing later may perform before an acquire load. *)
+  || (match a with Lang.Load { acquire = true; _ } -> true | _ -> false)
+  (* Release: a released store performs after everything earlier. *)
+  || (match b with Lang.Store { release = true; _ } -> true | _ -> false)
+  || List.exists (fun f -> fence_orders f ca cb) fences
 
-(* Must instruction [j] perform before instruction [i] (j < i in
-   program order)?  [prog] is the thread's instruction array. *)
-let must_order model prog j i =
-  let a = prog.(j) and b = prog.(i) in
-  match (cls_of a, cls_of b) with
-  | None, _ | _, None -> false (* fences are order constraints, not events *)
-  | Some ca, Some cb -> (
-    let base =
-      (* Coherence: same-address accesses stay in program order. *)
-      (match (a, b) with
-      | Lang.Load { var = va; _ }, Lang.Load { var = vb; _ }
-      | Lang.Load { var = va; _ }, Lang.Store { var = vb; _ }
-      | Lang.Store { var = va; _ }, Lang.Load { var = vb; _ }
-      | Lang.Store { var = va; _ }, Lang.Store { var = vb; _ } ->
-        va = vb
-      | _ -> false)
-      (* Dependencies: b consumes a register written by a. *)
-      || (match Lang.writes_reg a with
-         | Some r -> List.mem r (Lang.reads_regs b)
-         | None -> false)
-      (* Acquire: nothing later may perform before an acquire load. *)
-      || (match a with Lang.Load { acquire = true; _ } -> true | _ -> false)
-      (* Release: a released store performs after everything earlier. *)
-      || (match b with Lang.Store { release = true; _ } -> true | _ -> false)
-      (* Fences strictly between the two. *)
-      || (let rec scan k =
-            if k >= i then false
-            else
-              match prog.(k) with
-              | Lang.Fence f when fence_orders model f ca cb -> true
-              | _ -> scan (k + 1)
-          in
-          scan (j + 1))
-    in
-    match model with
-    | Wmm -> base
-    | Tso ->
-      (* TSO preserves all program order except store -> later load. *)
-      base || not (ca = C_store && cb = C_load))
+(* ---------- compiled form ---------- *)
 
-type state = {
-  performed : int array; (* bitmask per thread *)
-  mem : (string * int64) list; (* sorted assoc *)
-  regs : (string * int64) list; (* sorted assoc *)
+(* The machine state is an int array of cells: one per shared variable,
+   then one per register some load writes, then one constant cell per
+   value.  Cells hold value indices, not values: every value a run can
+   produce is an initial value, a stored constant or 0 (an unset
+   register), so the test's values are interned once.  Performing an
+   access copies one cell into another — a load copies its variable
+   into its register, a store its register or constant cell into its
+   variable. *)
+type op = {
+  thread : int;
+  bit : int;  (* this access's bit in its thread's performed mask *)
+  need : int;  (* accesses of the thread that must have performed *)
+  dst : int;  (* cell written *)
+  src : int;  (* cell read *)
 }
 
-let key s =
-  String.concat "|"
-    (Array.to_list (Array.map string_of_int s.performed))
-  ^ "#"
-  ^ outcome_to_string s.mem
-  ^ "#"
-  ^ outcome_to_string s.regs
+type compiled = {
+  ops : op array;  (* every access, by thread, in program order *)
+  init : int array;  (* initial cells *)
+  varying : int;  (* cells a run can change: variables and registers *)
+  values : int64 array;  (* value index -> value *)
+  bindings : (string * int) list;  (* outcome names, sorted, and their cells *)
+  mask_bytes : int array;  (* key bytes of each thread's performed mask *)
+  width : int;  (* key bytes per varying cell *)
+}
 
-let assoc_set k v l =
-  let rec go = function
-    | [] -> [ (k, v) ]
-    | (k', _) :: rest when k' = k -> (k, v) :: rest
-    | kv :: rest -> kv :: go rest
+let rec bytes_for n = if n < 0x100 then 1 else 1 + bytes_for (n lsr 8)
+
+let is_access = function Lang.Fence _ -> false | Lang.Load _ | Lang.Store _ -> true
+
+let compile model (t : Lang.test) =
+  let progs = Array.of_list (List.map Array.of_list t.threads) in
+  let accesses =
+    Array.mapi
+      (fun th prog ->
+        let n = Array.fold_left (fun n i -> if is_access i then n + 1 else n) 0 prog in
+        if n > Sys.int_size then
+          invalid_arg
+            (Printf.sprintf
+               "Enumerate: thread %d has %d memory operations; at most %d fit its \
+                performed mask"
+               th n Sys.int_size);
+        n)
+      progs
   in
-  List.sort compare (go l)
+  let vars = Lang.vars t in
+  let nvars = List.length vars in
+  let var_cells = Hashtbl.create 8 in
+  List.iteri (fun i v -> Hashtbl.replace var_cells v i) vars;
+  let interned = Hashtbl.create 8 in
+  let intern x =
+    match Hashtbl.find_opt interned x with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length interned in
+      Hashtbl.replace interned x i;
+      i
+  in
+  let zero = intern 0L in
+  (* Each access's bit (fences get none), and per (thread, register)
+     the register's cell and the bit of the first load that writes it. *)
+  let regs = Hashtbl.create 8 in
+  let bits =
+    Array.mapi
+      (fun th prog ->
+        let next = ref 0 in
+        Array.map
+          (fun instr ->
+            if not (is_access instr) then 0
+            else begin
+              let bit = 1 lsl !next in
+              incr next;
+              (match instr with
+              | Lang.Load { reg; _ } when not (Hashtbl.mem regs (th, reg)) ->
+                Hashtbl.replace regs (th, reg) (nvars + Hashtbl.length regs, bit)
+              | _ -> ());
+              bit
+            end)
+          prog)
+      progs
+  in
+  let nregs = Hashtbl.length regs in
+  let varying = nvars + nregs in
+  let var_cell v = Hashtbl.find var_cells v in
+  let reg_cell th r =
+    match Hashtbl.find_opt regs (th, r) with
+    | Some (cell, _) -> cell
+    | None -> varying + zero (* never loaded: reads 0 *)
+  in
+  let ops = ref [] in
+  Array.iteri
+    (fun th prog ->
+      Array.iteri
+        (fun i b ->
+          if is_access b then begin
+            (* earlier accesses that must stay ordered before [b] *)
+            let need = ref 0 and fences = ref [] in
+            for j = i - 1 downto 0 do
+              match prog.(j) with
+              | Lang.Fence f -> fences := f :: !fences
+              | a -> if must_order model a b !fences then need := !need lor bits.(th).(j)
+            done;
+            (* register operands: the first load in the whole thread
+               that writes the register must have performed, even when
+               it comes later in program order or is [b] itself (which
+               then never performs) *)
+            List.iter
+              (fun r ->
+                match Hashtbl.find_opt regs (th, r) with
+                | Some (_, first) -> need := !need lor first
+                | None -> ())
+              (Lang.reads_regs b);
+            let dst, src =
+              match b with
+              | Lang.Load { var; reg; _ } -> (reg_cell th reg, var_cell var)
+              | Lang.Store { var; v = Lang.Const x; _ } -> (var_cell var, varying + intern x)
+              | Lang.Store { var; v = Lang.Reg r; _ } -> (var_cell var, reg_cell th r)
+              | Lang.Fence _ -> assert false
+            in
+            ops := { thread = th; bit = bits.(th).(i); need = !need; dst; src } :: !ops
+          end)
+        prog)
+    progs;
+  let init_mem =
+    List.map
+      (fun v -> intern (match List.assoc_opt v t.init with Some x -> x | None -> 0L))
+      vars
+  in
+  let nvalues = Hashtbl.length interned in
+  let values = Array.make nvalues 0L in
+  Hashtbl.iter (fun x i -> values.(i) <- x) interned;
+  let bindings =
+    List.map (fun v -> ("mem:" ^ v, var_cell v)) vars
+    @ Hashtbl.fold
+        (fun (th, r) (cell, _) acc -> (string_of_int th ^ ":" ^ r, cell) :: acc)
+        regs []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  {
+    ops = Array.of_list (List.rev !ops);
+    init =
+      Array.concat
+        [ Array.of_list init_mem; Array.make nregs zero; Array.init nvalues Fun.id ];
+    varying;
+    values;
+    bindings;
+    mask_bytes = Array.map (fun n -> (n + 7) / 8) accesses;
+    width = bytes_for (nvalues - 1);
+  }
+
+(* ---------- exploration ---------- *)
+
+module Visited = Hashtbl.Make (String)
+
+(* Depth-first search over every interleaving of ready accesses, in
+   place: perform, recurse, undo.  A state is visited once, keyed on its
+   packed bytes (performed masks, then varying cells); [on_final] sees
+   the cells of each final state exactly once. *)
+let explore c on_final =
+  let cells = Array.copy c.init in
+  let performed = Array.make (Array.length c.mask_bytes) 0 in
+  let key =
+    Bytes.create (Array.fold_left ( + ) 0 c.mask_bytes + (c.varying * c.width))
+  in
+  let pack () =
+    let pos = ref 0 in
+    let put x n =
+      let x = ref x in
+      for _ = 1 to n do
+        Bytes.unsafe_set key !pos (Char.unsafe_chr (!x land 0xff));
+        x := !x lsr 8;
+        incr pos
+      done
+    in
+    Array.iteri (fun th m -> put m c.mask_bytes.(th)) performed;
+    for i = 0 to c.varying - 1 do
+      put cells.(i) c.width
+    done
+  in
+  let seen = Visited.create 64 in
+  let ops = c.ops in
+  let nops = Array.length ops in
+  let rec visit count =
+    pack ();
+    (* one lookup: [replace] grows the table only for a new state *)
+    let size = Visited.length seen in
+    Visited.replace seen (Bytes.to_string key) ();
+    if Visited.length seen > size then
+      if count = nops then on_final cells
+      else
+        for g = 0 to nops - 1 do
+          let op = ops.(g) in
+          let m = performed.(op.thread) in
+          if m land op.bit = 0 && m land op.need = op.need then begin
+            let old = cells.(op.dst) in
+            performed.(op.thread) <- m lor op.bit;
+            cells.(op.dst) <- cells.(op.src);
+            visit (count + 1);
+            cells.(op.dst) <- old;
+            performed.(op.thread) <- m
+          end
+        done
+  in
+  visit 0
+
+(* Final state -> outcome: registers plus final memory (as "mem:<var>"
+   bindings), so tests can constrain final state — needed for e.g.
+   2+2W. *)
+let outcome c cells = List.map (fun (name, cell) -> (name, c.values.(cells.(cell)))) c.bindings
 
 let assoc_get k l = match List.assoc_opt k l with Some v -> v | None -> 0L
 
-let enumerate model (t : Lang.test) =
-  let progs = List.map Array.of_list t.threads in
-  let progs = Array.of_list progs in
-  let nthreads = Array.length progs in
-  let init_mem =
-    List.sort compare (List.map (fun v -> (v, assoc_get v t.init)) (Lang.vars t))
-  in
-  let seen = Hashtbl.create 1024 in
-  let outcomes = Hashtbl.create 64 in
-  let reg_name th r = Printf.sprintf "%d:%s" th r in
-  (* Registers produced by loads of thread th that are performed. *)
-  let reg_resolved st th r =
-    let prog = progs.(th) in
-    let rec find i =
-      if i >= Array.length prog then true (* not produced by a load: treat as resolved *)
-      else
-        match prog.(i) with
-        | Lang.Load { reg; _ } when reg = r -> st.performed.(th) land (1 lsl i) <> 0
-        | _ -> find (i + 1)
-    in
-    find 0
-  in
-  let ready st th i =
-    let prog = progs.(th) in
-    (match cls_of prog.(i) with None -> false | Some _ -> true)
-    && st.performed.(th) land (1 lsl i) = 0
-    && (* register operands resolved *)
-    List.for_all (fun r -> reg_resolved st th r) (Lang.reads_regs prog.(i))
-    && (* every earlier instruction that must stay ordered has performed *)
-    (let rec chk j =
-       j >= i
-       ||
-       match cls_of prog.(j) with
-       | None -> chk (j + 1)
-       | Some _ ->
-         (st.performed.(th) land (1 lsl j) <> 0 || not (must_order model prog j i))
-         && chk (j + 1)
-     in
-     chk 0)
-  in
-  let perform st th i =
-    let prog = progs.(th) in
-    let performed = Array.copy st.performed in
-    performed.(th) <- performed.(th) lor (1 lsl i);
-    match prog.(i) with
-    | Lang.Load { var; reg; _ } ->
-      let v = assoc_get var st.mem in
-      { performed; mem = st.mem; regs = assoc_set (reg_name th reg) v st.regs }
-    | Lang.Store { var; v; _ } ->
-      let value =
-        match v with Lang.Const c -> c | Lang.Reg r -> assoc_get (reg_name th r) st.regs
-      in
-      { performed; mem = assoc_set var value st.mem; regs = st.regs }
-    | Lang.Fence _ -> assert false
-  in
-  let total_ops th =
-    Array.fold_left
-      (fun acc i -> match cls_of i with Some _ -> acc + 1 | None -> acc)
-      0 progs.(th)
-  in
-  let done_ st =
-    let ok = ref true in
-    for th = 0 to nthreads - 1 do
-      let cnt = ref 0 in
-      Array.iteri
-        (fun i instr ->
-          match cls_of instr with
-          | Some _ -> if st.performed.(th) land (1 lsl i) <> 0 then incr cnt
-          | None -> ())
-        progs.(th);
-      if !cnt <> total_ops th then ok := false
-    done;
-    !ok
-  in
-  let final_outcome st =
-    (* registers plus final memory (as "mem:<var>" bindings), so tests
-       can constrain final state — needed for e.g. 2+2W. *)
-    List.sort compare (st.regs @ List.map (fun (v, x) -> ("mem:" ^ v, x)) st.mem)
-  in
-  let rec dfs st =
-    let k = key st in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      if done_ st then Hashtbl.replace outcomes (final_outcome st) ()
-      else
-        for th = 0 to nthreads - 1 do
-          Array.iteri
-            (fun i _ -> if ready st th i then dfs (perform st th i))
-            progs.(th)
-        done
-    end
-  in
-  dfs { performed = Array.make nthreads 0; mem = init_mem; regs = [] };
-  List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) outcomes [])
+let enumerate model t =
+  let c = compile model t in
+  let outs = ref [] in
+  explore c (fun cells -> outs := outcome c cells :: !outs);
+  List.sort_uniq compare !outs
 
-let allows model t =
-  let outs = enumerate model t in
-  List.exists (fun o -> t.interesting (fun r -> assoc_get r o)) outs
+exception Accepted
+
+let allows model (t : Lang.test) =
+  let c = compile model t in
+  match
+    explore c (fun cells ->
+        let o = outcome c cells in
+        if t.interesting (fun r -> assoc_get r o) then raise_notrace Accepted)
+  with
+  | () -> false
+  | exception Accepted -> true
 
 let verify_expectations t =
   let wmm = allows Wmm t and tso = allows Tso t in

@@ -107,20 +107,27 @@ let canonical_test (t : Lang.test) =
      verdict) pairs.  Renamed tests fingerprint identically; different
      predicates over the same program cannot collide unless they agree
      everywhere reachable (in which case the computations coincide). *)
-  let rename_binding (k, v) =
-    let canon =
-      match String.index_opt k ':' with
-      | Some colon -> (
-        let pre = String.sub k 0 colon in
-        let post = String.sub k (colon + 1) (String.length k - colon - 1) in
-        if pre = "mem" then "mem:" ^ cvar post
-        else
-          match int_of_string_opt pre with
-          | Some i -> Printf.sprintf "%d:%s" i (creg i post)
-          | None -> k)
-      | None -> k
-    in
-    (canon, v)
+  let rename k =
+    match String.index_opt k ':' with
+    | Some colon -> (
+      let pre = String.sub k 0 colon in
+      let post = String.sub k (colon + 1) (String.length k - colon - 1) in
+      if pre = "mem" then "mem:" ^ cvar post
+      else
+        match int_of_string_opt pre with
+        | Some i -> string_of_int i ^ ":" ^ creg i post
+        | None -> k)
+    | None -> k
+  in
+  (* every outcome binds the same names: rename each one once *)
+  let renamed = Hashtbl.create 16 in
+  let canon k =
+    match Hashtbl.find_opt renamed k with
+    | Some c -> c
+    | None ->
+      let c = rename k in
+      Hashtbl.add renamed k c;
+      c
   in
   let fp =
     List.map
@@ -129,10 +136,10 @@ let canonical_test (t : Lang.test) =
           match List.assoc_opt r outcome with Some v -> v | None -> 0L
         in
         let verdict = t.interesting lookup in
-        let renamed = List.sort compare (List.map rename_binding outcome) in
-        Printf.sprintf "O %s -> %b" (Enumerate.outcome_to_string renamed) verdict)
+        let bindings = List.sort compare (List.map (fun (k, v) -> (canon k, v)) outcome) in
+        "O " ^ Enumerate.outcome_to_string bindings ^ " -> " ^ string_of_bool verdict)
       (Enumerate.enumerate Enumerate.Wmm t)
-    |> List.sort compare
+    |> List.sort String.compare
   in
   List.iter
     (fun line ->

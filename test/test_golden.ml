@@ -15,7 +15,11 @@
 module AM = Armb_core.Abstracted_model
 module Barrier = Armb_cpu.Barrier
 module Catalogue = Armb_litmus.Catalogue
+module Codec = Armb_service.Codec
+module Engine = Armb_service.Engine
 module Fuzz = Armb_litmus.Fuzz
+module Gen = Armb_soak.Gen
+module Job = Armb_service.Job
 module Lang = Armb_litmus.Lang
 module Ordering = Armb_core.Ordering
 module P = Armb_platform.Platform
@@ -124,6 +128,22 @@ let fuzz_text () =
   let r = Fuzz.run ~tests:10 ~trials_per_test:25 ~seed:7 () in
   Format.asprintf "%a@." Fuzz.pp_report r
 
+(* The content address of every request of a fixed soak stream: all
+   eight job kinds, catalogue and inline tests (declarative predicates
+   included), so the canonical renaming, the WMM predicate fingerprint
+   and the non-test key coordinates all feed the digest.  This is the
+   ["key"] every service result row carries. *)
+let job_keys_text () =
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun (j : Gen.job) ->
+      match Codec.request_of_line j.Gen.line with
+      | Ok req ->
+        Buffer.add_string b (Printf.sprintf "%s %s\n" j.Gen.id (Job.key req.Engine.job))
+      | Error e -> Buffer.add_string b (Printf.sprintf "%s error %s\n" j.Gen.id e))
+    (Gen.stream ~pool:54 ~requests:200 ~seed:1 ());
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -133,6 +153,8 @@ let expected =
     ("sanitizer-verdicts", "1dccbc877ec11eea149d36edd7e22189");
     ("spsc-ring", "98d7af687535a82f397ce19c55218635");
     ("fuzz-round", "929108fb4b9ca4066ad8de43298a4211");
+    (* captured before the compiled WMM enumerator replaced the seed's *)
+    ("job-keys", "f2873fce20d04411639b19ddcad4e5c6");
   ]
 
 let texts =
@@ -142,6 +164,7 @@ let texts =
     ("sanitizer-verdicts", sanitizer_text);
     ("spsc-ring", ring_text);
     ("fuzz-round", fuzz_text);
+    ("job-keys", job_keys_text);
   ]
 
 let golden name () =

@@ -27,6 +27,12 @@ let check = Alcotest.check
 
 let rc ?(seed = 42) ?(trials = 40) () = RC.make ~seed ~trials P.kunpeng916
 
+(* Does [s] contain [sub]? *)
+let contains s sub =
+  let n = String.length sub in
+  let rec found i = i + n <= String.length s && (String.sub s i n = sub || found (i + 1)) in
+  found 0
+
 (* ---------- canonical keys ---------- *)
 
 (* A consistent injective renaming of every shared variable and
@@ -266,10 +272,25 @@ let test_fair_share () =
 let test_error_reply () =
   let e = Engine.create () in
   let bad = { Job.spec = Job.Ring { combo = "no such combo"; messages = 10 }; rc = rc (); fault = 0.0 } in
-  (match Engine.submit e (req ~id:"1" bad) with
-  | Some { Engine.reply = Engine.Error _; _ } -> ()
-  | _ -> Alcotest.fail "invalid job spec must fail at submit (key) time");
-  check Alcotest.int "failure counted" 1 (Metrics.get (Engine.metrics e) "failed")
+  (* 64 accesses in one thread are past the WMM enumerator's limit, so keying fails *)
+  let long =
+    {
+      Cat.mp with
+      Lang.name = "64-loads";
+      threads = [ List.init 64 (fun i -> Lang.ld "x" (Printf.sprintf "r%d" i)) ];
+    }
+  in
+  List.iter
+    (fun (id, job, says) ->
+      match Engine.submit e (req ~id job) with
+      | Some { Engine.reply = Engine.Error msg; _ } ->
+        if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
+      | _ -> Alcotest.failf "invalid job %s must fail at submit (key) time" id)
+    [
+      ("1", bad, "no such combo");
+      ("2", job_of_test long, "thread 0 has 64 memory operations");
+    ];
+  check Alcotest.int "failures counted" 2 (Metrics.get (Engine.metrics e) "failed")
 
 (* ---------- warm-vs-cold bit-identity on the golden workloads ---------- *)
 
@@ -470,12 +491,8 @@ let test_codec_errors () =
     match Codec.request_of_line line with
     | Ok _ -> Alcotest.fail (what ^ " should be rejected")
     | Error m ->
-      let n = String.length mentions in
-      let rec found i =
-        i + n <= String.length m && (String.sub m i n = mentions || found (i + 1))
-      in
       check Alcotest.bool (Printf.sprintf "%s: %S mentions %S" what m mentions) true
-        (found 0)
+        (contains m mentions)
   in
   let bad_cores v =
     bad
