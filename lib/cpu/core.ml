@@ -57,8 +57,8 @@ type t = {
   mutable cross_load_until : int; (* a cross-node load outstanding until t *)
   mutable cross_store_until : int;
   tracer : (Trace.span -> unit) option;
-  observer : Observe.t option;
-  fault : Injector.t option;
+  mutable observer : Observe.t option;
+  mutable fault : Injector.t option;
   mutable op_seq : int; (* next observer event index *)
   (* Counters. *)
   mutable n_loads : int;
@@ -104,6 +104,33 @@ let make ?tracer ?observer ?fault ~id ~cfg ~queue ~mem () =
     n_rmws = 0;
     n_spins = 0;
   }
+
+(* Field by field back to [make]'s state; the ring and store-buffer
+   arrays keep their contents, which nothing reads past [if_len] and
+   [sb_count]. *)
+let reset ?observer ?fault t =
+  t.observer <- observer;
+  t.fault <- fault;
+  t.op_seq <- 0;
+  t.cursor <- 0;
+  t.if_head <- 0;
+  t.if_len <- 0;
+  t.inflight_count <- 0;
+  t.retire_wm <- 0;
+  t.sb_count <- 0;
+  Int_table.clear t.fwd;
+  t.load_gate <- 0;
+  t.sb_gate <- 0;
+  Int_table.clear t.line_load_until;
+  t.last_load_complete <- 0;
+  t.last_store_complete <- 0;
+  t.cross_load_until <- 0;
+  t.cross_store_until <- 0;
+  t.n_loads <- 0;
+  t.n_stores <- 0;
+  t.n_barriers <- 0;
+  t.n_rmws <- 0;
+  t.n_spins <- 0
 
 let id t = t.id
 let cursor t = t.cursor

@@ -135,6 +135,11 @@ val make :
   unit ->
   t
 
+val reset : ?observer:Observe.t -> ?fault:Armb_fault.Injector.t -> t -> unit
+(** Return the core to the state {!make} gives it, bound to the given
+    observer and injector (none when omitted); its id, config, tracer,
+    queue and memory system are kept. *)
+
 val sync_to : t -> int -> unit
 (** Advance the core's cursor to at least the given time (used by the
     scheduler when resuming after a suspension). *)

@@ -13,35 +13,49 @@ type t = {
   q : Event_queue.t;
   memory : Memsys.t;
   threads : thread option array; (* indexed by core id *)
+  cores : Core.t option array; (* every core ever spawned, kept across resets *)
   tracer : (Trace.span -> unit) option;
-  observer : Observe.t option;
-  injector : Armb_fault.Injector.t option;
+  mutable observer : Observe.t option;
+  mutable injector : Armb_fault.Injector.t option;
   mutable next_line : int;
   mutable unfinished : int;
 }
 
+let first_line = 0x1000
+
+(* A null plan (all probabilities zero) is identical to no plan; drop it
+   so the faults-off fast path in Memsys/Core stays branch-free on an
+   [option] check and the golden digests cover it. *)
+let arm = function
+  | Some spec when not (Armb_fault.Plan.is_null spec) -> Some (Armb_fault.Injector.create spec)
+  | Some _ | None -> None
+
 let create ?tracer ?observer ?fault cfg =
   Config.validate cfg;
-  (* A null plan (all probabilities zero) is identical to no plan; drop
-     it so the faults-off fast path in Memsys/Core stays branch-free on
-     an [option] check and the golden digests cover it. *)
-  let injector =
-    match fault with
-    | Some spec when not (Armb_fault.Plan.is_null spec) ->
-      Some (Armb_fault.Injector.create spec)
-    | Some _ | None -> None
-  in
+  let injector = arm fault in
+  let cores = Topology.num_cores cfg.topo in
   {
     cfg;
     q = Event_queue.create ();
     memory = Memsys.create ?inj:injector ~topo:cfg.topo ~lat:cfg.lat ();
-    threads = Array.make (Topology.num_cores cfg.topo) None;
+    threads = Array.make cores None;
+    cores = Array.make cores None;
     tracer;
     observer;
     injector;
-    next_line = 0x1000;
+    next_line = first_line;
     unfinished = 0;
   }
+
+let reset ?observer ?fault t =
+  let injector = arm fault in
+  Event_queue.reset t.q;
+  Memsys.reset ?inj:injector t.memory;
+  Array.fill t.threads 0 (Array.length t.threads) None;
+  t.observer <- observer;
+  t.injector <- injector;
+  t.next_line <- first_line;
+  t.unfinished <- 0
 
 let config t = t.cfg
 let mem t = t.memory
@@ -65,8 +79,17 @@ let spawn t ~core body =
   if t.threads.(core) <> None then
     raise (Simulation_error (Printf.sprintf "spawn: core %d already has a thread" core));
   let c =
-    Core.make ?tracer:t.tracer ?observer:t.observer ?fault:t.injector ~id:core ~cfg:t.cfg
-      ~queue:t.q ~mem:t.memory ()
+    match t.cores.(core) with
+    | Some c ->
+      Core.reset ?observer:t.observer ?fault:t.injector c;
+      c
+    | None ->
+      let c =
+        Core.make ?tracer:t.tracer ?observer:t.observer ?fault:t.injector ~id:core ~cfg:t.cfg
+          ~queue:t.q ~mem:t.memory ()
+      in
+      t.cores.(core) <- Some c;
+      c
   in
   t.threads.(core) <- Some { core = c; body; finished = false };
   t.unfinished <- t.unfinished + 1

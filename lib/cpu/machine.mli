@@ -26,6 +26,28 @@ val create :
     given plan perturbs a given program identically on every run.  A
     null plan (all probabilities zero) is equivalent to omitting it. *)
 
+val reset : ?observer:Observe.t -> ?fault:Armb_fault.Plan.spec -> t -> unit
+(** Return the machine to the state {!create} gives it, under a new
+    observer and fault plan (none when omitted), so a caller that runs
+    many short programs builds one machine instead of one per run.
+    After [reset m], running a program on [m] gives exactly what it
+    gives on a fresh [create] with the same config, tracer, observer
+    and plan: the same elapsed cycles, processed events, memory and
+    core counters, values and observer stream.  Concretely:
+    - the event queue is empty, at clock 0, with its sequence and
+      processed counters at 0 — pending events of a run that stopped
+      early ([Deadlock], [Cycle_limit], an exception) are dropped;
+    - the memory system holds no lines or values and its traffic
+      counters are 0;
+    - the injector is re-armed from [fault] (a null plan arms none);
+    - no thread is spawned and {!alloc_line} starts over at the first
+      address.
+    Cores are kept per core id: spawning on a core again resets it
+    field by field and binds it to the new observer and injector.  The
+    tracer and config are the machine's for life.  Read {!core} and
+    {!injector} after the run they describe: a kept core is reset when
+    it is spawned again. *)
+
 val config : t -> Config.t
 val mem : t -> Armb_mem.Memsys.t
 val queue : t -> Armb_sim.Event_queue.t

@@ -15,68 +15,148 @@ type result = {
   fault_delay : int;
 }
 
-(* Compile one litmus thread to a simulator program.  Loads are issued
-   eagerly and awaited lazily (at first use of the register, or at the
-   end), which exposes load-load reordering to the timing model. *)
-let compile_thread (th : Lang.thread) ~addr_of ~start_pause ~padding ~record (c : Core.t) =
-  Core.pause c start_pause;
-  let toks : (string, Core.token) Hashtbl.t = Hashtbl.create 8 in
-  let reg_value r =
-    match Hashtbl.find_opt toks r with
-    | Some tok -> Core.await c tok
-    | None -> 0L
+(* ---------- compiled tests ---------- *)
+
+(* A register operand, resolved once per call: [Unset] when no earlier
+   load of the thread writes the register (it reads 0 and carries no
+   dependency), else the slot holding the latest such load's token. *)
+type reg_ref = Unset | Slot of int
+
+type value = Const of int64 | Reg of reg_ref
+
+type op =
+  | Load of { var : int; dst : int; acquire : bool; addr_dep : reg_ref option }
+  | Store of { var : int; value : value; release : bool; addr_dep : reg_ref option }
+  | Fence of Armb_cpu.Barrier.t
+
+type thread = {
+  ops : op array;
+  toks : Core.token option array; (* per register slot, its latest load's token *)
+  outs : int array; (* per register slot, its position in the outcome layout *)
+}
+
+type compiled = {
+  init : int64 array; (* per variable, in [Lang.vars] order *)
+  threads : thread array;
+  names : string array;
+      (* the outcome layout: every loaded "<thread>:<reg>" and every
+         "mem:<var>", in sorted-name order *)
+  index : (string, int) Hashtbl.t; (* name -> position in [names] *)
+  mem_pos : int array; (* per variable, its position in [names] *)
+}
+
+let barrier_of = function
+  | Lang.F_dmb_full -> Armb_cpu.Barrier.Dmb Full
+  | Lang.F_dmb_st -> Armb_cpu.Barrier.Dmb St
+  | Lang.F_dmb_ld -> Armb_cpu.Barrier.Dmb Ld
+  | Lang.F_dsb -> Armb_cpu.Barrier.Dsb Full
+  (* ctrl+ISB: the pipeline flush refetches only after every prior
+     instruction retires, so earlier loads' sample times gate everything
+     later — the ordering the branch+ISB idiom provides on hardware. *)
+  | Lang.F_isb -> Armb_cpu.Barrier.Isb
+
+let compile (t : Lang.test) =
+  let vars = Array.of_list (Lang.vars t) in
+  let var_slot = Hashtbl.create 8 in
+  Array.iteri (fun i v -> Hashtbl.replace var_slot v i) vars;
+  let var v = Hashtbl.find var_slot v in
+  (* One thread's ops in program order, and its loaded registers in
+     slot order.  A register operand resolves to the slot of the latest
+     earlier load that writes it. *)
+  let compile_thread th =
+    let slots = Hashtbl.create 8 and regs = ref [] in
+    let resolve r = match Hashtbl.find_opt slots r with Some k -> Slot k | None -> Unset in
+    let op = function
+      | Lang.Load { var = v; reg; acquire; addr_dep } ->
+        let addr_dep = Option.map resolve addr_dep in
+        let dst =
+          match Hashtbl.find_opt slots reg with
+          | Some k -> k
+          | None ->
+            let k = Hashtbl.length slots in
+            Hashtbl.add slots reg k;
+            regs := reg :: !regs;
+            k
+        in
+        Load { var = var v; dst; acquire; addr_dep }
+      | Lang.Store { var = v; v = value; release; addr_dep } ->
+        let addr_dep = Option.map resolve addr_dep in
+        let value = match value with Lang.Const k -> Const k | Lang.Reg r -> Reg (resolve r) in
+        Store { var = var v; value; release; addr_dep }
+      | Lang.Fence f -> Fence (barrier_of f)
+    in
+    let ops = List.rev (List.fold_left (fun acc i -> op i :: acc) [] th) in
+    (Array.of_list ops, Array.of_list (List.rev !regs))
   in
-  (* Syntactic dependencies also flow to the instrumentation hook, so
-     the sanitizer sees the same preserved order the hardware would. *)
-  let dep_tok r = match Hashtbl.find_opt toks r with Some t -> [ t ] | None -> [] in
-  List.iteri
-    (fun idx instr ->
-      if idx > 0 && padding > 0 then Core.compute c padding;
-      match instr with
-      | Lang.Load { var; reg; acquire; addr_dep } ->
-        let deps, addr =
-          match addr_dep with
-          | Some r ->
-            let v = reg_value r in
-            Core.compute c 1;
-            (dep_tok r, addr_of var + Int64.to_int (Int64.logxor v v))
-          | None -> ([], addr_of var)
-        in
-        let tok = if acquire then Core.ldar c ~deps addr else Core.load c ~deps addr in
-        Hashtbl.replace toks reg tok
-      | Lang.Store { var; v; release; addr_dep } ->
-        let deps_a, addr =
-          match addr_dep with
-          | Some r ->
-            let dep = reg_value r in
-            Core.compute c 1;
-            (dep_tok r, addr_of var + Int64.to_int (Int64.logxor dep dep))
-          | None -> ([], addr_of var)
-        in
-        let deps_v, value =
-          match v with
-          | Lang.Const k -> ([], k)
-          | Lang.Reg r -> (dep_tok r, reg_value r)
-        in
-        let deps = deps_a @ deps_v in
-        if release then Core.stlr c ~deps addr value else Core.store c ~deps addr value
-      | Lang.Fence f ->
-        let b =
-          match f with
-          | Lang.F_dmb_full -> Armb_cpu.Barrier.Dmb Full
-          | Lang.F_dmb_st -> Armb_cpu.Barrier.Dmb St
-          | Lang.F_dmb_ld -> Armb_cpu.Barrier.Dmb Ld
-          | Lang.F_dsb -> Armb_cpu.Barrier.Dsb Full
-          (* ctrl+ISB: the pipeline flush refetches only after every
-             prior instruction retires, so earlier loads' sample times
-             gate everything later — the ordering the branch+ISB idiom
-             provides on hardware. *)
-          | Lang.F_isb -> Armb_cpu.Barrier.Isb
-        in
-        Core.barrier c b)
-    th;
-  (* Resolve every register at the end of the thread. *)
-  Hashtbl.iter (fun r tok -> record r (Core.await c tok)) toks
+  let threads = List.map compile_thread t.threads in
+  let reg_names = List.mapi (fun i (_, regs) -> Array.map (Printf.sprintf "%d:%s" i) regs) threads in
+  let mem_names = Array.map (fun v -> "mem:" ^ v) vars in
+  let names = Array.concat (mem_names :: reg_names) in
+  Array.sort compare names;
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.replace index n i) names;
+  let at = Hashtbl.find index in
+  {
+    init = Array.map (fun v -> Option.value ~default:0L (List.assoc_opt v t.init)) vars;
+    threads =
+      Array.of_list
+        (List.map2
+           (fun (ops, regs) names ->
+             { ops; toks = Array.make (Array.length regs) None; outs = Array.map at names })
+           threads reg_names);
+    names;
+    index;
+    mem_pos = Array.map at mem_names;
+  }
+
+(* ---------- one trial of one thread ---------- *)
+
+let token th r = match th.toks.(r) with Some tok -> tok | None -> assert false
+
+let read c th = function Unset -> 0L | Slot r -> Core.await c (token th r)
+
+(* Syntactic dependencies also flow to the instrumentation hook, so the
+   sanitizer sees the same preserved order the hardware would. *)
+let deps_of th = function Unset -> [] | Slot r -> [ token th r ]
+
+(* An address dependency: wait for the register, spend one ALU op on
+   the address arithmetic, and declare the dependency. *)
+let addr_deps c th = function
+  | None -> []
+  | Some r ->
+    ignore (read c th r);
+    Core.compute c 1;
+    deps_of th r
+
+(* Loads are issued eagerly and awaited lazily (at first use of the
+   register, or at the end), which exposes load-load reordering to the
+   timing model.  At the end every loaded register's value goes into
+   its slot of the trial's outcome buffer. *)
+let exec_thread th ~addrs ~outcome ~start_pause ~padding c =
+  Core.pause c start_pause;
+  for idx = 0 to Array.length th.ops - 1 do
+    if idx > 0 && padding > 0 then Core.compute c padding;
+    match th.ops.(idx) with
+    | Load { var; dst; acquire; addr_dep } ->
+      let deps = addr_deps c th addr_dep in
+      let addr = addrs.(var) in
+      th.toks.(dst) <- Some (if acquire then Core.ldar c ~deps addr else Core.load c ~deps addr)
+    | Store { var; value; release; addr_dep } ->
+      let deps_a = addr_deps c th addr_dep in
+      let deps_v, v =
+        match value with
+        | Const k -> ([], k)
+        | Reg r ->
+          let v = read c th r in
+          (deps_of th r, v)
+      in
+      let deps = deps_a @ deps_v and addr = addrs.(var) in
+      if release then Core.stlr c ~deps addr v else Core.store c ~deps addr v
+    | Fence b -> Core.barrier c b
+  done;
+  Array.iteri (fun r pos -> Bytes.set_int64_le outcome (8 * pos) (Core.await c (token th r))) th.outs
+
+(* ---------- the trial loop ---------- *)
 
 let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
     ?(check = false) ?fault ?tracer (t : Lang.test) =
@@ -84,25 +164,13 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
   let nthreads = List.length t.threads in
   let ncores = Armb_mem.Topology.num_cores cfg.topo in
   if nthreads > ncores then invalid_arg "Sim_runner.run: more threads than cores";
-  (* Per-trial bookkeeping is hot (a short litmus trial simulates only a
-     handful of events): hoist everything that is identical across
-     trials — the variable list, the "<thread>:<reg>" / "mem:<var>" name
-     strings — and defer outcome rendering to the end by keying the
-     outcome histogram on the sorted binding list itself. *)
-  let vars = Lang.vars t in
-  let mem_names = List.map (fun v -> (v, "mem:" ^ v)) vars in
-  let name_memos = Array.init (max 1 nthreads) (fun _ -> Hashtbl.create 8) in
-  let reg_name i r =
-    let memo = name_memos.(i) in
-    match Hashtbl.find_opt memo r with
-    | Some s -> s
-    | None ->
-      let s = Printf.sprintf "%d:%s" i r in
-      Hashtbl.add memo r s;
-      s
-  in
-  let outcomes : ((string * int64) list, int) Hashtbl.t = Hashtbl.create 16 in
-  let witnessed = ref false in
+  let p = compile t in
+  let nvars = Array.length p.init in
+  let addrs = Array.make nvars 0 in
+  (* Each trial writes its outcome into [outcome] and counts it under
+     those bytes; names are rendered once per distinct outcome. *)
+  let outcome = Bytes.create (8 * Array.length p.names) in
+  let counts : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
   let events = ref 0 in
   (* Sanitizer findings are value-agnostic, so every trial reports the
      same racy pairs; trials differ only in whether the reordering was
@@ -111,6 +179,9 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
   let fault_digest = ref 0L in
   let fault_delay = ref 0 in
   let cycles = ref 0 in
+  (* Spread threads over distant cores when possible. *)
+  let core_of i = if nthreads <= 1 then 0 else i * (ncores / nthreads) in
+  let machine = ref None in
   for trial = 1 to trials do
     let san = if check then Some (San.create ()) else None in
     let observer = Option.map San.observer san in
@@ -121,34 +192,34 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
         (fun (sp : Armb_fault.Plan.spec) -> Armb_fault.Plan.with_seed sp (sp.seed + trial))
         fault
     in
-    let m = Machine.create ?tracer ?observer ?fault cfg in
+    let m =
+      match !machine with
+      | Some m ->
+        Machine.reset ?observer ?fault m;
+        m
+      | None ->
+        let m = Machine.create ?tracer ?observer ?fault cfg in
+        machine := Some m;
+        m
+    in
     let mem = Machine.mem m in
-    let addrs = List.map (fun v -> (v, Machine.alloc_line m)) vars in
-    let addr_of v = List.assoc v addrs in
-    (* Initial values + randomized initial line placement: pre-touch
-       each variable's line from a random core so that some stores hit
-       while others miss — the timing asymmetry that makes reorderings
-       observable. *)
-    (* Spread threads over distant cores when possible. *)
-    let core_of i = if nthreads <= 1 then 0 else i * (ncores / nthreads) in
-    List.iter
-      (fun (v, a) ->
-        Memsys.commit_store mem ~addr:a (match List.assoc_opt v t.init with Some x -> x | None -> 0L);
-        (* Give each line to one of the participating cores (or leave it
-           uncached) so that some accesses hit while others miss — the
-           timing asymmetry that exposes reorderings. *)
-        let pick = Rng.int rng (nthreads + 1) in
-        if pick < nthreads then Memsys.place mem ~core:(core_of pick) ~addr:a)
-      addrs;
-    let regs : (string, int64) Hashtbl.t = Hashtbl.create 8 in
-    List.iteri
+    (* Initial values + randomized initial line placement: give each
+       variable's line to one of the participating cores (or leave it
+       uncached) so that some accesses hit while others miss — the
+       timing asymmetry that exposes reorderings. *)
+    for v = 0 to nvars - 1 do
+      let a = Machine.alloc_line m in
+      addrs.(v) <- a;
+      Memsys.commit_store mem ~addr:a p.init.(v);
+      let pick = Rng.int rng (nthreads + 1) in
+      if pick < nthreads then Memsys.place mem ~core:(core_of pick) ~addr:a
+    done;
+    Array.iteri
       (fun i th ->
         let start_pause = Rng.int rng 40 in
         let padding = Rng.int rng 4 in
-        let record r v = Hashtbl.replace regs (reg_name i r) v in
-        Machine.spawn m ~core:(core_of i)
-          (compile_thread th ~addr_of ~start_pause ~padding ~record))
-      t.threads;
+        Machine.spawn m ~core:(core_of i) (exec_thread th ~addrs ~outcome ~start_pause ~padding))
+      p.threads;
     Machine.run_exn m;
     events := !events + Armb_sim.Event_queue.processed (Machine.queue m);
     cycles := !cycles + Machine.elapsed m;
@@ -158,16 +229,12 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
       fault_digest := Armb_fault.Injector.combine !fault_digest (Armb_fault.Injector.digest i);
       fault_delay := !fault_delay + (Armb_fault.Injector.counters i).delay_cycles);
     (* final memory joins the outcome as "mem:<var>" bindings *)
-    List.iter2
-      (fun (_, a) (_, mname) -> Hashtbl.replace regs mname (Memsys.load_value mem ~addr:a))
-      addrs mem_names;
-    let lookup r = match Hashtbl.find_opt regs r with Some v -> v | None -> 0L in
-    let key =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) regs [])
-    in
-    Hashtbl.replace outcomes key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
-    if t.interesting lookup then witnessed := true;
+    Array.iteri
+      (fun v pos -> Bytes.set_int64_le outcome (8 * pos) (Memsys.load_value mem ~addr:addrs.(v)))
+      p.mem_pos;
+    (match Hashtbl.find_opt counts (Bytes.unsafe_to_string outcome) with
+    | Some n -> incr n
+    | None -> Hashtbl.add counts (Bytes.to_string outcome) (ref 1));
     match san with
     | None -> ()
     | Some s ->
@@ -186,12 +253,20 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
              (f.core, f.first.op_seq, f.second.op_seq)
              (g.core, g.first.op_seq, g.second.op_seq))
   in
+  (* [interesting] is pure, so it is asked once per distinct outcome. *)
+  let witnessed = ref false in
+  let outcomes =
+    Hashtbl.fold
+      (fun key n acc ->
+        let value i = String.get_int64_le key (8 * i) in
+        let lookup r = match Hashtbl.find_opt p.index r with Some i -> value i | None -> 0L in
+        if t.interesting lookup then witnessed := true;
+        let bindings = List.init (Array.length p.names) (fun i -> (p.names.(i), value i)) in
+        (Enumerate.outcome_to_string bindings, !n) :: acc)
+      counts []
+  in
   {
-    outcomes =
-      List.sort compare
-        (Hashtbl.fold
-           (fun k v acc -> (Enumerate.outcome_to_string k, v) :: acc)
-           outcomes []);
+    outcomes = List.sort compare outcomes;
     interesting_witnessed = !witnessed;
     trials;
     findings;

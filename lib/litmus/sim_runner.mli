@@ -11,11 +11,21 @@
     awaiting either, so load-load reordering is visible; it cannot
     speculate past control flow (no branch prediction), so
     control-dependency-based tests are exercised only in their ordered
-    form. *)
+    form.
+
+    Each call compiles the test once (variables and registers become
+    array slots, each thread an array of ops with its barriers
+    resolved) and runs every trial on one machine, reset between trials
+    ({!Armb_cpu.Machine.reset}).  A trial's outcome is counted under
+    its raw values; binding names are rendered, and the test's
+    [interesting] predicate asked, once per distinct outcome at the
+    end.  Predicates must therefore be pure: a function of the
+    bindings it looks up, nothing else. *)
 
 type result = {
   outcomes : (string * int) list;  (** outcome rendering -> occurrence count *)
   interesting_witnessed : bool;
+      (** [interesting] holds on at least one distinct outcome *)
   trials : int;
   findings : Armb_check.Sanitizer.finding list;
       (** sanitizer report, deduplicated across trials; empty unless

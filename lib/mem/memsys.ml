@@ -27,8 +27,9 @@ module Injector = Armb_fault.Injector
 type t = {
   topo : Topology.t;
   lat : Latency.t;
-  inj : Injector.t option;
+  mutable inj : Injector.t option;
   lines : line Int_table.t;
+  new_line : int -> line; (* built once: [line] runs on every access *)
   values : int64 Int_table.t;
   mutable c_hits : int;
   mutable c_transfers : int;
@@ -55,6 +56,7 @@ let create ?inj ~topo ~lat () =
     lat;
     inj;
     lines = Int_table.create ~capacity:64 (new_line ~cores 0);
+    new_line = new_line ~cores;
     values = Int_table.create ~capacity:64 0L;
     c_hits = 0;
     c_transfers = 0;
@@ -62,6 +64,19 @@ let create ?inj ~topo ~lat () =
     c_dram = 0;
     c_inval = 0;
   }
+
+let reset_counters t =
+  t.c_hits <- 0;
+  t.c_transfers <- 0;
+  t.c_cross <- 0;
+  t.c_dram <- 0;
+  t.c_inval <- 0
+
+let reset ?inj t =
+  t.inj <- inj;
+  Int_table.clear t.lines;
+  Int_table.clear t.values;
+  reset_counters t
 
 let topology t = t.topo
 let latencies t = t.lat
@@ -77,9 +92,7 @@ let[@inline] delay_snoop t ~rank =
 
 let line_of addr = addr lsr 6
 
-let line t addr =
-  Int_table.find_or_add t.lines (line_of addr)
-    (new_line ~cores:(Topology.num_cores t.topo))
+let line t addr = Int_table.find_or_add t.lines (line_of addr) t.new_line
 
 (* The requester must wait for the farthest snoop response.  The
    "others" set of a write is the sharers minus the writer, plus the
@@ -268,13 +281,6 @@ let counters t =
     dram_fills = t.c_dram;
     invalidations = t.c_inval;
   }
-
-let reset_counters t =
-  t.c_hits <- 0;
-  t.c_transfers <- 0;
-  t.c_cross <- 0;
-  t.c_dram <- 0;
-  t.c_inval <- 0
 
 let pp_counters ppf c =
   Format.fprintf ppf "hits=%d transfers=%d cross-node=%d dram=%d inval=%d" c.hits c.transfers

@@ -28,6 +28,11 @@ val create : ?inj:Armb_fault.Injector.t -> topo:Topology.t -> lat:Latency.t -> u
     preserved by construction.  Without [inj] the timing is
     bit-identical to the unfaulted kernel. *)
 
+val reset : ?inj:Armb_fault.Injector.t -> t -> unit
+(** Return the memory system to its just-created state under the given
+    injector (none when omitted): no lines, no values, no watchers and
+    zero traffic counters.  Topology and latencies are kept. *)
+
 val topology : t -> Topology.t
 val latencies : t -> Latency.t
 

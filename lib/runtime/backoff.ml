@@ -8,6 +8,9 @@ let once t =
   for _ = 1 to t.current do
     Domain.cpu_relax ()
   done;
-  if t.current >= t.max_spins then Thread.yield () else t.current <- t.current * 2
+  (* [Thread.yield] only switches between the systhreads of this domain;
+     a zero-length sleep is a real system call, so the OS can run the
+     domain this spinner waits for. *)
+  if t.current >= t.max_spins then Unix.sleepf 0.0 else t.current <- t.current * 2
 
 let reset t = t.current <- t.min_spins

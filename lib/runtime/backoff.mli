@@ -6,8 +6,10 @@ val create : ?min_spins:int -> ?max_spins:int -> unit -> t
 
 val once : t -> unit
 (** Spin (with [Domain.cpu_relax]) for the current budget and double it,
-    up to the cap.  On a machine with fewer cores than runnable domains
-    the cap also yields to the OS scheduler so spinners cannot starve
-    the thread they are waiting for. *)
+    up to the cap.  Every call at the cap also gives up the CPU with a
+    zero-length [Unix.sleepf], so on a machine with fewer cores than
+    runnable domains a spinner cannot starve the domain it waits for.
+    ([Thread.yield] would not do: in OCaml 5 it only switches between
+    the systhreads of the calling domain.) *)
 
 val reset : t -> unit

@@ -441,6 +441,152 @@ let test_quantum_interleaving () =
   check Alcotest.bool "threads finish at comparable times" true
     (abs (c0 - c1) < (c0 + c1) / 2)
 
+(* ---------- reset = fresh create ---------- *)
+
+type rop =
+  | R_load of int
+  | R_ldar of int
+  | R_store of int * int64
+  | R_stlr of int * int64
+  | R_rmw of int
+  | R_cas of int * int64
+  | R_barrier of Barrier.t
+  | R_compute of int
+  | R_pause of int
+  | R_spin of int * int64
+
+(* One run: threads on distinct cores, an optional observer and fault
+   plan, and an optional cycle bound.  Spins wait for values that may
+   never be stored, so some runs end in [Deadlock]. *)
+type prog = {
+  threads : (int * rop list) list;
+  observe : bool;
+  fault : Armb_fault.Plan.spec option;
+  max_cycles : int option;
+}
+
+let gen_prog rng =
+  let module Rng = Armb_sim.Rng in
+  let word () = Rng.int rng 4 and value () = Int64.of_int (1 + Rng.int rng 3) in
+  let op () =
+    match Rng.int rng 10 with
+    | 0 -> R_load (word ())
+    | 1 -> R_ldar (word ())
+    | 2 -> R_store (word (), value ())
+    | 3 -> R_stlr (word (), value ())
+    | 4 -> R_rmw (word ())
+    | 5 -> R_cas (word (), value ())
+    | 6 ->
+      R_barrier
+        (List.nth
+           Barrier.[ Dmb Full; Dmb St; Dmb Ld; Dsb Full; Dsb St; Dsb Ld; Isb ]
+           (Rng.int rng 7))
+    | 7 -> R_compute (Rng.int rng 200)
+    | 8 -> R_pause (Rng.int rng 50)
+    | _ -> R_spin (word (), value ())
+  in
+  let cores = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init 16 Fun.id) in
+  let cores = if cores = [] then [ Rng.int rng 16 ] else cores in
+  {
+    threads =
+      List.filteri (fun i _ -> i < 3) cores
+      |> List.map (fun core -> (core, List.init (1 + Rng.int rng 12) (fun _ -> op ())));
+    observe = Rng.int rng 2 = 0;
+    fault =
+      (if Rng.int rng 2 = 0 then
+         Some (Armb_fault.Plan.of_intensity ~seed:(Rng.int rng 1000) (float (Rng.int rng 11) /. 10.))
+       else None);
+    max_cycles = (if Rng.int rng 4 = 0 then Some (Rng.int rng 600) else None);
+  }
+
+(* Everything a run can be observed by: status, elapsed time, processed
+   events, traffic and core counters, every value loaded and left in
+   memory, the observer stream and the fault digest. *)
+let exec m (p : prog) =
+  let words =
+    let a = Machine.alloc_line m and b = Machine.alloc_line m and c = Machine.alloc_line m in
+    [| a; a + 8; b; c |]
+  in
+  let logs = List.map (fun (core, _) -> (core, ref [])) p.threads in
+  List.iter
+    (fun (core, ops) ->
+      let log = List.assoc core logs in
+      let note v = log := v :: !log in
+      Machine.spawn m ~core (fun c ->
+          let pending = ref [] in
+          List.iter
+            (function
+              | R_load w -> pending := Core.load c words.(w) :: !pending
+              | R_ldar w -> note (Core.await c (Core.ldar c words.(w)))
+              | R_store (w, v) -> Core.store c words.(w) v
+              | R_stlr (w, v) -> Core.stlr c words.(w) v
+              | R_rmw w -> pending := Core.fetch_add c words.(w) 1L :: !pending
+              | R_cas (w, v) -> note (Core.await c (Core.cas c words.(w) ~expected:0L ~desired:v))
+              | R_barrier b -> Core.barrier c b
+              | R_compute n -> Core.compute c n
+              | R_pause n -> Core.pause c n
+              | R_spin (w, v) -> note (Core.spin_until c words.(w) (Int64.equal v)))
+            ops;
+          List.iter (fun tok -> note (Core.await c tok)) (List.rev !pending)))
+    p.threads;
+  let status = Machine.run ?max_cycles:p.max_cycles m in
+  let mem = Machine.mem m in
+  ( status,
+    Machine.elapsed m,
+    Armb_sim.Event_queue.processed (Machine.queue m),
+    Armb_mem.Memsys.counters mem,
+    List.map (fun (core, _) -> Core.counters (Machine.core m core)) p.threads,
+    Array.map (fun addr -> Armb_mem.Memsys.load_value mem ~addr) words,
+    List.map (fun (_, log) -> !log) logs,
+    Option.map Armb_fault.Injector.digest (Machine.injector m) )
+
+let observed p =
+  if p.observe then begin
+    let events = ref [] in
+    (Some (fun e -> events := e :: !events), events)
+  end
+  else (None, ref [])
+
+let fresh_run p =
+  let observer, events = observed p in
+  let r = exec (Machine.create ?observer ?fault:p.fault cfg) p in
+  (r, !events)
+
+let prop_reset_is_fresh =
+  QCheck.Test.make ~name:"reset = fresh create" ~count:300
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let rng = Armb_sim.Rng.create seed in
+      let first = gen_prog rng in
+      let later = List.init (1 + Armb_sim.Rng.int rng 3) (fun _ -> gen_prog rng) in
+      let observer, _ = observed first in
+      let m = Machine.create ?observer ?fault:first.fault cfg in
+      ignore (exec m first);
+      List.for_all
+        (fun p ->
+          let observer, events = observed p in
+          Machine.reset ?observer ?fault:p.fault m;
+          let r = exec m p in
+          (r, !events) = fresh_run p)
+        later)
+
+(* The property must see runs that stop early, or a reset after them
+   goes untested. *)
+let test_reset_inputs_cover_stops () =
+  let statuses =
+    List.init 300 (fun i ->
+        let (status, _, _, _, _, _, _, _), _ = fresh_run (gen_prog (Armb_sim.Rng.create (i + 1))) in
+        status)
+  in
+  List.iter
+    (fun (what, pred) ->
+      if not (List.exists pred statuses) then Alcotest.failf "no generated run ends in %s" what)
+    [
+      ("Completed", ( = ) Machine.Completed);
+      ("Deadlock", function Machine.Deadlock _ -> true | _ -> false);
+      ("Cycle_limit", ( = ) Machine.Cycle_limit);
+    ]
+
 (* ---------- tracing ---------- *)
 
 let test_trace_collects_spans () =
@@ -534,6 +680,8 @@ let () =
           Alcotest.test_case "throughput conversion" `Quick test_throughput_freq;
           Alcotest.test_case "op counters" `Quick test_counters_track_ops;
           Alcotest.test_case "quantum interleaving" `Quick test_quantum_interleaving;
+          QCheck_alcotest.to_alcotest prop_reset_is_fresh;
+          Alcotest.test_case "reset inputs cover stops" `Quick test_reset_inputs_cover_stops;
         ] );
       ( "trace",
         [

@@ -144,6 +144,28 @@ let job_keys_text () =
     (Gen.stream ~pool:54 ~requests:200 ~seed:1 ());
   Buffer.contents b
 
+(* The result of every distinct job of a fixed soak stream: all 54 pool
+   jobs and all eight kinds, so fix costs on four platforms, faulted
+   litmus runs, perturb sweeps and check rows — every number the
+   simulator feeds the service — enter the digest. *)
+let job_results_text () =
+  let b = Buffer.create 65536 in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun (j : Gen.job) ->
+      match Codec.request_of_line j.Gen.line with
+      | Error e -> Buffer.add_string b (Printf.sprintf "%s error %s\n" j.Gen.id e)
+      | Ok req ->
+        let key = Job.key req.Engine.job in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          let r = Job.run req.Engine.job in
+          Buffer.add_string b
+            (Printf.sprintf "%s %d %d\n%s" key r.Job.events r.Job.cycles r.Job.text)
+        end)
+    (Gen.stream ~pool:54 ~requests:1000 ~seed:1 ());
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -155,6 +177,8 @@ let expected =
     ("fuzz-round", "929108fb4b9ca4066ad8de43298a4211");
     (* captured before the compiled WMM enumerator replaced the seed's *)
     ("job-keys", "f2873fce20d04411639b19ddcad4e5c6");
+    (* captured before litmus trials shared one reset machine *)
+    ("job-results", "d92915b8e8db7d8a7d4441dda9e7b760");
   ]
 
 let texts =
@@ -165,6 +189,7 @@ let texts =
     ("spsc-ring", ring_text);
     ("fuzz-round", fuzz_text);
     ("job-keys", job_keys_text);
+    ("job-results", job_results_text);
   ]
 
 let golden name () =
