@@ -210,7 +210,7 @@ let litmus_cmd =
       (fun (t : Armb_litmus.Lang.test) ->
         let wmm = Armb_litmus.Enumerate.allows Armb_litmus.Enumerate.Wmm t in
         let tso = Armb_litmus.Enumerate.allows Armb_litmus.Enumerate.Tso t in
-        let r = Armb_litmus.Sim_runner.run ~trials:rc.trials ~seed:rc.seed t in
+        let r = Armb_litmus.Sim_runner.run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed t in
         Printf.printf "%-18s TSO:%-9s WMM:%-9s witnessed:%b\n" t.name
           (if tso then "Allowed" else "Forbidden")
           (if wmm then "Allowed" else "Forbidden")
@@ -231,11 +231,11 @@ let check_cmd =
              ~doc:"Litmus test to sanitize (default: cross-check the whole catalogue).")
   in
   let run (rc : RC.t) test_name =
-    let cfg = rc.cfg and trials = rc.trials in
+    let cfg = rc.cfg and trials = rc.trials and seed = rc.seed in
     let module Sim = Armb_litmus.Sim_runner in
     match test_name with
     | None ->
-      let rows, ok = Sim.cross_check ~cfg ~trials () in
+      let rows, ok = Sim.cross_check ~cfg ~trials ~seed () in
       List.iter (fun r -> Format.printf "%a@." Sim.pp_check_row r) rows;
       Format.printf "cross-check: %s@." (if ok then "ok" else "FAIL");
       if not ok then exit 1
@@ -252,7 +252,7 @@ let check_cmd =
              (List.map (fun (t : Armb_litmus.Lang.test) -> t.name) Armb_litmus.Catalogue.all));
         exit 1
       | Some t ->
-        let base, stripped = Sim.check_test ~cfg ~trials t in
+        let base, stripped = Sim.check_test ~cfg ~trials ~seed t in
         let report tag (r : Sim.result) =
           match r.findings with
           | [] -> Format.printf "%s: clean@." tag

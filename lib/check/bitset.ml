@@ -1,34 +1,49 @@
-(* Fixed-capacity dense bit sets over per-core operation indices.  The
-   sanitizer's ordered-before sets are unions of arbitrary earlier ops
-   (barrier-induced order leaves gaps), so a scalar watermark per core is
-   not enough — each set is a small bitmap instead. *)
+(* Dense bit sets over per-core operation indices, sized to their
+   highest member.  The sanitizer's ordered-before sets are unions of
+   arbitrary earlier ops (barrier-induced order leaves gaps), so a
+   scalar watermark per core is not enough — each set is a small bitmap
+   instead.  A set holds one word per [bits] indices and grows only as
+   far as its members reach, so a short run's sets are a word each and
+   copying or merging one touches only the words in use. *)
 
-type t = Bytes.t
+let bits = Sys.int_size
 
-let create ~cap = Bytes.make ((cap + 7) lsr 3) '\000'
+type t = { mutable words : int array }
 
-let copy = Bytes.copy
+let create () = { words = [||] }
+
+let copy b = { words = Array.copy b.words }
+
+(* Widen [b] to [n] words; the new words are empty. *)
+let grow b n =
+  let len = Array.length b.words in
+  if n > len then begin
+    let w = Array.make n 0 in
+    Array.blit b.words 0 w 0 len;
+    b.words <- w
+  end
 
 let add b i =
-  let byte = i lsr 3 in
-  Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl (i land 7))))
+  let k = i / bits in
+  grow b (k + 1);
+  b.words.(k) <- b.words.(k) lor (1 lsl (i mod bits))
 
 let mem b i =
-  let byte = i lsr 3 in
-  byte < Bytes.length b && Char.code (Bytes.get b byte) land (1 lsl (i land 7)) <> 0
+  let k = i / bits in
+  k < Array.length b.words && b.words.(k) land (1 lsl (i mod bits)) <> 0
 
 let union dst src =
-  let n = min (Bytes.length dst) (Bytes.length src) in
-  for i = 0 to n - 1 do
-    let o = Char.code (Bytes.get dst i) lor Char.code (Bytes.get src i) in
-    Bytes.set dst i (Char.chr o)
+  let n = Array.length src.words in
+  grow dst n;
+  let d = dst.words and s = src.words in
+  for k = 0 to n - 1 do
+    d.(k) <- d.(k) lor s.(k)
   done
 
 (* Set every bit in [0, n): the "everything earlier" prefix used by
    release stores and full barriers. *)
 let add_below b n =
-  let full = n lsr 3 in
-  Bytes.fill b 0 full '\xff';
-  let rest = n land 7 in
-  if rest > 0 then
-    Bytes.set b full (Char.chr (Char.code (Bytes.get b full) lor ((1 lsl rest) - 1)))
+  let full = n / bits and rest = n mod bits in
+  grow b (if rest > 0 then full + 1 else full);
+  Array.fill b.words 0 full (-1);
+  if rest > 0 then b.words.(full) <- b.words.(full) lor ((1 lsl rest) - 1)

@@ -38,8 +38,12 @@ type finding = {
   chain : op list;
   witnessed : bool;
   fix : string;
-  context : (int * string list) list;
+  context : (int * string list) list Lazy.t;
 }
+
+(* Per-core recording bound and context depth, documented in the .mli. *)
+let max_ops_per_core = 4096
+let context_depth = 5
 
 type cls = C_read | C_write | C_update | C_fence
 
@@ -47,7 +51,8 @@ type ev = {
   seq : int;
   cls : cls;
   word : int; (* 8-byte word index; -1 for fences *)
-  label : string;
+  kind : Observe.kind; (* with [addr], what a context line shows *)
+  addr : int;
   issued : int;
   completes : int;
   ord : Bitset.t; (* same-core seqs architecturally ordered before this op *)
@@ -57,22 +62,16 @@ type cstate = {
   core_id : int;
   mutable evs : ev array;
   mutable n : int;
-  mutable acq_set : Bitset.t; (* ordered before every subsequent op *)
-  mutable st_set : Bitset.t; (* ordered before every subsequent store *)
-  mutable loads_cl : Bitset.t; (* closure of the loads recorded so far *)
-  mutable stores_cl : Bitset.t; (* closure of the stores recorded so far *)
+  acq_set : Bitset.t; (* ordered before every subsequent op *)
+  st_set : Bitset.t; (* ordered before every subsequent store *)
+  loads_cl : Bitset.t; (* closure of the loads recorded so far *)
+  stores_cl : Bitset.t; (* closure of the stores recorded so far *)
   last_word : (int, int) Hashtbl.t; (* word -> seq of last access (po-loc) *)
-  mutable dropped : int;
 }
 
-type t = {
-  cores : (int, cstate) Hashtbl.t;
-  max_ops : int;
-  ctx : int;
-}
+type t = { cores : (int, cstate) Hashtbl.t }
 
-let create ?(max_ops_per_core = 4096) ?(context = 5) () =
-  { cores = Hashtbl.create 8; max_ops = max_ops_per_core; ctx = context }
+let create () = { cores = Hashtbl.create 8 }
 
 let state t core =
   match Hashtbl.find_opt t.cores core with
@@ -83,12 +82,11 @@ let state t core =
         core_id = core;
         evs = Array.make 16 (Obj.magic 0 : ev);
         n = 0;
-        acq_set = Bitset.create ~cap:t.max_ops;
-        st_set = Bitset.create ~cap:t.max_ops;
-        loads_cl = Bitset.create ~cap:t.max_ops;
-        stores_cl = Bitset.create ~cap:t.max_ops;
+        acq_set = Bitset.create ();
+        st_set = Bitset.create ();
+        loads_cl = Bitset.create ();
+        stores_cl = Bitset.create ();
         last_word = Hashtbl.create 16;
-        dropped = 0;
       }
     in
     Hashtbl.add t.cores core c;
@@ -105,86 +103,92 @@ let push c ev =
 
 let word_of addr = addr lsr 3
 
+(* Op [seq], ordered after [ord], joins the closure [set]: the set gains
+   the op and everything ordered before it. *)
+let join set ord seq =
+  Bitset.union set ord;
+  Bitset.add set seq
+
 let record t (e : Observe.event) =
   let c = state t e.core in
-  if c.n >= t.max_ops || c.dropped > 0 then c.dropped <- c.dropped + 1
-  else begin
-    let seq = c.n in
-    let label =
-      if Observe.is_access e.kind then
-        Printf.sprintf "%s 0x%x" (Observe.kind_to_string e.kind) e.addr
-      else Observe.kind_to_string e.kind
+  let seq = c.n in
+  if seq >= max_ops_per_core then
+    invalid_arg
+      (Printf.sprintf "Sanitizer: core %d ran past the limit of %d observed ops" e.core
+         max_ops_per_core);
+  match e.kind with
+  | Observe.Fence b ->
+    (match b with
+    | Barrier.Dmb Barrier.Full | Barrier.Dsb Barrier.Full -> Bitset.add_below c.acq_set seq
+    | Barrier.Dmb Barrier.Ld | Barrier.Dsb Barrier.Ld -> Bitset.union c.acq_set c.loads_cl
+    | Barrier.Dmb Barrier.St | Barrier.Dsb Barrier.St -> Bitset.union c.st_set c.stores_cl
+    (* ISB only appears in litmus programs as the ctrl+ISB idiom (a
+       branch on a loaded value then ISB), and the timing model's
+       pipeline refetch waits for prior loads to retire: credit it
+       with DMB ld's force — prior loads ordered before everything. *)
+    | Barrier.Isb -> Bitset.union c.acq_set c.loads_cl);
+    push c
+      {
+        seq;
+        cls = C_fence;
+        word = -1;
+        kind = e.kind;
+        addr = e.addr;
+        issued = e.issued_at;
+        completes = e.completes_at;
+        ord = Bitset.create ();
+      }
+  | Observe.Load _ | Observe.Store _ | Observe.Rmw _ ->
+    let cls, acquire, release =
+      match e.kind with
+      | Observe.Load { acquire } -> (C_read, acquire, false)
+      | Observe.Store { release } -> (C_write, false, release)
+      | Observe.Rmw { acq; rel } -> (C_update, acq, rel)
+      | Observe.Fence _ -> assert false
     in
-    match e.kind with
-    | Observe.Fence b ->
-      (match b with
-      | Barrier.Dmb Barrier.Full | Barrier.Dsb Barrier.Full ->
-        Bitset.add_below c.acq_set seq
-      | Barrier.Dmb Barrier.Ld | Barrier.Dsb Barrier.Ld ->
-        Bitset.union c.acq_set c.loads_cl
-      | Barrier.Dmb Barrier.St | Barrier.Dsb Barrier.St ->
-        Bitset.union c.st_set c.stores_cl
-      (* ISB only appears in litmus programs as the ctrl+ISB idiom (a
-         branch on a loaded value then ISB), and the timing model's
-         pipeline refetch waits for prior loads to retire: credit it
-         with DMB ld's force — prior loads ordered before everything. *)
-      | Barrier.Isb -> Bitset.union c.acq_set c.loads_cl);
-      push c
-        {
-          seq;
-          cls = C_fence;
-          word = -1;
-          label;
-          issued = e.issued_at;
-          completes = e.completes_at;
-          ord = Bitset.create ~cap:0;
-        }
-    | Observe.Load _ | Observe.Store _ | Observe.Rmw _ ->
-      let cls, acquire, release =
-        match e.kind with
-        | Observe.Load { acquire } -> (C_read, acquire, false)
-        | Observe.Store { release } -> (C_write, false, release)
-        | Observe.Rmw { acq; rel } -> (C_update, acq, rel)
-        | Observe.Fence _ -> assert false
-      in
-      let word = word_of e.addr in
-      let ord = Bitset.copy c.acq_set in
-      (match cls with
-      | C_write | C_update -> Bitset.union ord c.st_set
-      | C_read | C_fence -> ());
-      if release then Bitset.add_below ord seq
-      else begin
-        (* po-loc: program order to the same address is preserved. *)
-        (match Hashtbl.find_opt c.last_word word with
-        | Some k ->
-          Bitset.add ord k;
-          Bitset.union ord c.evs.(k).ord
-        | None -> ());
-        List.iter
-          (fun d ->
-            if d >= 0 && d < c.n then begin
-              Bitset.add ord d;
-              Bitset.union ord c.evs.(d).ord
-            end)
-          e.deps
-      end;
-      let self = Bitset.copy ord in
-      Bitset.add self seq;
-      if acquire then Bitset.union c.acq_set self;
-      (match cls with
-      | C_read -> Bitset.union c.loads_cl self
-      | C_write -> Bitset.union c.stores_cl self
-      | C_update ->
-        Bitset.union c.loads_cl self;
-        Bitset.union c.stores_cl self
-      | C_fence -> ());
-      Hashtbl.replace c.last_word word seq;
-      push c { seq; cls; word; label; issued = e.issued_at; completes = e.completes_at; ord }
-  end
+    let word = word_of e.addr in
+    let ord = Bitset.copy c.acq_set in
+    (match cls with
+    | C_write | C_update -> Bitset.union ord c.st_set
+    | C_read | C_fence -> ());
+    if release then Bitset.add_below ord seq
+    else begin
+      (* po-loc: program order to the same address is preserved. *)
+      (match Hashtbl.find_opt c.last_word word with
+      | Some k ->
+        Bitset.add ord k;
+        Bitset.union ord c.evs.(k).ord
+      | None -> ());
+      List.iter
+        (fun d ->
+          if d >= 0 && d < c.n then begin
+            Bitset.add ord d;
+            Bitset.union ord c.evs.(d).ord
+          end)
+        e.deps
+    end;
+    if acquire then join c.acq_set ord seq;
+    (match cls with
+    | C_read -> join c.loads_cl ord seq
+    | C_write -> join c.stores_cl ord seq
+    | C_update ->
+      join c.loads_cl ord seq;
+      join c.stores_cl ord seq
+    | C_fence -> ());
+    Hashtbl.replace c.last_word word seq;
+    push c
+      {
+        seq;
+        cls;
+        word;
+        kind = e.kind;
+        addr = e.addr;
+        issued = e.issued_at;
+        completes = e.completes_at;
+        ord;
+      }
 
 let observer t : Observe.t = record t
-
-let truncated t = Hashtbl.fold (fun _ c acc -> acc || c.dropped > 0) t.cores false
 
 (* ---------- Analysis ---------- *)
 
@@ -305,31 +309,31 @@ let cycle_back word_index ~anchor_core ~(a : ev) ~(b : ev) =
     in
     Some chain
 
-let context_for t (f : finding) =
-  let cores =
-    List.sort_uniq compare
-      (f.core :: List.map (fun o -> o.op_core) f.chain)
+let context_line ev =
+  let what =
+    if Observe.is_access ev.kind then
+      Printf.sprintf "%s 0x%x" (Observe.kind_to_string ev.kind) ev.addr
+    else Observe.kind_to_string ev.kind
   in
-  List.filter_map
-    (fun core ->
-      match Hashtbl.find_opt t.cores core with
-      | None -> None
-      | Some c ->
-        let upto =
-          if core = f.core then f.second.op_seq
-          else
-            List.fold_left
-              (fun acc o -> if o.op_core = core then max acc o.op_seq else acc)
-              (c.n - 1) f.chain
-        in
-        let lo = max 0 (upto - t.ctx + 1) in
-        let lines =
-          List.init (upto - lo + 1) (fun i ->
-              let ev = c.evs.(lo + i) in
-              Printf.sprintf "[%d] %s @%d..%d" ev.seq ev.label ev.issued ev.completes)
-        in
-        Some (core, lines))
-    cores
+  Printf.sprintf "[%d] %s @%d..%d" ev.seq what ev.issued ev.completes
+
+(* Every core's events and op count as of one analysis.  Recorded
+   events never change, and a grown [evs] array leaves the old one
+   intact, so a context rendered from this later shows what its finding
+   saw. *)
+let snapshot t = Hashtbl.fold (fun k c acc -> (k, (c.evs, c.n)) :: acc) t.cores []
+
+(* The recent ops of every core a finding involves: its own core's ops
+   up to [upto] (the pair's second op), each chain core's last ops. *)
+let context_for snap ~core ~upto chain =
+  lazy
+    (List.map
+       (fun k ->
+         let evs, n = List.assoc k snap in
+         let upto = if k = core then upto else n - 1 in
+         let lo = max 0 (upto - context_depth + 1) in
+         (k, List.init (upto - lo + 1) (fun i -> context_line evs.(lo + i))))
+       (List.sort_uniq compare (core :: List.map (fun o -> o.op_core) chain)))
 
 let signature (f : finding) =
   let acc = function Read -> "R" | Write -> "W" | Update -> "U" in
@@ -339,6 +343,7 @@ let signature (f : finding) =
 
 let findings t =
   let word_index = build_word_index t in
+  let snap = snapshot t in
   let out = ref [] in
   let seen = Hashtbl.create 16 in
   Hashtbl.iter
@@ -356,7 +361,7 @@ let findings t =
                 | None -> ()
                 | Some chain ->
                   Hashtbl.add seen key ();
-                  let f =
+                  out :=
                     {
                       core = c.core_id;
                       first = op_of c a;
@@ -364,10 +369,9 @@ let findings t =
                       chain;
                       witnessed = b.completes < a.completes;
                       fix = fix_for a b;
-                      context = [];
+                      context = context_for snap ~core:c.core_id ~upto:b.seq chain;
                     }
-                  in
-                  out := { f with context = context_for t f } :: !out
+                    :: !out
               end
             end
           done
@@ -399,5 +403,5 @@ let pp_finding ppf f =
     (fun (core, lines) ->
       Format.fprintf ppf "  recent ops, core %d:@," core;
       List.iter (fun l -> Format.fprintf ppf "    %s@," l) lines)
-    f.context;
+    (Lazy.force f.context);
   Format.fprintf ppf "@]"

@@ -27,18 +27,24 @@ type finding = {
   chain : op list;  (** remote accesses closing the cycle *)
   witnessed : bool;  (** completion order actually inverted this run *)
   fix : string;  (** suggested minimal repair *)
-  context : (int * string list) list;  (** last ops per involved core *)
+  context : (int * string list) list Lazy.t;
+      (** (core, lines) for the last 5 ops of each involved core, up to
+          [second] on the pair's own core.  The windows are fixed when
+          the finding is made and rendered when forced, so findings do
+          not compare with [( = )]; compare {!signature}s instead. *)
 }
 
 type t
 
-val create : ?max_ops_per_core:int -> ?context:int -> unit -> t
-(** [max_ops_per_core] bounds memory; recording beyond it is dropped and
-    {!truncated} becomes [true].  [context] is how many trailing ops per
-    involved core a finding carries. *)
+val create : unit -> t
+(** An empty recorder.  Each core records at most 4096 ops: see
+    {!observer}. *)
 
 val observer : t -> Armb_cpu.Observe.t
-(** The hook to pass to [Machine.create ?observer]. *)
+(** The hook to pass to [Machine.create ?observer].  It raises
+    [Invalid_argument], naming the core and the 4096 limit, on a
+    core's 4097th op: a run longer than that is refused rather than
+    checked in part. *)
 
 val findings : t -> finding list
 (** Analyse the recorded run.  Findings are deduplicated by
@@ -48,10 +54,9 @@ val findings : t -> finding list
 val clean : t -> bool
 (** [clean t] iff {!findings} is empty. *)
 
-val truncated : t -> bool
-(** True when the per-core op bound was hit — results may be partial. *)
-
 val signature : finding -> string
 (** Stable key for deduplicating findings across trials. *)
 
 val pp_finding : Format.formatter -> finding -> unit
+(** Prints the pair, its chain, the fix and the context, forcing
+    [context]. *)

@@ -174,8 +174,10 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
   let events = ref 0 in
   (* Sanitizer findings are value-agnostic, so every trial reports the
      same racy pairs; trials differ only in whether the reordering was
-     witnessed.  Dedup by signature, keeping a witnessed copy if any. *)
-  let merged : (string, San.finding) Hashtbl.t = Hashtbl.create 8 in
+     witnessed.  Dedup on the pair's core, access kinds and addresses
+     (what [San.signature] renders, without rendering it), keeping a
+     witnessed copy if any. *)
+  let merged : (_, San.finding) Hashtbl.t = Hashtbl.create 8 in
   let fault_digest = ref 0L in
   let fault_delay = ref 0 in
   let cycles = ref 0 in
@@ -240,7 +242,9 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
     | Some s ->
       List.iter
         (fun (f : San.finding) ->
-          let key = San.signature f in
+          let key =
+            (f.core, f.first.op_access, f.first.op_addr, f.second.op_access, f.second.op_addr)
+          in
           match Hashtbl.find_opt merged key with
           | Some g when g.witnessed || not f.witnessed -> ()
           | _ -> Hashtbl.replace merged key f)

@@ -104,6 +104,28 @@ let sanitizer_text () =
   Buffer.add_string b (Printf.sprintf "ok=%b\n" ok);
   Buffer.contents b
 
+(* The full text of every sanitizer finding — pair, chain, witness,
+   fix and recent-ops context — over the catalogue on every platform,
+   the unrolled CFG slices and a fixed fuzz corpus: each run is one
+   "<test> <platform> <findings>" line, then each finding printed. *)
+let findings_text () =
+  let b = Buffer.create 65536 in
+  let emit (cfg : Armb_cpu.Config.t) (t : Lang.test) =
+    let r = Sim.run ~cfg ~trials:12 ~seed:5 ~check:true t in
+    Buffer.add_string b
+      (Printf.sprintf "%s %s %d\n" t.name cfg.name (List.length r.Sim.findings));
+    List.iter
+      (fun f -> Buffer.add_string b (Format.asprintf "%a\n" Armb_check.Sanitizer.pp_finding f))
+      r.Sim.findings
+  in
+  List.iter (fun cfg -> List.iter (emit cfg) Catalogue.all) P.all;
+  List.iter (emit kunpeng) (Catalogue.cfg_slices ~unroll:2 ());
+  let rng = Armb_sim.Rng.create 2026 in
+  for _ = 1 to 50 do
+    emit kunpeng (Fuzz.generate ~with_isb:true rng)
+  done;
+  Buffer.contents b
+
 (* SPSC ring: exact makespans and traffic counters per combination. *)
 let ring_text () =
   let b = Buffer.create 512 in
@@ -173,6 +195,8 @@ let expected =
     ("fig3-slice", "f184f26dd571876913e3eb2d736ea7ca");
     ("litmus-catalogue", "0328c3ae1b1e9ad15ce1cb2da7aab167");
     ("sanitizer-verdicts", "1dccbc877ec11eea149d36edd7e22189");
+    (* captured before the sanitizer's sets and finding text went lazy *)
+    ("sanitizer-findings", "c27d3725bd6f8ce9912db5b4eb6dc5d9");
     ("spsc-ring", "98d7af687535a82f397ce19c55218635");
     ("fuzz-round", "929108fb4b9ca4066ad8de43298a4211");
     (* captured before the compiled WMM enumerator replaced the seed's *)
@@ -186,6 +210,7 @@ let texts =
     ("fig3-slice", fig3_text);
     ("litmus-catalogue", litmus_text);
     ("sanitizer-verdicts", sanitizer_text);
+    ("sanitizer-findings", findings_text);
     ("spsc-ring", ring_text);
     ("fuzz-round", fuzz_text);
     ("job-keys", job_keys_text);
