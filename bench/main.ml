@@ -8,13 +8,7 @@
      dune exec bench/main.exe fig3 fig6b # a selection
      dune exec bench/main.exe list       # show available ids *)
 
-let perf () =
-  let r = Armb_perf.Perf.run ~progress:(fun n -> Printf.printf "perf: %s...\n%!" n) () in
-  Format.printf "%a@." Armb_perf.Perf.pp r;
-  Armb_perf.Perf.write_json ~path:"BENCH_perf.json" r;
-  print_endline "wrote BENCH_perf.json"
-
-let registry = Figures.all @ [ ("perf", perf); ("native", Natives.run) ]
+let registry = Figures.all @ [ ("native", Natives.run) ]
 
 (* Every experiment reports its own wall time, so a slow regeneration
    can be blamed on a specific figure rather than the whole run. *)

@@ -1,7 +1,8 @@
 (* armb: command-line front end of the library.
 
    Subcommands: platforms, model, tipping, observations, advise, litmus,
-   check, fix, opt, ring, report, fuzz, perturb, perf, trace, serve, batch.
+   check, fix, opt, ring, report, fuzz, perturb, barrier, trace, serve,
+   batch, soak.
    See `armb --help`. *)
 
 open Cmdliner
@@ -82,7 +83,7 @@ let run_config ?(trials_default = 300) () =
   Term.(term_result (const build $ platform $ cores $ seed $ trials))
 
 (* Fault intensity knob shared by the subcommands that can perturb a
-   run (ring, perturb, fuzz, perf). *)
+   run (ring, perturb, fuzz). *)
 let fault_intensity =
   Arg.(value & opt float 0.0
        & info [ "fault" ] ~docv:"X"
@@ -324,7 +325,9 @@ let fuzz_cmd =
   let tests = Arg.(value & opt int 50 & info [ "tests" ] ~docv:"N" ~doc:"Random tests to generate.") in
   let run (rc : RC.t) tests intensity =
     let fault = fault_of ~rc ~name:(Printf.sprintf "fuzz-%.2f" intensity) intensity in
-    let r = Armb_litmus.Fuzz.run ?fault ~tests ~trials_per_test:rc.trials ~seed:rc.seed () in
+    let r =
+      Armb_litmus.Fuzz.run ~cfg:rc.cfg ?fault ~tests ~trials_per_test:rc.trials ~seed:rc.seed ()
+    in
     Format.printf "%a@." Armb_litmus.Fuzz.pp_report r;
     if r.Armb_litmus.Fuzz.violations <> [] then exit 1
   in
@@ -332,84 +335,6 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differential fuzz: random litmus tests, simulator outcomes checked against the operational model.")
     Term.(const run $ run_config ~trials_default:60 () $ tests $ fault_intensity)
-
-(* ---------- perf ---------- *)
-
-let perf_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller iteration/trial counts (CI smoke profile).")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Where to write the results JSON (default BENCH_perf.json; with \
-                   $(b,--only) nothing is written unless this is given, so a filtered \
-                   run cannot clobber the full committed baseline).")
-  in
-  let baseline =
-    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc:"Committed baseline JSON to compare events/sec against (read before $(b,--out) overwrites it).")
-  in
-  let tolerance =
-    Arg.(value & opt float 0.2 & info [ "tolerance" ] ~docv:"FRAC" ~doc:"Allowed fractional events/sec regression vs the baseline (default 0.2 = 20%).")
-  in
-  let only =
-    Arg.(value & opt (some (list string)) None
-         & info [ "only" ] ~docv:"ID,.."
-             ~doc:"Run only the named workloads (comma-separated), e.g. \
-                   $(b,--only many-core-central,many-core-tree).  Unknown ids are \
-                   rejected with the valid list.")
-  in
-  let run quick out baseline tolerance only intensity =
-    let module Perf = Armb_perf.Perf in
-    let fault =
-      if intensity <= 0.0 then None
-      else
-        Some
-          (Armb_fault.Plan.of_intensity ~seed:42 ~name:(Printf.sprintf "perf-%.2f" intensity)
-             intensity)
-    in
-    let base = Option.map (fun p -> (p, Perf.load_json ~path:p)) baseline in
-    let r =
-      try Perf.run ~quick ?fault ?only ~progress:(fun n -> Printf.printf "perf: %s...\n%!" n) ()
-      with Invalid_argument msg ->
-        Printf.eprintf "perf: %s\n" msg;
-        exit 2
-    in
-    Format.printf "%a@." Perf.pp r;
-    (match (out, only) with
-    | Some f, _ -> write_out f (Perf.to_json r)
-    | None, None -> write_out "BENCH_perf.json" (Perf.to_json r)
-    | None, Some _ ->
-      Printf.printf "perf: --only run, results not written (pass --out to save a partial file)\n");
-    match base with
-    | None -> ()
-    | Some (p, None) ->
-      Printf.eprintf "perf: baseline %s missing or unparseable; skipping comparison\n" p
-    | Some (p, Some b) ->
-      (* Comparing across fault plans measures the plan, not the kernel. *)
-      if r.Perf.fault <> b.Perf.fault then
-        Printf.eprintf
-          "perf: baseline %s ran under fault plan %S but this run under %S; skipping comparison\n"
-          p b.Perf.fault r.Perf.fault
-      else (
-        match Perf.compare_against ~baseline:b r ~tolerance with
-        | [] ->
-          Printf.printf "perf: no workload regressed more than %.0f%% vs %s\n"
-            (tolerance *. 100.) p
-        | regs ->
-          List.iter
-            (fun (g : Perf.regression) ->
-              Printf.eprintf "perf: REGRESSION %s: %.0f -> %.0f events/s (-%.1f%%)\n"
-                g.workload g.baseline_eps g.current_eps
-                (100. *. (1. -. (g.current_eps /. g.baseline_eps))))
-            regs;
-          exit 1)
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Kernel-throughput benchmark: events/sec over representative workloads, \
-             persisted to BENCH_perf.json, optionally gated against a committed baseline.")
-    Term.(const run $ quick $ out $ baseline $ tolerance $ only $ fault_intensity)
 
 (* ---------- barrier ---------- *)
 
@@ -953,30 +878,6 @@ let batch_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"FILE" ~doc:"NDJSON request file (one JSON object per line).")
   in
-  let make_demo =
-    Arg.(value & flag
-         & info [ "make-demo" ]
-             ~doc:"Write a deterministic duplicate-heavy demo batch to FILE and exit.")
-  in
-  let requests =
-    Arg.(value & opt int 200
-         & info [ "requests" ] ~docv:"N" ~doc:"Demo batch size (with $(b,--make-demo)).")
-  in
-  let demo_seed =
-    Arg.(value & opt int 7
-         & info [ "demo-seed" ] ~docv:"N" ~doc:"Demo batch RNG seed (with $(b,--make-demo)).")
-  in
-  let zipf =
-    Arg.(value & flag
-         & info [ "zipf" ]
-             ~doc:"With $(b,--make-demo): draw jobs Zipf-distributed over the pool \
-                   (hot keys dominate) from 64 clients instead of uniformly from 3.")
-  in
-  let alpha =
-    Arg.(value & opt float 1.1
-         & info [ "alpha" ] ~docv:"A"
-             ~doc:"With $(b,--zipf): the Zipf skew exponent (higher = hotter head).")
-  in
   let compare_cold =
     Arg.(value & flag
          & info [ "compare-cold" ]
@@ -993,103 +894,54 @@ let batch_cmd =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the responses NDJSON to FILE.")
   in
-  let retry_shed =
-    Arg.(value & flag
-         & info [ "retry-shed" ]
-             ~doc:"Resubmit shed responses through the bounded-backoff retry client \
-                   (capped exponential backoff honoring the engine's retry-after-ms \
-                   hint) until each completes or the policy gives up; report the \
-                   cycle counts.")
-  in
-  (* Pair each response with its request line (responses are in input
-     order, one per non-blank line) and drive shed rows through Retry,
-     resubmitting each as a one-line batch on the same engine. *)
-  let retry_shed_pass engine lines (b : Serve.batch) =
-    let module R = Armb_service.Retry in
-    let nonblank = Array.of_list (List.filter (fun l -> String.trim l <> "") lines) in
-    let run_line line =
-      match (Serve.run_batch engine ~lines:[ line ]).Serve.responses with
-      | r :: _ -> r
-      | [] -> { Engine.id = "?"; client = "?"; reply = Engine.Error "no response" }
+  let run file compare_cold min_speedup no_cache queue_bound cache_cap out metrics_out =
+    let lines = read_lines file in
+    let responses_text (b : Serve.batch) =
+      String.concat "" (List.map (fun r -> Codec.response_to_line r ^ "\n") b.responses)
     in
-    let retried = ref 0 and gave_up = ref 0 in
-    let responses =
-      List.mapi
-        (fun i (r : Engine.response) ->
-          if R.is_shed r && i < Array.length nonblank then
-            match R.resubmit ~attempt:(fun () -> run_line nonblank.(i)) r with
-            | R.Completed { response; _ } ->
-              incr retried;
-              response
-            | R.Gave_up { last; _ } ->
-              incr gave_up;
-              last
-          else r)
-        b.Serve.responses
-    in
-    Printf.printf "retry-shed: %d retried to completion, %d gave up\n" !retried !gave_up;
-    { b with Serve.responses }
-  in
-  let run file make_demo requests demo_seed zipf alpha compare_cold min_speedup no_cache
-      queue_bound cache_cap out retry_shed metrics_out =
-    if make_demo then begin
-      let lines =
-        if zipf then Serve.zipf_requests ~alpha ~requests ~seed:demo_seed ()
-        else Serve.demo_requests ~requests ~seed:demo_seed ()
-      in
-      write_out file (String.concat "\n" lines ^ "\n")
+    if compare_cold then begin
+      let c = Serve.compare_cold ~cache_cap ~lines () in
+      Printf.printf "== cold (no cache) ==\n%s\n"
+        (Serve.summary c.Serve.cold c.Serve.cold_metrics);
+      Printf.printf "== warm (memoized) ==\n%s\n"
+        (Serve.summary c.Serve.warm c.Serve.warm_metrics);
+      Printf.printf "identical: %b\nspeedup: %.2fx\n" c.Serve.identical c.Serve.speedup;
+      (match out with
+      | None -> ()
+      | Some path -> write_out path (responses_text c.Serve.warm));
+      (* warm-engine metrics are the interesting artifact here *)
+      (match metrics_out with
+      | None -> ()
+      | Some path ->
+        write_out path (Json.to_string (Metrics.to_json c.Serve.warm_metrics) ^ "\n"));
+      if not c.Serve.identical then begin
+        Printf.eprintf "armb batch: warm responses differ from cold responses\n";
+        exit 1
+      end;
+      if min_speedup > 0.0 && c.Serve.speedup < min_speedup then begin
+        Printf.eprintf "armb batch: speedup %.2fx below required %.2fx\n"
+          c.Serve.speedup min_speedup;
+        exit 1
+      end
     end
     else begin
-      let lines = read_lines file in
-      let responses_text (b : Serve.batch) =
-        String.concat "" (List.map (fun r -> Codec.response_to_line r ^ "\n") b.responses)
-      in
-      if compare_cold then begin
-        let c = Serve.compare_cold ~cache_cap ~lines () in
-        Printf.printf "== cold (no cache) ==\n%s\n"
-          (Serve.summary c.Serve.cold c.Serve.cold_metrics);
-        Printf.printf "== warm (memoized) ==\n%s\n"
-          (Serve.summary c.Serve.warm c.Serve.warm_metrics);
-        Printf.printf "identical: %b\nspeedup: %.2fx\n" c.Serve.identical c.Serve.speedup;
-        (match out with
-        | None -> ()
-        | Some path -> write_out path (responses_text c.Serve.warm));
-        (* warm-engine metrics are the interesting artifact here *)
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-          write_out path (Json.to_string (Metrics.to_json c.Serve.warm_metrics) ^ "\n"));
-        if not c.Serve.identical then begin
-          Printf.eprintf "armb batch: warm responses differ from cold responses\n";
-          exit 1
-        end;
-        if min_speedup > 0.0 && c.Serve.speedup < min_speedup then begin
-          Printf.eprintf "armb batch: speedup %.2fx below required %.2fx\n"
-            c.Serve.speedup min_speedup;
-          exit 1
-        end
-      end
-      else begin
-        let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-        let b = Serve.run_batch engine ~lines in
-        let b = if retry_shed then retry_shed_pass engine lines b else b in
-        print_string (Serve.summary b (Engine.metrics engine));
-        (match out with
-        | None -> ()
-        | Some path -> write_out path (responses_text b));
-        dump_metrics engine metrics_out
-      end
+      let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
+      let b = Serve.run_batch engine ~lines in
+      print_string (Serve.summary b (Engine.metrics engine));
+      (match out with
+      | None -> ()
+      | Some path -> write_out path (responses_text b));
+      dump_metrics engine metrics_out
     end
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Client convenience over the job service: run an NDJSON request file \
-             through an engine and print a summary table; verify the memo cache \
-             against a cold run ($(b,--compare-cold)), or generate a demo batch \
-             ($(b,--make-demo), optionally $(b,--zipf)).")
-    Term.(const run $ file $ make_demo $ requests $ demo_seed $ zipf $ alpha
-          $ compare_cold $ min_speedup $ no_cache $ queue_bound $ cache_cap $ out
-          $ retry_shed $ metrics_out)
+             (for example one written by $(b,armb soak --emit)) through an engine and \
+             print a summary table, or verify the memo cache against a cold run \
+             ($(b,--compare-cold)).")
+    Term.(const run $ file $ compare_cold $ min_speedup $ no_cache $ queue_bound $ cache_cap
+          $ out $ metrics_out)
 
 (* ---------- soak ---------- *)
 
@@ -1221,7 +1073,6 @@ let () =
             report_cmd;
             fuzz_cmd;
             perturb_cmd;
-            perf_cmd;
             barrier_cmd;
             trace_cmd;
             serve_cmd;

@@ -151,7 +151,7 @@ type report = {
   events : int;
 }
 
-let run ?(tests = 50) ?(trials_per_test = 60) ?(seed = 1234) ?fault () =
+let run ?cfg ?(tests = 50) ?(trials_per_test = 60) ?(seed = 1234) ?fault () =
   let rng = Rng.create seed in
   let checked = ref 0 in
   let violations = ref [] in
@@ -162,7 +162,7 @@ let run ?(tests = 50) ?(trials_per_test = 60) ?(seed = 1234) ?fault () =
     let allowed =
       List.map Enumerate.outcome_to_string (Enumerate.enumerate Enumerate.Wmm t)
     in
-    let r = Sim_runner.run ~trials:trials_per_test ~seed:(seed + i) ?fault t in
+    let r = Sim_runner.run ?cfg ~trials:trials_per_test ~seed:(seed + i) ?fault t in
     events := !events + r.Sim_runner.events;
     List.iter
       (fun (o, _) ->

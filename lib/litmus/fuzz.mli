@@ -36,13 +36,15 @@ type report = {
 }
 
 val run :
+  ?cfg:Armb_cpu.Config.t ->
   ?tests:int ->
   ?trials_per_test:int ->
   ?seed:int ->
   ?fault:Armb_fault.Plan.spec ->
   unit ->
   report
-(** Differential fuzz: defaults 50 tests x 60 trials.  With [fault] the
+(** Differential fuzz: defaults kunpeng916, 50 tests x 60 trials; [cfg]
+    is the platform every simulator trial runs on.  With [fault] the
     simulator side runs under the fault plan — since perturbations are
     pure latency, every perturbed outcome must {e still} fall inside the
     WMM-allowed set; a violation indicts the injection sites. *)

@@ -22,14 +22,8 @@ type report = {
 
 let ok r = r.unsound = 0 && r.fence_increase = 0
 
-(* One soak iteration as a first-class record, mirroring
-   Armb_synth.Soak.round — the unified soak subsystem (lib/soak)
-   consumes rounds directly and [run] folds them into the classic
-   aggregate, so both views agree by construction. *)
-
+(* One round's tallies; [run] sums them into the report. *)
 type round = {
-  index : int;
-  program_name : string;
   input_fences : int;
   output_fences : int;
   improved : bool;
@@ -37,8 +31,6 @@ type round = {
   fence_increase : bool;
   failures : string list;
 }
-
-let round_ok r = (not r.unsound) && not r.fence_increase
 
 let run_round ~algorithm ~unroll rng i =
   let p = Mutate.rename_cfg (Printf.sprintf "fuzz-cfg-%d" i) (Fuzz.generate_cfg rng) in
@@ -58,8 +50,6 @@ let run_round ~algorithm ~unroll rng i =
         r.Optimizer.output_fences
       :: !failures;
   {
-    index = i;
-    program_name = q.Cfg.name;
     input_fences = r.Optimizer.input_fences;
     output_fences = r.Optimizer.output_fences;
     improved = Optimizer.improved r;
@@ -68,25 +58,21 @@ let run_round ~algorithm ~unroll rng i =
     failures = List.rev !failures;
   }
 
-let run_rounds ?(rounds = 12) ?(seed = 2025) ?(algorithm = Optimizer.Linear_scan)
-    ?(unroll = 2) () =
+let run ?(rounds = 12) ?(seed = 2025) ?(algorithm = Optimizer.Linear_scan) ?(unroll = 2)
+    () =
   let rng = Rng.create seed in
-  List.init rounds (fun i -> run_round ~algorithm ~unroll rng (i + 1))
-
-let report_of_rounds rounds =
-  let count f = List.length (List.filter f rounds) in
+  let rs = List.init rounds (fun i -> run_round ~algorithm ~unroll rng (i + 1)) in
+  let count f = List.length (List.filter f rs) in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
   {
-    rounds = List.length rounds;
+    rounds;
     unsound = count (fun r -> r.unsound);
     fence_increase = count (fun r -> r.fence_increase);
     improved = count (fun r -> r.improved);
-    fences_in = List.fold_left (fun a r -> a + r.input_fences) 0 rounds;
-    fences_out = List.fold_left (fun a r -> a + r.output_fences) 0 rounds;
-    failures = List.concat_map (fun r -> r.failures) rounds;
+    fences_in = sum (fun r -> r.input_fences);
+    fences_out = sum (fun r -> r.output_fences);
+    failures = List.concat_map (fun r -> r.failures) rs;
   }
-
-let run ?rounds ?seed ?algorithm ?unroll () =
-  report_of_rounds (run_rounds ?rounds ?seed ?algorithm ?unroll ())
 
 let pp_report ppf r =
   Format.fprintf ppf

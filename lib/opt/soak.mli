@@ -15,37 +15,6 @@ type report = {
 val ok : report -> bool
 (** No fatal findings. *)
 
-(** {2 Per-round interface}
-
-    Mirrors {!Armb_synth.Soak}'s round records: the unified soak
-    subsystem ([lib/soak]) consumes rounds directly; {!run} is a fold
-    of {!report_of_rounds} over {!run_rounds}. *)
-
-type round = {
-  index : int;  (** 1-based *)
-  program_name : string;  (** the over-fenced input's name *)
-  input_fences : int;
-  output_fences : int;
-  improved : bool;
-  unsound : bool;  (** FATAL *)
-  fence_increase : bool;  (** FATAL *)
-  failures : string list;
-}
-
-val round_ok : round -> bool
-
-val run_rounds :
-  ?rounds:int ->
-  ?seed:int ->
-  ?algorithm:Optimizer.algorithm ->
-  ?unroll:int ->
-  unit ->
-  round list
-(** Same generation stream as {!run} (one shared RNG, rounds in order):
-    [run args () = report_of_rounds (run_rounds args ())]. *)
-
-val report_of_rounds : round list -> report
-
 val run :
   ?rounds:int ->
   ?seed:int ->

@@ -8,8 +8,8 @@
     (a [Result] or [Error] reply, possibly after several sheds) or
     {!Gave_up} (still shed after [max_retries] attempts, last response
     attached) — so a shed request can be retried, reported, or counted,
-    but never silently dropped.  Used by the soak driver and
-    [armb batch --retry-shed]. *)
+    but never silently dropped.  Used by the soak driver
+    ([armb soak]). *)
 
 type policy = {
   max_retries : int;  (** resubmission attempts after the first shed *)

@@ -1,5 +1,3 @@
-module Rng = Armb_sim.Rng
-
 let emit oc (r : Engine.response) =
   output_string oc (Codec.response_to_line r);
   output_char oc '\n'
@@ -196,139 +194,6 @@ let compare_cold ?(cache_cap = 512) ?queue_bound ~lines () =
     identical;
     speedup;
   }
-
-(* ---------- deterministic demo batch ---------- *)
-
-let demo_pool () =
-  let tests = Armb_litmus.Catalogue.all in
-  let take n l = List.filteri (fun i _ -> i < n) l in
-  let litmus =
-    List.map
-      (fun (t : Armb_litmus.Lang.test) ->
-        [
-          ("kind", Json.Str "litmus");
-          ("test", Json.Str t.Armb_litmus.Lang.name);
-          ("trials", Json.Int 20);
-          ("seed", Json.Int 42);
-        ])
-      tests
-  in
-  let check =
-    List.map
-      (fun (t : Armb_litmus.Lang.test) ->
-        [
-          ("kind", Json.Str "check");
-          ("test", Json.Str t.Armb_litmus.Lang.name);
-          ("trials", Json.Int 8);
-          ("seed", Json.Int 5);
-        ])
-      (take 8 tests)
-  in
-  let ring =
-    List.map
-      (fun (combo, messages) ->
-        [
-          ("kind", Json.Str "ring");
-          ("combo", Json.Str combo);
-          ("messages", Json.Int messages);
-        ])
-      [
-        ("DMB full - DMB full", 300);
-        ("DMB ld - DMB st", 300);
-        ("LDAR - DMB st", 300);
-        ("DMB ld - No Barrier", 300);
-        ("DMB full - DMB st", 400);
-        ("DMB full - STLR", 400);
-      ]
-  in
-  let model =
-    List.concat_map
-      (fun approach ->
-        List.map
-          (fun nops ->
-            [
-              ("kind", Json.Str "model");
-              ("mem_ops", Json.Str "st-st");
-              ("approach", Json.Str approach);
-              ("location", Json.Int 1);
-              ("nops", Json.Int nops);
-              ("iters", Json.Int 300);
-            ])
-          [ 100; 500 ])
-      [ "none"; "dmb"; "dmb-st"; "stlr" ]
-  in
-  let fuzz =
-    [
-      [ ("kind", Json.Str "fuzz"); ("tests", Json.Int 3); ("trials", Json.Int 20); ("seed", Json.Int 7) ];
-      [ ("kind", Json.Str "fuzz"); ("tests", Json.Int 5); ("trials", Json.Int 15); ("seed", Json.Int 9) ];
-    ]
-  in
-  litmus @ check @ ring @ model @ fuzz
-
-let demo_requests ?(pool = 40) ~requests ~seed () =
-  let entries = Array.of_list (demo_pool ()) in
-  let n = min pool (Array.length entries) in
-  let rng = Rng.create seed in
-  let clients = [| "alice"; "bob"; "carol" |] in
-  List.init requests (fun i ->
-      let fields = entries.(Rng.int rng n) in
-      let client = clients.(Rng.int rng (Array.length clients)) in
-      let priority =
-        match Rng.int rng 8 with 0 -> "high" | 1 -> "low" | _ -> "normal"
-      in
-      Json.to_string
-        (Json.Obj
-           (("id", Json.Str (string_of_int (i + 1)))
-           :: ("client", Json.Str client)
-           :: ("priority", Json.Str priority)
-           :: fields)))
-
-(* ---------- zipfian traffic ---------- *)
-
-(* Skewed production-shaped traffic: job popularity follows a Zipf law
-   (rank r drawn with probability proportional to r^-alpha), so a few
-   hot keys dominate exactly as real user traffic does, and clients
-   are drawn from a wide pool so lane registration churns.  Fully
-   deterministic in [seed]: the CI gate and the scaling experiments
-   replay byte-identical batches. *)
-let zipf_requests ?(pool = 40) ?(alpha = 1.1) ?(clients = 64) ~requests ~seed () =
-  if requests < 0 then invalid_arg "Serve.zipf_requests: requests must be >= 0";
-  if pool < 1 then invalid_arg "Serve.zipf_requests: pool must be >= 1";
-  if alpha < 0.0 then invalid_arg "Serve.zipf_requests: alpha must be >= 0";
-  if clients < 1 then invalid_arg "Serve.zipf_requests: clients must be >= 1";
-  let entries = Array.of_list (demo_pool ()) in
-  let n = min pool (Array.length entries) in
-  let rng = Rng.create seed in
-  (* rank -> cumulative weight, for inverse-CDF sampling *)
-  let cum = Array.make n 0.0 in
-  let total = ref 0.0 in
-  for r = 0 to n - 1 do
-    total := !total +. (1.0 /. Float.pow (float_of_int (r + 1)) alpha);
-    cum.(r) <- !total
-  done;
-  let sample_rank () =
-    let u = Rng.float rng !total in
-    (* first rank whose cumulative weight covers u *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if cum.(mid) >= u then search lo mid else search (mid + 1) hi
-    in
-    search 0 (n - 1)
-  in
-  List.init requests (fun i ->
-      let fields = entries.(sample_rank ()) in
-      let client = Printf.sprintf "user-%03d" (Rng.int rng clients) in
-      let priority =
-        match Rng.int rng 8 with 0 -> "high" | 1 -> "low" | _ -> "normal"
-      in
-      Json.to_string
-        (Json.Obj
-           (("id", Json.Str (string_of_int (i + 1)))
-           :: ("client", Json.Str client)
-           :: ("priority", Json.Str priority)
-           :: fields)))
 
 (* ---------- summary ---------- *)
 

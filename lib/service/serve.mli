@@ -1,8 +1,8 @@
 (** Front ends over {!Engine}: the NDJSON streaming loop behind
     [armb serve], the one-shot batch runner behind [armb serve --batch]
-    / [armb batch], the deterministic duplicate-heavy demo batch the CI
-    smoke and the perf harness share, and the warm-vs-cold comparison
-    that verifies the cache instead of trusting it. *)
+    / [armb batch], and the warm-vs-cold comparison that verifies the
+    cache instead of trusting it.  Request files come from
+    [armb soak --emit] ({!Armb_soak.Gen}). *)
 
 val serve :
   ?drain_every:int ->
@@ -70,30 +70,6 @@ val compare_cold :
 (** Run the same batch through a cacheless engine and a caching engine
     and compare byte-for-byte — the determinism oracle for the memo
     cache, and the speedup measurement the CI gate asserts on. *)
-
-val demo_requests : ?pool:int -> requests:int -> seed:int -> unit -> string list
-(** A deterministic duplicate-heavy request batch: [requests] NDJSON
-    lines drawn uniformly from a pool of [pool] (default 40) distinct
-    jobs over the litmus catalogue, sanitizer, abstracted model, SPSC
-    ring and fuzzer, spread over three clients and all three
-    priorities.  With the defaults, at least half the lines duplicate
-    an earlier one. *)
-
-val zipf_requests :
-  ?pool:int ->
-  ?alpha:float ->
-  ?clients:int ->
-  requests:int ->
-  seed:int ->
-  unit ->
-  string list
-(** Production-shaped skewed traffic, fully deterministic in [seed]:
-    job popularity follows a Zipf law over the demo pool (rank [r]
-    with weight [r^-alpha], default [alpha = 1.1], so a handful of hot
-    keys dominate — the coalescing/memoization stress case), and each
-    request comes from one of [clients] (default 64) distinct client
-    names so scheduler-lane registration churns.  Priorities mix as in
-    {!demo_requests}. *)
 
 val summary : batch -> Metrics.t -> string
 (** Human summary table: totals by status/origin, hit rate, latency

@@ -43,7 +43,7 @@ type result = {
   cycles : int;  (** makespan *)
   episodes : int;
   cycles_per_episode : float;
-  events : int;  (** simulator events processed — the [armb perf] metric *)
+  events : int;  (** simulator events processed (perfbench's [sim.barrier.events]) *)
   counters : Armb_mem.Memsys.counters;
 }
 

@@ -72,19 +72,10 @@ let shaped_skeleton rng =
     expect_wmm = false;
   }
 
-(* One soak iteration as a first-class record, so the unified soak
-   subsystem (lib/soak) and the classic aggregate report below both
-   consume the same stream of rounds. *)
+type status = Skipped_no_devices | Still_sound | Repaired | No_repair
 
-type status =
-  | Skipped_no_devices
-  | Still_sound
-  | Repaired of int  (** minimal repair sets found *)
-  | No_repair
-
+(* One round's tallies; [run] sums them into the report. *)
 type round = {
-  index : int;
-  test_name : string;
   status : status;
   unsound : int;
   redundant : int;
@@ -92,8 +83,6 @@ type round = {
   oracle_calls : int;
   failures : string list;
 }
-
-let round_ok r = r.unsound = 0 && r.redundant = 0 && r.sim_violations = 0 && r.failures = []
 
 let run_round ~seed ~max_edits ~budget ~sim_trials rng i =
   let unsound = ref 0 and redundant = ref 0 in
@@ -189,13 +178,11 @@ let run_round ~seed ~max_edits ~budget ~sim_trials rng i =
                 fail "%s: simulator outcome outside WMM set: %s" cheapest.Lang.name o
               end)
             r.Sim_runner.outcomes;
-          Repaired (List.length sets)
+          Repaired
       end
     end
   in
   {
-    index = i;
-    test_name = skeleton.Lang.name;
     status;
     unsound = !unsound;
     redundant = !redundant;
@@ -204,28 +191,26 @@ let run_round ~seed ~max_edits ~budget ~sim_trials rng i =
     failures = List.rev !failures;
   }
 
-let run_rounds ?(tests = 20) ?(seed = 2024) ?(max_edits = 2) ?(budget = 1200)
-    ?(sim_trials = 25) () =
+let run ?(tests = 20) ?(seed = 2024) ?(max_edits = 2) ?(budget = 1200) ?(sim_trials = 25)
+    () =
   let rng = Rng.create seed in
-  List.init tests (fun i -> run_round ~seed ~max_edits ~budget ~sim_trials rng (i + 1))
-
-let report_of_rounds rounds =
-  let count f = List.length (List.filter f rounds) in
+  let rounds =
+    List.init tests (fun i -> run_round ~seed ~max_edits ~budget ~sim_trials rng (i + 1))
+  in
+  let count st = List.length (List.filter (fun r -> r.status = st) rounds) in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rounds in
   {
-    tests = List.length rounds;
-    skipped_no_devices = count (fun r -> r.status = Skipped_no_devices);
-    stripped_still_sound = count (fun r -> r.status = Still_sound);
-    repaired = count (fun r -> match r.status with Repaired _ -> true | _ -> false);
-    no_repair = count (fun r -> r.status = No_repair);
-    unsound = List.fold_left (fun a r -> a + r.unsound) 0 rounds;
-    redundant = List.fold_left (fun a r -> a + r.redundant) 0 rounds;
-    sim_violations = List.fold_left (fun a r -> a + r.sim_violations) 0 rounds;
-    oracle_calls = List.fold_left (fun a r -> a + r.oracle_calls) 0 rounds;
+    tests;
+    skipped_no_devices = count Skipped_no_devices;
+    stripped_still_sound = count Still_sound;
+    repaired = count Repaired;
+    no_repair = count No_repair;
+    unsound = sum (fun r -> r.unsound);
+    redundant = sum (fun r -> r.redundant);
+    sim_violations = sum (fun r -> r.sim_violations);
+    oracle_calls = sum (fun r -> r.oracle_calls);
     failures = List.concat_map (fun r -> r.failures) rounds;
   }
-
-let run ?tests ?seed ?max_edits ?budget ?sim_trials () =
-  report_of_rounds (run_rounds ?tests ?seed ?max_edits ?budget ?sim_trials ())
 
 let pp_report ppf r =
   Format.fprintf ppf

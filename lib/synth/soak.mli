@@ -41,45 +41,6 @@ type report = {
 val ok : report -> bool
 (** No fatal findings. *)
 
-(** {2 Per-round interface}
-
-    One soak iteration as a first-class record — the unified soak
-    subsystem ([lib/soak]) consumes rounds directly, and {!run} is a
-    fold of {!report_of_rounds} over {!run_rounds}, so both views of a
-    soak are byte-identical in report and rendering. *)
-
-type status =
-  | Skipped_no_devices  (** skeleton admits no candidate edits *)
-  | Still_sound  (** injected devices forbid nothing observable *)
-  | Repaired of int  (** minimal repair sets found *)
-  | No_repair  (** search exhausted (or fatally complete-but-empty) *)
-
-type round = {
-  index : int;  (** 1-based *)
-  test_name : string;
-  status : status;
-  unsound : int;
-  redundant : int;
-  sim_violations : int;
-  oracle_calls : int;
-  failures : string list;  (** fatal findings of this round, in order *)
-}
-
-val round_ok : round -> bool
-
-val run_rounds :
-  ?tests:int ->
-  ?seed:int ->
-  ?max_edits:int ->
-  ?budget:int ->
-  ?sim_trials:int ->
-  unit ->
-  round list
-(** Same generation stream as {!run} (one shared RNG, rounds in order):
-    [run args () = report_of_rounds (run_rounds args ())]. *)
-
-val report_of_rounds : round list -> report
-
 val run :
   ?tests:int ->
   ?seed:int ->

@@ -774,6 +774,17 @@ let test_fuzz_no_violations () =
   check Alcotest.bool "outcomes were actually checked" true
     (r.Armb_litmus.Fuzz.sim_outcomes_checked > 50)
 
+let test_fuzz_platform () =
+  let run ?cfg () =
+    let r = Armb_litmus.Fuzz.run ?cfg ~tests:8 ~seed:1234 () in
+    (* every platform replays the same tests and trials, so events alone
+       cannot tell the runs apart *)
+    check Alcotest.int "events" 3833 r.Armb_litmus.Fuzz.events;
+    r.Armb_litmus.Fuzz.sim_outcomes_checked
+  in
+  check Alcotest.int "kunpeng916 by default" 24 (run ());
+  check Alcotest.int "kirin960" 27 (run ~cfg:Armb_platform.Platform.kirin960 ())
+
 let test_fuzz_generator_wellformed () =
   (* generated tests must enumerate without error and have consistent
      register naming *)
@@ -834,6 +845,7 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "generator well-formed" `Quick test_fuzz_generator_wellformed;
+          Alcotest.test_case "platform reaches the simulator" `Quick test_fuzz_platform;
           Alcotest.test_case "differential: sim within operational model" `Slow
             test_fuzz_no_violations;
         ] );

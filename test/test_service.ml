@@ -1,8 +1,8 @@
 (* Tests for the job-service engine: canonical content-addressed keys
    (renaming invariance, collision freedom), the LRU memo cache,
    request coalescing, load shedding, fair-share priority scheduling,
-   warm-vs-cold bit-identity on the golden workloads, the NDJSON codec
-   and the demo batch. *)
+   warm-vs-cold bit-identity on the golden workloads and on generated
+   traffic, and the NDJSON codec. *)
 
 module AM = Armb_core.Abstracted_model
 module Ordering = Armb_core.Ordering
@@ -22,6 +22,7 @@ module Metrics = Armb_service.Metrics
 module Engine = Armb_service.Engine
 module Codec = Armb_service.Codec
 module Serve = Armb_service.Serve
+module Gen = Armb_soak.Gen
 
 let check = Alcotest.check
 
@@ -432,6 +433,9 @@ let test_golden_cold_and_warm () =
       | _ -> Alcotest.fail (name ^ ": expected a warm hit"))
     (golden_jobs ())
 
+let soak_lines ~alpha =
+  List.map (fun j -> j.Gen.line) (Gen.stream ~alpha ~requests:60 ~seed:3 ())
+
 let test_compare_cold_identical () =
   List.iter
     (fun (what, lines) ->
@@ -444,62 +448,9 @@ let test_compare_cold_identical () =
       check Alcotest.bool (what ^ ": duplicates coalesced on the warm engine") true
         (Metrics.get c.Serve.warm_metrics "coalesced" > 0))
     [
-      ("demo", Serve.demo_requests ~requests:24 ~seed:3 ());
-      ("zipf", Serve.zipf_requests ~requests:60 ~seed:3 ());
+      ("zipf", soak_lines ~alpha:1.1);
+      ("uniform", soak_lines ~alpha:0.0);
     ]
-
-(* ---------- demo batch ---------- *)
-
-let strip_envelope line =
-  match Json.of_string line with
-  | Ok (Json.Obj fields) ->
-    Json.to_string
-      (Json.Obj
-         (List.filter
-            (fun (k, _) -> k <> "id" && k <> "client" && k <> "priority")
-            fields))
-  | _ -> Alcotest.fail ("demo line is not a JSON object: " ^ line)
-
-let test_demo_batch () =
-  let a = Serve.demo_requests ~requests:100 ~seed:7 () in
-  let b = Serve.demo_requests ~requests:100 ~seed:7 () in
-  check Alcotest.(list string) "deterministic under a fixed seed" a b;
-  check Alcotest.int "requested size" 100 (List.length a);
-  let uniq = List.sort_uniq compare (List.map strip_envelope a) in
-  check Alcotest.bool "at least half the lines are duplicates" true
-    (List.length uniq * 2 <= List.length a);
-  (* every line decodes *)
-  List.iter
-    (fun line ->
-      match Codec.request_of_line line with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("demo line does not decode: " ^ e))
-    a
-
-let test_zipf_deterministic_and_skewed () =
-  let a = Serve.zipf_requests ~requests:400 ~seed:5 () in
-  let b = Serve.zipf_requests ~requests:400 ~seed:5 () in
-  check Alcotest.(list string) "deterministic under a fixed seed" a b;
-  check Alcotest.bool "seed changes the batch" true
-    (a <> Serve.zipf_requests ~requests:400 ~seed:6 ());
-  check Alcotest.int "requested size" 400 (List.length a);
-  (* Zipf head: the hottest job dominates far beyond the uniform 1/40 *)
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      let k = strip_envelope line in
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    a;
-  let top = Hashtbl.fold (fun _ c acc -> max c acc) tbl 0 in
-  check Alcotest.bool
-    (Printf.sprintf "hottest job dominates (%d/400)" top)
-    true (top >= 40);
-  List.iter
-    (fun line ->
-      match Codec.request_of_line line with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("zipf line does not decode: " ^ e))
-    a
 
 (* ---------- codec and JSON ---------- *)
 
@@ -878,9 +829,6 @@ let () =
             test_golden_cold_and_warm;
           Alcotest.test_case "compare_cold identical" `Quick
             test_compare_cold_identical;
-          Alcotest.test_case "demo batch" `Quick test_demo_batch;
-          Alcotest.test_case "zipf traffic deterministic and skewed" `Quick
-            test_zipf_deterministic_and_skewed;
         ] );
       ( "codec",
         [

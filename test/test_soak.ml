@@ -1,8 +1,7 @@
 (* Tests for the continuous soak farm: seeded stream determinism,
    the inline-test / inline-program wire codecs, the retry client,
    bounded serve, the metrics-v1 artifact, violation repro bundles,
-   unified soak rounds, and end-to-end mixed runs through the
-   engine. *)
+   and end-to-end mixed runs through the engine. *)
 
 module Lang = Armb_litmus.Lang
 module Cat = Armb_litmus.Catalogue
@@ -18,9 +17,6 @@ module Out = Armb_service.Out
 module Gen = Armb_soak.Gen
 module Invariant = Armb_soak.Invariant
 module Driver = Armb_soak.Driver
-module Rounds = Armb_soak.Rounds
-module Synth_soak = Armb_synth.Soak
-module Opt_soak = Armb_opt.Soak
 
 let check = Alcotest.check
 
@@ -72,6 +68,31 @@ let test_small_pool_still_mixes () =
        (String.concat "," kinds))
     true
     (List.length kinds >= 5)
+
+(* Requests of the hottest job in a 400-request stream, a job being its
+   line without the per-request id, client and priority. *)
+let hottest_count ~alpha =
+  let job line =
+    match Json.of_string line with
+    | Ok (Json.Obj fields) ->
+      List.filter (fun (k, _) -> k <> "id" && k <> "client" && k <> "priority") fields
+    | _ -> Alcotest.fail ("stream line is not a JSON object: " ^ line)
+  in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun j ->
+      let k = job j.Gen.line in
+      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+    (Gen.stream ~alpha ~requests:400 ~seed:5 ());
+  Hashtbl.fold (fun _ c acc -> max c acc) tbl 0
+
+let test_alpha_skews_mix () =
+  (* a uniform draw over the 48-job pool gives each job ~8 of 400 *)
+  let hot = hottest_count ~alpha:1.1 and flat = hottest_count ~alpha:0.0 in
+  check Alcotest.bool (Printf.sprintf "alpha 1.1: hottest job dominates (%d/400)" hot) true
+    (hot >= 40);
+  check Alcotest.bool (Printf.sprintf "alpha 0: no job dominates (%d/400)" flat) true
+    (flat < 40)
 
 (* ---------- inline wire codecs ---------- *)
 
@@ -393,38 +414,6 @@ let test_mixed_run_single_engine () =
   check Alcotest.bool "at least 5 kinds exercised" true
     (List.length r.Driver.by_kind >= 5)
 
-(* ---------- unified soak rounds ---------- *)
-
-let test_synth_rounds_fold_to_report () =
-  let rounds = Synth_soak.run_rounds ~tests:3 ~seed:2024 () in
-  check Alcotest.int "one round per test" 3 (List.length rounds);
-  let folded = Synth_soak.report_of_rounds rounds in
-  let direct = Synth_soak.run ~tests:3 ~seed:2024 () in
-  check Alcotest.bool "run = report_of_rounds . run_rounds" true (folded = direct);
-  let unified = List.map Rounds.of_synth rounds in
-  check Alcotest.bool "unified verdict agrees with the report" (Synth_soak.ok direct)
-    (Rounds.all_ok unified);
-  check
-    (Alcotest.list Alcotest.string)
-    "unified failures are the report failures" direct.Synth_soak.failures
-    (Rounds.failures unified);
-  List.iter
-    (fun r -> check Alcotest.string "synth rounds carry the fix kind" "fix" r.Rounds.kind)
-    unified
-
-let test_opt_rounds_fold_to_report () =
-  let rounds = Opt_soak.run_rounds ~rounds:4 ~seed:2025 () in
-  check Alcotest.int "one round per program" 4 (List.length rounds);
-  let folded = Opt_soak.report_of_rounds rounds in
-  let direct = Opt_soak.run ~rounds:4 ~seed:2025 () in
-  check Alcotest.bool "run = report_of_rounds . run_rounds" true (folded = direct);
-  let unified = List.map Rounds.of_opt rounds in
-  check Alcotest.bool "unified verdict agrees with the report" (Opt_soak.ok direct)
-    (Rounds.all_ok unified);
-  List.iter
-    (fun r -> check Alcotest.string "opt rounds carry the opt kind" "opt" r.Rounds.kind)
-    unified
-
 let () =
   Alcotest.run "soak"
     [
@@ -436,6 +425,7 @@ let () =
             test_stream_decodes_and_mixes;
           Alcotest.test_case "small pool still mixes kinds" `Quick
             test_small_pool_still_mixes;
+          Alcotest.test_case "alpha skews the job mix" `Quick test_alpha_skews_mix;
         ] );
       ( "codec",
         [
@@ -464,12 +454,5 @@ let () =
             test_injected_violation_bundle;
           Alcotest.test_case "200 mixed jobs, single engine" `Quick
             test_mixed_run_single_engine;
-        ] );
-      ( "rounds",
-        [
-          Alcotest.test_case "synth rounds fold to the classic report" `Quick
-            test_synth_rounds_fold_to_report;
-          Alcotest.test_case "opt rounds fold to the classic report" `Quick
-            test_opt_rounds_fold_to_report;
         ] );
     ]
