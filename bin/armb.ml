@@ -508,6 +508,11 @@ let fix_cmd =
          & info [ "budget" ] ~docv:"N" ~doc:"Oracle-call budget per search.")
   in
   let run (rc : RC.t) test_name all strip soak json out max_edits budget =
+    (match Armb_synth.Search.check_limits ~max_edits ~budget () with
+    | () -> ()
+    | exception Invalid_argument m ->
+      prerr_endline m;
+      exit 2);
     let trials = rc.trials and seed = rc.seed in
     let emit text =
       print_string text;

@@ -62,7 +62,9 @@ type op = {
 }
 
 type compiled = {
+  model : model;
   ops : op array;  (* every access, by thread, in program order *)
+  accept : (string -> int64) -> bool;  (* the test's [interesting] predicate *)
   init : int array;  (* initial cells *)
   varying : int;  (* cells a run can change: variables and registers *)
   values : int64 array;  (* value index -> value *)
@@ -184,7 +186,9 @@ let compile model (t : Lang.test) =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {
+    model;
     ops = Array.of_list (List.rev !ops);
+    accept = t.interesting;
     init =
       Array.concat
         [ Array.of_list init_mem; Array.make nregs zero; Array.init nvalues Fun.id ];
@@ -202,7 +206,8 @@ module Visited = Hashtbl.Make (String)
 (* Depth-first search over every interleaving of ready accesses, in
    place: perform, recurse, undo.  A state is visited once, keyed on its
    packed bytes (performed masks, then varying cells); [on_final] sees
-   the cells of each final state exactly once. *)
+   the cells of each final state exactly once, with [order.(i)] the op
+   performed at step [i] on the way there. *)
 let explore c on_final =
   let cells = Array.copy c.init in
   let performed = Array.make (Array.length c.mask_bytes) 0 in
@@ -227,13 +232,14 @@ let explore c on_final =
   let seen = Visited.create 64 in
   let ops = c.ops in
   let nops = Array.length ops in
+  let order = Array.make nops 0 in
   let rec visit count =
     pack ();
     (* one lookup: [replace] grows the table only for a new state *)
     let size = Visited.length seen in
     Visited.replace seen (Bytes.to_string key) ();
     if Visited.length seen > size then
-      if count = nops then on_final cells
+      if count = nops then on_final cells order
       else
         for g = 0 to nops - 1 do
           let op = ops.(g) in
@@ -242,6 +248,7 @@ let explore c on_final =
             let old = cells.(op.dst) in
             performed.(op.thread) <- m lor op.bit;
             cells.(op.dst) <- cells.(op.src);
+            order.(count) <- g;
             visit (count + 1);
             cells.(op.dst) <- old;
             performed.(op.thread) <- m
@@ -260,20 +267,61 @@ let assoc_get k l = match List.assoc_opt k l with Some v -> v | None -> 0L
 let enumerate model t =
   let c = compile model t in
   let outs = ref [] in
-  explore c (fun cells -> outs := outcome c cells :: !outs);
+  explore c (fun cells _ -> outs := outcome c cells :: !outs);
   List.sort_uniq compare !outs
 
-exception Accepted
+let needs c = Array.map (fun op -> op.need) c.ops
 
-let allows model (t : Lang.test) =
-  let c = compile model t in
+let needs_of base t =
+  let c = compile base.model t in
+  let same a b =
+    a.thread = b.thread && a.bit = b.bit && a.dst = b.dst && a.src = b.src
+  in
+  if
+    Array.length c.ops <> Array.length base.ops
+    || (not (Array.for_all2 same c.ops base.ops))
+    || c.init <> base.init || c.bindings <> base.bindings
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Enumerate.needs_of: %s does not keep the base test's accesses and cells"
+         t.Lang.name);
+  needs c
+
+exception Accepted of int array
+
+let first_accepted c =
   match
-    explore c (fun cells ->
+    explore c (fun cells order ->
         let o = outcome c cells in
-        if t.interesting (fun r -> assoc_get r o) then raise_notrace Accepted)
+        if c.accept (fun r -> assoc_get r o) then
+          raise_notrace (Accepted (Array.copy order)))
   with
-  | () -> false
-  | exception Accepted -> true
+  | () -> None
+  | exception Accepted order -> Some order
+
+let witness c need =
+  first_accepted { c with ops = Array.map2 (fun op need -> { op with need }) c.ops need }
+
+(* The order is an execution under some masks, so each op is performed
+   once and only the [need] checks can fail. *)
+let replays c need order =
+  let performed = Array.make (Array.length c.mask_bytes) 0 in
+  let rec go i =
+    i = Array.length order
+    ||
+    let g = order.(i) in
+    let op = c.ops.(g) in
+    let m = performed.(op.thread) in
+    m land need.(g) = need.(g)
+    && begin
+      performed.(op.thread) <- m lor op.bit;
+      go (i + 1)
+    end
+  in
+  go 0
+
+let allows model t = Option.is_some (first_accepted (compile model t))
 
 let verify_expectations t =
   let wmm = allows Wmm t and tso = allows Tso t in

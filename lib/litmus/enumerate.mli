@@ -18,7 +18,16 @@
     first in place, visiting each state once.  A thread may hold at most
     [Sys.int_size] memory operations (63 on 64-bit hosts) and any number
     of fences: its performed set is one [int] mask.  The state space
-    itself is not bounded, so keep tests small. *)
+    itself is not bounded, so keep tests small.
+
+    The compiled form is also exposed for callers that ask about many
+    value-neutral variants of one test (the repair search): fences,
+    acquire/release flags and address dependencies change only the
+    {e need} masks — which earlier accesses of its thread each access
+    waits for — so a variant is one [int array] of masks over the base
+    test's accesses.  {!witness} returns the op order of an execution
+    that reaches the forbidden outcome, and {!replays} checks in one
+    linear pass whether that same execution exists under other masks. *)
 
 type model = Wmm | Tso
 
@@ -35,6 +44,41 @@ val allows : model -> Lang.test -> bool
 (** Is the test's [interesting] predicate satisfiable under the model?
     Stops at the first final state whose outcome the predicate accepts.
     @raise Invalid_argument as {!enumerate}. *)
+
+type compiled
+(** A test compiled once under one model: its accesses in a fixed order
+    (by thread, in program order), each with its need mask, plus the
+    test's [interesting] predicate. *)
+
+val compile : model -> Lang.test -> compiled
+(** @raise Invalid_argument as {!enumerate}. *)
+
+val needs : compiled -> int array
+(** A copy of the need masks, one per access in the compiled order: bit
+    [i] of an access's mask is set when the [i]-th access of its thread
+    must perform first. *)
+
+val needs_of : compiled -> Lang.test -> int array
+(** [needs_of base t] compiles [t] under [base]'s model and returns its
+    need masks, which then apply to [base]'s accesses.
+    @raise Invalid_argument when [t]'s accesses, cells or outcome names
+    differ from [base]'s in anything but the need masks — [t] must be
+    [base]'s test with value-neutral ordering edits only. *)
+
+val witness : compiled -> int array -> int array option
+(** [witness c need] searches [c]'s executions under the masks [need]
+    (depth first, as {!allows}) and returns the op order of the first
+    one whose final outcome the predicate accepts: element [i] is the
+    index, in the compiled order, of the access performed at step [i].
+    [None] when the forbidden outcome is unreachable. *)
+
+val replays : compiled -> int array -> int array -> bool
+(** [replays c need order]: does every step of the execution [order]
+    (from {!witness} on [c], under any masks) still find the accesses
+    its need mask in [need] asks for performed?  If so, that execution
+    exists under [need] too and ends in the same cells, so
+    [witness c need] would find the forbidden outcome reachable.  One
+    pass over [order]; no search. *)
 
 val outcome_to_string : outcome -> string
 

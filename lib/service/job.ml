@@ -82,6 +82,8 @@ let key t =
     Buffer.add_string b (Printf.sprintf "ring|%s|%d\n" combo messages)
   | Fuzz { tests } -> Buffer.add_string b (Printf.sprintf "fuzz|%d\n" tests)
   | Fix { test; max_edits; budget } ->
+    (* validate the search limits now so a job that cannot search fails at submit *)
+    Armb_synth.Search.check_limits ~max_edits ~budget ();
     Buffer.add_string b (Printf.sprintf "fix|%d|%d\n" max_edits budget);
     Buffer.add_string b (Key.canonical_test test)
   | Perturb { test; intensities; plan_seeds } ->

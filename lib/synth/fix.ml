@@ -51,8 +51,9 @@ let pick_winners repairs =
       Option.map (fun (r, _) -> (platform, r)) best)
     Cost.platforms
 
-let fix ?max_edits ?budget ?trials ?seed ?(sound = Search.default_sound) t =
-  if sound t then
+let fix ?max_edits ?budget ?trials ?seed t =
+  Search.check_limits ?max_edits ?budget ();
+  if Search.default_sound t then
     {
       original = t;
       already_sound = true;
@@ -62,7 +63,10 @@ let fix ?max_edits ?budget ?trials ?seed ?(sound = Search.default_sound) t =
       oracle_calls = 1;
     }
   else begin
-    let s = Search.search ?max_edits ?budget ~sound t in
+    (* one replaying oracle per job: the search's witnesses also
+       decide the irredundancy re-check's subsets *)
+    let ctx = Search.context t in
+    let s = Search.search ?max_edits ?budget ~ctx t in
     let edit_repairs =
       List.map
         (fun es ->
@@ -72,14 +76,15 @@ let fix ?max_edits ?budget ?trials ?seed ?(sound = Search.default_sound) t =
             kind = Edits es;
             test = repaired;
             static_cost = Placement.total_cost es;
-            irredundant = Search.irredundant ~sound t es;
+            irredundant = Search.irredundant ~ctx t es;
             advisor = advisor_hints t es;
             costs = Cost.measure ?trials ?seed repaired;
           })
         s.Search.repairs
     in
-    (* The Pilot candidate bypasses the placement IR entirely; it is
-       admitted only if the rewritten program itself passes the
+    (* The Pilot candidate bypasses the placement IR entirely (it
+       changes the program's shape, so no need mask describes it); it
+       is admitted only if the rewritten program itself passes the
        soundness oracle. *)
     let pilot_calls = ref 0 in
     let pilot_repairs =
@@ -87,7 +92,7 @@ let fix ?max_edits ?budget ?trials ?seed ?(sound = Search.default_sound) t =
       | None -> []
       | Some (_, rewritten) ->
         incr pilot_calls;
-        if sound rewritten then
+        if Search.default_sound rewritten then
           [
             {
               label = "pilot: pack into one 64-bit word";

@@ -39,15 +39,15 @@ type outcome = {
   oracle_calls : int;
 }
 
-val fix :
-  ?max_edits:int ->
-  ?budget:int ->
-  ?trials:int ->
-  ?seed:int ->
-  ?sound:(Lang.test -> bool) ->
-  Lang.test ->
-  outcome
-(** Defaults follow {!Search.search} and {!Cost.measure}. *)
+val fix : ?max_edits:int -> ?budget:int -> ?trials:int -> ?seed:int -> Lang.test -> outcome
+(** Defaults follow {!Search.search} and {!Cost.measure}.  Soundness is
+    the WMM enumerator's verdict: one {!Search.context} per call decides
+    the search's sets and the irredundancy re-check's subsets, and the
+    Pilot candidate is checked with {!Search.default_sound}.
+    [oracle_calls] counts the input's own check, every set the search
+    decided and the Pilot check.
+    @raise Invalid_argument as {!Search.check_limits}, before any other
+    work. *)
 
 type round_trip = {
   test_name : string;

@@ -9,11 +9,98 @@ type outcome = {
 
 let default_sound t = not (Enumerate.allows Enumerate.Wmm t)
 
+let check_limits ?max_edits ?budget () =
+  let at_least_1 field = function
+    | Some v when v < 1 ->
+      invalid_arg (Printf.sprintf "Search: %s must be at least 1 (got %d)" field v)
+    | _ -> ()
+  in
+  at_least_1 "max_edits" max_edits;
+  at_least_1 "budget" budget
+
+(* ---------- the replaying WMM oracle ---------- *)
+
+type ctx = {
+  test : Lang.test;
+  base : Enumerate.compiled;
+  base_need : int array;
+  deltas : (Placement.edit, int array) Hashtbl.t;
+      (* per single edit: the need bits it adds to the base's *)
+  mutable witnesses : int array list;
+      (* op orders that reach the forbidden outcome, newest first *)
+}
+
+let context t =
+  let base = Enumerate.compile Enumerate.Wmm t in
+  {
+    test = t;
+    base;
+    base_need = Enumerate.needs base;
+    deltas = Hashtbl.create 64;
+    witnesses = [];
+  }
+
+let delta ctx e =
+  match Hashtbl.find_opt ctx.deltas e with
+  | Some d -> d
+  | None ->
+    let need = Enumerate.needs_of ctx.base (Placement.apply ctx.test [ e ]) in
+    let d = Array.mapi (fun i n -> n land lnot ctx.base_need.(i)) need in
+    Hashtbl.add ctx.deltas e d;
+    d
+
+(* [Mutate.set_addr_dep] overwrites, so a set with two address
+   dependencies on one access keeps only the last: its masks are not the
+   OR of its edits' deltas. *)
+let overwrites set =
+  let deps =
+    List.filter_map
+      (function
+        | Placement.Add_addr_dep { thread; idx; _ } -> Some (thread, idx) | _ -> None)
+      set
+  in
+  List.length (List.sort_uniq compare deps) < List.length deps
+
+let needs ctx set =
+  if overwrites set then Enumerate.needs_of ctx.base (Placement.apply ctx.test set)
+  else begin
+    let need = Array.copy ctx.base_need in
+    List.iter
+      (fun e -> Array.iteri (fun i d -> need.(i) <- need.(i) lor d) (delta ctx e))
+      set;
+    need
+  end
+
+(* A cached witness that replays under the set's masks proves the
+   forbidden outcome reachable; only when none does is the DFS run. *)
+let decide ctx set =
+  let need = needs ctx set in
+  (not (List.exists (Enumerate.replays ctx.base need) ctx.witnesses))
+  &&
+  match Enumerate.witness ctx.base need with
+  | None -> true
+  | Some w ->
+    ctx.witnesses <- w :: ctx.witnesses;
+    false
+
+let oracle ?sound ?ctx t =
+  match (sound, ctx) with
+  | Some sound, None -> fun set -> sound (Placement.apply t set)
+  | None, Some ctx ->
+    if ctx.test != t then invalid_arg "Search: the context was made for another test";
+    decide ctx
+  | None, None -> decide (context t)
+  | Some _, Some _ -> invalid_arg "Search: give either sound or ctx, not both"
+
+(* ---------- search ---------- *)
+
 exception Out_of_budget
 
 let is_subset small big = List.for_all (fun e -> List.mem e big) small
 
-let search ?(max_edits = 3) ?(budget = 4000) ?(sound = default_sound) ?candidates t =
+let search ?(max_edits = 3) ?(budget = 4000) ?sound ?ctx ?candidates t =
+  check_limits ~max_edits ~budget ();
+  let sound = oracle ?sound ?ctx t in
   let cands =
     match candidates with Some c -> c | None -> Placement.candidates t
   in
@@ -22,7 +109,7 @@ let search ?(max_edits = 3) ?(budget = 4000) ?(sound = default_sound) ?candidate
   let check set =
     if !calls >= budget then raise Out_of_budget;
     incr calls;
-    sound (Placement.apply t set)
+    sound set
   in
   (* Enumerate k-subsets of [cands] in lexicographic order of the
      static-cost-sorted candidate list; a subset that contains an
@@ -51,8 +138,6 @@ let search ?(max_edits = 3) ?(budget = 4000) ?(sound = default_sound) ?candidate
   in
   { repairs = !found; oracle_calls = !calls; complete }
 
-let irredundant ~sound t set =
-  sound (Placement.apply t set)
-  && List.for_all
-       (fun e -> not (sound (Placement.apply t (List.filter (fun x -> x <> e) set))))
-       set
+let irredundant ?sound ?ctx t set =
+  let sound = oracle ?sound ?ctx t in
+  sound set && List.for_all (fun e -> not (sound (List.filter (fun x -> x <> e) set))) set

@@ -22,6 +22,7 @@ module Gen = Armb_soak.Gen
 module Job = Armb_service.Job
 module Lang = Armb_litmus.Lang
 module Ordering = Armb_core.Ordering
+module Fix = Armb_synth.Fix
 module P = Armb_platform.Platform
 module Sim = Armb_litmus.Sim_runner
 module Spsc = Armb_sync.Spsc_ring
@@ -188,6 +189,21 @@ let job_results_text () =
     (Gen.stream ~pool:54 ~requests:1000 ~seed:1 ());
   Buffer.contents b
 
+(* Every strip-and-resynthesize round trip of the catalogue at the
+   default search limits (3 edits, 4,000 oracle calls) and a 40-test
+   fuzz-repair soak: the repairs found, their oracle-call counts and
+   their simulated costs all feed the digest.  [job-results] reaches
+   only the service's 2-edit searches. *)
+let fix_catalogue_text () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun rt ->
+      Buffer.add_string b (Format.asprintf "%a@." Armb_synth.Report.pp_round_trip rt))
+    (Fix.catalogue_round_trips ());
+  Buffer.add_string b
+    (Format.asprintf "%a@." Armb_synth.Soak.pp_report (Armb_synth.Soak.run ~tests:40 ()));
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -203,6 +219,8 @@ let expected =
     ("job-keys", "f2873fce20d04411639b19ddcad4e5c6");
     (* captured before litmus trials shared one reset machine *)
     ("job-results", "d92915b8e8db7d8a7d4441dda9e7b760");
+    (* captured before the repair search replayed counterexamples *)
+    ("fix-catalogue", "372620c57b304a50f3f6c20f26e9ee73");
   ]
 
 let texts =
@@ -215,6 +233,7 @@ let texts =
     ("fuzz-round", fuzz_text);
     ("job-keys", job_keys_text);
     ("job-results", job_results_text);
+    ("fix-catalogue", fix_catalogue_text);
   ]
 
 let golden name () =

@@ -291,6 +291,27 @@ let test_error_reply () =
     | Ok r -> r.Engine.job
     | Error msg -> Alcotest.failf "model job does not decode: %s" msg
   in
+  (* a fix job's search limits must be at least 1, so keying fails *)
+  let decode line =
+    match Codec.request_of_line line with
+    | Ok r -> r.Engine.job
+    | Error msg -> Alcotest.failf "%s does not decode: %s" line msg
+  in
+  let fix_limits =
+    List.map
+      (fun (id, line, says) -> (id, decode line, says))
+      [
+        ( "5",
+          {|{"kind":"fix","test":"MP","max_edits":-1,"budget":100,"trials":5}|},
+          "max_edits must be at least 1 (got -1)" );
+        ( "6",
+          {|{"kind":"fix","test":"MP","max_edits":0,"budget":1500,"trials":5}|},
+          "max_edits must be at least 1 (got 0)" );
+        ( "7",
+          {|{"kind":"fix","test":"MP","max_edits":2,"budget":0,"trials":5}|},
+          "budget must be at least 1 (got 0)" );
+      ]
+  in
   (* 4,095 fences ahead of MP's two stores put the second store at the
      producer's 4,097th op, past the sanitizer's per-core limit, so
      checking the test fails *)
@@ -308,10 +329,11 @@ let test_error_reply () =
       | Some { Engine.reply = Engine.Error msg; _ } ->
         if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
       | _ -> Alcotest.failf "invalid job %s must fail at submit (key) time" id)
-    [
-      ("1", bad, "no such combo");
-      ("2", job_of_test long, "thread 0 has 64 memory operations");
-    ];
+    ([
+       ("1", bad, "no such combo");
+       ("2", job_of_test long, "thread 0 has 64 memory operations");
+     ]
+    @ fix_limits);
   (* keying these jobs runs nothing, so their errors may come back from the drain *)
   let late =
     [
@@ -328,7 +350,7 @@ let test_error_reply () =
         if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
       | _ -> Alcotest.failf "invalid job %s must come back as an error row" id)
     late;
-  check Alcotest.int "failures counted" 4 (Metrics.get (Engine.metrics e) "failed")
+  check Alcotest.int "failures counted" 7 (Metrics.get (Engine.metrics e) "failed")
 
 (* ---------- warm-vs-cold bit-identity on the golden workloads ---------- *)
 

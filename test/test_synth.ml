@@ -16,6 +16,11 @@ module Cost = Armb_synth.Cost
 module Pilot = Armb_synth.Pilot_rewrite
 module Fix = Armb_synth.Fix
 module Soak = Armb_synth.Soak
+module Fuzz = Armb_litmus.Fuzz
+module Gen = Armb_soak.Gen
+module Codec = Armb_service.Codec
+module Engine = Armb_service.Engine
+module Job = Armb_service.Job
 
 let check = Alcotest.check
 
@@ -337,6 +342,196 @@ let test_search_single_edit_on_wrc () =
   check Alcotest.bool "single-edit repair exists" true
     (List.exists (fun set -> List.length set = 1) s.Search.repairs)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_limits_below_one () =
+  let stripped = Mut.strip_order ~keep_values:true Cat.mp_dmb in
+  let rejects says f =
+    match f () with
+    | _ -> Alcotest.failf "accepted where %S was due" says
+    | exception Invalid_argument msg ->
+      if not (contains msg says) then Alcotest.failf "error %S lacks %S" msg says
+  in
+  rejects "max_edits must be at least 1 (got 0)" (fun () ->
+      ignore (Search.search ~max_edits:0 stripped));
+  rejects "budget must be at least 1 (got 0)" (fun () ->
+      ignore (Search.search ~budget:0 ~sound:Search.default_sound stripped));
+  (* MP+dmb needs no repair: the limits are checked before that answer *)
+  rejects "max_edits must be at least 1 (got -1)" (fun () ->
+      ignore (Fix.fix ~max_edits:(-1) Cat.mp_dmb));
+  rejects "budget must be at least 1 (got 0)" (fun () ->
+      ignore (Fix.fix ~budget:0 Cat.mp_dmb));
+  let s = Search.search ~max_edits:1 ~budget:1 stripped in
+  check Alcotest.int "a budget of 1 decides one set" 1 s.Search.oracle_calls
+
+(* ---------- the replaying oracle ---------- *)
+
+(* The inputs the replaying oracle serves: the stripped catalogue of
+   [armb fix --all] at its limits, the service pool's fix skeletons at
+   theirs, and the fixed fuzz corpus of the sanitizer-findings golden. *)
+let stripped_catalogue () =
+  List.filter_map
+    (fun (t : Lang.test) ->
+      if t.Lang.expect_wmm || not (Mut.has_strippable_devices ~keep_values:true t) then
+        None
+      else Some (Mut.strip_order ~keep_values:true t))
+    Cat.all
+
+let pool_fix_jobs () =
+  let seen = Hashtbl.create 8 in
+  List.filter_map
+    (fun (j : Gen.job) ->
+      match Codec.request_of_line j.Gen.line with
+      | Ok { Engine.job = { Job.spec = Job.Fix { test; max_edits; budget }; _ }; _ }
+        when not (Hashtbl.mem seen test.Lang.name) ->
+        Hashtbl.add seen test.Lang.name ();
+        Some (test, max_edits, budget)
+      | _ -> None)
+    (Gen.stream ~pool:54 ~alpha:0.0 ~requests:1000 ~seed:1 ())
+
+let fuzz_corpus () =
+  let rng = Armb_sim.Rng.create 2026 in
+  List.init 50 (fun _ -> Fuzz.generate ~with_isb:true rng)
+
+let two_deps_on_one_access set =
+  let deps =
+    List.filter_map
+      (function P.Add_addr_dep { thread; idx; _ } -> Some (thread, idx) | _ -> None)
+      set
+  in
+  List.length (List.sort_uniq compare deps) < List.length deps
+
+(* Every edit only adds need bits: a set's masks are the base's OR each
+   edit's delta, for every set of up to 3 candidates.  [needs_of] also
+   pins that no edit changes an access's thread, bit or cells. *)
+let test_need_deltas_compose () =
+  let pool = List.map (fun (t, _, _) -> t) (pool_fix_jobs ()) in
+  check Alcotest.int "pool fix skeletons" 6 (List.length pool);
+  let sets = ref 0 in
+  List.iter
+    (fun (t : Lang.test) ->
+      let base = Enum.compile Enum.Wmm t in
+      let base_need = Enum.needs base in
+      let cands = Array.of_list (P.candidates t) in
+      let deltas =
+        Array.map
+          (fun e ->
+            let need = Enum.needs_of base (P.apply t [ e ]) in
+            Array.map2 (fun n b -> n land lnot b) need base_need)
+          cands
+      in
+      let check_set idxs =
+        let set = List.map (fun i -> cands.(i)) idxs in
+        if not (two_deps_on_one_access set) then begin
+          incr sets;
+          let ored = Array.copy base_need in
+          List.iter
+            (fun i -> Array.iteri (fun g d -> ored.(g) <- ored.(g) lor d) deltas.(i))
+            idxs;
+          if Enum.needs_of base (P.apply t set) <> ored then
+            Alcotest.failf "%s: [%s] is not the OR of its edits' deltas" t.Lang.name
+              (String.concat "; " (List.map (P.edit_to_string t) set))
+        end
+      in
+      let n = Array.length cands in
+      for i = 0 to n - 1 do
+        check_set [ i ];
+        for j = i + 1 to n - 1 do
+          check_set [ i; j ];
+          for k = j + 1 to n - 1 do
+            check_set [ i; j; k ]
+          done
+        done
+      done)
+    (stripped_catalogue () @ pool @ fuzz_corpus ());
+  check Alcotest.bool "sets checked" true (!sets > 10_000)
+
+(* The replaying oracle answers exactly what applying each set and
+   asking the enumerator answers: the same repairs, call counts and
+   completeness, and the same irredundancy verdicts — on repairs and on
+   the redundant sets one more edit makes of them. *)
+let test_replay_matches_apply_and_ask () =
+  let ask t = Search.default_sound t in
+  let same ?max_edits ?budget (t : Lang.test) =
+    let ctx = Search.context t in
+    let replayed = Search.search ?max_edits ?budget ~ctx t in
+    let asked = Search.search ?max_edits ?budget ~sound:ask t in
+    let name = t.Lang.name in
+    check Alcotest.bool (name ^ ": repairs") true
+      (replayed.Search.repairs = asked.Search.repairs);
+    check Alcotest.int (name ^ ": oracle calls") asked.Search.oracle_calls
+      replayed.Search.oracle_calls;
+    check Alcotest.bool (name ^ ": complete") asked.Search.complete
+      replayed.Search.complete;
+    let cands = P.candidates t in
+    List.iter
+      (fun r ->
+        let extra = List.filter (fun e -> not (List.mem e r)) cands in
+        List.iter
+          (fun set ->
+            if Search.irredundant ~ctx t set <> Search.irredundant ~sound:ask t set then
+              Alcotest.failf "%s: irredundant disagrees on [%s]" name
+                (String.concat "; " (List.map (P.edit_to_string t) set)))
+          (r :: List.filteri (fun i _ -> i < 3) (List.map (fun e -> r @ [ e ]) extra)))
+      replayed.Search.repairs;
+    replayed
+  in
+  List.iter (fun t -> ignore (same t)) (stripped_catalogue ());
+  List.iter
+    (fun (t, max_edits, budget) -> ignore (same ~max_edits ~budget t))
+    (pool_fix_jobs ());
+  List.iter (fun t -> ignore (same ~max_edits:2 t)) (fuzz_corpus ());
+  (* a budget that truncates the walk truncates it at the same set *)
+  let iriw =
+    List.find
+      (fun (t : Lang.test) -> t.Lang.name = "IRIW+addrs-stripped")
+      (stripped_catalogue ())
+  in
+  check Alcotest.bool "truncated" false (same ~budget:60 iriw).Search.complete
+
+(* [Mutate.set_addr_dep] keeps only the last of two address
+   dependencies on one access, so such a set is not the OR of its
+   deltas.  Here P0's store must wait for both loads: the OR forbids the
+   outcome, the applied set allows it, and the search must say what
+   [Placement.apply] says. *)
+let test_two_addr_deps_on_one_access () =
+  let t =
+    {
+      Cat.mp with
+      Lang.name = "two-deps";
+      init = [ ("x", 0L); ("y", 0L); ("z", 0L) ];
+      threads =
+        [
+          [ Lang.ld "x" "r1"; Lang.ld "y" "r2"; Lang.st "z" 1L ];
+          [
+            Lang.ld "z" "r1"; Lang.fence Lang.F_dmb_full; Lang.st "x" 1L; Lang.st "y" 1L;
+          ];
+        ];
+      interesting = (fun o -> o "1:r1" = 1L && (o "0:r1" = 1L || o "0:r2" = 1L));
+    }
+  in
+  let dep reg = P.Add_addr_dep { thread = 0; idx = 2; reg } in
+  let set = [ dep "r1"; dep "r2" ] in
+  List.iter
+    (fun e -> check Alcotest.bool "candidate" true (List.mem e (P.candidates t)))
+    set;
+  let base = Enum.compile Enum.Wmm t in
+  let ored =
+    List.fold_left
+      (fun acc e -> Array.map2 ( lor ) acc (Enum.needs_of base (P.apply t [ e ])))
+      (Enum.needs base) set
+  in
+  check Alcotest.bool "the OR of the deltas forbids it" true
+    (Enum.witness base ored = None);
+  check Alcotest.bool "the applied set allows it" true (allows (P.apply t set));
+  let s = Search.search ~max_edits:2 ~candidates:set t in
+  check Alcotest.bool "no repair" true (s.Search.repairs = []);
+  check Alcotest.int "three sets decided" 3 s.Search.oracle_calls;
+  check Alcotest.bool "not sufficient" false (Search.irredundant t set)
+
 (* ---------- pilot rewrite ---------- *)
 
 let test_pilot_detects_mp () =
@@ -447,6 +642,15 @@ let () =
         [
           Alcotest.test_case "minimal on MP" `Quick test_search_minimal_on_mp;
           Alcotest.test_case "single edit on WRC" `Quick test_search_single_edit_on_wrc;
+          Alcotest.test_case "limits below 1 rejected" `Quick test_limits_below_one;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "need deltas compose" `Quick test_need_deltas_compose;
+          Alcotest.test_case "matches apply-and-ask" `Quick
+            test_replay_matches_apply_and_ask;
+          Alcotest.test_case "two address deps on one access" `Quick
+            test_two_addr_deps_on_one_access;
         ] );
       ( "pilot",
         [
