@@ -109,15 +109,70 @@ let join set ord seq =
   Bitset.union set ord;
   Bitset.add set seq
 
-let record t (e : Observe.event) =
+(* The core's state and the seq the next op takes there: the sanitizer
+   numbers ops itself, one slot per access or fence, up to the limit. *)
+let slot t (e : Observe.event) =
   let c = state t e.core in
   let seq = c.n in
   if seq >= max_ops_per_core then
     invalid_arg
       (Printf.sprintf "Sanitizer: core %d ran past the limit of %d observed ops" e.core
          max_ops_per_core);
+  (c, seq)
+
+let record_access t (e : Observe.event) cls ~acquire ~release =
+  let c, seq = slot t e in
+  let word = word_of e.addr in
+  let ord = Bitset.copy c.acq_set in
+  (match cls with
+  | C_write | C_update -> Bitset.union ord c.st_set
+  | C_read | C_fence -> ());
+  if release then Bitset.add_below ord seq
+  else begin
+    (* po-loc: program order to the same address is preserved. *)
+    (match Hashtbl.find_opt c.last_word word with
+    | Some k ->
+      Bitset.add ord k;
+      Bitset.union ord c.evs.(k).ord
+    | None -> ());
+    List.iter
+      (fun d ->
+        if d >= 0 && d < c.n then begin
+          Bitset.add ord d;
+          Bitset.union ord c.evs.(d).ord
+        end)
+      e.deps
+  end;
+  if acquire then join c.acq_set ord seq;
+  (match cls with
+  | C_read -> join c.loads_cl ord seq
+  | C_write -> join c.stores_cl ord seq
+  | C_update ->
+    join c.loads_cl ord seq;
+    join c.stores_cl ord seq
+  | C_fence -> ());
+  Hashtbl.replace c.last_word word seq;
+  push c
+    {
+      seq;
+      cls;
+      word;
+      kind = e.kind;
+      addr = e.addr;
+      issued = e.issued_at;
+      completes = e.completes_at;
+      ord;
+    }
+
+let record t (e : Observe.event) =
   match e.kind with
+  (* ALU work takes no slot, so it is ignored before the limit check. *)
+  | Observe.Compute _ -> ()
+  | Observe.Load { acquire } -> record_access t e C_read ~acquire ~release:false
+  | Observe.Store { release } -> record_access t e C_write ~acquire:false ~release
+  | Observe.Rmw { acq; rel } -> record_access t e C_update ~acquire:acq ~release:rel
   | Observe.Fence b ->
+    let c, seq = slot t e in
     (match b with
     | Barrier.Dmb Barrier.Full | Barrier.Dsb Barrier.Full -> Bitset.add_below c.acq_set seq
     | Barrier.Dmb Barrier.Ld | Barrier.Dsb Barrier.Ld -> Bitset.union c.acq_set c.loads_cl
@@ -137,55 +192,6 @@ let record t (e : Observe.event) =
         issued = e.issued_at;
         completes = e.completes_at;
         ord = Bitset.create ();
-      }
-  | Observe.Load _ | Observe.Store _ | Observe.Rmw _ ->
-    let cls, acquire, release =
-      match e.kind with
-      | Observe.Load { acquire } -> (C_read, acquire, false)
-      | Observe.Store { release } -> (C_write, false, release)
-      | Observe.Rmw { acq; rel } -> (C_update, acq, rel)
-      | Observe.Fence _ -> assert false
-    in
-    let word = word_of e.addr in
-    let ord = Bitset.copy c.acq_set in
-    (match cls with
-    | C_write | C_update -> Bitset.union ord c.st_set
-    | C_read | C_fence -> ());
-    if release then Bitset.add_below ord seq
-    else begin
-      (* po-loc: program order to the same address is preserved. *)
-      (match Hashtbl.find_opt c.last_word word with
-      | Some k ->
-        Bitset.add ord k;
-        Bitset.union ord c.evs.(k).ord
-      | None -> ());
-      List.iter
-        (fun d ->
-          if d >= 0 && d < c.n then begin
-            Bitset.add ord d;
-            Bitset.union ord c.evs.(d).ord
-          end)
-        e.deps
-    end;
-    if acquire then join c.acq_set ord seq;
-    (match cls with
-    | C_read -> join c.loads_cl ord seq
-    | C_write -> join c.stores_cl ord seq
-    | C_update ->
-      join c.loads_cl ord seq;
-      join c.stores_cl ord seq
-    | C_fence -> ());
-    Hashtbl.replace c.last_word word seq;
-    push c
-      {
-        seq;
-        cls;
-        word;
-        kind = e.kind;
-        addr = e.addr;
-        issued = e.issued_at;
-        completes = e.completes_at;
-        ord;
       }
 
 let observer t : Observe.t = record t

@@ -56,7 +56,6 @@ type t = {
   mutable last_store_complete : int;
   mutable cross_load_until : int; (* a cross-node load outstanding until t *)
   mutable cross_store_until : int;
-  tracer : (Trace.span -> unit) option;
   mutable observer : Observe.t option;
   mutable fault : Injector.t option;
   mutable op_seq : int; (* next observer event index *)
@@ -70,10 +69,9 @@ type t = {
 
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
-let make ?tracer ?observer ?fault ~id ~cfg ~queue ~mem () =
+let make ?observer ?fault ~id ~cfg ~queue ~mem () =
   Config.validate cfg;
   {
-    tracer;
     observer;
     fault;
     op_seq = 0;
@@ -166,14 +164,9 @@ let[@inline] fault_barrier_delay t =
 
 let sync_to t time = if time > t.cursor then t.cursor <- time
 
-let trace t ~kind ~name ~start_cycle ~duration =
-  match t.tracer with
-  | Some f -> f { Trace.core = t.id; kind; name; start_cycle; duration }
-  | None -> ()
-
 (* ---------- Observation ---------- *)
 
-(* Emit one observer event; returns its per-core seq (-1 when no
+(* Emit one access or fence event; returns its per-core seq (-1 when no
    observer is installed, so tokens of unobserved runs carry no id). *)
 let emit t ~kind ~addr ~deps ~issued ~completes =
   match t.observer with
@@ -225,7 +218,7 @@ let push_op t count completion =
 
 let compute t n =
   if n < 0 then invalid_arg "Core.compute: negative count";
-  let trace_start = t.cursor in
+  let start = t.cursor in
   let rob = t.cfg.rob_size and ipc = t.cfg.alu_ipc in
   let remaining = ref n in
   while !remaining > 0 do
@@ -261,9 +254,20 @@ let compute t n =
       end
     end
   done;
-  if n > 0 && t.tracer <> None then
-    trace t ~kind:"compute" ~name:(string_of_int n ^ " ops") ~start_cycle:trace_start
-      ~duration:(t.cursor - trace_start)
+  (* ALU work takes no program-order slot: seq -1, [op_seq] untouched. *)
+  match t.observer with
+  | Some f when n > 0 ->
+    f
+      {
+        Observe.core = t.id;
+        seq = -1;
+        kind = Observe.Compute n;
+        addr = -1;
+        deps = [];
+        issued_at = start;
+        completes_at = t.cursor;
+      }
+  | _ -> ()
 (* Note: compute does not yield — a thread doing pure ALU work cannot
    affect other cores, and long think times would otherwise flood the
    event queue.  Yields happen at memory operations. *)
@@ -355,9 +359,6 @@ let load_aux t ~acquire ~deps addr =
     t.last_load_complete <- max t.last_load_complete completion;
     note_line_load t addr completion;
     push_op t 1 completion;
-    if t.tracer <> None then
-      trace t ~kind:"load" ~name:(Printf.sprintf "ld 0x%x" addr) ~start_cycle:t_issue
-        ~duration:a.latency;
     let obs =
       match t.observer with
       | None -> -1
@@ -415,9 +416,6 @@ let store_common t addr v ~drain_start ~extra ~release ~deps =
   fwd_add t addr v;
   (* The store instruction itself retires once buffered. *)
   push_op t 1 (t.cursor + 1);
-  if t.tracer <> None then
-    trace t ~kind:"store" ~name:(Printf.sprintf "st 0x%x" addr) ~start_cycle:drain_start
-      ~duration:(completion - drain_start);
   if t.observer <> None then
     ignore
       (emit t ~kind:(Observe.Store { release }) ~addr ~deps ~issued:drain_start
@@ -477,7 +475,7 @@ let dmb_response t resp_base =
 let barrier t (b : Barrier.t) =
   t.n_barriers <- t.n_barriers + 1;
   maybe_yield t;
-  let trace_start = t.cursor in
+  let start = t.cursor in
   (match b with
   | Dmb opt ->
     let waits_loads = opt <> Barrier.St and waits_stores = opt <> Barrier.Ld in
@@ -529,11 +527,8 @@ let barrier t (b : Barrier.t) =
     push_op t 1 resp);
   if t.observer <> None then
     ignore
-      (emit t ~kind:(Observe.Fence b) ~addr:(-1) ~deps:[] ~issued:trace_start
-         ~completes:(max trace_start (max t.load_gate t.sb_gate)));
-  if t.tracer <> None then
-    trace t ~kind:"barrier" ~name:(Barrier.to_string b) ~start_cycle:trace_start
-      ~duration:(max 1 (max t.load_gate t.sb_gate - trace_start))
+      (emit t ~kind:(Observe.Fence b) ~addr:(-1) ~deps:[] ~issued:start
+         ~completes:(max start (max t.load_gate t.sb_gate)))
 
 (* ---------- Atomics ---------- *)
 
@@ -557,9 +552,6 @@ let rmw t ?(acq = false) ?(rel = false) ?(deps = []) addr f =
     t.load_gate <- max t.load_gate completion;
     t.sb_gate <- max t.sb_gate completion
   end;
-  if t.tracer <> None then
-    trace t ~kind:"rmw" ~name:(Printf.sprintf "rmw 0x%x" addr) ~start_cycle:start
-      ~duration:a.latency;
   push_op t 1 completion;
   let obs =
     match t.observer with

@@ -42,7 +42,9 @@ val mem : t -> Armb_mem.Memsys.t
 val compute : t -> int -> unit
 (** [compute c n] executes [n] independent single-cycle ALU ops (NOPs in
     the paper's models), issued [alu_ipc] per cycle, bounded by the
-    in-flight window. *)
+    in-flight window.  With an observer installed and [n > 0] it emits
+    one [Observe.Compute n] event, which takes no program-order slot
+    (its [seq] is -1). *)
 
 val load : t -> ?deps:token list -> int -> token
 (** Issue a load from a byte address.  Returns immediately; the value is
@@ -125,7 +127,6 @@ val counters : t -> counters
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 val make :
-  ?tracer:(Trace.span -> unit) ->
   ?observer:Observe.t ->
   ?fault:Armb_fault.Injector.t ->
   id:int ->
@@ -137,8 +138,8 @@ val make :
 
 val reset : ?observer:Observe.t -> ?fault:Armb_fault.Injector.t -> t -> unit
 (** Return the core to the state {!make} gives it, bound to the given
-    observer and injector (none when omitted); its id, config, tracer,
-    queue and memory system are kept. *)
+    observer and injector (none when omitted); its id, config, queue
+    and memory system are kept. *)
 
 val sync_to : t -> int -> unit
 (** Advance the core's cursor to at least the given time (used by the

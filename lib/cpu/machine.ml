@@ -14,7 +14,6 @@ type t = {
   memory : Memsys.t;
   threads : thread option array; (* indexed by core id *)
   cores : Core.t option array; (* every core ever spawned, kept across resets *)
-  tracer : (Trace.span -> unit) option;
   mutable observer : Observe.t option;
   mutable injector : Armb_fault.Injector.t option;
   mutable next_line : int;
@@ -30,7 +29,7 @@ let arm = function
   | Some spec when not (Armb_fault.Plan.is_null spec) -> Some (Armb_fault.Injector.create spec)
   | Some _ | None -> None
 
-let create ?tracer ?observer ?fault cfg =
+let create ?observer ?fault cfg =
   Config.validate cfg;
   let injector = arm fault in
   let cores = Topology.num_cores cfg.topo in
@@ -40,7 +39,6 @@ let create ?tracer ?observer ?fault cfg =
     memory = Memsys.create ?inj:injector ~topo:cfg.topo ~lat:cfg.lat ();
     threads = Array.make cores None;
     cores = Array.make cores None;
-    tracer;
     observer;
     injector;
     next_line = first_line;
@@ -85,8 +83,8 @@ let spawn t ~core body =
       c
     | None ->
       let c =
-        Core.make ?tracer:t.tracer ?observer:t.observer ?fault:t.injector ~id:core ~cfg:t.cfg
-          ~queue:t.q ~mem:t.memory ()
+        Core.make ?observer:t.observer ?fault:t.injector ~id:core ~cfg:t.cfg ~queue:t.q
+          ~mem:t.memory ()
       in
       t.cores.(core) <- Some c;
       c

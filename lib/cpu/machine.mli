@@ -10,17 +10,12 @@ type status =
 
 exception Simulation_error of string
 
-val create :
-  ?tracer:(Trace.span -> unit) ->
-  ?observer:Observe.t ->
-  ?fault:Armb_fault.Plan.spec ->
-  Config.t ->
-  t
-(** [tracer] receives a span per simulated micro-operation — see
-    {!Trace} for collection and Chrome-trace export.  [observer] is the
-    opt-in instrumentation hook fed to every spawned core — the
-    happens-before sanitizer ([Armb_check.Sanitizer.observer]) plugs in
-    here; runs without an observer pay no overhead.  [fault] arms a
+val create : ?observer:Observe.t -> ?fault:Armb_fault.Plan.spec -> Config.t -> t
+(** [observer] is the one opt-in instrumentation hook, fed to every
+    spawned core: the happens-before sanitizer
+    ([Armb_check.Sanitizer.observer]) and the Chrome-trace collector
+    ({!Trace.observer}) both plug in here; runs without an observer pay
+    no overhead.  [fault] arms a
     deterministic fault-injection plan (see {!Armb_fault.Plan}): one
     seeded injector is shared by the memory system and every core, so a
     given plan perturbs a given program identically on every run.  A
@@ -31,8 +26,7 @@ val reset : ?observer:Observe.t -> ?fault:Armb_fault.Plan.spec -> t -> unit
     observer and fault plan (none when omitted), so a caller that runs
     many short programs builds one machine instead of one per run.
     After [reset m], running a program on [m] gives exactly what it
-    gives on a fresh [create] with the same config, tracer, observer
-    and plan: the same elapsed cycles, processed events, memory and
+    gives on a fresh [create] with the same config, observer and plan: the same elapsed cycles, processed events, memory and
     core counters, values and observer stream.  Concretely:
     - the event queue is empty, at clock 0, with its sequence and
       processed counters at 0 — pending events of a run that stopped
@@ -44,7 +38,7 @@ val reset : ?observer:Observe.t -> ?fault:Armb_fault.Plan.spec -> t -> unit
       address.
     Cores are kept per core id: spawning on a core again resets it
     field by field and binds it to the new observer and injector.  The
-    tracer and config are the machine's for life.  Read {!core} and
+    config is the machine's for life.  Read {!core} and
     {!injector} after the run they describe: a kept core is reset when
     it is spawned again. *)
 

@@ -17,6 +17,21 @@ let emit t s =
   end
   else t.drop <- t.drop + 1
 
+(* The span of one observed micro-operation: it starts at issue and
+   lasts until completion. *)
+let observer t : Observe.t =
+ fun e ->
+  let kind, name =
+    match e.kind with
+    | Observe.Load _ -> ("load", Printf.sprintf "ld 0x%x" e.addr)
+    | Observe.Store _ -> ("store", Printf.sprintf "st 0x%x" e.addr)
+    | Observe.Rmw _ -> ("rmw", Printf.sprintf "rmw 0x%x" e.addr)
+    | Observe.Fence b -> ("barrier", Barrier.to_string b)
+    | Observe.Compute n -> ("compute", string_of_int n ^ " ops")
+  in
+  let duration = e.completes_at - e.issued_at in
+  emit t { core = e.core; kind; name; start_cycle = e.issued_at; duration }
+
 let spans t = List.rev t.rev_spans
 
 let dropped t = t.drop

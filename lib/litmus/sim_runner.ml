@@ -159,7 +159,9 @@ let exec_thread th ~addrs ~outcome ~start_pause ~padding c =
 (* ---------- the trial loop ---------- *)
 
 let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
-    ?(check = false) ?fault ?tracer (t : Lang.test) =
+    ?(check = false) ?fault ?observer (t : Lang.test) =
+  if check && observer <> None then
+    invalid_arg "Sim_runner.run: ~check:true installs its own observer; pass no ~observer";
   let rng = Rng.create seed in
   let nthreads = List.length t.threads in
   let ncores = Armb_mem.Topology.num_cores cfg.topo in
@@ -186,7 +188,7 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
   let machine = ref None in
   for trial = 1 to trials do
     let san = if check then Some (San.create ()) else None in
-    let observer = Option.map San.observer san in
+    let observer = match san with Some s -> Some (San.observer s) | None -> observer in
     (* Re-seed the plan per trial so a sweep explores [trials] distinct
        fault schedules, while staying a pure function of (plan, trial). *)
     let fault =
@@ -200,7 +202,7 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
         Machine.reset ?observer ?fault m;
         m
       | None ->
-        let m = Machine.create ?tracer ?observer ?fault cfg in
+        let m = Machine.create ?observer ?fault cfg in
         machine := Some m;
         m
     in
@@ -291,8 +293,8 @@ let pp_result ppf r =
 
 (* The service engine's entry point: one validated Run_config instead
    of re-threading (cfg, trials, seed) positionally. *)
-let run_rc ?check ?fault ?tracer (rc : Armb_platform.Run_config.t) t =
-  run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed ?check ?fault ?tracer t
+let run_rc ?check ?fault (rc : Armb_platform.Run_config.t) t =
+  run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed ?check ?fault t
 
 (* ---------- Sanitizer cross-check over the catalogue ---------- *)
 

@@ -47,7 +47,7 @@ val run :
   ?seed:int ->
   ?check:bool ->
   ?fault:Armb_fault.Plan.spec ->
-  ?tracer:(Armb_cpu.Trace.span -> unit) ->
+  ?observer:Armb_cpu.Observe.t ->
   Lang.test ->
   result
 (** Defaults: kunpeng916, 200 trials, seed 42, check off.  With
@@ -55,15 +55,16 @@ val run :
     ({!Armb_check.Sanitizer}) and [findings] carries the racy pairs.
     [fault] arms the plan on every trial's machine, re-seeded per trial
     ([plan.seed + trial]) so the sweep explores distinct fault schedules
-    while remaining a pure function of (plan, seed, trials).  [tracer]
-    receives a span per micro-operation of {e every} trial (see
-    {!Armb_cpu.Trace}); for an inspectable Perfetto export run one trial
-    ([armb trace --test] does). *)
+    while remaining a pure function of (plan, seed, trials).
+    [observer] receives the {!Armb_cpu.Observe} stream of {e every}
+    trial; observing changes no result.  For an inspectable Perfetto
+    export pass {!Armb_cpu.Trace.observer} and run one trial ([armb
+    trace --test] does).  Raises [Invalid_argument] when given both
+    [~check:true] and an [observer]: the check installs its own. *)
 
 val run_rc :
   ?check:bool ->
   ?fault:Armb_fault.Plan.spec ->
-  ?tracer:(Armb_cpu.Trace.span -> unit) ->
   Armb_platform.Run_config.t ->
   Lang.test ->
   result

@@ -160,9 +160,9 @@ let consumer spec ~prod_cnt ~cons_cnt ~buf ~check (c : Core.t) =
     Core.store c cons_cnt (Int64.of_int last)
   done
 
-let run_gen spec ~check =
+let run_gen ?observer spec ~check =
   if spec.slots <= 0 || spec.messages <= 0 then invalid_arg "Spsc_ring: bad spec";
-  let m = Machine.create ?fault:spec.fault spec.cfg in
+  let m = Machine.create ?observer ?fault:spec.fault spec.cfg in
   let prod_cnt = Machine.alloc_line m in
   let cons_cnt = Machine.alloc_line m in
   let buf = Machine.alloc_lines m spec.slots in
@@ -175,7 +175,7 @@ let run_gen spec ~check =
     lines_touched = Armb_mem.Memsys.counters (Machine.mem m);
   }
 
-let run spec = run_gen spec ~check:false
+let run ?observer spec = run_gen ?observer spec ~check:false
 
 let verified_run spec =
   let sound = spec.barriers.publish <> Ordering.No_barrier in

@@ -204,6 +204,22 @@ let fix_catalogue_text () =
     (Format.asprintf "%a@." Armb_synth.Soak.pp_report (Armb_synth.Soak.run ~tests:40 ()));
   Buffer.contents b
 
+(* The Chrome trace of one trial at seed 42 of every catalogue test on
+   every platform: the bytes [armb trace --test T -p P] writes. *)
+let trace_catalogue_text () =
+  let b = Buffer.create 262144 in
+  List.iter
+    (fun (cfg : Armb_cpu.Config.t) ->
+      List.iter
+        (fun (t : Lang.test) ->
+          let tr = Armb_cpu.Trace.create () in
+          ignore (Sim.run ~cfg ~trials:1 ~seed:42 ~observer:(Armb_cpu.Trace.observer tr) t);
+          Buffer.add_string b
+            (Printf.sprintf "%s %s\n%s\n" t.name cfg.name (Armb_cpu.Trace.to_chrome_json tr)))
+        Catalogue.all)
+    P.all;
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -221,6 +237,8 @@ let expected =
     ("job-results", "d92915b8e8db7d8a7d4441dda9e7b760");
     (* captured before the repair search replayed counterexamples *)
     ("fix-catalogue", "372620c57b304a50f3f6c20f26e9ee73");
+    (* captured before Trace became a consumer of the Observe stream *)
+    ("trace-catalogue", "e84a4dd3a8f9bf8ae8e786b4c0f56108");
   ]
 
 let texts =
@@ -234,6 +252,7 @@ let texts =
     ("job-keys", job_keys_text);
     ("job-results", job_results_text);
     ("fix-catalogue", fix_catalogue_text);
+    ("trace-catalogue", trace_catalogue_text);
   ]
 
 let golden name () =
