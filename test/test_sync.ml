@@ -46,6 +46,13 @@ let test_ring_small_buffers () =
   let r = S.Spsc_ring.verified_run spec in
   check Alcotest.bool "slot-1 ring still correct" true (r.S.Spsc_ring.throughput > 0.0)
 
+let test_ring_observer_neutral () =
+  let spec = { (S.Spsc_ring.default_spec P.kunpeng916 ~cores:cross) with messages = 500 } in
+  let observed = ref 0 in
+  let traced = S.Spsc_ring.run ~observer:(fun _ -> incr observed) spec in
+  check Alcotest.bool "observer saw the run" true (!observed > 0);
+  check Alcotest.bool "observing changes nothing" true (S.Spsc_ring.run spec = traced)
+
 (* ---------- Pilot ring ---------- *)
 
 let pilot_spec () =
@@ -357,6 +364,7 @@ let () =
           Alcotest.test_case "unknown combo" `Quick test_ring_unknown_combo;
           Alcotest.test_case "fatal barrier dominates" `Slow test_ring_fatal_barrier_dominates;
           Alcotest.test_case "single-slot ring" `Quick test_ring_small_buffers;
+          Alcotest.test_case "observing changes nothing" `Quick test_ring_observer_neutral;
         ] );
       ( "pilot-ring",
         [
