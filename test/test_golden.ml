@@ -220,6 +220,88 @@ let trace_catalogue_text () =
     P.all;
   Buffer.contents b
 
+(* The synchronization kernels no other golden reaches: exact makespans,
+   plus events and traffic counters where a result exposes them, for
+   small runs of every in-place lock, both Pilot rings, the Figure 8
+   data structures under an in-place and a delegated lock, the three
+   barrier shapes at 64 and 256 cores, the floorplan search, and an
+   SPSC ring under a fault plan whose backoff reaches its cap. *)
+let sync_kernels_text () =
+  let module S = Armb_sync in
+  let b = Buffer.create 4096 in
+  let counters c = Format.asprintf "%a" Armb_mem.Memsys.pp_counters c in
+  let cores = List.init 8 (fun i -> if i < 4 then i else cross + i) in
+  let r =
+    S.Ticket_lock.run { (S.Ticket_lock.default_spec kunpeng ~cores) with acquisitions = 20 }
+  in
+  Printf.bprintf b "ticket cycles=%d\n" r.S.Ticket_lock.cycles;
+  List.iter
+    (fun lock ->
+      let r =
+        S.Lock_compare.run
+          { (S.Lock_compare.default_spec kunpeng ~lock ~cores) with acquisitions = 20 }
+      in
+      Printf.bprintf b "lock %s cycles=%d cross_node_per_cs=%h\n"
+        (S.Lock_compare.lock_name lock) r.S.Lock_compare.cycles r.S.Lock_compare.cross_node_per_cs)
+    S.Lock_compare.all_locks;
+  let pilot = { (S.Pilot_ring.default_spec kunpeng ~cores:(0, cross)) with messages = 300 } in
+  List.iter
+    (fun (name, (r : S.Pilot_ring.result)) ->
+      Printf.bprintf b "%s cycles=%d fallbacks=%d %s\n" name r.cycles r.fallbacks
+        (counters r.lines_touched))
+    [
+      ("pilot-ring", S.Pilot_ring.run pilot);
+      ("pilot-ring words=3", S.Pilot_ring.run_batched ~words:3 pilot);
+    ];
+  List.iter
+    (fun lock ->
+      let spec = { (S.Ds_bench.default_spec kunpeng ~lock) with workers = 4; ops_per_worker = 16 } in
+      List.iter
+        (fun (name, run) ->
+          let r = run spec in
+          Printf.bprintf b "ds %s %s cycles=%d ops=%d\n" name (S.Ds_bench.lock_name lock)
+            r.S.Ds_bench.cycles r.S.Ds_bench.ops)
+        [
+          ("queue", S.Ds_bench.run_queue);
+          ("stack", S.Ds_bench.run_stack);
+          ("sorted-list", S.Ds_bench.run_sorted_list ~preload:16);
+          ("hash-table", S.Ds_bench.run_hash_table ~buckets:4 ~preload:16);
+        ])
+    [ S.Ds_bench.Ticket; S.Ds_bench.Ffwd_pilot ];
+  List.iter
+    (fun n ->
+      let cfg = P.manycore ~cores:n in
+      List.iter
+        (fun kind ->
+          let r =
+            S.Sync_barrier.run
+              { cfg; kind; cores = List.init n Fun.id; episodes = 2; work = 64 }
+          in
+          Printf.bprintf b "barrier %s cores=%d cycles=%d events=%d %s\n"
+            (S.Sync_barrier.kind_name kind) n r.S.Sync_barrier.cycles r.S.Sync_barrier.events
+            (counters r.S.Sync_barrier.counters))
+        [ S.Sync_barrier.Central; S.Sync_barrier.Tree 4; S.Sync_barrier.Dissemination ])
+    [ 64; 256 ];
+  List.iter
+    (fun pilot ->
+      let module F = Armb_workloads.Floorplan in
+      let r = F.run { (F.default_spec kunpeng ~input:F.Input5) with workers = 4; pilot } in
+      Printf.bprintf b "floorplan pilot=%b cycles=%d area=%d nodes=%d updates=%d\n" pilot
+        r.F.cycles r.F.best_area r.F.nodes_explored r.F.lock_updates)
+    [ false; true ];
+  let fault =
+    {
+      (Armb_fault.Plan.of_intensity ~seed:11 1.0) with
+      barrier_backoff = { base = 8; multiplier = 4; cap = 48 };
+    }
+  in
+  let r =
+    Spsc.run
+      { (Spsc.default_spec kunpeng ~cores:(0, cross)) with messages = 300; fault = Some fault }
+  in
+  Printf.bprintf b "faulted spsc-ring cycles=%d %s\n" r.Spsc.cycles (counters r.Spsc.lines_touched);
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -239,6 +321,8 @@ let expected =
     ("fix-catalogue", "372620c57b304a50f3f6c20f26e9ee73");
     (* captured before Trace became a consumer of the Observe stream *)
     ("trace-catalogue", "e84a4dd3a8f9bf8ae8e786b4c0f56108");
+    (* captured before the kernel libraries moved to Int.max/Int.min *)
+    ("sync-kernels", "16eacfc1e570cda62165625e0def87ea");
   ]
 
 let texts =
@@ -253,6 +337,7 @@ let texts =
     ("job-results", job_results_text);
     ("fix-catalogue", fix_catalogue_text);
     ("trace-catalogue", trace_catalogue_text);
+    ("sync-kernels", sync_kernels_text);
   ]
 
 let golden name () =
