@@ -282,7 +282,7 @@ let cycle_back word_index ~anchor_core ~(a : ev) ~(b : ev) =
   let found = ref None in
   while !found = None && not (Queue.is_empty work) do
     let c2, lo, hi = Queue.pop work in
-    let stop = min hi c2.n in
+    let stop = Int.min hi c2.n in
     (* Newly reachable segment [lo, stop) on core c2: follow its
        conflict edges outward and test for one closing back to [a]. *)
     let i = ref lo in
@@ -337,9 +337,9 @@ let context_for snap ~core ~upto chain =
        (fun k ->
          let evs, n = List.assoc k snap in
          let upto = if k = core then upto else n - 1 in
-         let lo = max 0 (upto - context_depth + 1) in
+         let lo = Int.max 0 (upto - context_depth + 1) in
          (k, List.init (upto - lo + 1) (fun i -> context_line evs.(lo + i))))
-       (List.sort_uniq compare (core :: List.map (fun o -> o.op_core) chain)))
+       (List.sort_uniq Int.compare (core :: List.map (fun o -> o.op_core) chain)))
 
 let signature (f : finding) =
   let acc = function Read -> "R" | Write -> "W" | Update -> "U" in
@@ -384,8 +384,12 @@ let findings t =
       done)
     t.cores;
   List.sort
-    (fun f g -> compare (f.core, f.first.op_seq, f.second.op_seq)
-        (g.core, g.first.op_seq, g.second.op_seq))
+    (fun f g ->
+      let c = Int.compare f.core g.core in
+      if c <> 0 then c
+      else
+        let c = Int.compare f.first.op_seq g.first.op_seq in
+        if c <> 0 then c else Int.compare f.second.op_seq g.second.op_seq)
     !out
 
 let clean t = findings t = []

@@ -86,7 +86,7 @@ let make ?observer ?fault ~id ~cfg ~queue ~mem () =
     if_len = 0;
     inflight_count = 0;
     retire_wm = 0;
-    sb = Array.make (max 1 cfg.sb_size) 0;
+    sb = Array.make (Int.max 1 cfg.sb_size) 0;
     sb_count = 0;
     fwd = Int_table.create ~capacity:16 { fv = 0L; fn = 0 };
     load_gate = 0;
@@ -211,7 +211,7 @@ let push_op t count completion =
   while t.inflight_count + count > t.cfg.rob_size && t.if_len > 0 do
     retire_oldest t
   done;
-  t.retire_wm <- max t.retire_wm completion;
+  t.retire_wm <- Int.max t.retire_wm completion;
   if_push t count t.retire_wm
 
 (* ---------- ALU work ---------- *)
@@ -245,10 +245,10 @@ let compute t n =
       let free = rob - t.inflight_count in
       if free <= 0 then retire_oldest t
       else begin
-        let k = min free !remaining in
+        let k = Int.min free !remaining in
         let cycles = (k + ipc - 1) / ipc in
         t.cursor <- t.cursor + cycles;
-        t.retire_wm <- max t.retire_wm t.cursor;
+        t.retire_wm <- Int.max t.retire_wm t.cursor;
         if_push t k t.retire_wm;
         remaining := !remaining - k
       end
@@ -332,14 +332,14 @@ let load_aux t ~acquire ~deps addr =
   t.n_loads <- t.n_loads + 1;
   maybe_yield t;
   fault_stall t;
-  let t_issue = max t.cursor t.load_gate in
+  let t_issue = Int.max t.cursor t.load_gate in
   let cell = fwd_cell t addr in
   if cell.fn > 0 then begin
     (* Store-to-load forwarding out of the store buffer. *)
     let v = cell.fv in
     let completion = t_issue + t.cfg.lat.l1_hit in
     push_op t 1 completion;
-    t.last_load_complete <- max t.last_load_complete completion;
+    t.last_load_complete <- Int.max t.last_load_complete completion;
     note_line_load t addr completion;
     let tok = finished_token v completion in
     (* Only materialize the observer event (and its record/variant) when
@@ -355,8 +355,8 @@ let load_aux t ~acquire ~deps addr =
   else begin
     let a = Memsys.read t.memory ~now:t_issue ~core:t.id ~addr in
     let completion = t_issue + a.latency in
-    if a.cross_node then t.cross_load_until <- max t.cross_load_until completion;
-    t.last_load_complete <- max t.last_load_complete completion;
+    if a.cross_node then t.cross_load_until <- Int.max t.cross_load_until completion;
+    t.last_load_complete <- Int.max t.last_load_complete completion;
     note_line_load t addr completion;
     push_op t 1 completion;
     let obs =
@@ -410,8 +410,8 @@ let store_common t addr v ~drain_start ~extra ~release ~deps =
   let a = Memsys.write_begin t.memory ~now:drain_start ~core:t.id ~addr in
   let completion = drain_start + a.latency + extra in
   if extra > 0 then Memsys.extend_pending t.memory ~core:t.id ~addr ~until:completion;
-  if a.cross_node then t.cross_store_until <- max t.cross_store_until completion;
-  t.last_store_complete <- max t.last_store_complete completion;
+  if a.cross_node then t.cross_store_until <- Int.max t.cross_store_until completion;
+  t.last_store_complete <- Int.max t.last_store_complete completion;
   sb_add t completion;
   fwd_add t addr v;
   (* The store instruction itself retires once buffered. *)
@@ -432,7 +432,7 @@ let store t ?(deps = []) addr v =
   fault_stall t;
   sb_reserve t;
   (* po-loc: may not commit before earlier same-line loads complete *)
-  let drain_start = max (max t.cursor t.sb_gate) (line_load_gate t addr) in
+  let drain_start = Int.max (Int.max t.cursor t.sb_gate) (line_load_gate t addr) in
   store_common t addr v ~drain_start ~extra:0 ~release:false ~deps
 
 let stlr t ?(deps = []) addr v =
@@ -443,9 +443,9 @@ let stlr t ?(deps = []) addr v =
   (* Release: all prior loads and stores must be observable before the
      released store commits. *)
   let drain_start =
-    max
-      (max (max t.cursor t.sb_gate) (line_load_gate t addr))
-      (max t.last_load_complete t.last_store_complete)
+    Int.max
+      (Int.max (Int.max t.cursor t.sb_gate) (line_load_gate t addr))
+      (Int.max t.last_load_complete t.last_store_complete)
   in
   store_common t addr v ~drain_start ~extra:t.cfg.stlr_extra ~release:true ~deps
 
@@ -454,8 +454,8 @@ let stlr t ?(deps = []) addr v =
 let ldar t ?(deps = []) addr =
   let tok = load_aux t ~acquire:true ~deps addr in
   (* Subsequent memory accesses held until the acquire completes. *)
-  t.load_gate <- max t.load_gate tok.complete_at;
-  t.sb_gate <- max t.sb_gate tok.complete_at;
+  t.load_gate <- Int.max t.load_gate tok.complete_at;
+  t.sb_gate <- Int.max t.sb_gate tok.complete_at;
   tok
 
 (* ---------- Barriers ---------- *)
@@ -480,7 +480,7 @@ let barrier t (b : Barrier.t) =
   | Dmb opt ->
     let waits_loads = opt <> Barrier.St and waits_stores = opt <> Barrier.Ld in
     let resp_base =
-      max
+      Int.max
         (if waits_loads then t.last_load_complete else 0)
         (if waits_stores then t.last_store_complete else 0)
     in
@@ -493,42 +493,42 @@ let barrier t (b : Barrier.t) =
     in
     (match opt with
     | Barrier.Full ->
-      t.load_gate <- max t.load_gate resp;
-      t.sb_gate <- max t.sb_gate resp;
+      t.load_gate <- Int.max t.load_gate resp;
+      t.sb_gate <- Int.max t.sb_gate resp;
       (* DMB full occupies the in-flight window until its response:
          long waits saturate the ROB and stall independent work. *)
       push_op t 1 resp
     | Barrier.St ->
-      t.sb_gate <- max t.sb_gate resp;
+      t.sb_gate <- Int.max t.sb_gate resp;
       (* A more radical implementation: retires immediately, leaving
          only an ordering token in the store buffer. *)
       push_op t 1 (t.cursor + 1)
     | Barrier.Ld ->
-      t.load_gate <- max t.load_gate resp;
-      t.sb_gate <- max t.sb_gate resp;
+      t.load_gate <- Int.max t.load_gate resp;
+      t.sb_gate <- Int.max t.sb_gate resp;
       push_op t 1 resp)
   | Dsb opt ->
     let resp_base =
-      max
+      Int.max
         (if opt <> Barrier.St then t.last_load_complete else 0)
         (if opt <> Barrier.Ld then t.last_store_complete else 0)
     in
     (* The synchronization barrier transaction always travels to the
        inner domain boundary and blocks every subsequent instruction. *)
-    let resp = max t.cursor resp_base + t.cfg.lat.domain_rt + fault_barrier_delay t in
+    let resp = Int.max t.cursor resp_base + t.cfg.lat.domain_rt + fault_barrier_delay t in
     t.cursor <- resp;
-    t.load_gate <- max t.load_gate resp;
-    t.sb_gate <- max t.sb_gate resp;
+    t.load_gate <- Int.max t.load_gate resp;
+    t.sb_gate <- Int.max t.sb_gate resp;
     push_op t 1 resp
   | Isb ->
     (* Pipeline flush: refetch after every prior instruction retires. *)
-    let resp = max t.cursor t.retire_wm + t.cfg.isb_cost in
+    let resp = Int.max t.cursor t.retire_wm + t.cfg.isb_cost in
     t.cursor <- resp;
     push_op t 1 resp);
   if t.observer <> None then
     ignore
       (emit t ~kind:(Observe.Fence b) ~addr:(-1) ~deps:[] ~issued:start
-         ~completes:(max start (max t.load_gate t.sb_gate)))
+         ~completes:(Int.max start (Int.max t.load_gate t.sb_gate)))
 
 (* ---------- Atomics ---------- *)
 
@@ -536,21 +536,21 @@ let rmw t ?(acq = false) ?(rel = false) ?(deps = []) addr f =
   t.n_rmws <- t.n_rmws + 1;
   maybe_yield t;
   fault_stall t;
-  let start = max (max t.cursor t.load_gate) (line_load_gate t addr) in
+  let start = Int.max (Int.max t.cursor t.load_gate) (line_load_gate t addr) in
   let start =
-    if rel then max start (max t.last_load_complete t.last_store_complete) else start
+    if rel then Int.max start (Int.max t.last_load_complete t.last_store_complete) else start
   in
   let a = Memsys.rmw t.memory ~now:start ~core:t.id ~addr in
   let completion = start + a.latency in
   if a.cross_node then begin
-    t.cross_load_until <- max t.cross_load_until completion;
-    t.cross_store_until <- max t.cross_store_until completion
+    t.cross_load_until <- Int.max t.cross_load_until completion;
+    t.cross_store_until <- Int.max t.cross_store_until completion
   end;
-  t.last_load_complete <- max t.last_load_complete completion;
-  t.last_store_complete <- max t.last_store_complete completion;
+  t.last_load_complete <- Int.max t.last_load_complete completion;
+  t.last_store_complete <- Int.max t.last_store_complete completion;
   if acq then begin
-    t.load_gate <- max t.load_gate completion;
-    t.sb_gate <- max t.sb_gate completion
+    t.load_gate <- Int.max t.load_gate completion;
+    t.sb_gate <- Int.max t.sb_gate completion
   end;
   push_op t 1 completion;
   let obs =

@@ -159,7 +159,7 @@ let run_exn ?max_cycles t =
 
 let elapsed t =
   Array.fold_left
-    (fun acc th -> match th with Some th -> max acc (Core.cursor th.core) | None -> acc)
+    (fun acc th -> match th with Some th -> Int.max acc (Core.cursor th.core) | None -> acc)
     0 t.threads
 
 let throughput t ~ops =

@@ -60,7 +60,7 @@ let to_chrome_json t =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d}"
-           (escape s.name) (escape s.kind) s.core s.start_cycle (max 1 s.duration)))
+           (escape s.name) (escape s.kind) s.core s.start_cycle (Int.max 1 s.duration)))
     (spans t);
   Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}";
   Buffer.contents buf

@@ -98,7 +98,7 @@ let barrier_retries t =
 let backoff_total (b : Plan.backoff) retries =
   let total = ref 0 and step = ref b.Plan.base in
   for _ = 1 to retries do
-    total := !total + min !step b.Plan.cap;
+    total := !total + Int.min !step b.Plan.cap;
     step := !step * b.Plan.multiplier
   done;
   !total

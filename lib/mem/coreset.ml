@@ -83,7 +83,7 @@ let any_except t i =
   go 0
 
 let intersects a b =
-  let n = min (Array.length a.words) (Array.length b.words) in
+  let n = Int.min (Array.length a.words) (Array.length b.words) in
   let rec go w = w < n && (a.words.(w) land b.words.(w) <> 0 || go (w + 1)) in
   go 0
 

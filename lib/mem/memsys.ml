@@ -117,7 +117,7 @@ let worst_rank t core l =
 
 (* Serialize ownership-changing operations on a contended line. *)
 let serialize l ~now lat_cycles =
-  let start = max now l.busy_until in
+  let start = Int.max now l.busy_until in
   l.busy_until <- start + lat_cycles;
   start - now + lat_cycles
 
@@ -125,7 +125,7 @@ let read t ~now ~core ~addr =
   let l = line t addr in
   if Coreset.mem l.sharers core then begin
     t.c_hits <- t.c_hits + 1;
-    { latency = max t.lat.l1_hit (l.ready_at - now); cross_node = false; hit = true }
+    { latency = Int.max t.lat.l1_hit (l.ready_at - now); cross_node = false; hit = true }
   end
   else if l.owner >= 0 && l.owner <> core then begin
     let r = Topology.distance_rank t.topo core l.owner in
@@ -139,7 +139,7 @@ let read t ~now ~core ~addr =
     let latency = serialize l ~now xfer in
     (* An in-flight fill delays the transfer: the copy can't leave the
        owner before the line itself has arrived. *)
-    let latency = max latency (l.ready_at - now) in
+    let latency = Int.max latency (l.ready_at - now) in
     l.ready_at <- now + latency;
     { latency; cross_node = cross; hit = false }
   end
@@ -163,14 +163,14 @@ let read t ~now ~core ~addr =
     (* If the sharer's own copy is still in flight, this reader waits
        for that fill too — the returned latency must match ready_at,
        or a racing read would complete before the line exists. *)
-    let latency = max xfer (l.ready_at - now) in
+    let latency = Int.max xfer (l.ready_at - now) in
     l.ready_at <- now + latency;
     { latency; cross_node = cross; hit = false }
   end
   else begin
     t.c_dram <- t.c_dram + 1;
     Coreset.set_only l.sharers core;
-    let latency = max (t.lat.dram + jitter_dram t) (l.ready_at - now) in
+    let latency = Int.max (t.lat.dram + jitter_dram t) (l.ready_at - now) in
     l.ready_at <- now + latency;
     { latency; cross_node = false; hit = false }
   end
@@ -213,7 +213,7 @@ let write_begin t ~now ~core ~addr =
   if l.pending_writer = core && l.pending_until > now then begin
     (* Coalesce with our own in-flight drain to the same line. *)
     t.c_hits <- t.c_hits + 1;
-    { latency = max t.lat.l1_hit (l.pending_until - now); cross_node = false; hit = true }
+    { latency = Int.max t.lat.l1_hit (l.pending_until - now); cross_node = false; hit = true }
   end
   else begin
     let cycles, cross, hit = write_latency t ~core l in

@@ -19,8 +19,8 @@ let build node_of cluster_of =
   if num_cores > max_cores then
     invalid_arg
       (Printf.sprintf "Topology: %d cores exceeds the %d-core limit" num_cores max_cores);
-  let num_clusters = 1 + Array.fold_left max 0 cluster_of in
-  let num_nodes = 1 + Array.fold_left max 0 node_of in
+  let num_clusters = 1 + Array.fold_left Int.max 0 cluster_of in
+  let num_nodes = 1 + Array.fold_left Int.max 0 node_of in
   (* Precompute what the memory system asks on every access: the
      distance class of a core pair and, per core, the membership sets of
      its cluster and node peers.  Snoop-distance questions over sharer

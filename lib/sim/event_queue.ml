@@ -98,7 +98,7 @@ let ring_pop t =
 let next_key t =
   if t.icount = 0 then if Heap.is_empty t.heap then min_int else Heap.min_key t.heap
   else if Heap.is_empty t.heap then ring_head_key t
-  else min (ring_head_key t) (Heap.min_key t.heap)
+  else Int.min (ring_head_key t) (Heap.min_key t.heap)
 
 let pop_next t =
   if t.icount > 0 && (Heap.is_empty t.heap || ring_head_key t < Heap.min_key t.heap)
@@ -116,8 +116,8 @@ let renumber t =
   done;
   let n = Heap.length t.heap in
   if n > seq_mask then failwith "Event_queue: too many pending events";
-  let keys = Array.make (max n 1) 0 in
-  let fns = Array.make (max n 1) ignore in
+  let keys = Array.make (Int.max n 1) 0 in
+  let fns = Array.make (Int.max n 1) ignore in
   for i = 0 to n - 1 do
     let key = Heap.min_key t.heap in
     keys.(i) <- (key lsr seq_bits lsl seq_bits) lor i;
@@ -138,7 +138,7 @@ let schedule t ~at fn =
   t.next_seq <- t.next_seq + 1;
   if at = t.clock then ring_push t key fn else Heap.add t.heap ~key fn
 
-let schedule_in t ~delay fn = schedule t ~at:(t.clock + max 0 delay) fn
+let schedule_in t ~delay fn = schedule t ~at:(t.clock + Int.max 0 delay) fn
 
 let run_next t =
   let key = next_key t in

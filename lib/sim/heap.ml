@@ -16,7 +16,7 @@ let branch_log = 2
 let branch = 1 lsl branch_log
 
 let create ?(capacity = 64) () =
-  { keys = Array.make (max 1 capacity) 0; vals = [||]; size = 0 }
+  { keys = Array.make (Int.max 1 capacity) 0; vals = [||]; size = 0 }
 
 let length h = h.size
 
@@ -47,7 +47,7 @@ let rec sift_up h i =
 let rec sift_down h i =
   let first = (i lsl branch_log) + 1 in
   if first < h.size then begin
-    let last = min (first + branch - 1) (h.size - 1) in
+    let last = Int.min (first + branch - 1) (h.size - 1) in
     let smallest = ref i in
     for c = first to last do
       if h.keys.(c) < h.keys.(!smallest) then smallest := c

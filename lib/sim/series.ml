@@ -21,13 +21,13 @@ let fmt_cell v =
 
 let pp ppf t =
   let first_col_width =
-    List.fold_left (fun acc (n, _) -> max acc (String.length n)) 12 t.rows
+    List.fold_left (fun acc (n, _) -> Int.max acc (String.length n)) 12 t.rows
   in
   let col_width =
-    List.fold_left (fun acc c -> max acc (String.length c + 2)) 10 t.col_labels
+    List.fold_left (fun acc c -> Int.max acc (String.length c + 2)) 10 t.col_labels
   in
-  let pad_left s w = String.make (max 0 (w - String.length s)) ' ' ^ s in
-  let pad_right s w = s ^ String.make (max 0 (w - String.length s)) ' ' in
+  let pad_left s w = String.make (Int.max 0 (w - String.length s)) ' ' ^ s in
+  let pad_right s w = s ^ String.make (Int.max 0 (w - String.length s)) ' ' in
   Format.fprintf ppf "=== %s (%s) ===@." t.title t.unit_label;
   Format.fprintf ppf "%s" (pad_right "" first_col_width);
   List.iter (fun c -> Format.fprintf ppf "%s" (pad_left c col_width)) t.col_labels;

@@ -104,7 +104,7 @@ module Histogram = struct
       if t.min_bucket >= t.last then t.max_sample else t.min_bucket * t.width
     else begin
       let n = Array.length t.counts in
-      let target = max 1 (int_of_float (ceil (q *. float_of_int t.total))) in
+      let target = Int.max 1 (int_of_float (ceil (q *. float_of_int t.total))) in
       let rec scan i acc =
         if i = n - 1 then
           (* the overflow slot has no finite upper bound; report the

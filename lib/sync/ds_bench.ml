@@ -189,7 +189,7 @@ let list_ops m ~alloc ~head ~shadow =
       Core.store c (node + 8) (Int64.of_int cur);
       if prev = 0 then Core.store c head (Int64.of_int node)
       else Core.store c (prev + 8) (Int64.of_int node);
-      shadow := List.sort compare (k :: !shadow);
+      shadow := List.sort Int.compare (k :: !shadow);
       1L
     end
   in
@@ -211,7 +211,7 @@ let list_ops m ~alloc ~head ~shadow =
 let preload_list m ~alloc ~head ~shadow keys =
   (* Host-side preload: build the chain directly in memory. *)
   let mem = Machine.mem m in
-  let sorted = List.sort_uniq compare keys in
+  let sorted = List.sort_uniq Int.compare keys in
   let nodes = List.map (fun k -> (k, Sim_alloc.alloc alloc)) sorted in
   let rec link = function
     | (k, a) :: ((_, b) :: _ as rest) ->
@@ -241,7 +241,7 @@ let run_sorted_list ~preload spec =
   let head = Machine.alloc_line m in
   let alloc = Sim_alloc.create m ~capacity:(preload + (2 * spec.workers) + 64) in
   let shadow = ref [] in
-  let key_range = max 2 (2 * preload) in
+  let key_range = Int.max 2 (2 * preload) in
   let rng0 = Rng.create 2024 in
   preload_list m ~alloc ~head ~shadow
     (List.init preload (fun _ -> 1 + Rng.int rng0 key_range));
@@ -270,10 +270,10 @@ let run_sorted_list ~preload spec =
 
 let run_hash_table ~buckets ~preload spec =
   if buckets <= 0 then invalid_arg "Ds_bench.run_hash_table: buckets";
-  let servers = if is_ffwd spec.lock then min buckets 8 else 0 in
+  let servers = if is_ffwd spec.lock then Int.min buckets 8 else 0 in
   let server_cores, worker_cores = layout spec ~servers in
   let m = Machine.create spec.cfg in
-  let key_range = max 2 (2 * preload) in
+  let key_range = Int.max 2 (2 * preload) in
   let heads = Array.init buckets (fun _ -> Machine.alloc_line m) in
   let allocs =
     Array.init buckets (fun _ ->

@@ -50,7 +50,7 @@ let run spec =
   if spec.cores = [] then invalid_arg "Lock_compare.run: no cores";
   let m = Machine.create spec.cfg in
   let ops = make_ops spec m in
-  let shared = Machine.alloc_lines m (max 1 spec.cs_lines) in
+  let shared = Machine.alloc_lines m (Int.max 1 spec.cs_lines) in
   let total = List.length spec.cores * spec.acquisitions in
   let owner = ref None in
   let body slot (c : Core.t) =

@@ -75,7 +75,7 @@ let producer spec ~cons_cnt ~buf ~senders ~fallbacks ~words ~msg_of (c : Core.t)
    pipelined window of slot loads in flight, so back-to-back deliveries
    do not serialize on one miss latency per message. *)
 let consumer spec ~cons_cnt ~buf ~receivers ~words ~msg_of ~check (c : Core.t) =
-  let window = min spec.slots 4 in
+  let window = Int.min spec.slots 4 in
   let toks : (Core.token * Core.token) Queue.t = Queue.create () in
   let next_issue = ref 0 in
   let issue_up_to target =

@@ -28,7 +28,7 @@ let acquire ?(use_ldar = true) t (c : Core.t) =
     end
     else begin
       Core.compute c backoff;
-      attempt (min (backoff * 2) 512)
+      attempt (Int.min (backoff * 2) 512)
     end
   in
   attempt 4

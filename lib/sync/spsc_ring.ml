@@ -141,7 +141,7 @@ let consumer spec ~prod_cnt ~cons_cnt ~buf ~check (c : Core.t) =
       Int64.to_int (Core.spin_until c prod_cnt (fun v -> Int64.to_int v > i))
     in
     if spec.barriers.consumer_guard then Core.barrier c (Barrier.Dmb Ld);
-    let last = min avail spec.messages in
+    let last = Int.min avail spec.messages in
     (* issue all slot loads of the batch, then await them in order *)
     let toks =
       List.init (last - i) (fun k ->

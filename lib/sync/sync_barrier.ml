@@ -102,7 +102,7 @@ let build_tree m ~arity ~leaves =
     let widths =
       List.init n_nodes (fun i ->
           let lo = i * arity in
-          min arity (count - lo))
+          Int.min arity (count - lo))
     in
     nodes := (base, widths) :: !nodes;
     if n_nodes > 1 then level ~count:n_nodes ~parent_base_hint:()
@@ -169,7 +169,7 @@ let spawn_dissemination m ~cores ~episodes ~work ~progress =
     done;
     !r
   in
-  let flags = Machine.alloc_lines m (max 1 (rounds * n)) in
+  let flags = Machine.alloc_lines m (Int.max 1 (rounds * n)) in
   let flag r i = flags + (((r * n) + i) * 64) in
   List.iteri
     (fun idx core ->

@@ -79,7 +79,7 @@ let run spec =
   if spec.cores = [] then invalid_arg "Ticket_lock.run: no cores";
   let m = Machine.create spec.cfg in
   let lock = create m in
-  let shared = Machine.alloc_lines m (max 1 spec.cs_lines) in
+  let shared = Machine.alloc_lines m (Int.max 1 spec.cs_lines) in
   (* Host-side mutual-exclusion oracle. *)
   let owner = ref None in
   let total = List.length spec.cores * spec.acquisitions in

@@ -68,7 +68,7 @@ let pp ppf t =
     (fun r ->
       let winner =
         let best =
-          List.fold_left min r.central.cycles_per_episode
+          List.fold_left Float.min r.central.cycles_per_episode
             [ r.tree.cycles_per_episode; r.dissemination.cycles_per_episode ]
         in
         if best = r.central.cycles_per_episode then "central"

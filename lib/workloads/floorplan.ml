@@ -30,7 +30,7 @@ let cells_of input =
 
 (* Placing shape (w, h) into envelope (ew, eh): extend right or stack
    below. *)
-let extend (ew, eh) (w, h) = [ (ew + w, max eh h); (max ew w, eh + h) ]
+let extend (ew, eh) (w, h) = [ (ew + w, Int.max eh h); (Int.max ew w, eh + h) ]
 
 (* Host-side sequential branch and bound: the validation oracle. *)
 let sequential_best cells =
@@ -80,7 +80,7 @@ let run spec =
   let lock =
     Armb_sync.Dsmsynch.create m ~parties:spec.workers ~pilot:spec.pilot ~critical ()
   in
-  let tasks = root_tasks cells ~depth:(min 2 n) in
+  let tasks = root_tasks cells ~depth:(Int.min 2 n) in
   let worker me (c : Core.t) =
     (* A locally-cached bound, refreshed from shared memory as the
        search descends (plain loads — BOTS reads the bound unlocked). *)
@@ -93,17 +93,17 @@ let run spec =
       if area < !local_best then begin
         if i = n then begin
           let b = Int64.to_int (Core.await c (Core.load c best_line)) in
-          local_best := min !local_best b;
+          local_best := Int.min !local_best b;
           if area < !local_best then begin
             let nb = Armb_sync.Dsmsynch.exec lock c ~me (Int64.of_int area) in
-            local_best := min !local_best (Int64.to_int nb)
+            local_best := Int.min !local_best (Int64.to_int nb)
           end
         end
         else begin
           (* refresh the bound occasionally on interior nodes *)
           if !nodes land 63 = 0 then begin
             let b = Int64.to_int (Core.await c (Core.load c best_line)) in
-            local_best := min !local_best b
+            local_best := Int.min !local_best b
           end;
           Array.iter (fun shape -> List.iter (go (i + 1)) (extend env shape)) cells.(i)
         end
