@@ -90,15 +90,22 @@ let fault_intensity =
            ~doc:"Fault-injection intensity in [0,1]: 0 disables (default), 1 arms every \
                  site of the deterministic fault plan.")
 
-(* Ring message count shared by ring, perturb and trace: anything but a
-   positive integer is a usage error, not a crash inside the kernel. *)
-let messages ~default =
+(* Counts the kernel requires in range: anything outside it is a usage
+   error, not a crash inside the kernel. *)
+let int_conv ~what ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
-  Arg.(value & opt (conv (parse, Format.pp_print_int)) default
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_conv ~what:"positive" (fun n -> n > 0)
+let non_negative_int = int_conv ~what:"non-negative" (fun n -> n >= 0)
+
+(* Ring message count shared by ring, perturb and trace. *)
+let messages ~default =
+  Arg.(value & opt positive_int default
        & info [ "messages" ] ~docv:"N" ~doc:"Messages the producer-consumer ring transfers.")
 
 let fault_of ~(rc : RC.t) ~name intensity =
@@ -116,9 +123,9 @@ let mem_ops =
 let location =
   Arg.(value & opt (enum [ ("1", AM.Loc1); ("2", AM.Loc2) ]) AM.Loc1 & info [ "l"; "loc" ] ~docv:"1|2" ~doc:"Barrier placement: strictly after the first access (1) or after the NOPs (2).")
 
-let nops = Arg.(value & opt int 300 & info [ "n"; "nops" ] ~docv:"N" ~doc:"NOPs between the accesses.")
+let nops = Arg.(value & opt non_negative_int 300 & info [ "n"; "nops" ] ~docv:"N" ~doc:"NOPs between the accesses.")
 
-let iters = Arg.(value & opt int 2000 & info [ "iters" ] ~docv:"N" ~doc:"Loop iterations per thread.")
+let iters = Arg.(value & opt positive_int 2000 & info [ "iters" ] ~docv:"N" ~doc:"Loop iterations per thread.")
 
 (* ---------- platforms ---------- *)
 

@@ -59,6 +59,22 @@ let label t =
   | Opt { program; algorithm; _ } ->
     Printf.sprintf "opt %s %s" algorithm program.Armb_litmus.Cfg.name
 
+let at_least field limit v =
+  if v < limit then
+    invalid_arg (Printf.sprintf "Job: %s must be at least %d (got %d)" field limit v)
+
+(* The abstracted-model spec a model job runs: its counts are checked
+   first, each by name, then the combination. *)
+let model_spec (rc : RC.t) ~mem_ops ~approach ~location ~nops ~iters =
+  at_least "iters" 1 iters;
+  at_least "nops" 0 nops;
+  let spec =
+    { (AM.default_spec rc.cfg) with cores = rc.cores; mem_ops; approach; location; nops; iters }
+  in
+  if not (AM.valid spec) then
+    invalid_arg (Printf.sprintf "Job: invalid model combination %s" (AM.label spec));
+  spec
+
 (* The fault plan is reconstructed from (intensity, rc.seed) at run
    time, so the key carries only the intensity — the seed is already a
    key component. *)
@@ -72,13 +88,16 @@ let key t =
     Buffer.add_string b "check\n";
     Buffer.add_string b (Key.canonical_test test)
   | Model { mem_ops; approach; location; nops; iters; label = _ } ->
+    (* validate the spec now so a job that cannot run fails at submit *)
+    ignore (model_spec t.rc ~mem_ops ~approach ~location ~nops ~iters);
     Buffer.add_string b
       (Printf.sprintf "model|%s|%s|%d|%d|%d\n" (mem_ops_tag mem_ops)
          (Armb_core.Ordering.to_string approach)
          (location_tag location) nops iters)
   | Ring { combo; messages } ->
-    (* validate the combo name now so an unkeyable job fails at submit *)
+    (* validate the combo name and count now so a job that cannot run fails at submit *)
     ignore (Spsc.combo combo);
+    at_least "messages" 1 messages;
     Buffer.add_string b (Printf.sprintf "ring|%s|%d\n" combo messages)
   | Fuzz { tests } -> Buffer.add_string b (Printf.sprintf "fuzz|%d\n" tests)
   | Fix { test; max_edits; budget } ->
@@ -141,11 +160,7 @@ let run t =
     in
     { text = Format.asprintf "%a\n" Sim.pp_check_row row; events; cycles }
   | Model { label; mem_ops; approach; location; nops; iters } ->
-    let spec =
-      { (AM.default_spec rc.cfg) with cores = rc.cores; mem_ops; approach; location; nops; iters }
-    in
-    if not (AM.valid spec) then
-      invalid_arg (Printf.sprintf "Job.run: invalid model combination %s" (AM.label spec));
+    let spec = model_spec rc ~mem_ops ~approach ~location ~nops ~iters in
     let cycles, events = AM.run_stats spec in
     let a, b = rc.cores in
     {

@@ -59,8 +59,12 @@ type result = {
 val key : t -> string
 (** Content address (hex digest): canonical test form ({!Key}), kind
     tag, job parameters, platform name, cores, seed, trials and fault
-    intensity.  Raises on specs that cannot be keyed (unknown ring
-    combo). *)
+    intensity.  Raises [Invalid_argument] on specs that cannot be
+    keyed or run: an unknown ring combo or opt algorithm, fix limits
+    below 1, a ring of fewer than 1 message, or a model job whose
+    [iters] is below 1, whose [nops] is below 0, or whose combination
+    {!AM.valid} rejects.  A count's message names the field, its value
+    and the limit. *)
 
 val kind : t -> string
 (** "litmus" | "check" | "model" | "ring" | "fuzz" | "fix" | "perturb"

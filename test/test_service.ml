@@ -291,13 +291,14 @@ let test_error_reply () =
     | Ok r -> r.Engine.job
     | Error msg -> Alcotest.failf "model job does not decode: %s" msg
   in
-  (* a fix job's search limits must be at least 1, so keying fails *)
+  (* a fix job's search limits, a model job's counts and combination
+     and a ring job's message count are checked when the job is keyed *)
   let decode line =
     match Codec.request_of_line line with
     | Ok r -> r.Engine.job
     | Error msg -> Alcotest.failf "%s does not decode: %s" line msg
   in
-  let fix_limits =
+  let limits =
     List.map
       (fun (id, line, says) -> (id, decode line, says))
       [
@@ -310,6 +311,18 @@ let test_error_reply () =
         ( "7",
           {|{"kind":"fix","test":"MP","max_edits":2,"budget":0,"trials":5}|},
           "budget must be at least 1 (got 0)" );
+        ( "8",
+          {|{"kind":"model","mem_ops":"st-st","approach":"dmb","location":1,"nops":100,"iters":0}|},
+          "iters must be at least 1 (got 0)" );
+        ( "9",
+          {|{"kind":"model","mem_ops":"st-st","approach":"dmb","location":1,"nops":-5,"iters":2}|},
+          "nops must be at least 0 (got -5)" );
+        ( "10",
+          {|{"kind":"model","mem_ops":"st-st","approach":"ldar","location":1,"nops":100,"iters":2}|},
+          "invalid model combination LDAR" );
+        ( "11",
+          {|{"kind":"ring","combo":"DMB ld - DMB st","messages":0}|},
+          "messages must be at least 1 (got 0)" );
       ]
   in
   (* 4,095 fences ahead of MP's two stores put the second store at the
@@ -333,7 +346,7 @@ let test_error_reply () =
        ("1", bad, "no such combo");
        ("2", job_of_test long, "thread 0 has 64 memory operations");
      ]
-    @ fix_limits);
+    @ limits);
   (* keying these jobs runs nothing, so their errors may come back from the drain *)
   let late =
     [
@@ -350,7 +363,7 @@ let test_error_reply () =
         if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
       | _ -> Alcotest.failf "invalid job %s must come back as an error row" id)
     late;
-  check Alcotest.int "failures counted" 7 (Metrics.get (Engine.metrics e) "failed")
+  check Alcotest.int "failures counted" 11 (Metrics.get (Engine.metrics e) "failed")
 
 (* ---------- warm-vs-cold bit-identity on the golden workloads ---------- *)
 
