@@ -2,8 +2,9 @@
 
     The simulation kernel orders events by (time, sequence) pairs; both
     are packed by the caller into a single comparison key plus payload.
-    This heap is intentionally minimal and allocation-light: one growing
-    array, no per-node boxing beyond the payload tuple. *)
+    This heap is intentionally minimal and allocation-light: keys live
+    in a growing int array and payloads in a parallel array, so nothing
+    is boxed per node and sifts compare ints only. *)
 
 type 'a t
 
