@@ -43,7 +43,7 @@ type t = {
 
 let create () =
   {
-    heap = Heap.create ();
+    heap = Heap.create ignore;
     clock = 0;
     next_seq = 0;
     processed = 0;
@@ -57,6 +57,10 @@ let now t = t.clock
 
 let reset t =
   Heap.clear t.heap;
+  (* drop the ring's pending closures too, not only its count *)
+  for i = 0 to t.icount - 1 do
+    t.ifns.((t.ihead + i) land (Array.length t.ifns - 1)) <- ignore
+  done;
   t.ihead <- 0;
   t.icount <- 0;
   t.clock <- 0;

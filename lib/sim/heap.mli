@@ -8,7 +8,10 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : ?capacity:int -> 'a -> 'a t
+(** [create filler] makes an empty heap.  [filler] fills every payload
+    slot not holding an element, so a popped or cleared payload is not
+    kept reachable; it is never returned. *)
 
 val length : 'a t -> int
 
@@ -34,3 +37,4 @@ val pop_min_exn : 'a t -> 'a
     needed.  Raises [Invalid_argument] when empty. *)
 
 val clear : 'a t -> unit
+(** Remove every element, dropping the heap's references to them. *)
