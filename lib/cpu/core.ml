@@ -22,8 +22,11 @@ type counters = {
 (* Store-buffer forwarding entry for one word address: the youngest
    buffered value and the number of undrained stores to that word.  The
    cell stays in the table at [n = 0] (dead) so the hot path never
-   deletes — it just flips counts. *)
+   deletes — it just flips counts.  Only stores add cells; a load of a
+   word with none reads [dead_fwd], which nothing ever writes. *)
 type fwd_cell = { mutable fv : int64; mutable fn : int }
+
+let dead_fwd = { fv = 0L; fn = 0 }
 
 type t = {
   id : int;
@@ -88,7 +91,7 @@ let make ?observer ?fault ~id ~cfg ~queue ~mem () =
     retire_wm = 0;
     sb = Array.make (Int.max 1 cfg.sb_size) 0;
     sb_count = 0;
-    fwd = Int_table.create ~capacity:16 { fv = 0L; fn = 0 };
+    fwd = Int_table.create ~capacity:16 dead_fwd;
     load_gate = 0;
     sb_gate = 0;
     line_load_until = Int_table.create ~capacity:16 0;
@@ -315,7 +318,7 @@ let fwd_remove t addr =
   let cell = Int_table.find_or_add t.fwd (word addr) new_fwd_cell in
   if cell.fn > 0 then cell.fn <- cell.fn - 1
 
-let fwd_cell t addr = Int_table.find_or_add t.fwd (word addr) new_fwd_cell
+let fwd_cell t addr = Int_table.get t.fwd (word addr) ~default:dead_fwd
 
 (* ---------- Loads ---------- *)
 

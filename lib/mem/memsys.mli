@@ -30,8 +30,12 @@ val create : ?inj:Armb_fault.Injector.t -> topo:Topology.t -> lat:Latency.t -> u
 
 val reset : ?inj:Armb_fault.Injector.t -> t -> unit
 (** Return the memory system to its just-created state under the given
-    injector (none when omitted): no lines, no values, no watchers and
-    zero traffic counters.  Topology and latencies are kept. *)
+    injector (none when omitted): no values, no watchers and zero
+    traffic counters, and every line as a fresh one (no owner, no
+    sharers, not busy, no pending writer).  Line records are kept and
+    reset in place, so a later run's first access to a line allocates
+    nothing; no access can tell a kept line from a new one.  Topology
+    and latencies are kept. *)
 
 val topology : t -> Topology.t
 val latencies : t -> Latency.t
