@@ -6,14 +6,25 @@ type status = Completed | Deadlock of int list | Cycle_limit
 
 exception Simulation_error of string
 
-type thread = { core : Core.t; body : Core.t -> unit; mutable finished : bool }
+(* One record per core id, made the first time a thread is spawned on
+   that core and kept across resets, with the effect handler and the
+   launch closure built once: a later spawn on the core allocates
+   nothing.  [active] marks a thread of the current run. *)
+type thread = {
+  core : Core.t;
+  mutable body : Core.t -> unit;
+  mutable finished : bool;
+  mutable active : bool;
+  launch : unit -> unit; (* runs [body] under the suspension handler *)
+}
 
 type t = {
   cfg : Config.t;
   q : Event_queue.t;
   memory : Memsys.t;
   threads : thread option array; (* indexed by core id *)
-  cores : Core.t option array; (* every core ever spawned, kept across resets *)
+  spawned : int array; (* [spawned.(0 .. nspawned-1)]: this run's core ids, ascending *)
+  mutable nspawned : int;
   mutable observer : Observe.t option;
   mutable injector : Armb_fault.Injector.t option;
   mutable next_line : int;
@@ -38,18 +49,27 @@ let create ?observer ?fault cfg =
     q = Event_queue.create ();
     memory = Memsys.create ?inj:injector ~topo:cfg.topo ~lat:cfg.lat ();
     threads = Array.make cores None;
-    cores = Array.make cores None;
+    spawned = Array.make cores 0;
+    nspawned = 0;
     observer;
     injector;
     next_line = first_line;
     unfinished = 0;
   }
 
+let thread t id = match t.threads.(id) with Some th -> th | None -> assert false
+
+(* Walks this run's threads only, not every core of the machine. *)
 let reset ?observer ?fault t =
   let injector = arm fault in
   Event_queue.reset t.q;
   Memsys.reset ?inj:injector t.memory;
-  Array.fill t.threads 0 (Array.length t.threads) None;
+  for i = 0 to t.nspawned - 1 do
+    let th = thread t t.spawned.(i) in
+    th.active <- false;
+    th.body <- ignore
+  done;
+  t.nspawned <- 0;
   t.observer <- observer;
   t.injector <- injector;
   t.next_line <- first_line;
@@ -71,38 +91,21 @@ let alloc_lines t n =
   t.next_line <- t.next_line + (64 * n);
   a
 
-let spawn t ~core body =
-  if core < 0 || core >= Array.length t.threads then
-    raise (Simulation_error (Printf.sprintf "spawn: core %d out of range" core));
-  if t.threads.(core) <> None then
-    raise (Simulation_error (Printf.sprintf "spawn: core %d already has a thread" core));
-  let c =
-    match t.cores.(core) with
-    | Some c ->
-      Core.reset ?observer:t.observer ?fault:t.injector c;
-      c
-    | None ->
-      let c =
-        Core.make ?observer:t.observer ?fault:t.injector ~id:core ~cfg:t.cfg ~queue:t.q
-          ~mem:t.memory ()
-      in
-      t.cores.(core) <- Some c;
-      c
-  in
-  t.threads.(core) <- Some { core = c; body; finished = false };
-  t.unfinished <- t.unfinished + 1
-
-let core t id =
-  if id < 0 || id >= Array.length t.threads then raise Not_found;
-  match t.threads.(id) with Some th -> th.core | None -> raise Not_found
-
 (* Run a thread body under the suspension handler.  The body executes
    synchronously until it performs Suspend; the continuation is then
    parked wherever the suspender put it (a token waiter or a line
    watch) and control returns here. *)
-let start t th =
+let new_thread t c =
   let open Effect.Deep in
-  match_with th.body th.core
+  let rec th =
+    {
+      core = c;
+      body = ignore;
+      finished = false;
+      active = false;
+      launch = (fun () -> match_with th.body c handler);
+    }
+  and handler =
     {
       retc =
         (fun () ->
@@ -113,7 +116,7 @@ let start t th =
           let bt = Printexc.get_backtrace () in
           raise
             (Simulation_error
-               (Printf.sprintf "thread on core %d raised %s\n%s" (Core.id th.core)
+               (Printf.sprintf "thread on core %d raised %s\n%s" (Core.id c)
                   (Printexc.to_string e) bt)));
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -123,15 +126,50 @@ let start t th =
               (fun (k : (a, unit) continuation) -> register (fun () -> continue k ()))
           | _ -> None);
     }
+  in
+  th
+
+let spawn t ~core body =
+  if core < 0 || core >= Array.length t.threads then
+    raise (Simulation_error (Printf.sprintf "spawn: core %d out of range" core));
+  let th =
+    match t.threads.(core) with
+    | Some th when th.active ->
+      raise (Simulation_error (Printf.sprintf "spawn: core %d already has a thread" core))
+    | Some th ->
+      Core.reset ?observer:t.observer ?fault:t.injector th.core;
+      th
+    | None ->
+      let th =
+        new_thread t
+          (Core.make ?observer:t.observer ?fault:t.injector ~id:core ~cfg:t.cfg ~queue:t.q
+             ~mem:t.memory ())
+      in
+      t.threads.(core) <- Some th;
+      th
+  in
+  th.body <- body;
+  th.finished <- false;
+  th.active <- true;
+  (* keep [spawned] ascending: [run] launches in core-id order, which
+     fixes the launch events' sequence numbers *)
+  let i = ref t.nspawned in
+  while !i > 0 && t.spawned.(!i - 1) > core do
+    t.spawned.(!i) <- t.spawned.(!i - 1);
+    decr i
+  done;
+  t.spawned.(!i) <- core;
+  t.nspawned <- t.nspawned + 1;
+  t.unfinished <- t.unfinished + 1
+
+let core t id =
+  if id < 0 || id >= Array.length t.threads then raise Not_found;
+  match t.threads.(id) with Some th when th.active -> th.core | _ -> raise Not_found
 
 let run ?max_cycles t =
-  (* The array is already in core-id order: launch in index order, no
-     collect-and-sort pass over a hash table. *)
-  Array.iter
-    (function
-      | Some th -> Event_queue.schedule t.q ~at:0 (fun () -> start t th)
-      | None -> ())
-    t.threads;
+  for i = 0 to t.nspawned - 1 do
+    Event_queue.schedule t.q ~at:0 (thread t t.spawned.(i)).launch
+  done;
   (match max_cycles with
   | Some m -> Event_queue.run ~until:m t.q
   | None -> Event_queue.run t.q);
@@ -139,10 +177,8 @@ let run ?max_cycles t =
   else if Event_queue.pending t.q > 0 then Cycle_limit
   else begin
     let blocked = ref [] in
-    for id = Array.length t.threads - 1 downto 0 do
-      match t.threads.(id) with
-      | Some th when not th.finished -> blocked := id :: !blocked
-      | _ -> ()
+    for i = t.nspawned - 1 downto 0 do
+      if not (thread t t.spawned.(i)).finished then blocked := t.spawned.(i) :: !blocked
     done;
     Deadlock !blocked
   end
@@ -158,9 +194,11 @@ let run_exn ?max_cycles t =
   | Cycle_limit -> raise (Simulation_error "cycle limit reached")
 
 let elapsed t =
-  Array.fold_left
-    (fun acc th -> match th with Some th -> Int.max acc (Core.cursor th.core) | None -> acc)
-    0 t.threads
+  let m = ref 0 in
+  for i = 0 to t.nspawned - 1 do
+    m := Int.max !m (Core.cursor (thread t t.spawned.(i)).core)
+  done;
+  !m
 
 let throughput t ~ops =
   Armb_sim.Stats.throughput_per_sec ~ops ~cycles:(elapsed t) ~freq_ghz:t.cfg.freq_ghz

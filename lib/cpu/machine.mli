@@ -31,16 +31,19 @@ val reset : ?observer:Observe.t -> ?fault:Armb_fault.Plan.spec -> t -> unit
     - the event queue is empty, at clock 0, with its sequence and
       processed counters at 0 — pending events of a run that stopped
       early ([Deadlock], [Cycle_limit], an exception) are dropped;
-    - the memory system holds no lines or values and its traffic
-      counters are 0;
+    - the memory system holds no values, every line in it is as a
+      fresh one (its records are kept and reset in place, see
+      {!Armb_mem.Memsys.reset}) and its traffic counters are 0;
     - the injector is re-armed from [fault] (a null plan arms none);
     - no thread is spawned and {!alloc_line} starts over at the first
       address.
-    Cores are kept per core id: spawning on a core again resets it
-    field by field and binds it to the new observer and injector.  The
-    config is the machine's for life.  Read {!core} and
-    {!injector} after the run they describe: a kept core is reset when
-    it is spawned again. *)
+    Threads are kept per core id, each with its core, effect handler
+    and launch closure: spawning on a core again resets the core field
+    by field, binds it to the new observer and injector, and allocates
+    nothing.  A reset walks only the cores the last run spawned, not
+    every core of the machine.  The config is the machine's for life.
+    Read {!core} and {!injector} after the run they describe: a kept
+    core is reset when it is spawned again. *)
 
 val config : t -> Config.t
 val mem : t -> Armb_mem.Memsys.t
@@ -59,7 +62,8 @@ val alloc_lines : t -> int -> int
 
 val spawn : t -> core:int -> (Core.t -> unit) -> unit
 (** Bind a simulated thread to a core.  At most one thread per core.
-    Threads begin executing when [run] is called. *)
+    Threads begin executing when [run] is called, in core-id order
+    whatever the spawn order. *)
 
 val core : t -> int -> Core.t
 (** The core state (for reading cursors/counters after a run).
@@ -73,7 +77,8 @@ val run_exn : ?max_cycles:int -> t -> unit
     [Completed]. *)
 
 val elapsed : t -> int
-(** Max cursor over all cores after a run — the makespan in cycles. *)
+(** Max cursor over the run's cores after a run — the makespan in
+    cycles. *)
 
 val throughput : t -> ops:int -> float
 (** [ops] per second given the makespan and the platform frequency. *)

@@ -455,9 +455,10 @@ type rop =
   | R_pause of int
   | R_spin of int * int64
 
-(* One run: threads on distinct cores, an optional observer and fault
-   plan, and an optional cycle bound.  Spins wait for values that may
-   never be stored, so some runs end in [Deadlock]. *)
+(* One run: threads on distinct cores, spawned in [threads] order (any
+   order of core ids), an optional observer and fault plan, and an
+   optional cycle bound.  Spins wait for values that may never be
+   stored, so some runs end in [Deadlock]. *)
 type prog = {
   threads : (int * rop list) list;
   observe : bool;
@@ -487,10 +488,14 @@ let gen_prog rng =
   in
   let cores = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init 16 Fun.id) in
   let cores = if cores = [] then [ Rng.int rng 16 ] else cores in
+  let threads =
+    Array.of_list
+      (List.filteri (fun i _ -> i < 3) cores
+      |> List.map (fun core -> (core, List.init (1 + Rng.int rng 12) (fun _ -> op ()))))
+  in
+  Rng.shuffle rng threads;
   {
-    threads =
-      List.filteri (fun i _ -> i < 3) cores
-      |> List.map (fun core -> (core, List.init (1 + Rng.int rng 12) (fun _ -> op ())));
+    threads = Array.to_list threads;
     observe = Rng.int rng 2 = 0;
     fault =
       (if Rng.int rng 2 = 0 then
@@ -501,7 +506,8 @@ let gen_prog rng =
 
 (* Everything a run can be observed by: status, elapsed time, processed
    events, traffic and core counters, every value loaded and left in
-   memory, the observer stream and the fault digest. *)
+   memory, the observer stream and the fault digest.  Per-thread results
+   are listed in core order, whatever the spawn order. *)
 let exec m (p : prog) =
   let words =
     let a = Machine.alloc_line m and b = Machine.alloc_line m and c = Machine.alloc_line m in
@@ -531,11 +537,12 @@ let exec m (p : prog) =
     p.threads;
   let status = Machine.run ?max_cycles:p.max_cycles m in
   let mem = Machine.mem m in
+  let logs = List.sort (fun (a, _) (b, _) -> Int.compare a b) logs in
   ( status,
     Machine.elapsed m,
     Armb_sim.Event_queue.processed (Machine.queue m),
     Armb_mem.Memsys.counters mem,
-    List.map (fun (core, _) -> Core.counters (Machine.core m core)) p.threads,
+    List.map (fun (core, _) -> Core.counters (Machine.core m core)) logs,
     Array.map (fun addr -> Armb_mem.Memsys.load_value mem ~addr) words,
     List.map (fun (_, log) -> !log) logs,
     Option.map Armb_fault.Injector.digest (Machine.injector m) )
@@ -547,9 +554,12 @@ let observed p =
   end
   else (None, ref [])
 
+(* The reference spawns in core order, so a reset machine that launched
+   in spawn order, or kept a stale spawned list, disagrees with it. *)
 let fresh_run p =
   let observer, events = observed p in
-  let r = exec (Machine.create ?observer ?fault:p.fault cfg) p in
+  let threads = List.sort (fun (a, _) (b, _) -> Int.compare a b) p.threads in
+  let r = exec (Machine.create ?observer ?fault:p.fault cfg) { p with threads } in
   (r, !events)
 
 let prop_reset_is_fresh =
