@@ -31,17 +31,17 @@ type op =
 
 type thread = {
   ops : op array;
-  toks : Core.token option array; (* per register slot, its latest load's token *)
   outs : int array; (* per register slot, its position in the outcome layout *)
 }
 
+(* Immutable: one compiled test serves any number of trial loops. *)
 type compiled = {
+  test : Lang.test;
   init : int64 array; (* per variable, in [Lang.vars] order *)
   threads : thread array;
   names : string array;
       (* the outcome layout: every loaded "<thread>:<reg>" and every
          "mem:<var>", in sorted-name order *)
-  index : (string, int) Hashtbl.t; (* name -> position in [names] *)
   mem_pos : int array; (* per variable, its position in [names] *)
 }
 
@@ -55,28 +55,39 @@ let barrier_of = function
      later — the ordering the branch+ISB idiom provides on hardware. *)
   | Lang.F_isb -> Armb_cpu.Barrier.Isb
 
+(* Position of [name] in [names], or -1.  A test has a handful of
+   variables and registers, so a scan beats hashing. *)
+let position names name =
+  let rec go i =
+    if i = Array.length names then -1 else if String.equal names.(i) name then i else go (i + 1)
+  in
+  go 0
+
 let compile (t : Lang.test) =
   let vars = Array.of_list (Lang.vars t) in
-  let var_slot = Hashtbl.create 8 in
-  Array.iteri (fun i v -> Hashtbl.replace var_slot v i) vars;
-  let var v = Hashtbl.find var_slot v in
+  let var v = position vars v in
   (* One thread's ops in program order, and its loaded registers in
      slot order.  A register operand resolves to the slot of the latest
      earlier load that writes it. *)
   let compile_thread th =
-    let slots = Hashtbl.create 8 and regs = ref [] in
-    let resolve r = match Hashtbl.find_opt slots r with Some k -> Slot k | None -> Unset in
+    let regs = ref [] (* loaded registers, newest first *) in
+    let slot r =
+      let rec go k = function
+        | [] -> -1
+        | x :: rest -> if String.equal x r then k else go (k - 1) rest
+      in
+      go (List.length !regs - 1) !regs
+    in
+    let resolve r = match slot r with -1 -> Unset | k -> Slot k in
     let op = function
       | Lang.Load { var = v; reg; acquire; addr_dep } ->
         let addr_dep = Option.map resolve addr_dep in
         let dst =
-          match Hashtbl.find_opt slots reg with
-          | Some k -> k
-          | None ->
-            let k = Hashtbl.length slots in
-            Hashtbl.add slots reg k;
+          match slot reg with
+          | -1 ->
             regs := reg :: !regs;
-            k
+            List.length !regs - 1
+          | k -> k
         in
         Load { var = var v; dst; acquire; addr_dep }
       | Lang.Store { var = v; v = value; release; addr_dep } ->
@@ -85,94 +96,135 @@ let compile (t : Lang.test) =
         Store { var = var v; value; release; addr_dep }
       | Lang.Fence f -> Fence (barrier_of f)
     in
-    let ops = List.rev (List.fold_left (fun acc i -> op i :: acc) [] th) in
-    (Array.of_list ops, Array.of_list (List.rev !regs))
+    let ops = Array.of_list (List.map op th) in
+    (ops, Array.of_list (List.rev !regs))
   in
   let threads = List.map compile_thread t.threads in
-  let reg_names = List.mapi (fun i (_, regs) -> Array.map (Printf.sprintf "%d:%s" i) regs) threads in
+  let reg_names =
+    List.mapi (fun i (_, regs) -> Array.map (fun r -> string_of_int i ^ ":" ^ r) regs) threads
+  in
   let mem_names = Array.map (fun v -> "mem:" ^ v) vars in
   let names = Array.concat (mem_names :: reg_names) in
-  Array.sort compare names;
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i n -> Hashtbl.replace index n i) names;
-  let at = Hashtbl.find index in
+  Array.sort String.compare names;
+  let at = position names in
   {
+    test = t;
     init = Array.map (fun v -> Option.value ~default:0L (List.assoc_opt v t.init)) vars;
     threads =
       Array.of_list
-        (List.map2
-           (fun (ops, regs) names ->
-             { ops; toks = Array.make (Array.length regs) None; outs = Array.map at names })
-           threads reg_names);
+        (List.map2 (fun (ops, _) names -> { ops; outs = Array.map at names }) threads reg_names);
     names;
-    index;
     mem_pos = Array.map at mem_names;
   }
 
 (* ---------- one trial of one thread ---------- *)
 
-let token th r = match th.toks.(r) with Some tok -> tok | None -> assert false
+(* [toks] is the thread's per-call scratch: per register slot, its
+   latest load's token. *)
+let token toks r = match toks.(r) with Some tok -> tok | None -> assert false
 
-let read c th = function Unset -> 0L | Slot r -> Core.await c (token th r)
+let read c toks = function Unset -> 0L | Slot r -> Core.await c (token toks r)
 
 (* Syntactic dependencies also flow to the instrumentation hook, so the
    sanitizer sees the same preserved order the hardware would. *)
-let deps_of th = function Unset -> [] | Slot r -> [ token th r ]
+let deps_of toks = function Unset -> [] | Slot r -> [ token toks r ]
 
 (* An address dependency: wait for the register, spend one ALU op on
    the address arithmetic, and declare the dependency. *)
-let addr_deps c th = function
+let addr_deps c toks = function
   | None -> []
   | Some r ->
-    ignore (read c th r);
+    ignore (read c toks r);
     Core.compute c 1;
-    deps_of th r
+    deps_of toks r
 
 (* Loads are issued eagerly and awaited lazily (at first use of the
    register, or at the end), which exposes load-load reordering to the
    timing model.  At the end every loaded register's value goes into
    its slot of the trial's outcome buffer. *)
-let exec_thread th ~addrs ~outcome ~start_pause ~padding c =
+let exec_thread th toks ~addrs ~outcome ~start_pause ~padding c =
   Core.pause c start_pause;
   for idx = 0 to Array.length th.ops - 1 do
     if idx > 0 && padding > 0 then Core.compute c padding;
     match th.ops.(idx) with
     | Load { var; dst; acquire; addr_dep } ->
-      let deps = addr_deps c th addr_dep in
+      let deps = addr_deps c toks addr_dep in
       let addr = addrs.(var) in
-      th.toks.(dst) <- Some (if acquire then Core.ldar c ~deps addr else Core.load c ~deps addr)
+      toks.(dst) <- Some (if acquire then Core.ldar c ~deps addr else Core.load c ~deps addr)
     | Store { var; value; release; addr_dep } ->
-      let deps_a = addr_deps c th addr_dep in
+      let deps_a = addr_deps c toks addr_dep in
       let deps_v, v =
         match value with
         | Const k -> ([], k)
         | Reg r ->
-          let v = read c th r in
-          (deps_of th r, v)
+          let v = read c toks r in
+          (deps_of toks r, v)
       in
       let deps = deps_a @ deps_v and addr = addrs.(var) in
       if release then Core.stlr c ~deps addr v else Core.store c ~deps addr v
     | Fence b -> Core.barrier c b
   done;
-  Array.iteri (fun r pos -> Bytes.set_int64_le outcome (8 * pos) (Core.await c (token th r))) th.outs
+  Array.iteri
+    (fun r pos -> Bytes.set_int64_le outcome (8 * pos) (Core.await c (token toks r)))
+    th.outs
 
 (* ---------- the trial loop ---------- *)
 
-let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
-    ?(check = false) ?fault ?observer (t : Lang.test) =
+(* A distinct outcome's raw bytes and how many trials produced it. *)
+type seen = { bytes : Bytes.t; mutable n : int }
+
+type tally = {
+  compiled : compiled;
+  seen : seen list; (* in first-seen order *)
+  t_trials : int;
+  t_findings : San.finding list;
+  t_events : int;
+  t_cycles : int;
+  t_fault_digest : int64;
+  t_fault_delay : int;
+}
+
+let compare_findings (f : San.finding) (g : San.finding) =
+  let c = Int.compare f.core g.core in
+  if c <> 0 then c
+  else
+    let c = Int.compare f.first.op_seq g.first.op_seq in
+    if c <> 0 then c else Int.compare f.second.op_seq g.second.op_seq
+
+let simulate ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
+    ?(check = false) ?fault ?observer (p : compiled) =
   if check && observer <> None then
     invalid_arg "Sim_runner.run: ~check:true installs its own observer; pass no ~observer";
   let rng = Rng.create seed in
-  let nthreads = List.length t.threads in
+  let nthreads = Array.length p.threads in
   let ncores = Armb_mem.Topology.num_cores cfg.topo in
   if nthreads > ncores then invalid_arg "Sim_runner.run: more threads than cores";
-  let p = compile t in
   let nvars = Array.length p.init in
+  (* Per-call scratch: line addresses, each trial's start pause and
+     padding per thread, token slots, the outcome buffer, and one body
+     per thread that reads them, so a trial builds no closure. *)
   let addrs = Array.make nvars 0 in
-  (* Each trial writes its outcome into [outcome] and counts it under
-     those bytes; names are rendered once per distinct outcome. *)
+  let pauses = Array.make nthreads 0 and paddings = Array.make nthreads 0 in
   let outcome = Bytes.create (8 * Array.length p.names) in
-  let counts : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
+  let bodies =
+    Array.mapi
+      (fun i th ->
+        let toks = Array.make (Array.length th.outs) None in
+        fun c ->
+          exec_thread th toks ~addrs ~outcome ~start_pause:pauses.(i) ~padding:paddings.(i) c)
+      p.threads
+  in
+  (* Each trial writes its outcome into [outcome] and counts it against
+     the distinct outcomes so far, compared byte for byte: a test has
+     few, and most trials match one of the first seen. *)
+  let seen = ref [] in
+  let tally_outcome () =
+    let rec find = function
+      | o :: rest -> if Bytes.equal o.bytes outcome then o.n <- o.n + 1 else find rest
+      | [] -> seen := !seen @ [ { bytes = Bytes.copy outcome; n = 1 } ]
+    in
+    find !seen
+  in
   let events = ref 0 in
   (* Sanitizer findings are value-agnostic, so every trial reports the
      same racy pairs; trials differ only in whether the reordering was
@@ -218,12 +270,11 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
       let pick = Rng.int rng (nthreads + 1) in
       if pick < nthreads then Memsys.place mem ~core:(core_of pick) ~addr:a
     done;
-    Array.iteri
-      (fun i th ->
-        let start_pause = Rng.int rng 40 in
-        let padding = Rng.int rng 4 in
-        Machine.spawn m ~core:(core_of i) (exec_thread th ~addrs ~outcome ~start_pause ~padding))
-      p.threads;
+    for i = 0 to nthreads - 1 do
+      pauses.(i) <- Rng.int rng 40;
+      paddings.(i) <- Rng.int rng 4;
+      Machine.spawn m ~core:(core_of i) bodies.(i)
+    done;
     Machine.run_exn m;
     events := !events + Armb_sim.Event_queue.processed (Machine.queue m);
     cycles := !cycles + Machine.elapsed m;
@@ -236,9 +287,7 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
     Array.iteri
       (fun v pos -> Bytes.set_int64_le outcome (8 * pos) (Memsys.load_value mem ~addr:addrs.(v)))
       p.mem_pos;
-    (match Hashtbl.find_opt counts (Bytes.unsafe_to_string outcome) with
-    | Some n -> incr n
-    | None -> Hashtbl.add counts (Bytes.to_string outcome) (ref 1));
+    tally_outcome ();
     match san with
     | None -> ()
     | Some s ->
@@ -252,35 +301,53 @@ let run ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed = 42)
           | _ -> Hashtbl.replace merged key f)
         (San.findings s)
   done;
-  let findings =
-    Hashtbl.fold (fun _ f acc -> f :: acc) merged []
-    |> List.sort (fun (f : San.finding) (g : San.finding) ->
-           compare
-             (f.core, f.first.op_seq, f.second.op_seq)
-             (g.core, g.first.op_seq, g.second.op_seq))
-  in
-  (* [interesting] is pure, so it is asked once per distinct outcome. *)
+  {
+    compiled = p;
+    seen = !seen;
+    t_trials = trials;
+    t_findings = Hashtbl.fold (fun _ f acc -> f :: acc) merged [] |> List.sort compare_findings;
+    t_events = !events;
+    t_cycles = !cycles;
+    t_fault_digest = !fault_digest;
+    t_fault_delay = !fault_delay;
+  }
+
+let cycles r = r.t_cycles
+
+(* ---------- rendering ---------- *)
+
+let compare_outcomes (a, n) (b, m) =
+  let c = String.compare a b in
+  if c <> 0 then c else Int.compare n m
+
+(* Binding names are rendered, and [interesting] (pure) asked, once per
+   distinct outcome. *)
+let render r =
+  let p = r.compiled in
   let witnessed = ref false in
   let outcomes =
-    Hashtbl.fold
-      (fun key n acc ->
-        let value i = String.get_int64_le key (8 * i) in
-        let lookup r = match Hashtbl.find_opt p.index r with Some i -> value i | None -> 0L in
-        if t.interesting lookup then witnessed := true;
+    List.map
+      (fun o ->
+        let value i = Bytes.get_int64_le o.bytes (8 * i) in
+        let lookup name = match position p.names name with -1 -> 0L | i -> value i in
+        if p.test.interesting lookup then witnessed := true;
         let bindings = List.init (Array.length p.names) (fun i -> (p.names.(i), value i)) in
-        (Enumerate.outcome_to_string bindings, !n) :: acc)
-      counts []
+        (Enumerate.outcome_to_string bindings, o.n))
+      r.seen
   in
   {
-    outcomes = List.sort compare outcomes;
+    outcomes = List.sort compare_outcomes outcomes;
     interesting_witnessed = !witnessed;
-    trials;
-    findings;
-    events = !events;
-    cycles = !cycles;
-    fault_digest = !fault_digest;
-    fault_delay = !fault_delay;
+    trials = r.t_trials;
+    findings = r.t_findings;
+    events = r.t_events;
+    cycles = r.t_cycles;
+    fault_digest = r.t_fault_digest;
+    fault_delay = r.t_fault_delay;
   }
+
+let run ?cfg ?trials ?seed ?check ?fault ?observer t =
+  render (simulate ?cfg ?trials ?seed ?check ?fault ?observer (compile t))
 
 let consistent_with_model r (t : Lang.test) = (not r.interesting_witnessed) || t.expect_wmm
 

@@ -62,6 +62,44 @@ val run :
     trace --test] does).  Raises [Invalid_argument] when given both
     [~check:true] and an [observer]: the check installs its own. *)
 
+(** {2 The trial driver in parts}
+
+    {!run} is [render (simulate (compile t))].  A caller that runs one
+    test on several platforms compiles it once, and a caller that only
+    needs {!cycles} skips {!render}: {!Armb_synth.Cost.measure} does
+    both.  There is one trial loop, {!simulate}; only what is done with
+    its tally differs. *)
+
+type compiled
+(** A test compiled for the simulator: variables and registers as
+    slots, each thread an array of ops with its barriers resolved, and
+    the outcome layout.  Immutable, so one serves any number of
+    {!simulate} calls. *)
+
+val compile : Lang.test -> compiled
+
+type tally
+(** What a trial loop counted: the distinct outcomes as raw values, and
+    every other {!result} field. *)
+
+val simulate :
+  ?cfg:Armb_cpu.Config.t ->
+  ?trials:int ->
+  ?seed:int ->
+  ?check:bool ->
+  ?fault:Armb_fault.Plan.spec ->
+  ?observer:Armb_cpu.Observe.t ->
+  compiled ->
+  tally
+(** The trial loop of {!run}, with the same arguments and defaults. *)
+
+val cycles : tally -> int
+(** The [cycles] field {!render} gives, without rendering outcomes. *)
+
+val render : tally -> result
+(** Render each distinct outcome's bindings, ask the test's
+    [interesting] once per distinct outcome, and sort. *)
+
 val run_rc :
   ?check:bool ->
   ?fault:Armb_fault.Plan.spec ->

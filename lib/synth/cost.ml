@@ -9,14 +9,14 @@ let default_seed = 42
 
 let platforms = Platform.names
 
+(* One compile for the four platforms, and no outcome rendering: only
+   the cycles are read. *)
 let measure ?(trials = default_trials) ?(seed = default_seed) t =
+  let p = Sim_runner.compile t in
   List.map
     (fun cfg ->
-      let r = Sim_runner.run ~cfg ~trials ~seed t in
-      {
-        platform = cfg.Armb_cpu.Config.name;
-        cycles = float_of_int r.Sim_runner.cycles /. float_of_int trials;
-      })
+      let cycles = Sim_runner.(cycles (simulate ~cfg ~trials ~seed p)) in
+      { platform = cfg.Armb_cpu.Config.name; cycles = float_of_int cycles /. float_of_int trials })
     Platform.all
 
 let cheaper_or_equal a b =

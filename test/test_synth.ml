@@ -606,6 +606,25 @@ let test_cost_deterministic () =
       if c.cycles <= 0.0 then Alcotest.failf "%s: non-positive cost" c.platform)
     a
 
+(* [measure] compiles once for its four platforms and renders nothing:
+   it must still read exactly the cycles a full [Sim_runner.run] on
+   each platform reports. *)
+let prop_cost_is_run_cycles =
+  QCheck.Test.make ~name:"cost = run cycles per trial" ~count:60
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let rng = Armb_sim.Rng.create seed in
+      let t = Fuzz.generate ~with_isb:true rng in
+      let trials = 1 + Armb_sim.Rng.int rng 20 and seed = Armb_sim.Rng.int rng 1_000_000 in
+      let want =
+        List.map
+          (fun (cfg : Armb_cpu.Config.t) ->
+            { Cost.platform = cfg.name;
+              cycles = float (Sim.run ~cfg ~trials ~seed t).cycles /. float trials })
+          Armb_platform.Platform.all
+      in
+      Cost.measure ~trials ~seed t = want)
+
 (* ---------- fuzz-repair soak ---------- *)
 
 let test_soak () =
@@ -661,6 +680,7 @@ let () =
         [
           Alcotest.test_case "catalogue" `Quick test_catalogue_round_trips;
           Alcotest.test_case "cost deterministic" `Quick test_cost_deterministic;
+          QCheck_alcotest.to_alcotest prop_cost_is_run_cycles;
         ] );
       ("soak", [ Alcotest.test_case "fuzz repair" `Quick test_soak ]);
     ]
