@@ -12,23 +12,15 @@
 #   {commit, host_kernel_ms,
 #    workloads: {name: {metric: {median, q1, q3, n}}},
 #    layers: {name: {metric: value}}}
-# armb-perf-v3 is armb-perf-v2 plus [layers].  A v2 file is read as it
-# stands: its entries are kept unchanged, without layers, and the file
-# is written back as v3.
 # A run that fails its output checks stops the script and records nothing.
 set -euo pipefail
 
 runs=5
 out=BENCH_perf.json
 
-if [ -f "$out" ]; then
-  case "$(jq -r .schema "$out")" in
-    armb-perf-v2 | armb-perf-v3) ;;
-    *)
-      echo "record: $out is not an armb-perf-v2 or armb-perf-v3 file" >&2
-      exit 2
-      ;;
-  esac
+if [ -f "$out" ] && [ "$(jq -r .schema "$out")" != armb-perf-v3 ]; then
+  echo "record: $out is not an armb-perf-v3 file" >&2
+  exit 2
 fi
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
@@ -61,6 +53,6 @@ jq -n --arg commit "$(git rev-parse HEAD)" --argjson k "$kernel_ms" \
   '{commit: $commit, host_kernel_ms: $k, workloads: $w[0], layers: $l[0]}' > "$tmp/entry"
 
 if [ -f "$out" ]; then cat "$out"; else echo '{"schema": "armb-perf-v3", "entries": []}'; fi \
-  | jq --slurpfile e "$tmp/entry" '.schema = "armb-perf-v3" | .entries += $e' > "$tmp/out"
+  | jq --slurpfile e "$tmp/entry" '.entries += $e' > "$tmp/out"
 mv "$tmp/out" "$out"
 echo "record: appended $(git rev-parse --short HEAD) to $out" >&2

@@ -10,6 +10,7 @@ open Cmdliner
 module AM = Armb_core.Abstracted_model
 module Advisor = Armb_core.Advisor
 module Barrier = Armb_cpu.Barrier
+module Json = Armb_json.Json
 module Ordering = Armb_core.Ordering
 module P = Armb_platform.Platform
 module RC = Armb_platform.Run_config
@@ -412,7 +413,7 @@ let barrier_cmd =
         exit 2
     in
     Format.printf "%a@." BS.pp t;
-    match out with None -> () | Some p -> write_out p (BS.to_json t)
+    match out with None -> () | Some p -> write_out p (Json.to_string (BS.to_json t) ^ "\n")
   in
   Cmd.v
     (Cmd.info "barrier"
@@ -554,7 +555,9 @@ let fix_cmd =
     end
     else if all then begin
       let rts = Fix.catalogue_round_trips ~max_edits ~budget ~trials ~seed () in
-      emit (if json then Report.round_trips_json rts else Report.round_trips_markdown rts);
+      emit
+        (if json then Json.to_string (Report.round_trips_json rts)
+         else Report.round_trips_markdown rts);
       if List.exists (fun (rt : Fix.round_trip) -> not rt.ok) rts then exit 1
     end
     else
@@ -580,13 +583,13 @@ let fix_cmd =
               exit 1
             | Some rt ->
               emit
-                (if json then Report.round_trips_json [ rt ]
+                (if json then Json.to_string (Report.round_trips_json [ rt ])
                  else Format.asprintf "%a@." Report.pp_round_trip rt);
               if not rt.ok then exit 1)
           else begin
             let o = Fix.fix ~max_edits ~budget ~trials ~seed t in
             emit
-              (if json then Report.outcome_json o
+              (if json then Json.to_string (Report.outcome_json o)
                else Format.asprintf "%a@." Report.pp_outcome o);
             if (not o.already_sound) && o.repairs = [] then exit 1
           end)
@@ -657,7 +660,10 @@ let opt_cmd =
     in
     let cost = not no_cost in
     let finish results =
-      let text = if json then Opt_report.json results else Opt_report.markdown results in
+      let text =
+        if json then Json.to_string (Opt_report.json results) ^ "\n"
+        else Opt_report.markdown results
+      in
       print_string text;
       (match out with None -> () | Some path -> write_out path text);
       let unsound =
@@ -797,7 +803,6 @@ let trace_cmd =
 module Engine = Armb_service.Engine
 module Serve = Armb_service.Serve
 module Codec = Armb_service.Codec
-module Json = Armb_service.Json
 module Metrics = Armb_service.Metrics
 
 let no_cache =

@@ -165,6 +165,8 @@ let[@inline] fault_stall t =
 let[@inline] fault_barrier_delay t =
   match t.fault with None -> 0 | Some f -> Injector.barrier_delay f
 
+(* Advance the cursor to at least [time]: a resumed core cannot issue
+   before the scheduler's clock. *)
 let sync_to t time = if time > t.cursor then t.cursor <- time
 
 (* ---------- Observation ---------- *)

@@ -141,6 +141,3 @@ val reset : ?observer:Observe.t -> ?fault:Armb_fault.Injector.t -> t -> unit
     observer and injector (none when omitted); its id, config, queue
     and memory system are kept. *)
 
-val sync_to : t -> int -> unit
-(** Advance the core's cursor to at least the given time (used by the
-    scheduler when resuming after a suspension). *)

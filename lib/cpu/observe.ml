@@ -42,9 +42,3 @@ let kind_to_string = function
     "rmw" ^ (if acq then ".acq" else "") ^ if rel then ".rel" else ""
   | Fence b -> Barrier.to_string b
   | Compute n -> Printf.sprintf "compute %d" n
-
-let pp_event ppf e =
-  if is_access e.kind then
-    Format.fprintf ppf "[%d:%d] %s 0x%x @%d..%d" e.core e.seq (kind_to_string e.kind)
-      e.addr e.issued_at e.completes_at
-  else Format.fprintf ppf "[%d:%d] %s @%d" e.core e.seq (kind_to_string e.kind) e.issued_at

@@ -41,4 +41,3 @@ type t = event -> unit
 
 val is_access : kind -> bool
 val kind_to_string : kind -> string
-val pp_event : Format.formatter -> event -> unit

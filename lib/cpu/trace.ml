@@ -1,3 +1,5 @@
+module Json = Armb_json.Json
+
 type span = {
   core : int;
   kind : string;
@@ -36,37 +38,26 @@ let spans t = List.rev t.rev_spans
 
 let dropped t = t.drop
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* Streamed: each span's object is printed into the buffer as it is
+   built, so the whole trace never exists as one [Json.t] (on a
+   200,000-span ring trace that tree doubled the peak heap). *)
 let to_chrome_json t =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d}"
-           (escape s.name) (escape s.kind) s.core s.start_cycle (Int.max 1 s.duration)))
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.to_buffer buf
+        (Json.Obj
+           [
+             ("name", Json.Str s.name);
+             ("cat", Json.Str s.kind);
+             ("ph", Json.Str "X");
+             ("pid", Json.Int 0);
+             ("tid", Json.Int s.core);
+             ("ts", Json.Int s.start_cycle);
+             ("dur", Json.Int (Int.max 1 s.duration));
+           ]))
     (spans t);
   Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}";
   Buffer.contents buf
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json t))

@@ -9,7 +9,7 @@
       let tr = Trace.create () in
       let m = Machine.create ~observer:(Trace.observer tr) cfg in
       ...
-      Trace.write_file tr "run.json"
+      Armb_service.Out.write ~path:"run.json" (Trace.to_chrome_json tr)
     ]} *)
 
 type span = {
@@ -45,5 +45,3 @@ val to_chrome_json : t -> string
 (** Chrome trace-event JSON: one complete event per span, one track per
     simulated core, timestamps in simulated cycles.  A span shorter
     than one cycle is written with a duration of 1. *)
-
-val write_file : t -> string -> unit

@@ -76,6 +76,8 @@ let snoop_delay t ~rank =
   end;
   d
 
+(* NACK rounds before the fabric accepts a barrier transaction (0 = clean
+   first try), capped by the plan. *)
 let barrier_retries t =
   let s = t.spec in
   if s.Plan.barrier_nack_prob <= 0. || s.Plan.barrier_max_retries <= 0 then begin

@@ -31,13 +31,10 @@ val snoop_delay : t -> rank:int -> int
     2 = same node, 3 = cross node).  Farther hops draw proportionally
     longer delays — the snoop-distance effect under perturbation. *)
 
-val barrier_retries : t -> int
-(** Number of NACK rounds this barrier transaction suffers before the
-    fabric accepts it (0 = clean first try), capped by the plan. *)
-
 val barrier_delay : t -> int
-(** Total extra response delay of one barrier transaction: draws
-    {!barrier_retries} and charges the plan's exponential backoff for
+(** Total extra response delay of one barrier transaction: draws the
+    number of NACK rounds it suffers before the fabric accepts it
+    (capped by the plan) and charges the plan's exponential backoff for
     each round.  [0] when the transaction goes through clean. *)
 
 val stall : t -> int

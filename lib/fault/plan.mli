@@ -41,8 +41,6 @@ type spec = {
   stall_cycles : int;  (** max lost cycles per stall *)
 }
 
-val default_backoff : backoff
-
 val none : spec
 (** The null plan: every probability zero.  {!is_null} holds. *)
 

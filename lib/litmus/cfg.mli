@@ -105,9 +105,6 @@ val slices : ?unroll:int -> program -> slice list
 (** Cartesian product of per-thread paths.  Raises [Invalid_argument]
     beyond 512 combinations or when a thread has no in-bound path. *)
 
-val feasible : slice -> Enumerate.outcome -> bool
-(** Do the slice's branch constraints hold in the outcome? *)
-
 val project : program -> slice -> Enumerate.outcome -> Enumerate.outcome
 (** Fold a slice outcome onto the program universe: base registers get
     their path-final version's value (0 if never written), every

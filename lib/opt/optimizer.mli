@@ -41,10 +41,6 @@ type result = {
   reverted : bool;  (** optimization undone: some platform got slower *)
 }
 
-val fence_sites : Cfg.program -> (int * Cfg.label * int * Lang.fence) list
-(** (thread, label, in-block index, fence) of every reachable non-DSB
-    fence. *)
-
 val optimize :
   ?algorithm:algorithm ->
   ?unroll:int ->

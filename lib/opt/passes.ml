@@ -27,6 +27,8 @@ module Cfg = Armb_litmus.Cfg
 
 type kind = Ld | St
 
+(* The ordering-pair lattice: [dmb.st] = St->St; [dmb.ld] and ctrl+ISB =
+   Ld->Ld, Ld->St; [dmb]/[dsb] = everything. *)
 let pairs_of = function
   | Lang.F_dmb_st -> [ (St, St) ]
   | Lang.F_dmb_ld | Lang.F_isb -> [ (Ld, Ld); (Ld, St) ]

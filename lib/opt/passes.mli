@@ -20,10 +20,6 @@ module Cfg = Armb_litmus.Cfg
 
 type kind = Ld | St
 
-val pairs_of : Lang.fence -> (kind * kind) list
-(** The ordering-pair lattice: [dmb.st] = St->St; [dmb.ld] and ctrl+ISB
-    = Ld->Ld, Ld->St; [dmb]/[dsb] = everything. *)
-
 val cover : (kind * kind) list -> Lang.fence
 (** Cheapest fence whose pairs are a superset of the (non-empty)
     needed set: DMB st, then DMB ld, then DMB full. *)

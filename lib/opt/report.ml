@@ -1,9 +1,8 @@
 (* Markdown and JSON rendering of optimizer results (the [armb opt]
-   report and the CI artifact).  JSON is hand-rolled like the synth
-   report: no JSON library in the image. *)
+   report and the CI artifact). *)
 
-module Cfg = Armb_litmus.Cfg
 module Cost = Armb_synth.Cost
+module Json = Armb_json.Json
 
 let pct_saving before after =
   if before <= 0.0 then 0.0 else (before -. after) /. before *. 100.0
@@ -83,48 +82,49 @@ let markdown results =
   add "longest bounded-unroll slices, summed; a reverted row kept its input.\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json results =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let total, unsound, increase, improved = summary_counts results in
-  add "{\n";
-  (match results with
-  | r :: _ -> add "  \"algorithm\": \"%s\",\n" (Optimizer.algorithm_name r.Optimizer.algorithm)
-  | [] -> ());
-  add "  \"summary\": { \"programs\": %d, \"improved\": %d, \"unsound\": %d, \"fence_increase\": %d },\n"
-    total improved unsound increase;
-  add "  \"results\": [\n";
-  List.iteri
-    (fun i (r : Optimizer.result) ->
-      add "    { \"name\": \"%s\", \"loop_free\": %b, \"input_fences\": %d, \"output_fences\": %d,\n"
-        (json_escape r.Optimizer.name)
-        (Verify.loop_free r.Optimizer.input)
-        r.Optimizer.input_fences r.Optimizer.output_fences;
-      add "      \"removed\": %d, \"weakened\": %d, \"merged\": %d, \"sound\": %b, \"reverted\": %b,\n"
-        r.Optimizer.removed r.Optimizer.weakened r.Optimizer.merged
-        r.Optimizer.verdict.Verify.sound r.Optimizer.reverted;
-      add "      \"oracle\": \"%s\",\n" (json_escape r.Optimizer.verdict.Verify.oracle);
-      add "      \"costs\": [";
-      List.iteri
-        (fun j (pl, before, after) ->
-          add "%s{ \"platform\": \"%s\", \"before\": %.2f, \"after\": %.2f }"
-            (if j > 0 then ", " else "")
-            (json_escape pl) before after)
-        (cost_pairs r);
-      add "] }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n}\n";
-  Buffer.contents buf
+  let algorithm =
+    match results with
+    | r :: _ -> [ ("algorithm", Json.Str (Optimizer.algorithm_name r.Optimizer.algorithm)) ]
+    | [] -> []
+  in
+  let result (r : Optimizer.result) =
+    Json.Obj
+      [
+        ("name", Json.Str r.Optimizer.name);
+        ("loop_free", Json.Bool (Verify.loop_free r.Optimizer.input));
+        ("input_fences", Json.Int r.Optimizer.input_fences);
+        ("output_fences", Json.Int r.Optimizer.output_fences);
+        ("removed", Json.Int r.Optimizer.removed);
+        ("weakened", Json.Int r.Optimizer.weakened);
+        ("merged", Json.Int r.Optimizer.merged);
+        ("sound", Json.Bool r.Optimizer.verdict.Verify.sound);
+        ("reverted", Json.Bool r.Optimizer.reverted);
+        ("oracle", Json.Str r.Optimizer.verdict.Verify.oracle);
+        ( "costs",
+          Json.List
+            (List.map
+               (fun (pl, before, after) ->
+                 Json.Obj
+                   [
+                     ("platform", Json.Str pl);
+                     ("before", Json.Float before);
+                     ("after", Json.Float after);
+                   ])
+               (cost_pairs r)) );
+      ]
+  in
+  Json.Obj
+    (algorithm
+    @ [
+        ( "summary",
+          Json.Obj
+            [
+              ("programs", Json.Int total);
+              ("improved", Json.Int improved);
+              ("unsound", Json.Int unsound);
+              ("fence_increase", Json.Int increase);
+            ] );
+        ("results", Json.List (List.map result results));
+      ])

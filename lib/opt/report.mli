@@ -9,6 +9,7 @@ val markdown : Optimizer.result list -> string
 (** Summary table: one row per program, fence deltas, soundness,
     per-platform estimated-cycle savings. *)
 
-val json : Optimizer.result list -> string
-(** The same data as a JSON document (hand-rolled; no JSON library in
-    the image). *)
+val json : Optimizer.result list -> Armb_json.Json.t
+(** The same data as a JSON document: the algorithm, summary counts and
+    one object per program with its per-platform cycles before and
+    after. *)

@@ -7,8 +7,6 @@ let priority_of_string s =
   | "low" -> Some Low
   | _ -> None
 
-let priority_to_string = function High -> "high" | Normal -> "normal" | Low -> "low"
-
 let priority_index = function High -> 0 | Normal -> 1 | Low -> 2
 
 type request = { id : string; client : string; priority : priority; job : Job.t }

@@ -28,7 +28,6 @@
 type priority = High | Normal | Low
 
 val priority_of_string : string -> priority option
-val priority_to_string : priority -> string
 
 type request = { id : string; client : string; priority : priority; job : Job.t }
 

@@ -26,9 +26,6 @@ type outcome =
   | Gave_up of { last : Engine.response; retries : int }
       (** still shed after exhausting the policy *)
 
-val backoff_ms : policy -> attempt:int -> retry_after_ms:int -> int
-(** [min cap (max retry_after_ms (base * 2^attempt))]. *)
-
 val is_shed : Engine.response -> bool
 
 val default_sleep : int -> unit

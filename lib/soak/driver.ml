@@ -18,7 +18,7 @@ module Metrics = Armb_service.Metrics
 module Retry = Armb_service.Retry
 module Codec = Armb_service.Codec
 module Clock = Armb_service.Clock
-module Json = Armb_service.Json
+module Json = Armb_json.Json
 module Out = Armb_service.Out
 
 type config = {

@@ -19,7 +19,7 @@
    budget, opt inputs are over-fenced so the optimizer has sound work
    to do. *)
 
-module Json = Armb_service.Json
+module Json = Armb_json.Json
 module Codec = Armb_service.Codec
 module Lang = Armb_litmus.Lang
 module Cfg = Armb_litmus.Cfg

@@ -28,9 +28,6 @@ type verdict = {
           (0 otherwise) — the farm's drift accounting feeds off it *)
 }
 
-val check_text : expect -> string -> verdict
-(** Check a result text alone (used by tests). *)
-
 val check : expect -> Armb_service.Engine.response -> verdict
 (** [Error] replies are always violations; [Shed] replies must not
     reach the checker (the driver retries them — backpressure is not a

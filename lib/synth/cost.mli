@@ -15,7 +15,6 @@ type platform_cost = {
   cycles : float;  (** average simulated cycles per trial *)
 }
 
-val default_trials : int
 val default_seed : int
 
 val measure : ?trials:int -> ?seed:int -> Lang.test -> platform_cost list

@@ -1,3 +1,4 @@
+module Json = Armb_json.Json
 module Lang = Armb_litmus.Lang
 
 let pp_costs = Cost.pp
@@ -87,76 +88,53 @@ let round_trips_markdown rts =
     rts;
   Buffer.contents b
 
-(* ---------- JSON (hand-rolled: the image carries no JSON library) ---------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> buf_add b "\\\""
-      | '\\' -> buf_add b "\\\\"
-      | '\n' -> buf_add b "\\n"
-      | c when Char.code c < 0x20 -> buf_add b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-
-let jlist f l = "[" ^ String.concat "," (List.map f l) ^ "]"
-
-let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
-
-let jbool b = if b then "true" else "false"
+(* ---------- JSON ---------- *)
 
 let jcosts costs =
-  jlist
-    (fun c ->
-      jobj
-        [
-          ("platform", jstr c.Cost.platform);
-          ("cycles", Printf.sprintf "%.2f" c.Cost.cycles);
-        ])
-    costs
+  Json.List
+    (List.map
+       (fun c ->
+         Json.Obj
+           [ ("platform", Json.Str c.Cost.platform); ("cycles", Json.Float c.Cost.cycles) ])
+       costs)
 
 let jrepair (r : Fix.repair) =
-  jobj
+  Json.Obj
     [
-      ("label", jstr r.label);
-      ("kind", jstr (kind_str r.kind));
-      ("static_cost", string_of_int r.static_cost);
-      ("irredundant", jbool r.irredundant);
-      ("advisor", jlist jstr r.advisor);
+      ("label", Json.Str r.label);
+      ("kind", Json.Str (kind_str r.kind));
+      ("static_cost", Json.Int r.static_cost);
+      ("irredundant", Json.Bool r.irredundant);
+      ("advisor", Json.List (List.map (fun h -> Json.Str h) r.advisor));
       ("costs", jcosts r.costs);
     ]
 
 let outcome_json (o : Fix.outcome) =
-  jobj
+  Json.Obj
     [
-      ("test", jstr o.original.Lang.name);
-      ("already_sound", jbool o.already_sound);
-      ("oracle_calls", string_of_int o.oracle_calls);
-      ("search_complete", jbool o.search_complete);
-      ("repairs", jlist jrepair o.repairs);
+      ("test", Json.Str o.original.Lang.name);
+      ("already_sound", Json.Bool o.already_sound);
+      ("oracle_calls", Json.Int o.oracle_calls);
+      ("search_complete", Json.Bool o.search_complete);
+      ("repairs", Json.List (List.map jrepair o.repairs));
       ( "winners",
-        jobj (List.map (fun (p, (r : Fix.repair)) -> (p, jstr r.label)) o.winners) );
+        Json.Obj (List.map (fun (p, (r : Fix.repair)) -> (p, Json.Str r.label)) o.winners) );
     ]
 
 let round_trips_json rts =
-  jlist
-    (fun (rt : Fix.round_trip) ->
-      jobj
-        [
-          ("test", jstr rt.test_name);
-          ("original_costs", jcosts rt.original_costs);
-          ("outcome", outcome_json rt.outcome);
-          ("sufficient_ok", jbool rt.sufficient_ok);
-          ("irredundant_ok", jbool rt.irredundant_ok);
-          ("cost_ok", jbool rt.cost_ok);
-          ("pilot_expected", jbool rt.pilot_expected);
-          ("pilot_ok", jbool rt.pilot_ok);
-          ("ok", jbool rt.ok);
-        ])
-    rts
+  Json.List
+    (List.map
+       (fun (rt : Fix.round_trip) ->
+         Json.Obj
+           [
+             ("test", Json.Str rt.test_name);
+             ("original_costs", jcosts rt.original_costs);
+             ("outcome", outcome_json rt.outcome);
+             ("sufficient_ok", Json.Bool rt.sufficient_ok);
+             ("irredundant_ok", Json.Bool rt.irredundant_ok);
+             ("cost_ok", Json.Bool rt.cost_ok);
+             ("pilot_expected", Json.Bool rt.pilot_expected);
+             ("pilot_ok", Json.Bool rt.pilot_ok);
+             ("ok", Json.Bool rt.ok);
+           ])
+       rts)

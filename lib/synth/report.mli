@@ -13,8 +13,10 @@ val round_trips_markdown : Fix.round_trip list -> string
     winner and cost delta per platform, verdict flags) followed by a
     per-test breakdown of every synthesized repair. *)
 
-val round_trips_json : Fix.round_trip list -> string
-(** The same data as a JSON document (hand-rolled; no JSON library in
-    the image). *)
+val round_trips_json : Fix.round_trip list -> Armb_json.Json.t
+(** The same data as a JSON document: one object per round trip, with
+    its [outcome] rendered as {!outcome_json}. *)
 
-val outcome_json : Fix.outcome -> string
+val outcome_json : Fix.outcome -> Armb_json.Json.t
+(** One test's repairs, their per-platform costs in simulated cycles,
+    and the winner per platform. *)

@@ -1,3 +1,4 @@
+module Json = Armb_json.Json
 module P = Armb_platform.Platform
 module B = Armb_sync.Sync_barrier
 
@@ -85,34 +86,26 @@ let pp ppf t =
   | None -> Format.fprintf ppf "no central -> tree%d crossover in this sweep@," t.arity);
   Format.fprintf ppf "@]"
 
-(* Same line-oriented hand-rolled JSON style as Perf.to_json, so no JSON
-   dependency is needed to consume it. *)
 let to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"armb-barrier-study-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"episodes\": %d,\n" t.episodes);
-  Buffer.add_string b (Printf.sprintf "  \"work\": %d,\n" t.work);
-  Buffer.add_string b (Printf.sprintf "  \"arity\": %d,\n" t.arity);
-  Buffer.add_string b
-    (Printf.sprintf "  \"crossover\": %s,\n"
-       (match t.crossover with Some c -> string_of_int c | None -> "null"));
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b "    {\n";
-      Buffer.add_string b (Printf.sprintf "      \"cores\": %d,\n" r.cores);
-      Buffer.add_string b
-        (Printf.sprintf "      \"central_cpe\": %.1f,\n" r.central.cycles_per_episode);
-      Buffer.add_string b
-        (Printf.sprintf "      \"tree_cpe\": %.1f,\n" r.tree.cycles_per_episode);
-      Buffer.add_string b
-        (Printf.sprintf "      \"dissemination_cpe\": %.1f,\n"
-           r.dissemination.cycles_per_episode);
-      Buffer.add_string b
-        (Printf.sprintf "      \"events\": %d\n"
-           (r.central.events + r.tree.events + r.dissemination.events));
-      Buffer.add_string b (if i = List.length t.rows - 1 then "    }\n" else "    },\n"))
-    t.rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let cpe c = Json.Float c.cycles_per_episode in
+  Json.Obj
+    [
+      ("schema", Json.Str "armb-barrier-study-v1");
+      ("episodes", Json.Int t.episodes);
+      ("work", Json.Int t.work);
+      ("arity", Json.Int t.arity);
+      ("crossover", match t.crossover with Some c -> Json.Int c | None -> Json.Null);
+      ( "rows",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("cores", Json.Int r.cores);
+                   ("central_cpe", cpe r.central);
+                   ("tree_cpe", cpe r.tree);
+                   ("dissemination_cpe", cpe r.dissemination);
+                   ("events", Json.Int (r.central.events + r.tree.events + r.dissemination.events));
+                 ])
+             t.rows) );
+    ]

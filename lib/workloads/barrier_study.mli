@@ -48,5 +48,7 @@ val run :
 val pp : Format.formatter -> t -> unit
 (** Cycles-per-episode table plus the crossover line. *)
 
-val to_json : t -> string
-(** Line-oriented JSON, same style as [Perf.to_json]. *)
+val to_json : t -> Armb_json.Json.t
+(** Schema [armb-barrier-study-v1]: the sweep's parameters, the
+    crossover ([null] if none) and one row per size with the three
+    cycles-per-episode values and the simulated events of all three. *)

@@ -4,6 +4,7 @@
 module Barrier = Armb_cpu.Barrier
 module Config = Armb_cpu.Config
 module Core = Armb_cpu.Core
+module Json = Armb_json.Json
 module Machine = Armb_cpu.Machine
 module Topology = Armb_mem.Topology
 
@@ -676,13 +677,23 @@ let test_compute_takes_no_slot () =
     "one compute span per call with n > 0" [ "5 ops"; "40 ops"; "3 ops" ]
     (List.map (fun (s : Armb_cpu.Trace.span) -> s.name) compute_spans)
 
+(* The trace parses back, and the escaped span name comes back exactly. *)
 let test_trace_json_wellformed () =
   let tr = Armb_cpu.Trace.create () in
   Armb_cpu.Trace.emit tr
     { Armb_cpu.Trace.core = 1; kind = "load"; name = "ld \"quoted\"\n"; start_cycle = 5; duration = 7 };
-  let json = Armb_cpu.Trace.to_chrome_json tr in
-  check Alcotest.bool "escapes quotes" true
-    (String.length json > 0 && not (String.contains (String.concat "" (String.split_on_char '\\' json)) '\n'))
+  match Json.of_string (Armb_cpu.Trace.to_chrome_json tr) with
+  | Error e -> Alcotest.fail e
+  | Ok j -> (
+    check Alcotest.(option string) "time unit" (Some "ns") (Json.mem_str "displayTimeUnit" j);
+    match Option.bind (Json.member "traceEvents" j) Json.list with
+    | Some [ ev ] ->
+      check Alcotest.(option string) "name" (Some "ld \"quoted\"\n") (Json.mem_str "name" ev);
+      check Alcotest.(option string) "cat" (Some "load") (Json.mem_str "cat" ev);
+      check Alcotest.(option int) "tid" (Some 1) (Json.mem_int "tid" ev);
+      check Alcotest.(option int) "ts" (Some 5) (Json.mem_int "ts" ev);
+      check Alcotest.(option int) "dur" (Some 7) (Json.mem_int "dur" ev)
+    | _ -> Alcotest.fail "expected one trace event")
 
 let test_trace_limit_drops () =
   let tr = Armb_cpu.Trace.create ~limit:3 () in

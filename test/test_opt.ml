@@ -409,6 +409,79 @@ let test_opt_soak () =
     true (Opt_soak.ok r);
   checkb "soak improved something" true (r.Opt_soak.improved > 0)
 
+(* ---------- JSON report ---------- *)
+
+module Json = Armb_json.Json
+module Report = Armb_opt.Report
+
+let mem_bool k j = match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
+
+(* The rendered report parses back to the results it came from; cycles
+   within the printer's relative 1e-5. *)
+let test_report_json () =
+  let results =
+    List.map
+      (fun name ->
+        match Optimizer.find_input name with
+        | Some p -> Optimizer.optimize ~trials:5 p
+        | None -> Alcotest.failf "no sweep input %s" name)
+      [ "MP"; "MP+overfenced"; "MP+spin+overfenced"; "MP+cond+isb+overfenced" ]
+  in
+  let j =
+    match Json.of_string (Json.to_string (Report.json results)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.(option string) "algorithm" (Some "second-chance") (Json.mem_str "algorithm" j);
+  let summary = Option.value ~default:Json.Null (Json.member "summary" j) in
+  let count f = List.length (List.filter f results) in
+  List.iter
+    (fun (k, n) -> check Alcotest.(option int) k (Some n) (Json.mem_int k summary))
+    [
+      ("programs", List.length results);
+      ("improved", count Optimizer.improved);
+      ("unsound", count (fun (r : Optimizer.result) -> not r.Optimizer.verdict.Verify.sound));
+      ( "fence_increase",
+        count (fun (r : Optimizer.result) -> r.Optimizer.output_fences > r.Optimizer.input_fences)
+      );
+    ];
+  let rows = Option.value ~default:[] (Option.bind (Json.member "results" j) Json.list) in
+  checki "one row per program" (List.length results) (List.length rows);
+  List.iter2
+    (fun (r : Optimizer.result) row ->
+      check Alcotest.(option string) "name" (Some r.Optimizer.name) (Json.mem_str "name" row);
+      check Alcotest.(option bool) "loop_free" (Some (Verify.loop_free r.Optimizer.input))
+        (mem_bool "loop_free" row);
+      List.iter
+        (fun (k, n) -> check Alcotest.(option int) k (Some n) (Json.mem_int k row))
+        [
+          ("input_fences", r.Optimizer.input_fences);
+          ("output_fences", r.Optimizer.output_fences);
+          ("removed", r.Optimizer.removed);
+          ("weakened", r.Optimizer.weakened);
+          ("merged", r.Optimizer.merged);
+        ];
+      check Alcotest.(option bool) "sound" (Some r.Optimizer.verdict.Verify.sound)
+        (mem_bool "sound" row);
+      check Alcotest.(option bool) "reverted" (Some r.Optimizer.reverted) (mem_bool "reverted" row);
+      check Alcotest.(option string) "oracle" (Some r.Optimizer.verdict.Verify.oracle)
+        (Json.mem_str "oracle" row);
+      let costs = Option.value ~default:[] (Option.bind (Json.member "costs" row) Json.list) in
+      checki "one cost per platform" (List.length r.Optimizer.costs_before) (List.length costs);
+      List.iter2
+        (fun ((b : Armb_synth.Cost.platform_cost), (a : Armb_synth.Cost.platform_cost)) c ->
+          check Alcotest.string "record pairs platforms" b.platform a.platform;
+          check Alcotest.(option string) "platform" (Some b.platform) (Json.mem_str "platform" c);
+          List.iter
+            (fun (k, want) ->
+              match Json.mem_number k c with
+              | Some v -> check (Alcotest.float (1e-5 *. want)) k want v
+              | None -> Alcotest.failf "%s: no %s" r.Optimizer.name k)
+            [ ("before", b.cycles); ("after", a.cycles) ])
+        (List.combine r.Optimizer.costs_before r.Optimizer.costs_after)
+        costs)
+    results rows
+
 let () =
   Alcotest.run "opt"
     [
@@ -456,4 +529,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_optimize_preserves;
           Alcotest.test_case "soak" `Slow test_opt_soak;
         ] );
+      ("report", [ Alcotest.test_case "json" `Quick test_report_json ]);
     ]

@@ -14,7 +14,7 @@ module Fuzz = Armb_litmus.Fuzz
 module RC = Armb_platform.Run_config
 module P = Armb_platform.Platform
 module Rng = Armb_sim.Rng
-module Json = Armb_service.Json
+module Json = Armb_json.Json
 module Key = Armb_service.Key
 module Job = Armb_service.Job
 module Cache = Armb_service.Cache
@@ -787,7 +787,8 @@ let test_json_surrogate_pairs () =
   | _ -> Alcotest.fail "BMP escape must decode"
 
 (* Printable round-trip property over random JSON trees (floats
-   excluded: their %.6g rendering is lossy by design). *)
+   excluded: their %.6g rendering is lossy by design; the next property
+   pins how lossy). *)
 let prop_json_roundtrip =
   let open QCheck in
   let leaf =
@@ -821,6 +822,31 @@ let prop_json_roundtrip =
       match Json.of_string (Json.to_string j) with
       | Ok j' -> Json.to_string j = Json.to_string j'
       | Error _ -> false)
+
+(* The float contract the reports rely on: a finite float reads back
+   within a relative 1e-5, an integral one below 1e15 exactly, and nan
+   and the infinities print as null. *)
+let prop_json_float_contract =
+  let open QCheck in
+  let gen =
+    Gen.oneof
+      [
+        Gen.float;
+        Gen.map Float.round (Gen.float_range (-1e15) 1e15);
+        Gen.map (fun f -> Float.round (f *. 100.) /. 100.) (Gen.float_range 0. 1e4);
+        Gen.oneofl [ nan; infinity; neg_infinity; 0.; -0.; 1e15; 0.1 ];
+      ]
+  in
+  Test.make ~name:"float print/parse contract" ~count:1000 (make ~print:string_of_float gen)
+    (fun f ->
+      let text = Json.to_string (Json.Float f) in
+      if not (Float.is_finite f) then text = "null"
+      else
+        match Option.bind (Result.to_option (Json.of_string text)) Json.number with
+        | None -> false
+        | Some g ->
+          if Float.is_integer f && Float.abs f < 1e15 then g = f
+          else Float.abs (g -. f) <= 1e-5 *. Float.abs f)
 
 let () =
   Alcotest.run "service"
@@ -874,6 +900,7 @@ let () =
           Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
           Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogate_pairs;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_float_contract;
           Alcotest.test_case "run_config kv round trip" `Quick test_run_config_kv;
         ] );
     ]

@@ -7,7 +7,7 @@ module Lang = Armb_litmus.Lang
 module Cat = Armb_litmus.Catalogue
 module Fuzz = Armb_litmus.Fuzz
 module Rng = Armb_sim.Rng
-module Json = Armb_service.Json
+module Json = Armb_json.Json
 module Key = Armb_service.Key
 module Codec = Armb_service.Codec
 module Engine = Armb_service.Engine

@@ -625,6 +625,87 @@ let prop_cost_is_run_cycles =
       in
       Cost.measure ~trials ~seed t = want)
 
+(* ---------- JSON reports ---------- *)
+
+module Json = Armb_json.Json
+module Report = Armb_synth.Report
+
+(* Render through the one printer and parse the text back. *)
+let reparse j =
+  match Json.of_string (Json.to_string j) with Ok j -> j | Error e -> Alcotest.fail e
+
+let mem_bool k j = match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
+
+let mem_list k j = Option.value ~default:[] (Option.bind (Json.member k j) Json.list)
+
+(* Costs come back within the printer's relative 1e-5. *)
+let check_costs what (costs : Cost.platform_cost list) items =
+  check Alcotest.int (what ^ " entries") (List.length costs) (List.length items);
+  List.iter2
+    (fun (c : Cost.platform_cost) item ->
+      check Alcotest.(option string) (what ^ " platform") (Some c.platform)
+        (Json.mem_str "platform" item);
+      match Json.mem_number "cycles" item with
+      | Some v -> check (Alcotest.float (1e-5 *. c.cycles)) (what ^ " cycles") c.cycles v
+      | None -> Alcotest.failf "%s: no cycles" what)
+    costs items
+
+let check_outcome_json (o : Fix.outcome) j =
+  check Alcotest.(option string) "test" (Some o.original.Lang.name) (Json.mem_str "test" j);
+  check Alcotest.(option bool) "already_sound" (Some o.already_sound) (mem_bool "already_sound" j);
+  check Alcotest.(option int) "oracle_calls" (Some o.oracle_calls) (Json.mem_int "oracle_calls" j);
+  check Alcotest.(option bool) "search_complete" (Some o.search_complete)
+    (mem_bool "search_complete" j);
+  let repairs = mem_list "repairs" j in
+  check Alcotest.int "repairs" (List.length o.repairs) (List.length repairs);
+  List.iter2
+    (fun (r : Fix.repair) rj ->
+      check Alcotest.(option string) "label" (Some r.label) (Json.mem_str "label" rj);
+      check Alcotest.(option string) "kind"
+        (Some (match r.kind with Fix.Edits _ -> "edits" | Fix.Pilot -> "pilot"))
+        (Json.mem_str "kind" rj);
+      check Alcotest.(option int) "static_cost" (Some r.static_cost)
+        (Json.mem_int "static_cost" rj);
+      check Alcotest.(option bool) "irredundant" (Some r.irredundant) (mem_bool "irredundant" rj);
+      check Alcotest.(list string) "advisor" r.advisor
+        (List.map (function Json.Str s -> s | _ -> "<not a string>") (mem_list "advisor" rj));
+      check_costs r.label r.costs (mem_list "costs" rj))
+    o.repairs repairs;
+  match Json.member "winners" j with
+  | Some (Json.Obj kvs) ->
+    check Alcotest.(list (pair string string)) "winners"
+      (List.map (fun (p, (r : Fix.repair)) -> (p, r.label)) o.winners)
+      (List.map (fun (p, v) -> (p, match v with Json.Str s -> s | _ -> "<not a string>")) kvs)
+  | _ -> Alcotest.fail "winners is not an object"
+
+let test_outcome_json () =
+  let o = Fix.fix ~trials:20 Cat.mp in
+  check Alcotest.bool "MP needs repairs" true (o.repairs <> [] && o.winners <> []);
+  check_outcome_json o (reparse (Report.outcome_json o))
+
+let test_round_trips_json () =
+  match Fix.strip_round_trip ~trials:20 Cat.mp_dmb with
+  | None -> Alcotest.fail "MP+dmb is eligible for a strip round trip"
+  | Some rt -> (
+    match Json.list (reparse (Report.round_trips_json [ rt ])) with
+    | Some [ j ] ->
+      check Alcotest.(option string) "test" (Some rt.test_name) (Json.mem_str "test" j);
+      check_costs "original_costs" rt.original_costs (mem_list "original_costs" j);
+      (match Json.member "outcome" j with
+      | Some oj -> check_outcome_json rt.outcome oj
+      | None -> Alcotest.fail "no outcome");
+      List.iter
+        (fun (k, b) -> check Alcotest.(option bool) k (Some b) (mem_bool k j))
+        [
+          ("sufficient_ok", rt.sufficient_ok);
+          ("irredundant_ok", rt.irredundant_ok);
+          ("cost_ok", rt.cost_ok);
+          ("pilot_expected", rt.pilot_expected);
+          ("pilot_ok", rt.pilot_ok);
+          ("ok", rt.ok);
+        ]
+    | _ -> Alcotest.fail "expected a one-element list")
+
 (* ---------- fuzz-repair soak ---------- *)
 
 let test_soak () =
@@ -681,6 +762,11 @@ let () =
           Alcotest.test_case "catalogue" `Quick test_catalogue_round_trips;
           Alcotest.test_case "cost deterministic" `Quick test_cost_deterministic;
           QCheck_alcotest.to_alcotest prop_cost_is_run_cycles;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "outcome json" `Quick test_outcome_json;
+          Alcotest.test_case "round trips json" `Quick test_round_trips_json;
         ] );
       ("soak", [ Alcotest.test_case "fuzz repair" `Quick test_soak ]);
     ]

@@ -3,6 +3,7 @@
    checks; oracle comparison), so completing a run is itself the main
    assertion. *)
 
+module Json = Armb_json.Json
 module P = Armb_platform.Platform
 module W = Armb_workloads
 
@@ -63,16 +64,29 @@ let test_barrier_study_bad_sizes () =
       | exception Invalid_argument _ -> ())
     [ []; [ 12 ]; [ 4 ]; [ 2048 ]; [ 8; 0 ] ]
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
+(* The rendered study parses back to the record it came from. *)
 let test_barrier_study_json () =
   let t = W.Barrier_study.run ~sizes:[ 8 ] ~episodes:1 ~work:10 () in
-  let json = W.Barrier_study.to_json t in
-  check Alcotest.bool "schema tag" true (contains ~sub:"armb-barrier-study-v1" json);
-  check Alcotest.bool "row tag" true (contains ~sub:"\"cores\": 8" json)
+  match Json.of_string (Json.to_string (W.Barrier_study.to_json t)) with
+  | Error e -> Alcotest.fail e
+  | Ok j -> (
+    check Alcotest.(option string) "schema" (Some "armb-barrier-study-v1")
+      (Json.mem_str "schema" j);
+    match (Option.bind (Json.member "rows" j) Json.list, t.W.Barrier_study.rows) with
+    | Some [ row ], [ r ] ->
+      check Alcotest.(option int) "cores" (Some 8) (Json.mem_int "cores" row);
+      List.iter
+        (fun (key, (c : W.Barrier_study.cell)) ->
+          match Json.mem_number key row with
+          | Some v ->
+            check (Alcotest.float (1e-5 *. c.cycles_per_episode)) key c.cycles_per_episode v
+          | None -> Alcotest.fail (key ^ " missing"))
+        [
+          ("central_cpe", r.central);
+          ("tree_cpe", r.tree);
+          ("dissemination_cpe", r.dissemination);
+        ]
+    | _ -> Alcotest.fail "expected one row")
 
 let test_floorplan_matches_oracle () =
   (* the run itself raises if the parallel result differs from the
