@@ -10,7 +10,10 @@ open Cmdliner
 module AM = Armb_core.Abstracted_model
 module Advisor = Armb_core.Advisor
 module Barrier = Armb_cpu.Barrier
+module Catalogue = Armb_litmus.Catalogue
 module Json = Armb_json.Json
+module Lang = Armb_litmus.Lang
+module Opt = Armb_opt.Optimizer
 module Ordering = Armb_core.Ordering
 module P = Armb_platform.Platform
 module RC = Armb_platform.Run_config
@@ -20,13 +23,21 @@ module RC = Armb_platform.Run_config
    and writes atomically (temp file + rename), so a watcher tailing a
    rolling artifact never reads a torn file.  Any I/O failure becomes
    one consistent message instead of a raw Sys_error. *)
-let write_out path text =
-  match Armb_service.Out.write ~path text with
+let write_with path writer =
+  match Armb_service.Out.write_with ~path writer with
   (* report on stderr: stdout may be a data stream (armb serve) *)
   | Ok () -> Printf.eprintf "wrote %s\n" path
   | Error m ->
     Printf.eprintf "armb: cannot write %s: %s\n" path m;
     exit 1
+
+let write_out path text = write_with path (fun oc -> output_string oc text)
+
+(* A report on stdout, and the same text in FILE with --out. *)
+let emit out text =
+  print_string text;
+  if text <> "" && text.[String.length text - 1] <> '\n' then print_newline ();
+  Option.iter (fun path -> write_out path text) out
 
 let read_lines path =
   match
@@ -46,14 +57,75 @@ let read_lines path =
     Printf.eprintf "armb: cannot read %s: %s\n" path m;
     exit 1
 
-let platform_arg =
+(* ---------- flag values ----------
+
+   Every flag value is parsed and range-checked by its converter before
+   any command runs, with the bound the library it feeds enforces: a
+   value the library would refuse is a usage error (exit 124) naming
+   the flag and the value, never an Invalid_argument from inside a run.
+   Run bodies check only combinations of flags. *)
+
+let checked_int check =
   let parse s =
-    match P.by_name s with
-    | Some c -> Ok c
-    | None -> Error (`Msg (Printf.sprintf "unknown platform %S (try: %s)" s (String.concat ", " P.names)))
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+    | Some n -> Result.map_error (fun m -> `Msg m) (check n)
   in
-  let print ppf (c : Armb_cpu.Config.t) = Format.fprintf ppf "%s" c.name in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Format.pp_print_int)
+
+let int_from min =
+  checked_int (fun n ->
+      if n >= min then Ok n else Error (Printf.sprintf "expected an integer >= %d, got %d" min n))
+
+let non_negative_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x >= 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative number, got %S" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* A name resolved by [find]; the error lists the accepted names. *)
+let named ~what find names to_name =
+  let parse s =
+    match find s with
+    | Some v -> Ok v
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown %s %S; available: %s" what s (String.concat ", " (names ()))))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (to_name v))
+
+let platform_arg =
+  named ~what:"platform" P.by_name (fun () -> P.names) (fun (c : Armb_cpu.Config.t) -> c.name)
+
+let test_arg =
+  let name (t : Lang.test) = t.name in
+  named ~what:"test" Catalogue.find (fun () -> List.map name Catalogue.all) name
+
+let program_arg =
+  let name (p : Armb_litmus.Cfg.program) = p.name in
+  named ~what:"program" Opt.find_input (fun () -> List.map name (Opt.sweep_inputs ())) name
+
+let algorithm_arg =
+  named ~what:"algorithm" Opt.algorithm_of_string
+    (fun () -> List.map Opt.algorithm_name [ Single_bb; Linear_scan; Second_chance ])
+    Opt.algorithm_name
+
+(* At least one size, each a valid manycore machine. *)
+let manycore_sizes =
+  let sizes = Arg.list (checked_int (fun n -> Result.map (fun _ -> n) (P.manycore_shape n))) in
+  let parse s =
+    match Arg.conv_parser sizes s with
+    | Ok [] -> Error (`Msg "expected at least one core count")
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer sizes)
+
+(* Shared terms: each command keeps its own doc string. *)
+let name_pos names ~doc = Arg.(value & pos 0 (some names) None & info [] ~docv:"NAME" ~doc)
+let out ~doc = Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
+let json ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+let soak ~doc = Arg.(value & opt (int_from 0) 0 & info [ "soak" ] ~docv:"N" ~doc)
 
 let platform =
   Arg.(value & opt platform_arg P.kunpeng916 & info [ "p"; "platform" ] ~docv:"NAME" ~doc:"Target platform (kunpeng916, kirin960, kirin970, raspberrypi4).")
@@ -73,7 +145,7 @@ let run_config ?(trials_default = 300) () =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Base RNG seed (litmus harnesses, fault plans).")
   in
   let trials =
-    Arg.(value & opt int trials_default
+    Arg.(value & opt (int_from 1) trials_default
          & info [ "trials" ] ~docv:"N" ~doc:"Simulator trials per litmus experiment.")
   in
   let build cfg cores seed trials =
@@ -91,22 +163,9 @@ let fault_intensity =
            ~doc:"Fault-injection intensity in [0,1]: 0 disables (default), 1 arms every \
                  site of the deterministic fault plan.")
 
-(* Counts the kernel requires in range: anything outside it is a usage
-   error, not a crash inside the kernel. *)
-let int_conv ~what ok =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when ok n -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive_int = int_conv ~what:"positive" (fun n -> n > 0)
-let non_negative_int = int_conv ~what:"non-negative" (fun n -> n >= 0)
-
 (* Ring message count shared by ring, perturb and trace. *)
 let messages ~default =
-  Arg.(value & opt positive_int default
+  Arg.(value & opt (int_from 1) default
        & info [ "messages" ] ~docv:"N" ~doc:"Messages the producer-consumer ring transfers.")
 
 let fault_of ~(rc : RC.t) ~name intensity =
@@ -124,9 +183,9 @@ let mem_ops =
 let location =
   Arg.(value & opt (enum [ ("1", AM.Loc1); ("2", AM.Loc2) ]) AM.Loc1 & info [ "l"; "loc" ] ~docv:"1|2" ~doc:"Barrier placement: strictly after the first access (1) or after the NOPs (2).")
 
-let nops = Arg.(value & opt non_negative_int 300 & info [ "n"; "nops" ] ~docv:"N" ~doc:"NOPs between the accesses.")
+let nops = Arg.(value & opt (int_from 0) 300 & info [ "n"; "nops" ] ~docv:"N" ~doc:"NOPs between the accesses.")
 
-let iters = Arg.(value & opt positive_int 2000 & info [ "iters" ] ~docv:"N" ~doc:"Loop iterations per thread.")
+let iters = Arg.(value & opt (int_from 1) 2000 & info [ "iters" ] ~docv:"N" ~doc:"Loop iterations per thread.")
 
 (* ---------- platforms ---------- *)
 
@@ -206,28 +265,11 @@ let advise_cmd =
 (* ---------- litmus ---------- *)
 
 let litmus_cmd =
-  let test_name =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Test name (default: all).")
-  in
-  let run (rc : RC.t) test_name =
-    let tests =
-      match test_name with
-      | None -> Armb_litmus.Catalogue.all
-      | Some n -> (
-        match
-          List.find_opt
-            (fun (t : Armb_litmus.Lang.test) -> String.lowercase_ascii t.name = String.lowercase_ascii n)
-            Armb_litmus.Catalogue.all
-        with
-        | Some t -> [ t ]
-        | None ->
-          Printf.eprintf "unknown test %S; available: %s\n" n
-            (String.concat ", "
-               (List.map (fun (t : Armb_litmus.Lang.test) -> t.name) Armb_litmus.Catalogue.all));
-          exit 1)
-    in
+  let test = name_pos test_arg ~doc:"Test name (default: all)." in
+  let run (rc : RC.t) test =
+    let tests = match test with None -> Catalogue.all | Some t -> [ t ] in
     List.iter
-      (fun (t : Armb_litmus.Lang.test) ->
+      (fun (t : Lang.test) ->
         let wmm = Armb_litmus.Enumerate.allows Armb_litmus.Enumerate.Wmm t in
         let tso = Armb_litmus.Enumerate.allows Armb_litmus.Enumerate.Tso t in
         let r = Armb_litmus.Sim_runner.run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed t in
@@ -240,60 +282,46 @@ let litmus_cmd =
   in
   Cmd.v
     (Cmd.info "litmus" ~doc:"Run litmus tests exhaustively and on the timing simulator.")
-    Term.(const run $ run_config () $ test_name)
+    Term.(const run $ run_config () $ test)
 
 (* ---------- check ---------- *)
 
 let check_cmd =
-  let test_name =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"NAME"
-             ~doc:"Litmus test to sanitize (default: cross-check the whole catalogue).")
+  let test =
+    name_pos test_arg ~doc:"Litmus test to sanitize (default: cross-check the whole catalogue)."
   in
-  let run (rc : RC.t) test_name =
+  let run (rc : RC.t) test =
     let cfg = rc.cfg and trials = rc.trials and seed = rc.seed in
     let module Sim = Armb_litmus.Sim_runner in
-    match test_name with
+    match test with
     | None ->
       let rows, ok = Sim.cross_check ~cfg ~trials ~seed () in
       List.iter (fun r -> Format.printf "%a@." Sim.pp_check_row r) rows;
       Format.printf "cross-check: %s@." (if ok then "ok" else "FAIL");
       if not ok then exit 1
-    | Some n -> (
-      match
-        List.find_opt
-          (fun (t : Armb_litmus.Lang.test) ->
-            String.lowercase_ascii t.name = String.lowercase_ascii n)
-          Armb_litmus.Catalogue.all
-      with
-      | None ->
-        Printf.eprintf "unknown test %S; available: %s\n" n
-          (String.concat ", "
-             (List.map (fun (t : Armb_litmus.Lang.test) -> t.name) Armb_litmus.Catalogue.all));
-        exit 1
-      | Some t ->
-        let base, stripped = Sim.check_test ~cfg ~trials ~seed t in
-        let report tag (r : Sim.result) =
-          match r.findings with
-          | [] -> Format.printf "%s: clean@." tag
-          | fs ->
-            Format.printf "%s: %d racy pair(s)@." tag (List.length fs);
-            List.iter
-              (fun f -> Format.printf "%a@." Armb_check.Sanitizer.pp_finding f)
-              fs
-        in
-        report t.name base;
-        (match stripped with
-        | Some r -> report (t.name ^ " (order stripped)") r
-        | None -> Format.printf "%s has no ordering devices to strip@." t.name);
-        if base.findings <> [] then exit 1)
+    | Some (t : Lang.test) ->
+      let base, stripped = Sim.check_test ~cfg ~trials ~seed t in
+      let report tag (r : Sim.result) =
+        match r.findings with
+        | [] -> Format.printf "%s: clean@." tag
+        | fs ->
+          Format.printf "%s: %d racy pair(s)@." tag (List.length fs);
+          List.iter
+            (fun f -> Format.printf "%a@." Armb_check.Sanitizer.pp_finding f)
+            fs
+      in
+      report t.name base;
+      (match stripped with
+      | Some r -> report (t.name ^ " (order stripped)") r
+      | None -> Format.printf "%s has no ordering devices to strip@." t.name);
+      if base.findings <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Happens-before sanitizer: flag program-order pairs left unordered by \
              barriers/dependencies that other cores can observe reordered, with a \
              suggested minimal fix.")
-    Term.(const run $ run_config ~trials_default:50 () $ test_name)
+    Term.(const run $ run_config ~trials_default:50 () $ test)
 
 (* ---------- ring ---------- *)
 
@@ -352,7 +380,7 @@ let report_cmd =
 (* ---------- fuzz ---------- *)
 
 let fuzz_cmd =
-  let tests = Arg.(value & opt int 50 & info [ "tests" ] ~docv:"N" ~doc:"Random tests to generate.") in
+  let tests = Arg.(value & opt (int_from 0) 50 & info [ "tests" ] ~docv:"N" ~doc:"Random tests to generate.") in
   let run (rc : RC.t) tests intensity =
     let fault = fault_of ~rc ~name:(Printf.sprintf "fuzz-%.2f" intensity) intensity in
     let r =
@@ -371,7 +399,7 @@ let fuzz_cmd =
 let barrier_cmd =
   let module BS = Armb_workloads.Barrier_study in
   let sizes =
-    Arg.(value & opt (list int) BS.default_sizes
+    Arg.(value & opt manycore_sizes BS.default_sizes
          & info [ "sizes" ] ~docv:"N,.."
              ~doc:(Printf.sprintf
                      "Core counts to sweep.  Each must be a multiple of 8 between %d and \
@@ -380,40 +408,24 @@ let barrier_cmd =
                      Armb_platform.Platform.manycore_min Armb_platform.Platform.manycore_max))
   in
   let episodes =
-    Arg.(value & opt int 4 & info [ "episodes" ] ~docv:"N" ~doc:"Barrier episodes per run.")
+    Arg.(value & opt (int_from 1) 4 & info [ "episodes" ] ~docv:"N" ~doc:"Barrier episodes per run.")
   in
   let work =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_from 0) 64
          & info [ "work" ] ~docv:"CYCLES" ~doc:"ALU cycles of per-core work between barriers.")
   in
   let arity =
-    Arg.(value & opt int 4 & info [ "arity" ] ~docv:"K" ~doc:"Combining-tree arity (>= 2).")
+    Arg.(value & opt (int_from 2) 4 & info [ "arity" ] ~docv:"K" ~doc:"Combining-tree arity (>= 2).")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the sweep as JSON.")
-  in
+  let out = out ~doc:"Also write the sweep as JSON." in
   let run sizes episodes work arity out =
-    (* Reject bad sizes before the first simulation, with the shape hint. *)
-    List.iter
-      (fun s ->
-        match Armb_platform.Platform.manycore_shape s with
-        | Ok _ -> ()
-        | Error m ->
-          Printf.eprintf "barrier: %s\n" m;
-          exit 2)
-      sizes;
     let t =
-      try
-        BS.run ~sizes ~episodes ~work ~arity
-          ~progress:(fun n -> Printf.printf "barrier: %d cores...\n%!" n)
-          ()
-      with Invalid_argument msg ->
-        Printf.eprintf "barrier: %s\n" msg;
-        exit 2
+      BS.run ~sizes ~episodes ~work ~arity
+        ~progress:(fun n -> Printf.printf "barrier: %d cores...\n%!" n)
+        ()
     in
     Format.printf "%a@." BS.pp t;
-    match out with None -> () | Some p -> write_out p (Json.to_string (BS.to_json t) ^ "\n")
+    Option.iter (fun p -> write_out p (Json.to_string (BS.to_json t) ^ "\n")) out
   in
   Cmd.v
     (Cmd.info "barrier"
@@ -425,23 +437,28 @@ let barrier_cmd =
 (* ---------- perturb ---------- *)
 
 let perturb_cmd =
+  (* The positive intensities, sorted and distinct: at least one. *)
+  let positive_intensities =
+    let floats = Arg.list Arg.float in
+    let parse s =
+      match Arg.conv_parser floats s with
+      | Ok xs -> (
+        match List.sort_uniq compare (List.filter (fun x -> x > 0.0) xs) with
+        | [] -> Error (`Msg (Printf.sprintf "no positive intensity to sweep in %S" s))
+        | xs -> Ok xs)
+      | Error _ as e -> e
+    in
+    Arg.conv (parse, Arg.conv_printer floats)
+  in
   let intensities =
-    Arg.(value & opt (list float) [ 0.25; 0.5; 1.0 ]
+    Arg.(value & opt positive_intensities [ 0.25; 0.5; 1.0 ]
          & info [ "intensities" ] ~docv:"X,Y,.."
              ~doc:"Fault intensities to sweep (0 is always measured as the baseline).")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE (CI drift artifact).")
-  in
+  let out = out ~doc:"Also write the report to FILE (CI drift artifact)." in
   let run (rc : RC.t) intensities messages out =
     let buf = Buffer.create 4096 in
-    let say fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; print_string s) fmt in
-    let intensities = List.sort_uniq compare (List.filter (fun x -> x > 0.0) intensities) in
-    if intensities = [] then begin
-      Printf.eprintf "perturb: no positive intensities to sweep\n";
-      exit 2
-    end;
+    let say fmt = Printf.bprintf buf fmt in
     (* 1. the litmus catalogue under perturbation: legality + drift *)
     say "== litmus catalogue under fault injection (%s, %d trials, seed %d) ==\n"
       rc.cfg.Armb_cpu.Config.name rc.trials rc.seed;
@@ -484,9 +501,7 @@ let perturb_cmd =
     point 0.0 base_spsc base_pilot;
     List.iter (fun x -> point x (spsc x) (pilot x)) intensities;
     say "\nperturbation sweep: %s\n" (if sweep.ok then "ok" else "FAIL");
-    (match out with
-    | None -> ()
-    | Some path -> write_out path (Buffer.contents buf));
+    emit out (Buffer.contents buf);
     if not sweep.ok then exit 1
   in
   Cmd.v
@@ -501,10 +516,7 @@ let fix_cmd =
   let module Fix = Armb_synth.Fix in
   let module Report = Armb_synth.Report in
   let module Soak = Armb_synth.Soak in
-  let test_name =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"NAME" ~doc:"Litmus test to repair (catalogue name).")
-  in
+  let test = name_pos test_arg ~doc:"Litmus test to repair (catalogue name)." in
   let all =
     Arg.(value & flag
          & info [ "all" ] ~doc:"Strip-and-resynthesize every eligible catalogue test.")
@@ -516,38 +528,23 @@ let fix_cmd =
                    compare the winner's simulated cost against the original.")
   in
   let soak =
-    Arg.(value & opt int 0
-         & info [ "soak" ] ~docv:"N"
-             ~doc:"Fuzz-repair soak: generate N random tests, strip, repair, re-verify \
-                   (0 disables).")
+    soak
+      ~doc:"Fuzz-repair soak: generate N random tests, strip, repair, re-verify \
+            (0 disables)."
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text/Markdown.") in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
-  in
+  let json = json ~doc:"Emit JSON instead of text/Markdown." in
+  let out = out ~doc:"Also write the report to FILE." in
   let max_edits =
-    Arg.(value & opt int 3
+    Arg.(value & opt (int_from 1) 3
          & info [ "max-edits" ] ~docv:"N" ~doc:"Largest edit set the search considers.")
   in
   let budget =
-    Arg.(value & opt int 4000
+    Arg.(value & opt (int_from 1) 4000
          & info [ "budget" ] ~docv:"N" ~doc:"Oracle-call budget per search.")
   in
-  let run (rc : RC.t) test_name all strip soak json out max_edits budget =
-    (match Armb_synth.Search.check_limits ~max_edits ~budget () with
-    | () -> ()
-    | exception Invalid_argument m ->
-      prerr_endline m;
-      exit 2);
+  let run (rc : RC.t) test all strip soak json out max_edits budget =
     let trials = rc.trials and seed = rc.seed in
-    let emit text =
-      print_string text;
-      if text <> "" && text.[String.length text - 1] <> '\n' then print_newline ();
-      match out with
-      | None -> ()
-      | Some path -> write_out path text
-    in
+    let emit = emit out in
     if soak > 0 then begin
       let r = Soak.run ~tests:soak ~seed ~max_edits:(min max_edits 2) ~budget () in
       Format.printf "%a@." Soak.pp_report r;
@@ -561,111 +558,87 @@ let fix_cmd =
       if List.exists (fun (rt : Fix.round_trip) -> not rt.ok) rts then exit 1
     end
     else
-      match test_name with
+      match test with
       | None ->
         Printf.eprintf "fix: give a test NAME, or --all, or --soak N\n";
         exit 2
-      | Some n -> (
-        match Fix.find_test n with
-        | None ->
-          Printf.eprintf "unknown test %S; available: %s\n" n
-            (String.concat ", "
-               (List.map (fun (t : Armb_litmus.Lang.test) -> t.name) Armb_litmus.Catalogue.all));
-          exit 1
-        | Some t ->
-          if strip then (
-            match Fix.strip_round_trip ~max_edits ~budget ~trials ~seed t with
-            | None ->
-              Printf.eprintf
-                "%s is not eligible for a strip round trip (weak outcome expected, or \
-                 nothing strippable)\n"
-                t.name;
-              exit 1
-            | Some rt ->
-              emit
-                (if json then Json.to_string (Report.round_trips_json [ rt ])
-                 else Format.asprintf "%a@." Report.pp_round_trip rt);
-              if not rt.ok then exit 1)
-          else begin
-            let o = Fix.fix ~max_edits ~budget ~trials ~seed t in
+      | Some (t : Lang.test) ->
+        if strip then (
+          match Fix.strip_round_trip ~max_edits ~budget ~trials ~seed t with
+          | None ->
+            Printf.eprintf
+              "%s is not eligible for a strip round trip (weak outcome expected, or \
+               nothing strippable)\n"
+              t.name;
+            exit 1
+          | Some rt ->
             emit
-              (if json then Json.to_string (Report.outcome_json o)
-               else Format.asprintf "%a@." Report.pp_outcome o);
-            if (not o.already_sound) && o.repairs = [] then exit 1
-          end)
+              (if json then Json.to_string (Report.round_trips_json [ rt ])
+               else Format.asprintf "%a@." Report.pp_round_trip rt);
+            if not rt.ok then exit 1)
+        else begin
+          let o = Fix.fix ~max_edits ~budget ~trials ~seed t in
+          emit
+            (if json then Json.to_string (Report.outcome_json o)
+             else Format.asprintf "%a@." Report.pp_outcome o);
+          if (not o.already_sound) && o.repairs = [] then exit 1
+        end
   in
   Cmd.v
     (Cmd.info "fix"
        ~doc:"Synthesize minimal-cost ordering repairs: irredundant sufficient fence/\
              acquire-release/dependency edit sets (plus the Pilot single-word rewrite \
              for MP-shaped tests), costed per platform on the timing simulator.")
-    Term.(const run $ run_config ~trials_default:60 () $ test_name $ all $ strip $ soak
+    Term.(const run $ run_config ~trials_default:60 () $ test $ all $ strip $ soak
           $ json $ out $ max_edits $ budget)
 
 (* ---------- opt ---------- *)
 
-module Opt = Armb_opt.Optimizer
 module Opt_verify = Armb_opt.Verify
 module Opt_report = Armb_opt.Report
 module Opt_soak = Armb_opt.Soak
 
 let opt_cmd =
-  let test_name =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"NAME"
-             ~doc:"Program to optimize: any catalogue litmus test or control-flow test, \
-                   plus the +overfenced variants (e.g. $(b,MP+overfenced)).")
+  let program =
+    name_pos program_arg
+      ~doc:"Program to optimize: any catalogue litmus test or control-flow test, \
+            plus the +overfenced variants (e.g. $(b,MP+overfenced))."
   in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Optimize the whole catalogue sweep.") in
   let soak =
-    Arg.(value & opt int 0
-         & info [ "soak" ] ~docv:"N"
-             ~doc:"Optimizer soak: N rounds of random CFG programs (loops included), \
-                   over-fenced, optimized and re-verified; fails on any unsoundness or \
-                   barrier-count increase.")
+    soak
+      ~doc:"Optimizer soak: N rounds of random CFG programs (loops included), \
+            over-fenced, optimized and re-verified; fails on any unsoundness or \
+            barrier-count increase."
   in
   let algorithm =
-    Arg.(value & opt string "second-chance"
+    Arg.(value & opt algorithm_arg Opt.Second_chance
          & info [ "algorithm" ] ~docv:"ALGO"
              ~doc:"Placement algorithm: $(b,single-bb), $(b,linear-scan) or \
                    $(b,second-chance).")
   in
   let unroll =
-    Arg.(value & opt int 2
+    Arg.(value & opt (int_from 1) 2
          & info [ "unroll" ] ~docv:"K" ~doc:"Loop unroll bound for slicing and verification.")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of Markdown.") in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
-  in
+  let json = json ~doc:"Emit the report as JSON instead of Markdown." in
+  let out = out ~doc:"Also write the report to FILE." in
   let no_cost =
     Arg.(value & flag
          & info [ "no-cost" ]
              ~doc:"Skip platform costing (and with it the slower-platform revert guard).")
   in
   let min_improved =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_from 0) 0
          & info [ "min-improved" ] ~docv:"N"
              ~doc:"Fail unless at least N programs improved (the CI guard).")
   in
-  let run (rc : RC.t) test_name all soak algo_s unroll json out no_cost min_improved =
-    let algorithm =
-      match Opt.algorithm_of_string algo_s with
-      | Some a -> a
-      | None ->
-        Printf.eprintf "opt: unknown algorithm %S (single-bb | linear-scan | second-chance)\n"
-          algo_s;
-        exit 2
-    in
+  let run (rc : RC.t) program all soak algorithm unroll json out no_cost min_improved =
     let cost = not no_cost in
     let finish results =
-      let text =
-        if json then Json.to_string (Opt_report.json results) ^ "\n"
-        else Opt_report.markdown results
-      in
-      print_string text;
-      (match out with None -> () | Some path -> write_out path text);
+      emit out
+        (if json then Json.to_string (Opt_report.json results) ^ "\n"
+         else Opt_report.markdown results);
       let unsound =
         List.filter (fun (r : Opt.result) -> not r.Opt.verdict.Opt_verify.sound) results
       in
@@ -696,21 +669,11 @@ let opt_cmd =
     else if all then
       finish (Opt.sweep ~algorithm ~unroll ~cost ~trials:rc.trials ~seed:rc.seed ())
     else
-      match test_name with
+      match program with
       | None ->
         Printf.eprintf "opt: give a program NAME, or --all, or --soak N\n";
         exit 2
-      | Some n -> (
-        match Opt.find_input n with
-        | None ->
-          Printf.eprintf "unknown program %S; available: %s\n" n
-            (String.concat ", "
-               (List.map
-                  (fun (p : Armb_litmus.Cfg.program) -> p.Armb_litmus.Cfg.name)
-                  (Opt.sweep_inputs ())));
-          exit 1
-        | Some p ->
-          finish [ Opt.optimize ~algorithm ~unroll ~cost ~trials:rc.trials ~seed:rc.seed p ])
+      | Some p -> finish [ Opt.optimize ~algorithm ~unroll ~cost ~trials:rc.trials ~seed:rc.seed p ]
   in
   Cmd.v
     (Cmd.info "opt"
@@ -719,7 +682,7 @@ let opt_cmd =
              against the exhaustive WMM enumerator (loop-free) or bounded unrolling with \
              the happens-before sanitizer (loops), and priced per platform on the timing \
              simulator.")
-    Term.(const run $ run_config ~trials_default:30 () $ test_name $ all $ soak $ algorithm
+    Term.(const run $ run_config ~trials_default:30 () $ program $ all $ soak $ algorithm
           $ unroll $ json $ out $ no_cost $ min_improved)
 
 (* ---------- trace ---------- *)
@@ -728,8 +691,8 @@ let trace_cmd =
   let out =
     Arg.(value & opt string "armb-trace.json" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (Chrome trace-event JSON).")
   in
-  let test_name =
-    Arg.(value & opt (some string) None
+  let test =
+    Arg.(value & opt (some test_arg) None
          & info [ "test" ] ~docv:"NAME"
              ~doc:"Trace one simulator trial of a catalogue litmus test instead of the ring.")
   in
@@ -739,56 +702,49 @@ let trace_cmd =
              ~doc:"With $(b,--test): synthesize a repair first (armb fix) and trace this \
                    platform's winner instead of the test as written.")
   in
-  let run_litmus (rc : RC.t) out test_name fixed =
-    match Armb_synth.Fix.find_test test_name with
-    | None ->
-      Printf.eprintf "unknown test %S; available: %s\n" test_name
-        (String.concat ", "
-           (List.map (fun (t : Armb_litmus.Lang.test) -> t.name) Armb_litmus.Catalogue.all));
-      exit 1
-    | Some t ->
-      let t =
-        if not fixed then t
-        else begin
-          let o = Armb_synth.Fix.fix ~trials:rc.trials ~seed:rc.seed t in
-          if o.already_sound then begin
-            Printf.printf "%s is already sound; tracing it as written\n" t.name;
-            t
-          end
-          else
-            match List.assoc_opt rc.cfg.Armb_cpu.Config.name o.winners with
-            | Some (r : Armb_synth.Fix.repair) ->
-              Printf.printf "tracing winner on %s: %s\n" rc.cfg.Armb_cpu.Config.name r.label;
-              r.test
-            | None ->
-              Printf.eprintf "no repair found for %s\n" t.name;
-              exit 1
+  let module Trace = Armb_cpu.Trace in
+  let write out tr = write_with out (fun oc -> Trace.write_chrome_json (output_string oc) tr) in
+  let run_litmus (rc : RC.t) out (t : Lang.test) fixed =
+    let t =
+      if not fixed then t
+      else begin
+        let o = Armb_synth.Fix.fix ~trials:rc.trials ~seed:rc.seed t in
+        if o.already_sound then begin
+          Printf.printf "%s is already sound; tracing it as written\n" t.name;
+          t
         end
-      in
-      let tr = Armb_cpu.Trace.create () in
-      let r =
-        Armb_litmus.Sim_runner.run ~cfg:rc.cfg ~trials:1 ~seed:rc.seed
-          ~observer:(Armb_cpu.Trace.observer tr) t
-      in
-      write_out out (Armb_cpu.Trace.to_chrome_json tr);
-      Printf.printf "%d spans (%d dropped) covering %d cycles of %s\n"
-        (List.length (Armb_cpu.Trace.spans tr))
-        (Armb_cpu.Trace.dropped tr) r.Armb_litmus.Sim_runner.cycles t.name;
-      print_endline "open it at chrome://tracing or https://ui.perfetto.dev"
+        else
+          match List.assoc_opt rc.cfg.Armb_cpu.Config.name o.winners with
+          | Some (r : Armb_synth.Fix.repair) ->
+            Printf.printf "tracing winner on %s: %s\n" rc.cfg.Armb_cpu.Config.name r.label;
+            r.test
+          | None ->
+            Printf.eprintf "no repair found for %s\n" t.name;
+            exit 1
+      end
+    in
+    let tr = Trace.create () in
+    let r =
+      Armb_litmus.Sim_runner.run ~cfg:rc.cfg ~trials:1 ~seed:rc.seed ~observer:(Trace.observer tr) t
+    in
+    write out tr;
+    Printf.printf "%d spans (%d dropped) covering %d cycles of %s\n" (Trace.length tr)
+      (Trace.dropped tr) r.Armb_litmus.Sim_runner.cycles t.name;
+    print_endline "open it at chrome://tracing or https://ui.perfetto.dev"
   in
-  let run (rc : RC.t) out messages test_name fixed =
-    match test_name with
-    | Some n -> run_litmus rc out n fixed
+  let run (rc : RC.t) out messages test fixed =
+    match test with
+    | Some t -> run_litmus rc out t fixed
     | None when fixed ->
       prerr_endline "armb trace: --fixed repairs a litmus test; it needs --test NAME";
       exit 2
     | None ->
-      let tr = Armb_cpu.Trace.create () in
+      let tr = Trace.create () in
       let spec = { (Armb_sync.Spsc_ring.default_spec rc.cfg ~cores:rc.cores) with messages } in
-      let r = Armb_sync.Spsc_ring.run ~observer:(Armb_cpu.Trace.observer tr) spec in
-      write_out out (Armb_cpu.Trace.to_chrome_json tr);
-      Printf.printf "%d spans (%d dropped) covering %d cycles\n"
-        (List.length (Armb_cpu.Trace.spans tr)) (Armb_cpu.Trace.dropped tr) r.cycles;
+      let r = Armb_sync.Spsc_ring.run ~observer:(Trace.observer tr) spec in
+      write out tr;
+      Printf.printf "%d spans (%d dropped) covering %d cycles\n" (Trace.length tr)
+        (Trace.dropped tr) r.cycles;
       print_endline "open it at chrome://tracing or https://ui.perfetto.dev"
   in
   Cmd.v
@@ -796,7 +752,7 @@ let trace_cmd =
        ~doc:"Trace the producer-consumer ring that $(b,armb ring) measures — or, with \
              $(b,--test), one simulator trial of a litmus test (optionally after repair) — \
              and export Chrome trace-event JSON.")
-    Term.(const run $ run_config () $ out $ messages ~default:200 $ test_name $ fixed)
+    Term.(const run $ run_config () $ out $ messages ~default:200 $ test $ fixed)
 
 (* ---------- serve / batch ---------- *)
 
@@ -812,13 +768,13 @@ let no_cache =
                  scratch (cold baseline).")
 
 let queue_bound =
-  Arg.(value & opt int 256
+  Arg.(value & opt (int_from 1) 256
        & info [ "queue-bound" ] ~docv:"N"
            ~doc:"Most distinct computations queued at once; beyond it requests are \
                  shed with a retry-after hint.")
 
 let cache_cap =
-  Arg.(value & opt int 512
+  Arg.(value & opt (int_from 1) 512
        & info [ "cache-cap" ] ~docv:"N" ~doc:"Memo-cache capacity (LRU eviction).")
 
 let metrics_out =
@@ -840,13 +796,13 @@ let serve_cmd =
                    to stdout, then exit (instead of streaming stdin/stdout).")
   in
   let drain_every =
-    Arg.(value & opt int 16
+    Arg.(value & opt (int_from 0) 16
          & info [ "drain-every" ] ~docv:"N"
              ~doc:"Streaming mode: run queued computations whenever N are pending \
                    (and at end of input).")
   in
   let max_requests =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_from 0)) None
          & info [ "max-requests" ] ~docv:"N"
              ~doc:"Streaming mode: stop accepting input after N requests, drain \
                    everything already accepted, answer it all, then exit.  The \
@@ -854,7 +810,7 @@ let serve_cmd =
                    prefix of the unbounded one.")
   in
   let duration =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some non_negative_float) None
          & info [ "duration" ] ~docv:"SECONDS"
              ~doc:"Streaming mode: stop accepting input after SECONDS of wall \
                    clock, with the same drain-then-exit semantics as \
@@ -862,10 +818,6 @@ let serve_cmd =
   in
   let run no_cache queue_bound cache_cap drain_every max_requests duration batch_file
       metrics_out =
-    if queue_bound < 1 then begin
-      Printf.eprintf "armb serve: --queue-bound must be >= 1\n";
-      exit 2
-    end;
     let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
     (match batch_file with
     | None ->
@@ -895,15 +847,12 @@ let batch_cmd =
                    verify the responses are byte-identical, and report the speedup.")
   in
   let min_speedup =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt non_negative_float 0.0
          & info [ "min-speedup" ] ~docv:"X"
              ~doc:"With $(b,--compare-cold): fail unless warm is at least X times \
                    faster than cold (0 disables the gate).")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the responses NDJSON to FILE.")
-  in
+  let out = out ~doc:"Also write the responses NDJSON to FILE." in
   let run file compare_cold min_speedup no_cache queue_bound cache_cap out metrics_out =
     let lines = read_lines file in
     let responses_text (b : Serve.batch) =
@@ -916,14 +865,11 @@ let batch_cmd =
       Printf.printf "== warm (memoized) ==\n%s\n"
         (Serve.summary c.Serve.warm c.Serve.warm_metrics);
       Printf.printf "identical: %b\nspeedup: %.2fx\n" c.Serve.identical c.Serve.speedup;
-      (match out with
-      | None -> ()
-      | Some path -> write_out path (responses_text c.Serve.warm));
+      Option.iter (fun path -> write_out path (responses_text c.Serve.warm)) out;
       (* warm-engine metrics are the interesting artifact here *)
-      (match metrics_out with
-      | None -> ()
-      | Some path ->
-        write_out path (Json.to_string (Metrics.to_json c.Serve.warm_metrics) ^ "\n"));
+      Option.iter
+        (fun path -> write_out path (Json.to_string (Metrics.to_json c.Serve.warm_metrics) ^ "\n"))
+        metrics_out;
       if not c.Serve.identical then begin
         Printf.eprintf "armb batch: warm responses differ from cold responses\n";
         exit 1
@@ -938,9 +884,7 @@ let batch_cmd =
       let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
       let b = Serve.run_batch engine ~lines in
       print_string (Serve.summary b (Engine.metrics engine));
-      (match out with
-      | None -> ()
-      | Some path -> write_out path (responses_text b));
+      Option.iter (fun path -> write_out path (responses_text b)) out;
       dump_metrics engine metrics_out
     end
   in
@@ -967,33 +911,33 @@ let soak_cmd =
                    identical request stream, byte for byte.")
   in
   let requests =
-    Arg.(value & opt int 500
+    Arg.(value & opt (int_from 0) 500
          & info [ "requests" ] ~docv:"N"
              ~doc:"Stop after N submissions (0 = unbounded; requires $(b,--duration)).")
   in
   let duration =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some non_negative_float) None
          & info [ "duration" ] ~docv:"SECONDS"
              ~doc:"Also stop after SECONDS of wall clock, whichever bound hits first.")
   in
   let wave =
-    Arg.(value & opt int 32
+    Arg.(value & opt (int_from 1) 32
          & info [ "wave" ] ~docv:"N" ~doc:"Requests per wave (one batch round trip).")
   in
   let pool =
-    Arg.(value & opt int Soak_gen.default_pool
+    Arg.(value & opt (int_from 1) Soak_gen.default_pool
          & info [ "pool" ] ~docv:"N"
              ~doc:"Distinct jobs in the sampling pool (interleaved across kinds, so \
                    a small pool still mixes every kind).")
   in
   let alpha =
-    Arg.(value & opt float 1.1
+    Arg.(value & opt non_negative_float 1.1
          & info [ "alpha" ] ~docv:"A"
              ~doc:"Zipf skew over the pool: higher concentrates traffic on hot keys \
                    (memo-cache and coalescing pressure).")
   in
   let snapshot_every =
-    Arg.(value & opt int 4
+    Arg.(value & opt (int_from 0) 4
          & info [ "snapshot-every" ] ~docv:"N"
              ~doc:"Rewrite the rolling metrics artifact every N waves (0 = only the \
                    final snapshot).")
@@ -1006,7 +950,7 @@ let soak_cmd =
                    response) under DIR.")
   in
   let retry_max =
-    Arg.(value & opt int Retry.default_policy.Retry.max_retries
+    Arg.(value & opt (int_from 0) Retry.default_policy.Retry.max_retries
          & info [ "retry-max" ] ~docv:"N"
              ~doc:"Resubmission attempts for a shed response before giving up \
                    (gave-up requests are reported, not fatal).")
@@ -1020,7 +964,7 @@ let soak_cmd =
   in
   let run seed requests duration wave pool alpha snapshot_every metrics_out bundle_dir
       retry_max emit queue_bound cache_cap =
-    if requests <= 0 && duration = None && emit = None then begin
+    if requests = 0 && duration = None && emit = None then begin
       Printf.eprintf "armb soak: give --requests N (> 0) and/or --duration S\n";
       exit 2
     end;

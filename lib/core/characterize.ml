@@ -121,7 +121,7 @@ let fig5 cfg ~cores ~nop_counts ~iters =
       (Printf.sprintf "Fig 5: load-store model, %s" cfg.Armb_cpu.Config.name)
     ~unit_label:"10^6 loops/s" ~cols:(List.map string_of_int nop_counts) rows
 
-let tipping_point cfg ~cores ?(tolerance = 0.05) ?(iters = 1500) () =
+let tipping_point cfg ~cores ?(iters = 1500) () =
   let sweep = [ 50; 100; 150; 200; 300; 400; 500; 600; 700; 900; 1200; 1600 ] in
   let spec a loc nops =
     {
@@ -138,5 +138,5 @@ let tipping_point cfg ~cores ?(tolerance = 0.05) ?(iters = 1500) () =
     (fun nops ->
       let base = AM.run (spec Ordering.No_barrier AM.Loc1 nops) in
       let full2 = AM.run (spec (Ordering.Bar (Barrier.Dmb Full)) AM.Loc2 nops) in
-      base > 0.0 && (base -. full2) /. base <= tolerance)
+      base > 0.0 && (base -. full2) /. base <= 0.05)
     sweep

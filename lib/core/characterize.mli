@@ -26,7 +26,7 @@ val fig5 :
     dependencies, LDAR and CTRL+ISB. *)
 
 val tipping_point :
-  Armb_cpu.Config.t -> cores:int * int -> ?tolerance:float -> ?iters:int -> unit -> int option
+  Armb_cpu.Config.t -> cores:int * int -> ?iters:int -> unit -> int option
 (** Smallest NOP count (among a geometric sweep) at which DMB full-2's
-    throughput reaches No Barrier's within [tolerance] — the Figure 4
+    throughput reaches No Barrier's within 5% — the Figure 4
     tipping point.  [None] if never reached within the sweep. *)

@@ -69,6 +69,9 @@ let stlr_vs cfg ~cores ~nops =
   let dsb = m (Ordering.Bar (Barrier.Dsb Full)) AM.Loc1 in
   (stlr, dmb_full, dmb_st, dsb)
 
+(* On at least one platform STLR is slower than the stronger DMB full,
+   and on at least one other it is faster; its overhead sits between
+   DSB and DMB st. *)
 let obs3_stlr_unstable () =
   let s_k, f_k, st_k, dsb_k =
     stlr_vs P.kunpeng916
@@ -115,6 +118,8 @@ let added_cycles cfg ~cores ~nops =
   let best = List.fold_left Float.min infinity overheads in
   (worst, worst -. best)
 
+(* The barrier-cost spread (max/min over approaches) is far larger on
+   the server platform than on the mobile platforms. *)
 let obs4_bus_complexity () =
   let w_server, s_server =
     added_cycles P.kunpeng916
@@ -134,6 +139,8 @@ let obs4_bus_complexity () =
         w_server s_server w_kirin s_kirin w_rpi s_rpi;
   }
 
+(* Crossing NUMA nodes inflates DMB full's penalty but not DSB's (DSB
+   pays the domain boundary regardless). *)
 let obs5_crossing_nodes () =
   let cfg = P.kunpeng916 in
   let far = Armb_mem.Topology.num_cores cfg.topo / 2 in

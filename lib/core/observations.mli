@@ -19,19 +19,6 @@ val obs2_location_matters : Armb_cpu.Config.t -> cores:int * int -> verdict
 (** Barriers strictly after an RMR (X-1) are significantly more
     expensive than the same barrier away from it (X-2). *)
 
-val obs3_stlr_unstable : unit -> verdict
-(** On at least one platform STLR is slower than the stronger DMB full,
-    and on at least one other it is faster; its overhead sits between
-    DSB and DMB st. *)
-
-val obs4_bus_complexity : unit -> verdict
-(** The barrier-cost spread (max/min over approaches) is far larger on
-    the server platform than on the mobile platforms. *)
-
-val obs5_crossing_nodes : unit -> verdict
-(** Crossing NUMA nodes inflates DMB full's penalty but not DSB's
-    (DSB pays the domain boundary regardless). *)
-
 val obs6_no_bus_wins : Armb_cpu.Config.t -> cores:int * int -> verdict
 (** In the load-store model, dependencies / LDAR / DMB ld beat every
     bus-involving approach. *)

@@ -9,7 +9,8 @@
       let tr = Trace.create () in
       let m = Machine.create ~observer:(Trace.observer tr) cfg in
       ...
-      Armb_service.Out.write ~path:"run.json" (Trace.to_chrome_json tr)
+      Armb_service.Out.write_with ~path:"run.json" (fun oc ->
+          Trace.write_chrome_json (output_string oc) tr)
     ]} *)
 
 type span = {
@@ -39,9 +40,13 @@ val observer : t -> Observe.t
 val spans : t -> span list
 (** In emission order. *)
 
+val length : t -> int
+(** Spans kept: [List.length (spans t)] without building the list. *)
+
 val dropped : t -> int
 
-val to_chrome_json : t -> string
-(** Chrome trace-event JSON: one complete event per span, one track per
+val write_chrome_json : (string -> unit) -> t -> unit
+(** [write_chrome_json sink t] hands Chrome trace-event JSON to [sink]
+    piece by piece, one complete event per span, one track per
     simulated core, timestamps in simulated cycles.  A span shorter
     than one cycle is written with a duration of 1. *)

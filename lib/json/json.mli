@@ -21,10 +21,6 @@ val to_string : t -> string
     back exactly), as [%.6g] otherwise, and as [null] when it is nan or
     infinite. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** [to_string]'s rendering, appended to a buffer: lets a large
-    document be streamed one element at a time. *)
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Trailing garbage, unterminated strings
     and malformed numbers all yield [Error] with a position message. *)

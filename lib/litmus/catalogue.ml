@@ -266,6 +266,10 @@ let all =
     iriw_addr;
   ]
 
+let find name =
+  let name = String.lowercase_ascii name in
+  List.find_opt (fun t -> String.lowercase_ascii t.name = name) all
+
 (* ---------- control-flow tests ---------- *)
 
 (* Loop- and branch-shaped programs for the fence optimizer.  They live

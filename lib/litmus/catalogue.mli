@@ -62,6 +62,11 @@ val iriw_addr : Lang.test
 
 val all : Lang.test list
 
+val find : string -> Lang.test option
+(** The [all] test with this name, compared case-insensitively: the one
+    name lookup behind the CLI's NAME arguments and the service's
+    ["test"] field. *)
+
 (** {2 Control-flow tests}
 
     Loop- and branch-shaped programs for the fence optimizer, kept out

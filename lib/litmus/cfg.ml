@@ -412,7 +412,7 @@ let verify_expectations ?unroll p =
     Printf.sprintf "wmm: allowed=%b (expected %b); tso: allowed=%b (expected %b)" wmm
       p.expect_wmm tso p.expect_tso )
 
-(* ---------- construction helpers and printing ---------- *)
+(* ---------- construction helpers ---------- *)
 
 let blk label ?(term = Return) body = { label; body; term }
 let goto l = Goto l
@@ -422,25 +422,3 @@ let cfg ?(entry = single_label) blocks =
   let g = { entry; blocks } in
   (match validate_thread g with Ok () -> () | Error m -> invalid_arg ("Cfg.cfg: " ^ m));
   g
-
-let pp_terminator ppf = function
-  | Goto l -> Format.fprintf ppf "goto %s" l
-  | Branch { reg; if_nonzero; if_zero } ->
-    Format.fprintf ppf "if %s != 0 goto %s else %s" reg if_nonzero if_zero
-  | Return -> Format.fprintf ppf "return"
-
-let pp_thread ppf g =
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "  %s%s:@." b.label (if b.label = g.entry then " (entry)" else "");
-      List.iter (fun i -> Format.fprintf ppf "    %a@." Lang.pp_instr i) b.body;
-      Format.fprintf ppf "    %a@." pp_terminator b.term)
-    g.blocks
-
-let pp_program ppf p =
-  Format.fprintf ppf "%s@." p.name;
-  List.iteri
-    (fun i g ->
-      Format.fprintf ppf "P%d:@." i;
-      pp_thread ppf g)
-    p.threads

@@ -61,9 +61,6 @@ val has_loop : thread_cfg -> bool
 val fence_count : program -> int
 (** Fences in reachable blocks across all threads. *)
 
-val thread_regs : thread_cfg -> Lang.reg list
-(** Base registers written by loads in reachable blocks, sorted. *)
-
 val vars : program -> string list
 (** Shared variables: init plus any referenced in reachable blocks. *)
 
@@ -139,7 +136,3 @@ val branch : Lang.reg -> nonzero:label -> zero:label -> terminator
 val cfg : ?entry:label -> block list -> thread_cfg
 (** [entry] defaults to {!single_label}.  Raises [Invalid_argument] on
     an invalid thread (duplicate labels, missing targets). *)
-
-val pp_terminator : Format.formatter -> terminator -> unit
-val pp_thread : Format.formatter -> thread_cfg -> unit
-val pp_program : Format.formatter -> program -> unit

@@ -43,12 +43,6 @@ val insert_fence_cfg :
 val set_acquire_cfg :
   thread:int -> label:Cfg.label -> idx:int -> Cfg.program -> Cfg.program
 
-val set_release_cfg :
-  thread:int -> label:Cfg.label -> idx:int -> Cfg.program -> Cfg.program
-
-val set_addr_dep_cfg :
-  thread:int -> label:Cfg.label -> idx:int -> reg:Lang.reg -> Cfg.program -> Cfg.program
-
 val rename_cfg : string -> Cfg.program -> Cfg.program
 
 (** {2 Flat-offset point edits}

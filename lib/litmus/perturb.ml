@@ -124,9 +124,3 @@ let pp_summary ppf s =
      extra-cycles=%d"
     s.intensity s.rows s.mean_drift s.max_drift s.illegal_total s.findings_on_forbidden
     s.delay_total
-
-let pp_sweep ppf s =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun r -> Format.fprintf ppf "%a@," pp_row r) s.results;
-  List.iter (fun x -> Format.fprintf ppf "%a@," pp_summary x) s.summaries;
-  Format.fprintf ppf "sweep: %s@]" (if s.ok then "OK" else "VIOLATIONS")

@@ -69,4 +69,3 @@ val sweep :
 
 val pp_row : Format.formatter -> row -> unit
 val pp_summary : Format.formatter -> summary -> unit
-val pp_sweep : Format.formatter -> sweep -> unit

@@ -39,7 +39,6 @@ type kinds = { loads : bool; stores : bool }
 val no_kinds : kinds
 val union : kinds -> kinds -> kinds
 val kind_of : Armb_litmus.Lang.instr -> kinds
-val body_kinds : Armb_litmus.Lang.instr list -> kinds
 
 type escape = {
   before_in : Cfg.label -> kinds;

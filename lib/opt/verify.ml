@@ -53,8 +53,10 @@ let sanitizer_signatures ?unroll ~trials ~seed indices (p : Cfg.program) =
     indices
   |> List.sort_uniq compare
 
-let equivalent ?(unroll = 2) ?(check_trials = 25) ?(check_seed = 11) (original : Cfg.program)
-    (optimized : Cfg.program) =
+let check_trials = 25
+let check_seed = 11
+
+let equivalent ?(unroll = 2) (original : Cfg.program) (optimized : Cfg.program) =
   let ra = Cfg.reachable ~unroll Enumerate.Wmm original in
   let rb = Cfg.reachable ~unroll Enumerate.Wmm optimized in
   let equal = ra = rb in

@@ -23,7 +23,6 @@ val longest_slice_indices : ?unroll:int -> int -> Cfg.program -> int list
 (** Indices (into {!Cfg.slices}) of the [n] longest slices — stable
     across fence edits, which never change the path structure. *)
 
-val equivalent :
-  ?unroll:int -> ?check_trials:int -> ?check_seed:int -> Cfg.program -> Cfg.program -> verdict
-(** [equivalent original optimized].  Defaults: unroll 2, 25 sanitizer
-    trials, seed 11. *)
+val equivalent : ?unroll:int -> Cfg.program -> Cfg.program -> verdict
+(** [equivalent original optimized].  Default unroll 2; the sanitizer
+    runs 25 trials at seed 11. *)

@@ -2,7 +2,8 @@
 
 type t
 
-val create : ?min_spins:int -> ?max_spins:int -> unit -> t
+val create : unit -> t
+(** A spin budget of 8 iterations, doubling up to 1024. *)
 
 val once : t -> unit
 (** Spin (with [Domain.cpu_relax]) for the current budget and double it,

@@ -101,11 +101,6 @@ module Hash_d = struct
       invalid_arg "Hash_d.create: one protect per bucket required";
     { buckets = Array.init buckets (fun _ -> Sorted_list_d.create ()); protects }
 
-  let with_protects t protects =
-    if Array.length protects <> Array.length t.buckets then
-      invalid_arg "Hash_d.with_protects: one protect per bucket required";
-    { t with protects }
-
   let slot t k =
     let b = k mod Array.length t.buckets in
     let b = if b < 0 then b + Array.length t.buckets else b in

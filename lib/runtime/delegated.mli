@@ -58,10 +58,6 @@ module Hash_d : sig
   (** [protects] supplies one discipline per bucket (length must equal
       [buckets]). *)
 
-  val with_protects : t -> protect array -> t
-  (** A view over the same buckets with different disciplines — use it
-      to give each thread its own FFWD client slots. *)
-
   val mem : t -> int -> bool
   val insert : t -> int -> bool
   val remove : t -> int -> bool

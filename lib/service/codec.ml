@@ -3,12 +3,6 @@ module Cfg = Armb_litmus.Cfg
 module AM = Armb_core.Abstracted_model
 module RC = Armb_platform.Run_config
 
-let find_test name =
-  let name = String.lowercase_ascii name in
-  List.find_opt
-    (fun (t : Lang.test) -> String.lowercase_ascii t.Lang.name = name)
-    Armb_litmus.Catalogue.all
-
 let ( let* ) = Result.bind
 
 let required what = function Some v -> Ok v | None -> Error ("missing " ^ what)
@@ -279,7 +273,7 @@ let test_field j =
   | Some inline -> test_inline_of_json inline
   | None -> (
     let* name = required "\"test\" or \"test_inline\"" (Json.mem_str "test" j) in
-    match find_test name with
+    match Armb_litmus.Catalogue.find name with
     | Some t -> Ok t
     | None ->
       Error

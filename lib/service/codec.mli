@@ -64,9 +64,6 @@ val response_to_json : Engine.response -> Json.t
 val response_to_line : Engine.response -> string
 (** One line, no trailing newline. *)
 
-val find_test : string -> Armb_litmus.Lang.test option
-(** Case-insensitive catalogue lookup (shared with the CLI). *)
-
 val test_inline_to_json :
   interesting_when:(string * int64) list -> Armb_litmus.Lang.test -> Json.t
 (** Serialize a test for a ["test_inline"] field.  The caller supplies

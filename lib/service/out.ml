@@ -12,7 +12,7 @@ let rec ensure_dir d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-let write ~path text =
+let write_with ~path writer =
   match
     ensure_dir (Filename.dirname path);
     (* same directory as the target so the rename cannot cross a
@@ -21,14 +21,20 @@ let write ~path text =
       Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
     in
     let oc = open_out tmp in
-    (try
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () -> output_string oc text)
-     with e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
+    (* [close_out], not [close_out_noerr]: the last flush can fail too,
+       and a short temp file must not be renamed into place *)
+    (match
+       writer oc;
+       close_out oc
+     with
+    | () -> ()
+    | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e);
     Sys.rename tmp path
   with
   | () -> Ok ()
   | exception Sys_error m -> Error m
+
+let write ~path text = write_with ~path (fun oc -> output_string oc text)

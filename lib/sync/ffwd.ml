@@ -6,6 +6,7 @@ module Pilot = Armb_core.Pilot
 
 type barriers = { read_req : Ordering.t; publish_resp : Ordering.t }
 
+(* LDAR / DMB st — the best-performing legal combination. *)
 let default_barriers =
   { read_req = Ordering.Ldar_acquire; publish_resp = Ordering.Bar (Barrier.Dmb St) }
 

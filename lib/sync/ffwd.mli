@@ -30,9 +30,6 @@
 
 type barriers = { read_req : Armb_core.Ordering.t; publish_resp : Armb_core.Ordering.t }
 
-val default_barriers : barriers
-(** LDAR / DMB st — the best-performing legal combination. *)
-
 type critical = Armb_cpu.Core.t -> client:int -> int64 -> int64
 
 type t

@@ -15,8 +15,6 @@ type platform_cost = {
   cycles : float;  (** average simulated cycles per trial *)
 }
 
-val default_seed : int
-
 val measure : ?trials:int -> ?seed:int -> Lang.test -> platform_cost list
 (** One entry per {!Armb_platform.Platform.all} configuration, in that
     order.  Defaults: 60 trials, seed 42. *)

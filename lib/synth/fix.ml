@@ -180,12 +180,6 @@ let strip_round_trip ?max_edits ?budget ?trials ?seed (t : Lang.test) =
 let catalogue_round_trips ?max_edits ?budget ?trials ?seed () =
   List.filter_map (strip_round_trip ?max_edits ?budget ?trials ?seed) Catalogue.all
 
-let find_test name =
-  let lower = String.lowercase_ascii name in
-  List.find_opt
-    (fun (t : Lang.test) -> String.lowercase_ascii t.Lang.name = lower)
-    Catalogue.all
-
 (* Service entry point: trials and seed from one validated Run_config
    (the platform sweep in [Cost.measure] still covers every calibrated
    platform — rc picks the seed/trials coordinates only). *)

@@ -81,9 +81,6 @@ val catalogue_round_trips :
   ?max_edits:int -> ?budget:int -> ?trials:int -> ?seed:int -> unit -> round_trip list
 (** {!strip_round_trip} over every eligible catalogue test. *)
 
-val find_test : string -> Lang.test option
-(** Catalogue lookup by (case-insensitive) name. *)
-
 val fix_rc :
   ?max_edits:int -> ?budget:int -> Armb_platform.Run_config.t -> Lang.test -> outcome
 (** {!fix} with trials and seed drawn from a validated

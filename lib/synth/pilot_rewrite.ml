@@ -9,6 +9,7 @@ type shape = {
   consumer : int;
 }
 
+(* Name of the packed variable, suffixed if the test already uses it. *)
 let word_var = "word"
 
 let mask32 = 0xFFFF_FFFFL

@@ -38,7 +38,3 @@ val rewrite : Lang.test -> (shape * Lang.test) option
     outcome (flag half set, data half stale), and its expectations are
     forbidden-everywhere — which {!Armb_litmus.Enumerate} re-verifies
     downstream, the rewrite is not trusted blindly. *)
-
-val word_var : string
-(** Name of the packed variable (["word"], suffixed if the test already
-    uses it). *)

@@ -33,16 +33,6 @@ let thread_of = function
   | Make_release { thread; _ }
   | Add_addr_dep { thread; _ } -> thread
 
-let ordering_of_edit = function
-  | Insert_fence { fence = Lang.F_dmb_full; _ } -> Ordering.Bar (Barrier.Dmb Full)
-  | Insert_fence { fence = Lang.F_dmb_st; _ } -> Ordering.Bar (Barrier.Dmb St)
-  | Insert_fence { fence = Lang.F_dmb_ld; _ } -> Ordering.Bar (Barrier.Dmb Ld)
-  | Insert_fence { fence = Lang.F_dsb; _ } -> Ordering.Bar (Barrier.Dsb Full)
-  | Insert_fence { fence = Lang.F_isb; _ } -> Ordering.Ctrl_isb
-  | Make_acquire _ -> Ordering.Ldar_acquire
-  | Make_release _ -> Ordering.Stlr_release
-  | Add_addr_dep _ -> Ordering.Addr_dep
-
 let apply t edits =
   let is_insert = function Insert_fence _ -> true | _ -> false in
   let inserts, attrs = List.partition is_insert edits in
@@ -181,5 +171,3 @@ let edit_to_string t e =
     Printf.sprintf "P%d@%d: release (%s)" thread idx (instr_str thread idx)
   | Add_addr_dep { thread; idx; reg } ->
     Printf.sprintf "P%d@%d: addr dep on %s (%s)" thread idx reg (instr_str thread idx)
-
-let pp_edit t ppf e = Format.pp_print_string ppf (edit_to_string t e)

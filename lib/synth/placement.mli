@@ -47,10 +47,6 @@ val total_cost : edit list -> int
 
 val thread_of : edit -> int
 
-val ordering_of_edit : edit -> Armb_core.Ordering.t
-(** The Table-3 approach an edit corresponds to, for cross-referencing
-    repairs against {!Armb_core.Advisor}. *)
-
 val advisor_hint : Lang.test -> edit -> Armb_core.Ordering.t option
 (** What {!Armb_core.Advisor.best} recommends for the program point the
     edit lands on (classified by the nearest preceding access and the
@@ -58,4 +54,3 @@ val advisor_hint : Lang.test -> edit -> Armb_core.Ordering.t option
     access to order. *)
 
 val edit_to_string : Lang.test -> edit -> string
-val pp_edit : Lang.test -> Format.formatter -> edit -> unit

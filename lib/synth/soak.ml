@@ -84,7 +84,10 @@ type round = {
   failures : string list;
 }
 
-let run_round ~seed ~max_edits ~budget ~sim_trials rng i =
+(* Simulator trials on each round's cheapest repair. *)
+let sim_trials = 25
+
+let run_round ~seed ~max_edits ~budget rng i =
   let unsound = ref 0 and redundant = ref 0 in
   let sim_violations = ref 0 and calls = ref 0 in
   let failures = ref [] in
@@ -191,12 +194,9 @@ let run_round ~seed ~max_edits ~budget ~sim_trials rng i =
     failures = List.rev !failures;
   }
 
-let run ?(tests = 20) ?(seed = 2024) ?(max_edits = 2) ?(budget = 1200) ?(sim_trials = 25)
-    () =
+let run ?(tests = 20) ?(seed = 2024) ?(max_edits = 2) ?(budget = 1200) () =
   let rng = Rng.create seed in
-  let rounds =
-    List.init tests (fun i -> run_round ~seed ~max_edits ~budget ~sim_trials rng (i + 1))
-  in
+  let rounds = List.init tests (fun i -> run_round ~seed ~max_edits ~budget rng (i + 1)) in
   let count st = List.length (List.filter (fun r -> r.status = st) rounds) in
   let sum f = List.fold_left (fun a r -> a + f r) 0 rounds in
   {

@@ -46,7 +46,6 @@ val run :
   ?seed:int ->
   ?max_edits:int ->
   ?budget:int ->
-  ?sim_trials:int ->
   unit ->
   report
 (** Defaults: 20 tests, seed 2024, 2 injected/searched edits, 1200

@@ -682,7 +682,9 @@ let test_trace_json_wellformed () =
   let tr = Armb_cpu.Trace.create () in
   Armb_cpu.Trace.emit tr
     { Armb_cpu.Trace.core = 1; kind = "load"; name = "ld \"quoted\"\n"; start_cycle = 5; duration = 7 };
-  match Json.of_string (Armb_cpu.Trace.to_chrome_json tr) with
+  let doc = Buffer.create 256 in
+  Armb_cpu.Trace.write_chrome_json (Buffer.add_string doc) tr;
+  match Json.of_string (Buffer.contents doc) with
   | Error e -> Alcotest.fail e
   | Ok j -> (
     check Alcotest.(option string) "time unit" (Some "ns") (Json.mem_str "displayTimeUnit" j);

@@ -214,8 +214,9 @@ let trace_catalogue_text () =
         (fun (t : Lang.test) ->
           let tr = Armb_cpu.Trace.create () in
           ignore (Sim.run ~cfg ~trials:1 ~seed:42 ~observer:(Armb_cpu.Trace.observer tr) t);
-          Buffer.add_string b
-            (Printf.sprintf "%s %s\n%s\n" t.name cfg.name (Armb_cpu.Trace.to_chrome_json tr)))
+          Buffer.add_string b (Printf.sprintf "%s %s\n" t.name cfg.name);
+          Armb_cpu.Trace.write_chrome_json (Buffer.add_string b) tr;
+          Buffer.add_char b '\n')
         Catalogue.all)
     P.all;
   Buffer.contents b

@@ -479,6 +479,19 @@ let test_catalogue_expectations () =
       if not ok then Alcotest.failf "%s: %s" t.Lang.name detail)
     (Cat.all @ padded)
 
+(* Every catalogue name resolves to its own test in either case. *)
+let test_catalogue_find () =
+  List.iter
+    (fun (t : Lang.test) ->
+      List.iter
+        (fun name ->
+          match Cat.find name with
+          | Some t' when t' == t -> ()
+          | _ -> Alcotest.failf "%s: not found as %S" t.Lang.name name)
+        [ String.uppercase_ascii t.Lang.name; String.lowercase_ascii t.Lang.name ])
+    Cat.all;
+  check Alcotest.bool "unknown name" true (Option.is_none (Cat.find "NOPE"))
+
 let test_sc_outcomes_present () =
   (* every model must at least allow the sequential outcome of MP *)
   let outs = Enum.enumerate Enum.Tso Cat.mp in
@@ -835,6 +848,7 @@ let () =
           Alcotest.test_case "vars" `Quick test_vars_collects;
           Alcotest.test_case "regs of thread" `Quick test_regs_of_thread;
           Alcotest.test_case "register reads" `Quick test_reads_regs;
+          Alcotest.test_case "catalogue find" `Quick test_catalogue_find;
         ] );
       ( "enumerate",
         [

@@ -130,7 +130,7 @@ let test_inline_test_round_trip () =
      lines included) survives — wire semantics = closure semantics *)
   List.iter
     (fun (name, conds) ->
-      match Codec.find_test name with
+      match Cat.find name with
       | None -> Alcotest.fail ("catalogue test missing: " ^ name)
       | Some t -> (
         let j = Codec.test_inline_to_json ~interesting_when:conds t in
@@ -210,6 +210,30 @@ let test_retry_gives_up () =
     check Alcotest.int "exactly max_retries attempts" 3 !attempts;
     check Alcotest.int "retries reported" 3 retries;
     check Alcotest.bool "last response is the shed" true (Retry.is_shed last)
+
+(* ---------- atomic artifact writes ---------- *)
+
+(* The target changes only when the writer returns: a writer that
+   raises leaves the old target and no temp file behind. *)
+let test_out_write_with () =
+  let dir = tmp_path "out" in
+  let path = Filename.concat dir "artifact.txt" in
+  let write text =
+    match Out.write_with ~path (fun oc -> output_string oc text) with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail m
+  in
+  write "old\n";
+  (match Out.write_with ~path (fun oc -> output_string oc "half"; failwith "writer failed") with
+  | _ -> Alcotest.fail "the writer's exception must propagate"
+  | exception Failure _ -> ());
+  check Alcotest.string "old target unchanged" "old\n" (read_file path);
+  check (Alcotest.list Alcotest.string) "no temp file left" [ "artifact.txt" ]
+    (Array.to_list (Sys.readdir dir));
+  write "new\n";
+  check Alcotest.string "replaced when the writer returns" "new\n" (read_file path);
+  Sys.remove path;
+  Sys.rmdir dir
 
 (* ---------- bounded serve ---------- *)
 
@@ -440,6 +464,11 @@ let () =
             test_retry_completes;
           Alcotest.test_case "gives up after the policy, never drops" `Quick
             test_retry_gives_up;
+        ] );
+      ( "out",
+        [
+          Alcotest.test_case "writer raises -> old target, no temp file" `Quick
+            test_out_write_with;
         ] );
       ( "serve",
         [
