@@ -303,6 +303,95 @@ let sync_kernels_text () =
   Printf.bprintf b "faulted spsc-ring cycles=%d %s\n" r.Spsc.cycles (counters r.Spsc.lines_touched);
   Buffer.contents b
 
+(* Cycles and operation counts of the simulated-lock benchmarks, small
+   runs at the figures' settings: the ticket lock under each Figure
+   7(a) release barrier and critical-section size, the FFWD server
+   under each Figure 7(b) barrier pair and Pilot, DSM-Synch with and
+   without Pilot, the Figure 8 structures under the delegation locks,
+   and the in-place lock family on one node. *)
+let lock_harnesses_text () =
+  let module S = Armb_sync in
+  let b = Buffer.create 4096 in
+  let cores = List.init 6 (fun i -> if i < 3 then i else cross + i) in
+  let rounds = 10 in
+  let ops = List.length cores * rounds in
+  List.iter
+    (fun (name, release_barrier) ->
+      List.iter
+        (fun cs_lines ->
+          let r =
+            S.Ticket_lock.run
+              {
+                (S.Ticket_lock.default_spec kunpeng ~cores) with
+                acquisitions = rounds;
+                cs_lines;
+                release_barrier;
+              }
+          in
+          Printf.bprintf b "ticket %s cs_lines=%d cycles=%d ops=%d\n" name cs_lines
+            r.S.Ticket_lock.cycles ops)
+        [ 0; 1; 2 ])
+    [
+      ("DMB full", Ordering.Bar (Barrier.Dmb Full));
+      ("DMB st", Ordering.Bar (Barrier.Dmb St));
+      ("STLR", Ordering.Stlr_release);
+      ("DSB full", Ordering.Bar (Barrier.Dsb Full));
+      ("none", Ordering.No_barrier);
+    ];
+  let ffwd = S.Ffwd.default_spec kunpeng ~server_core:0 ~client_cores:(List.tl cores) in
+  let ffwd = { ffwd with rounds; interval_nops = 100 } in
+  let ffwd_ops = (List.length cores - 1) * rounds in
+  List.iter
+    (fun (name, read_req, publish_resp, pilot) ->
+      let r =
+        S.Ffwd.run ~check:false { ffwd with barriers = { S.Ffwd.read_req; publish_resp }; pilot }
+      in
+      Printf.bprintf b "ffwd %s cycles=%d ops=%d\n" name r.S.Ffwd.cycles ffwd_ops)
+    [
+      ("DMB full-DMB st", Ordering.Bar (Barrier.Dmb Full), Ordering.Bar (Barrier.Dmb St), false);
+      ("DMB ld-DMB st", Ordering.Bar (Barrier.Dmb Ld), Ordering.Bar (Barrier.Dmb St), false);
+      ("LDAR-DMB st", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), false);
+      ("CTRL+ISB-DMB st", Ordering.Ctrl_isb, Ordering.Bar (Barrier.Dmb St), false);
+      ("ADDR-DMB st", Ordering.Addr_dep, Ordering.Bar (Barrier.Dmb St), false);
+      ("LDAR-No Barrier", Ordering.Ldar_acquire, Ordering.No_barrier, false);
+      ("Ideal", Ordering.No_barrier, Ordering.No_barrier, false);
+      ("Pilot", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), true);
+    ];
+  List.iter
+    (fun pilot ->
+      let r =
+        S.Dsmsynch.run { (S.Dsmsynch.default_spec kunpeng ~cores) with rounds; pilot }
+      in
+      Printf.bprintf b "dsmsynch pilot=%b cycles=%d ops=%d\n" pilot r.S.Dsmsynch.cycles ops)
+    [ false; true ];
+  List.iter
+    (fun lock ->
+      let spec = { (S.Ds_bench.default_spec kunpeng ~lock) with workers = 4; ops_per_worker = 16 } in
+      List.iter
+        (fun (name, run) ->
+          let r = run spec in
+          Printf.bprintf b "ds %s %s cycles=%d ops=%d\n" name (S.Ds_bench.lock_name lock)
+            r.S.Ds_bench.cycles r.S.Ds_bench.ops)
+        [
+          ("queue", S.Ds_bench.run_queue);
+          ("stack", S.Ds_bench.run_stack);
+          ("sorted-list", S.Ds_bench.run_sorted_list ~preload:16);
+          ("hash-table", S.Ds_bench.run_hash_table ~buckets:4 ~preload:16);
+        ])
+    [ S.Ds_bench.Dsynch; S.Ds_bench.Dsynch_pilot; S.Ds_bench.Ffwd_lock ];
+  let same_node = List.init 6 Fun.id in
+  List.iter
+    (fun lock ->
+      let r =
+        S.Lock_compare.run
+          { (S.Lock_compare.default_spec kunpeng ~lock ~cores:same_node) with acquisitions = rounds }
+      in
+      Printf.bprintf b "lock %s same-node cycles=%d ops=%d cross_node_per_cs=%h\n"
+        (S.Lock_compare.lock_name lock) r.S.Lock_compare.cycles ops
+        r.S.Lock_compare.cross_node_per_cs)
+    S.Lock_compare.all_locks;
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -324,6 +413,8 @@ let expected =
     ("trace-catalogue", "e84a4dd3a8f9bf8ae8e786b4c0f56108");
     (* captured before the kernel libraries moved to Int.max/Int.min *)
     ("sync-kernels", "16eacfc1e570cda62165625e0def87ea");
+    (* captured before the lock harnesses merged into Ds_bench *)
+    ("lock-harnesses", "4baca71b47117fcad0ae02c9eabf8adf");
   ]
 
 let texts =
@@ -339,6 +430,7 @@ let texts =
     ("fix-catalogue", fix_catalogue_text);
     ("trace-catalogue", trace_catalogue_text);
     ("sync-kernels", sync_kernels_text);
+    ("lock-harnesses", lock_harnesses_text);
   ]
 
 let golden name () =
