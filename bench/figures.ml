@@ -231,7 +231,7 @@ let fig7a () =
     ]
   in
   List.iter
-    (fun (label, cfg, cores) ->
+    (fun (label, cfg, workers) ->
       let rows =
         List.map
           (fun (name, barrier) ->
@@ -240,13 +240,15 @@ let fig7a () =
                 (fun cs_lines ->
                   let spec =
                     {
-                      (S.Ticket_lock.default_spec cfg ~cores) with
+                      (S.Ds_bench.default_spec cfg ~lock:S.Ds_bench.Ticket) with
+                      workers;
+                      ops_per_worker = 150;
+                      interval_nops = 300;
                       release_barrier = barrier;
                       cs_lines;
-                      acquisitions = 150;
                     }
                   in
-                  (S.Ticket_lock.run spec).S.Ticket_lock.throughput /. 1e6)
+                  (S.Ds_bench.run_counter spec).S.Ds_bench.throughput /. 1e6)
                 [ 0; 1; 2 ] ))
           variants
       in
@@ -258,34 +260,39 @@ let fig7a () =
       Series.print t;
       Series.print (Series.normalize_to t ~row:"Normal (DMB full)"))
     [
-      ("kunpeng916 (32 threads)", kunpeng, List.init 32 (fun i -> i));
-      ("kirin960 (4 threads)", P.kirin960, [ 0; 1; 2; 3 ]);
-      ("raspberrypi4 (4 threads)", P.raspberrypi4, [ 0; 1; 2; 3 ]);
+      ("kunpeng916 (32 threads)", kunpeng, 32);
+      ("kirin960 (4 threads)", P.kirin960, 4);
+      ("raspberrypi4 (4 threads)", P.raspberrypi4, 4);
     ]
 
 (* ---------- Figure 7(b) ---------- *)
 
 let fig7b () =
   section "Figure 7(b): delegation lock barrier combinations (kunpeng916)";
-  let client_cores = List.init 24 (fun i -> i + 1) in
-  let base = S.Ffwd.default_spec kunpeng ~server_core:0 ~client_cores in
-  let base = { base with rounds = 120; interval_nops = 100 } in
+  let base =
+    {
+      (S.Ds_bench.default_spec kunpeng ~lock:S.Ds_bench.Ffwd_lock) with
+      workers = 24;
+      ops_per_worker = 120;
+      interval_nops = 100;
+    }
+  in
   let combos =
     [
-      ("DMB full-DMB st", Ordering.Bar (Barrier.Dmb Full), Ordering.Bar (Barrier.Dmb St), false);
-      ("DMB ld-DMB st", Ordering.Bar (Barrier.Dmb Ld), Ordering.Bar (Barrier.Dmb St), false);
-      ("LDAR-DMB st", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), false);
-      ("CTRL+ISB-DMB st", Ordering.Ctrl_isb, Ordering.Bar (Barrier.Dmb St), false);
-      ("ADDR-DMB st", Ordering.Addr_dep, Ordering.Bar (Barrier.Dmb St), false);
-      ("LDAR-No Barrier", Ordering.Ldar_acquire, Ordering.No_barrier, false);
-      ("Ideal", Ordering.No_barrier, Ordering.No_barrier, false);
+      ("DMB full-DMB st", Ordering.Bar (Barrier.Dmb Full), Ordering.Bar (Barrier.Dmb St));
+      ("DMB ld-DMB st", Ordering.Bar (Barrier.Dmb Ld), Ordering.Bar (Barrier.Dmb St));
+      ("LDAR-DMB st", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St));
+      ("CTRL+ISB-DMB st", Ordering.Ctrl_isb, Ordering.Bar (Barrier.Dmb St));
+      ("ADDR-DMB st", Ordering.Addr_dep, Ordering.Bar (Barrier.Dmb St));
+      ("LDAR-No Barrier", Ordering.Ldar_acquire, Ordering.No_barrier);
+      ("Ideal", Ordering.No_barrier, Ordering.No_barrier);
     ]
   in
   let rows =
     List.map
-      (fun (name, read_req, publish_resp, pilot) ->
-        let spec = { base with barriers = { S.Ffwd.read_req; publish_resp }; pilot } in
-        (name, [ (S.Ffwd.run ~check:false spec).S.Ffwd.throughput /. 1e6 ]))
+      (fun (name, read_req, publish_resp) ->
+        let spec = { base with ffwd_barriers = { S.Ffwd.read_req; publish_resp } } in
+        (name, [ (S.Ds_bench.run_counter spec).S.Ds_bench.throughput /. 1e6 ]))
       combos
   in
   let t = Series.make ~title:"Fig 7(b): FFWD-style server" ~unit_label:"10^6 cs/s" ~cols:[ "throughput" ] rows in
@@ -299,50 +306,19 @@ let fig7c () =
   let exps = [ 0; 1; 2; 3 ] in
   let cols = List.map (fun n -> Printf.sprintf "10^%d*128" n) exps in
   let rounds_of n = max 10 (240 / (1 + (n * n))) in
-  let clients = 24 in
-  let ticket n =
+  let point lock n =
     let spec =
       {
-        (S.Ticket_lock.default_spec kunpeng ~cores:(List.init clients (fun i -> i))) with
-        acquisitions = rounds_of n;
+        (S.Ds_bench.default_spec kunpeng ~lock) with
+        workers = 24;
+        ops_per_worker = rounds_of n;
         interval_nops = 128 * int_of_float (10.0 ** float_of_int n);
-        cs_lines = 1;
       }
     in
-    (S.Ticket_lock.run spec).S.Ticket_lock.throughput /. 1e6
-  in
-  let dsynch ~pilot n =
-    let spec =
-      {
-        (S.Dsmsynch.default_spec kunpeng ~cores:(List.init clients (fun i -> i))) with
-        rounds = rounds_of n;
-        interval_nops = 128 * int_of_float (10.0 ** float_of_int n);
-        pilot;
-      }
-    in
-    (S.Dsmsynch.run spec).S.Dsmsynch.throughput /. 1e6
-  in
-  let ffwd ~pilot n =
-    let spec =
-      {
-        (S.Ffwd.default_spec kunpeng ~server_core:0
-           ~client_cores:(List.init clients (fun i -> i + 1)))
-        with
-        rounds = rounds_of n;
-        interval_nops = 128 * int_of_float (10.0 ** float_of_int n);
-        pilot;
-      }
-    in
-    (S.Ffwd.run spec).S.Ffwd.throughput /. 1e6
+    (S.Ds_bench.run_counter spec).S.Ds_bench.throughput /. 1e6
   in
   let rows =
-    [
-      ("Ticket", List.map ticket exps);
-      ("DSynch", List.map (dsynch ~pilot:false) exps);
-      ("DSynch-P", List.map (dsynch ~pilot:true) exps);
-      ("FFWD", List.map (ffwd ~pilot:false) exps);
-      ("FFWD-P", List.map (ffwd ~pilot:true) exps);
-    ]
+    List.map (fun lock -> (S.Ds_bench.lock_name lock, List.map (point lock) exps)) S.Ds_bench.paper_locks
   in
   Series.print
     (Series.make ~title:"Fig 7(c): contention sweep (kunpeng916, 24 threads)"
@@ -360,7 +336,7 @@ let fig8a () =
         let q = (S.Ds_bench.run_queue (ds_spec lk)).S.Ds_bench.throughput /. 1e6 in
         let s = (S.Ds_bench.run_stack (ds_spec lk)).S.Ds_bench.throughput /. 1e6 in
         (S.Ds_bench.lock_name lk, [ q; s ]))
-      S.Ds_bench.all_locks
+      S.Ds_bench.paper_locks
   in
   Series.print
     (Series.make ~title:"Fig 8(a): queue & stack" ~unit_label:"10^6 ops/s"
@@ -378,7 +354,7 @@ let fig8b () =
               let spec = { (ds_spec lk) with ops_per_worker = 48 } in
               (S.Ds_bench.run_sorted_list ~preload spec).S.Ds_bench.throughput /. 1e6)
             preloads ))
-      S.Ds_bench.all_locks
+      S.Ds_bench.paper_locks
   in
   Series.print
     (Series.make ~title:"Fig 8(b): sorted list" ~unit_label:"10^6 ops/s"
@@ -397,7 +373,7 @@ let fig8c () =
               (S.Ds_bench.run_hash_table ~buckets:b ~preload:512 spec).S.Ds_bench.throughput
               /. 1e6)
             buckets ))
-      S.Ds_bench.all_locks
+      S.Ds_bench.paper_locks
   in
   Series.print
     (Series.make ~title:"Fig 8(c): hash table" ~unit_label:"10^6 ops/s"
@@ -577,9 +553,18 @@ let locks () =
       let rows =
         List.map
           (fun lk ->
-            let r = S.Lock_compare.run (S.Lock_compare.default_spec kunpeng ~lock:lk ~cores) in
-            (S.Lock_compare.lock_name lk, [ r.throughput /. 1e6; r.cross_node_per_cs ]))
-          S.Lock_compare.all_locks
+            let r =
+              S.Ds_bench.run_counter
+                {
+                  (S.Ds_bench.default_spec kunpeng ~lock:lk) with
+                  workers = 16;
+                  cores;
+                  ops_per_worker = 150;
+                  interval_nops = 300;
+                }
+            in
+            (S.Ds_bench.lock_name lk, [ r.throughput /. 1e6; r.cross_node_per_cs ]))
+          S.Ds_bench.in_place_locks
       in
       Series.print
         (Series.make

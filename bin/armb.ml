@@ -77,13 +77,18 @@ let int_from min =
   checked_int (fun n ->
       if n >= min then Ok n else Error (Printf.sprintf "expected an integer >= %d, got %d" min n))
 
-let non_negative_float =
+let checked_float ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when x >= 0.0 -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative number, got %S" s))
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let non_negative_float = checked_float ~expected:"a non-negative number" (fun x -> x >= 0.0)
+
+(* A fault intensity, in [0,1] as on the wire. *)
+let intensity = checked_float ~expected:"a number in [0,1]" (fun x -> x >= 0.0 && x <= 1.0)
 
 (* A name resolved by [find]; the error lists the accepted names. *)
 let named ~what find names to_name =
@@ -158,7 +163,7 @@ let run_config ?(trials_default = 300) () =
 (* Fault intensity knob shared by the subcommands that can perturb a
    run (ring, perturb, fuzz). *)
 let fault_intensity =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt intensity 0.0
        & info [ "fault" ] ~docv:"X"
            ~doc:"Fault-injection intensity in [0,1]: 0 disables (default), 1 arms every \
                  site of the deterministic fault plan.")
@@ -439,11 +444,11 @@ let barrier_cmd =
 let perturb_cmd =
   (* The positive intensities, sorted and distinct: at least one. *)
   let positive_intensities =
-    let floats = Arg.list Arg.float in
+    let floats = Arg.list intensity in
     let parse s =
       match Arg.conv_parser floats s with
       | Ok xs -> (
-        match List.sort_uniq compare (List.filter (fun x -> x > 0.0) xs) with
+        match List.sort_uniq Float.compare (List.filter (fun x -> x > 0.0) xs) with
         | [] -> Error (`Msg (Printf.sprintf "no positive intensity to sweep in %S" s))
         | xs -> Ok xs)
       | Error _ as e -> e
@@ -453,7 +458,8 @@ let perturb_cmd =
   let intensities =
     Arg.(value & opt positive_intensities [ 0.25; 0.5; 1.0 ]
          & info [ "intensities" ] ~docv:"X,Y,.."
-             ~doc:"Fault intensities to sweep (0 is always measured as the baseline).")
+             ~doc:"Fault intensities to sweep, each in [0,1] (0 is always measured as the \
+                   baseline).")
   in
   let out = out ~doc:"Also write the report to FILE (CI drift artifact)." in
   let run (rc : RC.t) intensities messages out =
@@ -964,13 +970,17 @@ let soak_cmd =
   in
   let run seed requests duration wave pool alpha snapshot_every metrics_out bundle_dir
       retry_max emit queue_bound cache_cap =
-    if requests = 0 && duration = None && emit = None then begin
+    if requests = 0 && emit <> None then begin
+      Printf.eprintf "armb soak: --emit needs --requests N (> 0)\n";
+      exit 2
+    end;
+    if requests = 0 && duration = None then begin
       Printf.eprintf "armb soak: give --requests N (> 0) and/or --duration S\n";
       exit 2
     end;
     match emit with
     | Some path ->
-      let jobs = Soak_gen.stream ~pool ~alpha ~requests:(max requests 1) ~seed () in
+      let jobs = Soak_gen.stream ~pool ~alpha ~requests ~seed () in
       write_out path
         (String.concat "" (List.map (fun j -> j.Soak_gen.line ^ "\n") jobs))
     | None ->

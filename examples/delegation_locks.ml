@@ -18,7 +18,7 @@ let simulated () =
       let r = S.Ds_bench.run_sorted_list ~preload:100 spec in
       Printf.printf "%-10s %7.2f M ops/s\n" (S.Ds_bench.lock_name lock)
         (r.throughput /. 1e6))
-    S.Ds_bench.all_locks
+    S.Ds_bench.paper_locks
 
 let native () =
   Printf.printf "\n--- native domains (correctness demo on this host) ---\n";

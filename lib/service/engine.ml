@@ -87,12 +87,15 @@ let lane_for level client =
 let live_lanes t =
   Array.fold_left (fun acc level -> acc + Hashtbl.length level.lanes) 0 t.levels
 
+(* A library's own message is the answer; other exceptions are named. *)
+let error_text = function Invalid_argument m | Failure m -> m | e -> Printexc.to_string e
+
 let submit t (req : request) =
   Metrics.submitted t.metrics;
   match Job.key req.job with
   | exception e ->
     Metrics.failed t.metrics;
-    Some { id = req.id; client = req.client; reply = Error (Printexc.to_string e) }
+    Some { id = req.id; client = req.client; reply = Error (error_text e) }
   | key -> (
     match Option.bind t.cache (fun c -> Cache.find c key) with
     | Some result ->
@@ -195,7 +198,7 @@ let execute t (comp : computation) =
       waiters
   | Error e ->
     Metrics.failed t.metrics;
-    let msg = Printexc.to_string e in
+    let msg = error_text e in
     List.map
       (fun (req : request) -> { id = req.id; client = req.client; reply = Error msg })
       waiters

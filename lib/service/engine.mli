@@ -40,6 +40,8 @@ type reply =
   | Result of { origin : origin; key : string; wall_us : int; result : Job.result }
   | Shed of { retry_after_ms : int }
   | Error of string
+      (** the message of an [Invalid_argument] or [Failure], or any
+          other exception printed by [Printexc] *)
 
 type response = { id : string; client : string; reply : reply }
 

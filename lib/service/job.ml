@@ -112,10 +112,11 @@ let key t =
          (String.concat "," (List.map string_of_int plan_seeds)));
     Buffer.add_string b (Key.canonical_test test)
   | Opt { program; algorithm; unroll } ->
-    (* validate the algorithm name now so an unkeyable job fails at submit *)
+    (* validate the algorithm and unroll now so a job that cannot run fails at submit *)
     (match Armb_opt.Optimizer.algorithm_of_string algorithm with
     | Some _ -> ()
     | None -> invalid_arg (Printf.sprintf "Job.key: unknown algorithm %S" algorithm));
+    at_least "unroll" 1 unroll;
     Buffer.add_string b (Printf.sprintf "opt|%s|%d\n" algorithm unroll);
     Buffer.add_string b (Key.canonical_program program));
   let a, bcore = t.rc.cores in

@@ -37,7 +37,6 @@ type t = {
   receivers : Pilot.receiver array;
   spare : int array; (* per party: node to donate next *)
   mutable combine_count : int;
-  mutable fallback_count : int;
 }
 
 let create m ~parties ?(pilot = false) ?(combine_bound = 64) ~critical () =
@@ -76,12 +75,9 @@ let create m ~parties ?(pilot = false) ?(combine_bound = 64) ~critical () =
     receivers;
     spare = Array.init parties (fun i -> nodes.(i));
     combine_count = 0;
-    fallback_count = 0;
   }
 
 let combines t = t.combine_count
-
-let fallbacks t = t.fallback_count
 
 let release_node t (c : Core.t) node ~ret ~completed =
   if t.pilot then begin
@@ -91,7 +87,6 @@ let release_node t (c : Core.t) node ~ret ~completed =
     match Pilot.encode t.senders.(Hashtbl.find t.node_index node) (pack ~ret ~completed) with
     | Pilot.Write_data v -> Core.store c node v
     | Pilot.Toggle_flag ->
-      t.fallback_count <- t.fallback_count + 1;
       let fa = node + 8 in
       let cur = Core.await c (Core.load c fa) in
       Core.store c fa (Int64.logxor cur 1L)
@@ -169,69 +164,3 @@ let exec t (c : Core.t) ~me arg =
   in
   t.spare.(me) <- cur;
   ret
-
-(* ---------- Figure 7 microbenchmark ---------- *)
-
-type spec = {
-  cfg : Armb_cpu.Config.t;
-  cores : int list;
-  rounds : int;
-  interval_nops : int;
-  combine_bound : int;
-  pilot : bool;
-}
-
-let default_spec cfg ~cores =
-  { cfg; cores; rounds = 200; interval_nops = 300; combine_bound = 64; pilot = false }
-
-type result = { throughput : float; cycles : int; combines : int; fallbacks : int }
-
-let run ?(check = true) spec =
-  let n = List.length spec.cores in
-  if n = 0 then invalid_arg "Dsmsynch.run: no cores";
-  let m = Machine.create spec.cfg in
-  let counter_line = Machine.alloc_line m in
-  let count = ref 0 in
-  let expected = Hashtbl.create 256 in
-  let critical (c : Core.t) ~client:_ arg =
-    let v = Core.await c (Core.load c counter_line) in
-    Core.store c counter_line (Int64.add v 1L);
-    Core.compute c 2;
-    incr count;
-    let r = Int64.add arg v in
-    if check then Hashtbl.replace expected arg r;
-    r
-  in
-  let t =
-    create m ~parties:n ~pilot:spec.pilot ~combine_bound:spec.combine_bound ~critical ()
-  in
-  let thread idx (c : Core.t) =
-    for round = 0 to spec.rounds - 1 do
-      let arg = Int64.of_int (((idx + 1) * 1000000) + round) in
-      let ret = exec t c ~me:idx arg in
-      if check then begin
-        match Hashtbl.find_opt expected arg with
-        | Some r when Int64.equal r ret -> ()
-        | Some r ->
-          failwith
-            (Printf.sprintf "Dsmsynch: thread %d round %d: ret %Ld, expected %Ld" idx round
-               ret r)
-        | None ->
-          failwith
-            (Printf.sprintf "Dsmsynch: thread %d round %d never executed" idx round)
-      end;
-      Core.compute c spec.interval_nops
-    done
-  in
-  List.iteri (fun i core -> Machine.spawn m ~core (thread i)) spec.cores;
-  Machine.run_exn m;
-  if check && !count <> n * spec.rounds then
-    failwith
-      (Printf.sprintf "Dsmsynch: executed %d critical sections, expected %d" !count
-         (n * spec.rounds));
-  {
-    throughput = Machine.throughput m ~ops:(n * spec.rounds);
-    cycles = Machine.elapsed m;
-    combines = combines t;
-    fallbacks = fallbacks t;
-  }

@@ -39,22 +39,3 @@ val exec : t -> Armb_cpu.Core.t -> me:int -> int64 -> int64
 
 val combines : t -> int
 (** Requests executed by a combiner on behalf of another thread. *)
-
-val fallbacks : t -> int
-
-(** {2 Figure 7 microbenchmark wrapper} *)
-
-type spec = {
-  cfg : Armb_cpu.Config.t;
-  cores : int list;
-  rounds : int;
-  interval_nops : int;
-  combine_bound : int;
-  pilot : bool;
-}
-
-val default_spec : Armb_cpu.Config.t -> cores:int list -> spec
-
-type result = { throughput : float; cycles : int; combines : int; fallbacks : int }
-
-val run : ?check:bool -> spec -> result

@@ -14,7 +14,7 @@
       in the client's cache).
 
     Like FFWD, the server batches: all requests found pending in one
-    scan share a single publish barrier ([batch]).
+    scan share a single publish barrier.
 
     With [pilot = true] the lock applies Algorithm 6: return values
     (and request arguments) are piggybacked on single words via the
@@ -35,14 +35,7 @@ type critical = Armb_cpu.Core.t -> client:int -> int64 -> int64
 type t
 
 val create :
-  Armb_cpu.Machine.t ->
-  num_clients:int ->
-  ?barriers:barriers ->
-  ?pilot:bool ->
-  ?batch:bool ->
-  critical:critical ->
-  unit ->
-  t
+  Armb_cpu.Machine.t -> num_clients:int -> barriers:barriers -> pilot:bool -> critical:critical -> t
 
 val request : t -> Armb_cpu.Core.t -> client:int -> int64 -> int64
 (** Submit an argument from this client slot and wait for the return
@@ -55,28 +48,3 @@ val client_done : t -> client:int -> unit
 
 val server_body : t list -> Armb_cpu.Core.t -> unit
 (** Server loop serving one or more instances (spawn on its own core). *)
-
-val fallbacks : t -> int
-(** Pilot flag-toggle deliveries so far. *)
-
-(** {2 Figure 7 microbenchmark wrapper} *)
-
-type spec = {
-  cfg : Armb_cpu.Config.t;
-  server_core : int;
-  client_cores : int list;
-  rounds : int;
-  interval_nops : int;
-  barriers : barriers;
-  pilot : bool;
-  batch : bool;
-}
-
-val default_spec : Armb_cpu.Config.t -> server_core:int -> client_cores:int list -> spec
-
-type result = { throughput : float; cycles : int; fallbacks : int }
-
-val run : ?check:bool -> spec -> result
-(** Critical section: bump a server-local counter line, return
-    argument+counter; [check] (default true) verifies every return
-    value reflects a unique counter slot. *)

@@ -53,57 +53,3 @@ let has_waiters t (c : Core.t) =
   let next = Core.await c (Core.load c t.next_addr) in
   let serving = Core.await c (Core.load c t.serving_addr) in
   Int64.compare next (Int64.add serving 1L) > 0
-
-type spec = {
-  cfg : Armb_cpu.Config.t;
-  cores : int list;
-  acquisitions : int;
-  cs_lines : int;
-  interval_nops : int;
-  release_barrier : Ordering.t;
-}
-
-let default_spec cfg ~cores =
-  {
-    cfg;
-    cores;
-    acquisitions = 300;
-    cs_lines = 1;
-    interval_nops = 300;
-    release_barrier = Ordering.Bar (Barrier.Dmb Full);
-  }
-
-type result = { throughput : float; cycles : int }
-
-let run spec =
-  if spec.cores = [] then invalid_arg "Ticket_lock.run: no cores";
-  let m = Machine.create spec.cfg in
-  let lock = create m in
-  let shared = Machine.alloc_lines m (Int.max 1 spec.cs_lines) in
-  (* Host-side mutual-exclusion oracle. *)
-  let owner = ref None in
-  let total = List.length spec.cores * spec.acquisitions in
-  let body (c : Core.t) =
-    for _ = 1 to spec.acquisitions do
-      acquire lock c;
-      (match !owner with
-      | Some o ->
-        failwith
-          (Printf.sprintf "Ticket_lock: mutual exclusion violated (%d and %d inside)" o
-             (Core.id c))
-      | None -> owner := Some (Core.id c));
-      (* Read-modify a configurable number of global lines. *)
-      for k = 0 to spec.cs_lines - 1 do
-        let a = shared + (k * 64) in
-        let v = Core.await c (Core.load c a) in
-        Core.store c a (Int64.add v 1L)
-      done;
-      Core.compute c 2;
-      owner := None;
-      release ~barrier:spec.release_barrier lock c;
-      Core.compute c spec.interval_nops
-    done
-  in
-  List.iter (fun core -> Machine.spawn m ~core body) spec.cores;
-  Machine.run_exn m;
-  { throughput = Machine.throughput m ~ops:total; cycles = Machine.elapsed m }

@@ -25,26 +25,3 @@ val has_waiters : t -> Armb_cpu.Core.t -> bool
 (** Are there tickets beyond the one currently served?  Only meaningful
     when called by the lock holder (used by the cohort lock to decide
     whether to hand off within the node). *)
-
-(** {2 Figure 7(a) microbenchmark} *)
-
-type spec = {
-  cfg : Armb_cpu.Config.t;
-  cores : int list;  (** competing threads *)
-  acquisitions : int;  (** per thread *)
-  cs_lines : int;  (** global cache lines read+modified in the CS *)
-  interval_nops : int;  (** think time after release *)
-  release_barrier : Armb_core.Ordering.t;
-}
-
-val default_spec : Armb_cpu.Config.t -> cores:int list -> spec
-
-type result = {
-  throughput : float;  (** critical sections per second *)
-  cycles : int;
-}
-
-val run : spec -> result
-(** Runs the microbenchmark and verifies mutual exclusion (a host-side
-    in-CS counter must never see two owners); raises [Failure] if
-    violated. *)

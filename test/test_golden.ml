@@ -232,19 +232,24 @@ let sync_kernels_text () =
   let b = Buffer.create 4096 in
   let counters c = Format.asprintf "%a" Armb_mem.Memsys.pp_counters c in
   let cores = List.init 8 (fun i -> if i < 4 then i else cross + i) in
-  let r =
-    S.Ticket_lock.run { (S.Ticket_lock.default_spec kunpeng ~cores) with acquisitions = 20 }
+  let counter lock =
+    S.Ds_bench.run_counter
+      {
+        (S.Ds_bench.default_spec kunpeng ~lock) with
+        workers = List.length cores;
+        cores;
+        ops_per_worker = 20;
+        interval_nops = 300;
+      }
   in
-  Printf.bprintf b "ticket cycles=%d\n" r.S.Ticket_lock.cycles;
+  let r = counter S.Ds_bench.Ticket in
+  Printf.bprintf b "ticket cycles=%d\n" r.S.Ds_bench.cycles;
   List.iter
     (fun lock ->
-      let r =
-        S.Lock_compare.run
-          { (S.Lock_compare.default_spec kunpeng ~lock ~cores) with acquisitions = 20 }
-      in
+      let r = counter lock in
       Printf.bprintf b "lock %s cycles=%d cross_node_per_cs=%h\n"
-        (S.Lock_compare.lock_name lock) r.S.Lock_compare.cycles r.S.Lock_compare.cross_node_per_cs)
-    S.Lock_compare.all_locks;
+        (S.Ds_bench.lock_name lock) r.S.Ds_bench.cycles r.S.Ds_bench.cross_node_per_cs)
+    S.Ds_bench.in_place_locks;
   let pilot = { (S.Pilot_ring.default_spec kunpeng ~cores:(0, cross)) with messages = 300 } in
   List.iter
     (fun (name, (r : S.Pilot_ring.result)) ->
@@ -314,22 +319,25 @@ let lock_harnesses_text () =
   let b = Buffer.create 4096 in
   let cores = List.init 6 (fun i -> if i < 3 then i else cross + i) in
   let rounds = 10 in
-  let ops = List.length cores * rounds in
+  let counter lock ~cores =
+    {
+      (S.Ds_bench.default_spec kunpeng ~lock) with
+      workers = List.length cores;
+      cores;
+      ops_per_worker = rounds;
+      interval_nops = 300;
+    }
+  in
   List.iter
     (fun (name, release_barrier) ->
       List.iter
         (fun cs_lines ->
           let r =
-            S.Ticket_lock.run
-              {
-                (S.Ticket_lock.default_spec kunpeng ~cores) with
-                acquisitions = rounds;
-                cs_lines;
-                release_barrier;
-              }
+            S.Ds_bench.run_counter
+              { (counter S.Ds_bench.Ticket ~cores) with cs_lines; release_barrier }
           in
           Printf.bprintf b "ticket %s cs_lines=%d cycles=%d ops=%d\n" name cs_lines
-            r.S.Ticket_lock.cycles ops)
+            r.S.Ds_bench.cycles r.S.Ds_bench.ops)
         [ 0; 1; 2 ])
     [
       ("DMB full", Ordering.Bar (Barrier.Dmb Full));
@@ -338,32 +346,31 @@ let lock_harnesses_text () =
       ("DSB full", Ordering.Bar (Barrier.Dsb Full));
       ("none", Ordering.No_barrier);
     ];
-  let ffwd = S.Ffwd.default_spec kunpeng ~server_core:0 ~client_cores:(List.tl cores) in
-  let ffwd = { ffwd with rounds; interval_nops = 100 } in
-  let ffwd_ops = (List.length cores - 1) * rounds in
+  let ffwd lock = { (counter lock ~cores:(List.tl cores)) with cores; interval_nops = 100 } in
   List.iter
-    (fun (name, read_req, publish_resp, pilot) ->
+    (fun (name, read_req, publish_resp, lock) ->
       let r =
-        S.Ffwd.run ~check:false { ffwd with barriers = { S.Ffwd.read_req; publish_resp }; pilot }
+        S.Ds_bench.run_counter
+          { (ffwd lock) with ffwd_barriers = { S.Ffwd.read_req; publish_resp } }
       in
-      Printf.bprintf b "ffwd %s cycles=%d ops=%d\n" name r.S.Ffwd.cycles ffwd_ops)
-    [
-      ("DMB full-DMB st", Ordering.Bar (Barrier.Dmb Full), Ordering.Bar (Barrier.Dmb St), false);
-      ("DMB ld-DMB st", Ordering.Bar (Barrier.Dmb Ld), Ordering.Bar (Barrier.Dmb St), false);
-      ("LDAR-DMB st", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), false);
-      ("CTRL+ISB-DMB st", Ordering.Ctrl_isb, Ordering.Bar (Barrier.Dmb St), false);
-      ("ADDR-DMB st", Ordering.Addr_dep, Ordering.Bar (Barrier.Dmb St), false);
-      ("LDAR-No Barrier", Ordering.Ldar_acquire, Ordering.No_barrier, false);
-      ("Ideal", Ordering.No_barrier, Ordering.No_barrier, false);
-      ("Pilot", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), true);
-    ];
+      Printf.bprintf b "ffwd %s cycles=%d ops=%d\n" name r.S.Ds_bench.cycles r.S.Ds_bench.ops)
+    S.Ds_bench.
+      [
+        ("DMB full-DMB st", Ordering.Bar (Barrier.Dmb Full), Ordering.Bar (Barrier.Dmb St), Ffwd_lock);
+        ("DMB ld-DMB st", Ordering.Bar (Barrier.Dmb Ld), Ordering.Bar (Barrier.Dmb St), Ffwd_lock);
+        ("LDAR-DMB st", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), Ffwd_lock);
+        ("CTRL+ISB-DMB st", Ordering.Ctrl_isb, Ordering.Bar (Barrier.Dmb St), Ffwd_lock);
+        ("ADDR-DMB st", Ordering.Addr_dep, Ordering.Bar (Barrier.Dmb St), Ffwd_lock);
+        ("LDAR-No Barrier", Ordering.Ldar_acquire, Ordering.No_barrier, Ffwd_lock);
+        ("Ideal", Ordering.No_barrier, Ordering.No_barrier, Ffwd_lock);
+        ("Pilot", Ordering.Ldar_acquire, Ordering.Bar (Barrier.Dmb St), Ffwd_pilot);
+      ];
   List.iter
-    (fun pilot ->
-      let r =
-        S.Dsmsynch.run { (S.Dsmsynch.default_spec kunpeng ~cores) with rounds; pilot }
-      in
-      Printf.bprintf b "dsmsynch pilot=%b cycles=%d ops=%d\n" pilot r.S.Dsmsynch.cycles ops)
-    [ false; true ];
+    (fun lock ->
+      let r = S.Ds_bench.run_counter (counter lock ~cores) in
+      Printf.bprintf b "dsmsynch pilot=%b cycles=%d ops=%d\n"
+        (lock = S.Ds_bench.Dsynch_pilot) r.S.Ds_bench.cycles r.S.Ds_bench.ops)
+    [ S.Ds_bench.Dsynch; S.Ds_bench.Dsynch_pilot ];
   List.iter
     (fun lock ->
       let spec = { (S.Ds_bench.default_spec kunpeng ~lock) with workers = 4; ops_per_worker = 16 } in
@@ -382,14 +389,11 @@ let lock_harnesses_text () =
   let same_node = List.init 6 Fun.id in
   List.iter
     (fun lock ->
-      let r =
-        S.Lock_compare.run
-          { (S.Lock_compare.default_spec kunpeng ~lock ~cores:same_node) with acquisitions = rounds }
-      in
+      let r = S.Ds_bench.run_counter (counter lock ~cores:same_node) in
       Printf.bprintf b "lock %s same-node cycles=%d ops=%d cross_node_per_cs=%h\n"
-        (S.Lock_compare.lock_name lock) r.S.Lock_compare.cycles ops
-        r.S.Lock_compare.cross_node_per_cs)
-    S.Lock_compare.all_locks;
+        (S.Ds_bench.lock_name lock) r.S.Ds_bench.cycles r.S.Ds_bench.ops
+        r.S.Ds_bench.cross_node_per_cs)
+    S.Ds_bench.in_place_locks;
   Buffer.contents b
 
 (* ---------- goldens (captured from the seed kernel) ---------- *)

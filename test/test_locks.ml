@@ -12,7 +12,13 @@ module S = Armb_sync
 let check = Alcotest.check
 
 let compare_spec lock cores =
-  { (S.Lock_compare.default_spec P.kunpeng916 ~lock ~cores) with acquisitions = 60 }
+  {
+    (S.Ds_bench.default_spec P.kunpeng916 ~lock) with
+    workers = List.length cores;
+    cores;
+    ops_per_worker = 60;
+    interval_nops = 300;
+  }
 
 let same_node_cores = List.init 12 (fun i -> i)
 
@@ -23,9 +29,9 @@ let cross_node_cores = List.init 12 (fun i -> if i < 6 then i else 22 + i)
 let test_all_locks_exact_counter () =
   List.iter
     (fun lk ->
-      let r = S.Lock_compare.run (compare_spec lk cross_node_cores) in
-      check Alcotest.bool (S.Lock_compare.lock_name lk) true (r.throughput > 0.0))
-    S.Lock_compare.all_locks
+      let r = S.Ds_bench.run_counter (compare_spec lk cross_node_cores) in
+      check Alcotest.bool (S.Ds_bench.lock_name lk) true (r.throughput > 0.0))
+    S.Ds_bench.in_place_locks
 
 (* ---------- spinlock ---------- *)
 
@@ -128,14 +134,14 @@ let test_cohort_handoff_accounting () =
     (S.Cohort_lock.global_transfers l > 1)
 
 let test_cohort_cuts_cross_node_traffic () =
-  let run lk = S.Lock_compare.run (compare_spec lk cross_node_cores) in
-  let ticket = run S.Lock_compare.Ticket and cohort = run S.Lock_compare.Cohort in
+  let run lk = S.Ds_bench.run_counter (compare_spec lk cross_node_cores) in
+  let ticket = run S.Ds_bench.Ticket and cohort = run S.Ds_bench.Cohort in
   check Alcotest.bool "cohort moves far fewer lines across nodes" true
     (cohort.cross_node_per_cs < 0.5 *. ticket.cross_node_per_cs)
 
 let test_cohort_same_node_no_penalty () =
   (* on a single node the cohort lock must not pay cross-node traffic *)
-  let r = S.Lock_compare.run (compare_spec S.Lock_compare.Cohort same_node_cores) in
+  let r = S.Ds_bench.run_counter (compare_spec S.Ds_bench.Cohort same_node_cores) in
   check (Alcotest.float 0.01) "no cross-node traffic" 0.0 r.cross_node_per_cs
 
 let test_cohort_budget_bounds_unfairness () =

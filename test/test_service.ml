@@ -323,6 +323,9 @@ let test_error_reply () =
         ( "11",
           {|{"kind":"ring","combo":"DMB ld - DMB st","messages":0}|},
           "messages must be at least 1 (got 0)" );
+        ( "12",
+          {|{"kind":"opt","program":"MP+overfenced","unroll":0}|},
+          "Job: unroll must be at least 1 (got 0)" );
       ]
   in
   (* 4,095 fences ahead of MP's two stores put the second store at the
@@ -340,7 +343,10 @@ let test_error_reply () =
     (fun (id, job, says) ->
       match Engine.submit e (req ~id job) with
       | Some { Engine.reply = Engine.Error msg; _ } ->
-        if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
+        if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says;
+        (* the library's message alone, not the exception's printed form *)
+        if String.starts_with ~prefix:"Invalid_argument" msg then
+          Alcotest.failf "job %s: error %S is not plain text" id msg
       | _ -> Alcotest.failf "invalid job %s must fail at submit (key) time" id)
     ([
        ("1", bad, "no such combo");
@@ -363,7 +369,7 @@ let test_error_reply () =
         if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
       | _ -> Alcotest.failf "invalid job %s must come back as an error row" id)
     late;
-  check Alcotest.int "failures counted" 11 (Metrics.get (Engine.metrics e) "failed")
+  check Alcotest.int "failures counted" 12 (Metrics.get (Engine.metrics e) "failed")
 
 (* ---------- warm-vs-cold bit-identity on the golden workloads ---------- *)
 

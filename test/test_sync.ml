@@ -93,19 +93,28 @@ let test_pilot_bad_words () =
   | _ -> Alcotest.fail "words > 8 accepted"
   | exception Invalid_argument _ -> ()
 
+(* ---------- counter workload ---------- *)
+
+let counter_spec lock ~workers ~rounds =
+  {
+    (S.Ds_bench.default_spec P.kunpeng916 ~lock) with
+    workers;
+    ops_per_worker = rounds;
+    interval_nops = 300;
+  }
+
 (* ---------- ticket lock ---------- *)
 
 let tl_spec () =
   {
-    (S.Ticket_lock.default_spec P.kunpeng916 ~cores:(List.init 8 (fun i -> i * 7)))
-    with
-    acquisitions = 60;
+    (counter_spec S.Ds_bench.Ticket ~workers:8 ~rounds:60) with
+    cores = List.init 8 (fun i -> i * 7);
   }
 
 let test_ticket_mutual_exclusion () =
   (* the run itself contains the mutual-exclusion oracle *)
-  let r = S.Ticket_lock.run (tl_spec ()) in
-  check Alcotest.bool "throughput" true (r.S.Ticket_lock.throughput > 0.0)
+  let r = S.Ds_bench.run_counter (tl_spec ()) in
+  check Alcotest.bool "throughput" true (r.S.Ds_bench.throughput > 0.0)
 
 let test_ticket_counter_exact () =
   let m = Armb_cpu.Machine.create P.kunpeng916 in
@@ -128,38 +137,36 @@ let test_ticket_counter_exact () =
 
 let test_ticket_removing_barrier_helps () =
   let t barrier =
-    (S.Ticket_lock.run { (tl_spec ()) with release_barrier = barrier; cs_lines = 2 })
-      .S.Ticket_lock.throughput
+    (S.Ds_bench.run_counter { (tl_spec ()) with release_barrier = barrier; cs_lines = 2 })
+      .S.Ds_bench.throughput
   in
   let normal = t (Ordering.Bar (Barrier.Dmb Full)) in
   let removed = t Ordering.No_barrier in
   check Alcotest.bool "barrier removal helps with RMRs in the CS" true (removed > normal)
 
 let test_ticket_stlr_release () =
-  let r = S.Ticket_lock.run { (tl_spec ()) with release_barrier = Ordering.Stlr_release } in
-  check Alcotest.bool "stlr release works" true (r.S.Ticket_lock.throughput > 0.0)
+  let r = S.Ds_bench.run_counter { (tl_spec ()) with release_barrier = Ordering.Stlr_release } in
+  check Alcotest.bool "stlr release works" true (r.S.Ds_bench.throughput > 0.0)
 
 (* ---------- FFWD ---------- *)
 
+(* the server takes core 0, the 8 clients cores 1-8 *)
 let ffwd_spec ?(pilot = false) () =
-  {
-    (S.Ffwd.default_spec P.kunpeng916 ~server_core:0 ~client_cores:(List.init 8 (fun i -> i + 1)))
-    with
-    rounds = 60;
-    pilot;
-  }
+  counter_spec (if pilot then S.Ds_bench.Ffwd_pilot else S.Ds_bench.Ffwd_lock) ~workers:8
+    ~rounds:60
 
 let test_ffwd_serves_all () =
-  let r = S.Ffwd.run (ffwd_spec ()) in
-  check Alcotest.bool "throughput" true (r.S.Ffwd.throughput > 0.0)
+  let r = S.Ds_bench.run_counter (ffwd_spec ()) in
+  check Alcotest.bool "throughput" true (r.S.Ds_bench.throughput > 0.0)
 
 let test_ffwd_pilot_serves_all () =
-  let r = S.Ffwd.run (ffwd_spec ~pilot:true ()) in
-  check Alcotest.bool "pilot throughput" true (r.S.Ffwd.throughput > 0.0)
+  let r = S.Ds_bench.run_counter (ffwd_spec ~pilot:true ()) in
+  check Alcotest.bool "pilot throughput" true (r.S.Ds_bench.throughput > 0.0)
 
 let test_ffwd_pilot_faster_under_contention () =
   let t pilot =
-    (S.Ffwd.run { (ffwd_spec ~pilot ()) with interval_nops = 100 }).S.Ffwd.throughput
+    (S.Ds_bench.run_counter { (ffwd_spec ~pilot ()) with interval_nops = 100 })
+      .S.Ds_bench.throughput
   in
   check Alcotest.bool "pilot >= plain at high contention" true (t true > 0.95 *. t false)
 
@@ -167,10 +174,13 @@ let test_ffwd_barrier_combos () =
   List.iter
     (fun read_req ->
       let spec =
-        { (ffwd_spec ()) with barriers = { S.Ffwd.read_req; publish_resp = Ordering.Bar (Barrier.Dmb St) } }
+        {
+          (ffwd_spec ()) with
+          ffwd_barriers = { S.Ffwd.read_req; publish_resp = Ordering.Bar (Barrier.Dmb St) };
+        }
       in
-      let r = S.Ffwd.run spec in
-      check Alcotest.bool "combo works" true (r.S.Ffwd.throughput > 0.0))
+      let r = S.Ds_bench.run_counter spec in
+      check Alcotest.bool "combo works" true (r.S.Ds_bench.throughput > 0.0))
     [
       Ordering.Bar (Barrier.Dmb Full);
       Ordering.Bar (Barrier.Dmb Ld);
@@ -180,45 +190,69 @@ let test_ffwd_barrier_combos () =
     ]
 
 let test_ffwd_rejects_server_as_client () =
-  let spec = { (ffwd_spec ()) with server_core = 1 } in
-  match S.Ffwd.run spec with
+  (* core 1 would serve and also run the first client *)
+  let spec = { (ffwd_spec ()) with cores = 1 :: List.init 8 (fun i -> i + 1) } in
+  match S.Ds_bench.run_counter spec with
   | _ -> Alcotest.fail "server==client accepted"
   | exception Invalid_argument _ -> ()
 
 (* ---------- DSM-Synch ---------- *)
 
 let ds_spec ?(pilot = false) () =
-  {
-    (S.Dsmsynch.default_spec P.kunpeng916 ~cores:(List.init 9 (fun i -> i)))
-    with
-    rounds = 60;
-    pilot;
-  }
+  counter_spec (if pilot then S.Ds_bench.Dsynch_pilot else S.Ds_bench.Dsynch) ~workers:9
+    ~rounds:60
+
+(* Combining is an instance's own count: build one directly, [parties]
+   threads on cores 0.. each bumping a counter [rounds] times, and
+   return its combines once the counter shows every request ran. *)
+let dsmsynch_combines ?combine_bound ~interval_nops () =
+  let module Core = Armb_cpu.Core in
+  let module Machine = Armb_cpu.Machine in
+  let parties = 9 and rounds = 60 in
+  let m = Machine.create P.kunpeng916 in
+  let counter = Machine.alloc_line m in
+  let critical (c : Core.t) ~client:_ arg =
+    let v = Core.await c (Core.load c counter) in
+    Core.store c counter (Int64.add v 1L);
+    Int64.add arg v
+  in
+  let d = S.Dsmsynch.create m ~parties ?combine_bound ~critical () in
+  for me = 0 to parties - 1 do
+    Machine.spawn m ~core:me (fun c ->
+        for round = 1 to rounds do
+          ignore (S.Dsmsynch.exec d c ~me (Int64.of_int round));
+          Core.compute c interval_nops
+        done)
+  done;
+  Machine.run_exn m;
+  check Alcotest.int64 "every request ran" (Int64.of_int (parties * rounds))
+    (Armb_mem.Memsys.load_value (Machine.mem m) ~addr:counter);
+  S.Dsmsynch.combines d
 
 let test_dsmsynch_serves_all () =
-  let r = S.Dsmsynch.run (ds_spec ()) in
-  check Alcotest.bool "throughput" true (r.S.Dsmsynch.throughput > 0.0)
+  let r = S.Ds_bench.run_counter (ds_spec ()) in
+  check Alcotest.bool "throughput" true (r.S.Ds_bench.throughput > 0.0)
 
 let test_dsmsynch_pilot_serves_all () =
-  let r = S.Dsmsynch.run (ds_spec ~pilot:true ()) in
-  check Alcotest.bool "pilot throughput" true (r.S.Dsmsynch.throughput > 0.0)
+  let r = S.Ds_bench.run_counter (ds_spec ~pilot:true ()) in
+  check Alcotest.bool "pilot throughput" true (r.S.Ds_bench.throughput > 0.0)
 
 let test_dsmsynch_combining_happens () =
-  let r = S.Dsmsynch.run { (ds_spec ()) with interval_nops = 50 } in
-  check Alcotest.bool "some requests combined" true (r.S.Dsmsynch.combines > 0)
+  check Alcotest.bool "some requests combined" true (dsmsynch_combines ~interval_nops:50 () > 0)
 
 let test_dsmsynch_combine_bound_respected () =
   (* with bound 1 nothing is ever combined for another thread *)
-  let r = S.Dsmsynch.run { (ds_spec ()) with combine_bound = 1 } in
-  check Alcotest.int "no combining at bound 1" 0 r.S.Dsmsynch.combines
+  check Alcotest.int "no combining at bound 1" 0
+    (dsmsynch_combines ~combine_bound:1 ~interval_nops:300 ())
 
 let test_dsmsynch_single_thread () =
-  let r =
-    S.Dsmsynch.run { (S.Dsmsynch.default_spec P.kunpeng916 ~cores:[ 0 ]) with rounds = 30 }
-  in
-  check Alcotest.bool "works with one party" true (r.S.Dsmsynch.throughput > 0.0)
+  let r = S.Ds_bench.run_counter (counter_spec S.Ds_bench.Dsynch ~workers:1 ~rounds:30) in
+  check Alcotest.bool "works with one party" true (r.S.Ds_bench.throughput > 0.0)
 
 (* ---------- data-structure harness ---------- *)
+
+(* the paper's locks and the in-place family *)
+let every_lock = S.Ds_bench.(Spin :: Mcs :: Cohort :: paper_locks)
 
 let ds_bench_spec lock =
   { (S.Ds_bench.default_spec P.kunpeng916 ~lock) with workers = 8; ops_per_worker = 48 }
@@ -228,28 +262,28 @@ let test_ds_queue_all_locks () =
     (fun lk ->
       let r = S.Ds_bench.run_queue (ds_bench_spec lk) in
       check Alcotest.int (S.Ds_bench.lock_name lk ^ " ops") (8 * 48) r.S.Ds_bench.ops)
-    S.Ds_bench.all_locks
+    every_lock
 
 let test_ds_stack_all_locks () =
   List.iter
     (fun lk ->
       let r = S.Ds_bench.run_stack (ds_bench_spec lk) in
       check Alcotest.bool (S.Ds_bench.lock_name lk) true (r.S.Ds_bench.throughput > 0.0))
-    S.Ds_bench.all_locks
+    every_lock
 
 let test_ds_sorted_list_all_locks () =
   List.iter
     (fun lk ->
       let r = S.Ds_bench.run_sorted_list ~preload:30 (ds_bench_spec lk) in
       check Alcotest.bool (S.Ds_bench.lock_name lk) true (r.S.Ds_bench.throughput > 0.0))
-    S.Ds_bench.all_locks
+    every_lock
 
 let test_ds_hash_all_locks () =
   List.iter
     (fun lk ->
       let r = S.Ds_bench.run_hash_table ~buckets:8 ~preload:64 (ds_bench_spec lk) in
       check Alcotest.bool (S.Ds_bench.lock_name lk) true (r.S.Ds_bench.throughput > 0.0))
-    S.Ds_bench.all_locks
+    every_lock
 
 let test_ds_delegation_beats_ticket_on_queue () =
   let t lk = (S.Ds_bench.run_queue (ds_bench_spec lk)).S.Ds_bench.throughput in
