@@ -203,29 +203,45 @@ let ds_spec ?(pilot = false) () =
     ~rounds:60
 
 (* Combining is an instance's own count: build one directly, [parties]
-   threads on cores 0.. each bumping a counter [rounds] times, and
-   return its combines once the counter shows every request ran. *)
+   threads on cores 0.. each running [rounds] requests with distinct
+   arguments.  Every return must be what the critical section computed
+   for that argument (a combiner handing a waiter a wrong or stale
+   response fails here), and every request must run exactly once.
+   Returns the instance's combines. *)
 let dsmsynch_combines ?combine_bound ~interval_nops () =
   let module Core = Armb_cpu.Core in
   let module Machine = Armb_cpu.Machine in
   let parties = 9 and rounds = 60 in
   let m = Machine.create P.kunpeng916 in
   let counter = Machine.alloc_line m in
+  let ran = ref 0 and computed = Hashtbl.create 256 in
   let critical (c : Core.t) ~client:_ arg =
     let v = Core.await c (Core.load c counter) in
     Core.store c counter (Int64.add v 1L);
-    Int64.add arg v
+    Core.compute c 2;
+    incr ran;
+    let r = Int64.add arg v in
+    Hashtbl.replace computed arg r;
+    r
   in
   let d = S.Dsmsynch.create m ~parties ?combine_bound ~critical () in
   for me = 0 to parties - 1 do
     Machine.spawn m ~core:me (fun c ->
-        for round = 1 to rounds do
-          ignore (S.Dsmsynch.exec d c ~me (Int64.of_int round));
+        for round = 0 to rounds - 1 do
+          let arg = Int64.of_int (((me + 1) * 1_000_000) + round) in
+          let ret = S.Dsmsynch.exec d c ~me arg in
+          (match Hashtbl.find_opt computed arg with
+          | Some r when Int64.equal r ret -> ()
+          | Some r ->
+            failwith
+              (Printf.sprintf "thread %d round %d: returned %Ld, expected %Ld" me round ret r)
+          | None -> failwith (Printf.sprintf "thread %d round %d never executed" me round));
           Core.compute c interval_nops
         done)
   done;
   Machine.run_exn m;
-  check Alcotest.int64 "every request ran" (Int64.of_int (parties * rounds))
+  check Alcotest.int "every request ran once" (parties * rounds) !ran;
+  check Alcotest.int64 "counter total" (Int64.of_int (parties * rounds))
     (Armb_mem.Memsys.load_value (Machine.mem m) ~addr:counter);
   S.Dsmsynch.combines d
 
