@@ -396,6 +396,53 @@ let lock_harnesses_text () =
     S.Ds_bench.in_place_locks;
   Buffer.contents b
 
+(* Cycles and counts of the primitives no other golden reaches: the
+   dedup pipeline over each of its three channels, and the simulated
+   seqlock with and without its barriers, each with and without half
+   the payload warmed into the first reader's cache. *)
+let primitive_kernels_text () =
+  let module S = Armb_sync in
+  let module D = Armb_workloads.Dedup in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun queue ->
+      let r = D.run { (D.default_spec kunpeng ~queue ~workload:D.Small) with slots = 8 } in
+      Printf.bprintf b "dedup %s cycles=%d chunks=%d\n" (D.queue_name queue) r.D.cycles
+        r.D.chunks)
+    D.all_queues;
+  let readers = [ 28; 29; 30 ] and writes = 200 in
+  List.iter
+    (fun (protected, skew) ->
+      let m = Armb_cpu.Machine.create kunpeng in
+      let sl = S.Seqlock.create m ~words:4 in
+      if skew then
+        List.iter
+          (fun w ->
+            Armb_mem.Memsys.place (Armb_cpu.Machine.mem m) ~core:(List.hd readers)
+              ~addr:(S.Seqlock.data_addr sl w))
+          [ 0; 1 ];
+      let torn = ref 0 and good = ref 0 in
+      Armb_cpu.Machine.spawn m ~core:0 (fun c ->
+          for version = 1 to writes do
+            S.Seqlock.write ~protected sl c (S.Seqlock.make_payload sl ~version);
+            Armb_cpu.Core.compute c (40 + (version mod 7 * 9))
+          done);
+      List.iteri
+        (fun i core ->
+          Armb_cpu.Machine.spawn m ~core (fun c ->
+              Armb_cpu.Core.pause c (17 * (i + 1));
+              for k = 1 to writes / 2 do
+                let snap = S.Seqlock.read ~protected sl c in
+                if S.Seqlock.torn sl snap then incr torn else incr good;
+                Armb_cpu.Core.compute c (25 + (k mod 5 * 11))
+              done))
+        readers;
+      Armb_cpu.Machine.run_exn m;
+      Printf.bprintf b "seqlock protected=%b skew=%b cycles=%d retries=%d torn=%d good=%d\n"
+        protected skew (Armb_cpu.Machine.elapsed m) (S.Seqlock.retries sl) !torn !good)
+    [ (true, false); (true, true); (false, false); (false, true) ];
+  Buffer.contents b
+
 (* ---------- goldens (captured from the seed kernel) ---------- *)
 
 let expected =
@@ -419,6 +466,9 @@ let expected =
     ("sync-kernels", "16eacfc1e570cda62165625e0def87ea");
     (* captured before the lock harnesses merged into Ds_bench *)
     ("lock-harnesses", "4baca71b47117fcad0ae02c9eabf8adf");
+    (* captured before the Pilot channels and protocol skeletons were
+       rewritten per substrate *)
+    ("primitive-kernels", "c71fc46ea9a71fc585a723e14d4fe1e1");
   ]
 
 let texts =
@@ -435,6 +485,7 @@ let texts =
     ("trace-catalogue", trace_catalogue_text);
     ("sync-kernels", sync_kernels_text);
     ("lock-harnesses", lock_harnesses_text);
+    ("primitive-kernels", primitive_kernels_text);
   ]
 
 let golden name () =
