@@ -16,10 +16,11 @@
     - if the shuffled value {e still} equals the previous shuffled
       value, a fallback path toggles a separate shared [flag] word.
 
-    This module is the pure codec: it decides what to write and decodes
-    what was read.  Simulator programs and the native runtime both
-    build on it, which keeps the tricky invariants in one tested
-    place. *)
+    The codec half decides what to write and decodes what was read; it
+    is the simulator's instance of {!Armb_primitives.Pilot_word}, the
+    one implementation both substrates share.  The {!line} half is the
+    one Pilot channel over simulated memory: every simulated Pilot user
+    sends and receives through it. *)
 
 type write_op =
   | Write_data of int64  (** store this shuffled value to the shared [data] word *)
@@ -59,3 +60,31 @@ val sent : sender -> int
 (** Number of messages encoded so far. *)
 
 val received : receiver -> int
+
+(** {2 One channel over simulated memory} *)
+
+type line = private {
+  data : int;  (** address of the data word; the fallback flag is at [data + 8] *)
+  tx : sender;  (** the sending core's codec state *)
+  rx : receiver;  (** the receiving core's codec state *)
+}
+(** A single-producer single-consumer channel: the data word and the
+    fallback flag share one cache line, so a delivery moves that line
+    alone. *)
+
+val line : int64 array -> data:int -> line
+
+val send : Armb_cpu.Core.t -> line -> int64 -> bool
+(** Store the shuffled word.  On a collision, load the flag and store it
+    toggled instead, and return [true]. *)
+
+val poll : Armb_cpu.Core.t -> line -> int64 option
+(** Load the data word, then the flag, then decode. *)
+
+val recv : Armb_cpu.Core.t -> line -> int64
+(** [poll] until a message arrives, sleeping on the line's watch
+    between polls ({!Armb_cpu.Core.spin_poll}). *)
+
+val decode : line -> data:int64 -> flag:int64 -> int64 option
+(** Decode words the caller loaded itself (a consumer that issues its
+    loads ahead of time). *)

@@ -17,3 +17,23 @@ let once t =
   if t.current >= max_spins then Unix.sleepf 0.0 else t.current <- t.current * 2
 
 let reset t = t.current <- min_spins
+
+let wait ready =
+  if not (ready ()) then begin
+    let b = create () in
+    once b;
+    while not (ready ()) do
+      once b
+    done
+  end
+
+let poll f =
+  match f () with
+  | Some v -> v
+  | None ->
+    let b = create () in
+    let rec go () =
+      once b;
+      match f () with Some v -> v | None -> go ()
+    in
+    go ()

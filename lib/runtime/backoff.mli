@@ -1,4 +1,6 @@
-(** Exponential backoff for native spin loops. *)
+(** Exponential backoff for native spin loops.  [wait] and [poll] are
+    the one wait loop every native primitive uses; [once] is for loops
+    that also do other work between tries. *)
 
 type t
 
@@ -14,3 +16,12 @@ val once : t -> unit
     the systhreads of the calling domain.) *)
 
 val reset : t -> unit
+
+val wait : (unit -> bool) -> unit
+(** [wait ready] returns once [ready ()] holds, backing off between
+    tries.  It tries once before it builds a backoff state, so a wait
+    that is already over allocates nothing itself. *)
+
+val poll : (unit -> 'a option) -> 'a
+(** [poll f] returns [v] from the first [f ()] that is [Some v], backing
+    off between tries; like [wait], it tries once first. *)

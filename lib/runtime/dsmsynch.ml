@@ -7,123 +7,63 @@ module Delegation = Armb_primitives.Delegation.Over_int
 
 type node = {
   mutable req : (unit -> int) option;
-  release : int Atomic.t;
-  release_flag : int Atomic.t; (* pilot collision fallback *)
+  release : Pilot_codec.cell; (* plain mode uses its data word raw *)
   next : node option Atomic.t;
-  mutable snd : Pilot_codec.sender;
-  mutable rcv : Pilot_codec.receiver;
 }
 
 type t = {
-  id : int;
   tail : node Atomic.t;
+  spare : node option Atomic.t;
   pilot : bool;
   combine_bound : int;
   combine_count : int Atomic.t;
   pool : int array;
 }
 
-let make_node pool =
-  {
-    req = None;
-    release = Atomic.make 0;
-    release_flag = Atomic.make 0;
-    next = Atomic.make None;
-    snd = Pilot_codec.sender pool;
-    rcv = Pilot_codec.receiver pool;
-  }
+let make_node pool = { req = None; release = Pilot_codec.cell pool; next = Atomic.make None }
 
-let fresh_node t = make_node t.pool
+let release pilot node payload =
+  if pilot then ignore (Pilot_codec.send node.release payload)
+  else Atomic.set node.release.data payload
 
-let next_lock_id = Atomic.make 0
+let await pilot node =
+  if pilot then Pilot_codec.recv node.release
+  else begin
+    let word = node.release.data in
+    Backoff.wait (fun () -> Atomic.get word <> Delegation.waiting);
+    Atomic.get word
+  end
 
 let create ?(pilot = false) ?(combine_bound = 64) () =
   if combine_bound < 1 then invalid_arg "Dsmsynch.create";
   let pool = Pilot_codec.make_pool ~seed:23 () in
   let boot = make_node pool in
   (* The bootstrap node is pre-released as "combiner handoff". *)
-  (if pilot then
-     match Pilot_codec.encode boot.snd Delegation.handoff with
-     | Pilot_codec.Write_data d -> Atomic.set boot.release d
-     | Pilot_codec.Toggle_flag -> assert false
-   else Atomic.set boot.release Delegation.handoff);
+  release pilot boot Delegation.handoff;
   {
-    id = Atomic.fetch_and_add next_lock_id 1;
     tail = Atomic.make boot;
+    spare = Atomic.make None;
     pilot;
     combine_bound;
     combine_count = Atomic.make 0;
     pool;
   }
 
-let release t node payload =
-  if t.pilot then begin
-    match Pilot_codec.encode node.snd payload with
-    | Pilot_codec.Write_data d -> Atomic.set node.release d
-    | Pilot_codec.Toggle_flag ->
-      Atomic.set node.release_flag (Atomic.get node.release_flag lxor 1)
-  end
-  else Atomic.set node.release payload
-
-let await t node =
-  let b = Backoff.create () in
-  if t.pilot then begin
-    let rec go () =
-      let d = Atomic.get node.release in
-      let f = Atomic.get node.release_flag in
-      match Pilot_codec.try_decode node.rcv ~data:d ~flag:f with
-      | Some payload -> payload
-      | None ->
-        Backoff.once b;
-        go ()
-    in
-    go ()
-  end
-  else begin
-    let rec go () =
-      let v = Atomic.get node.release in
-      if v <> 0 then v
-      else begin
-        Backoff.once b;
-        go ()
-      end
-    in
-    go ()
-  end
-
-(* Per-domain spare node, rotated CC-Synch style.  Domain-local storage
-   keys the spare by (lock, domain). *)
-let spares : (int * int, node) Hashtbl.t = Hashtbl.create 64
-
-let spares_lock = Mutex.create ()
-
-let get_spare t =
-  let key = (t.id, (Domain.self () :> int)) in
-  Mutex.lock spares_lock;
-  let n =
-    match Hashtbl.find_opt spares key with
-    | Some n ->
-      Hashtbl.remove spares key;
-      n
-    | None -> fresh_node t
-  in
-  Mutex.unlock spares_lock;
-  n
-
-let put_spare t node =
-  let key = (t.id, (Domain.self () :> int)) in
-  Mutex.lock spares_lock;
-  Hashtbl.replace spares key node;
-  Mutex.unlock spares_lock
-
+(* CC-Synch rotates nodes: a call enqueues a fresh node and is served in
+   the node it received, which it keeps for its next call.  One spare
+   per lock stands in for the per-thread node: a call takes it, or a new
+   node when another call holds it, and gives back the node it was
+   served in. *)
 let exec t f =
-  let fresh = get_spare t in
+  let fresh =
+    match Atomic.exchange t.spare None with Some n -> n | None -> make_node t.pool
+  in
   Atomic.set fresh.next None;
-  if not t.pilot then Atomic.set fresh.release 0;
+  if not t.pilot then Atomic.set fresh.release.data Delegation.waiting;
   let cur = Atomic.exchange t.tail fresh in
   cur.req <- Some f;
   Atomic.set cur.next (Some fresh);
-  let payload = await t cur in
+  let payload = await t.pilot cur in
   let result =
     if Delegation.is_handoff payload then begin
       (* We are the combiner: serve the chain starting at our own node. *)
@@ -131,14 +71,7 @@ let exec t f =
       let tmp = ref cur and budget = ref t.combine_bound and looping = ref true in
       while !looping do
         match Atomic.get !tmp.next with
-        | None ->
-          release t !tmp Delegation.handoff;
-          looping := false
-        | Some nxt when !budget = 0 ->
-          ignore nxt;
-          release t !tmp Delegation.handoff;
-          looping := false
-        | Some nxt ->
+        | Some nxt when !budget > 0 ->
           let g = match !tmp.req with Some g -> g | None -> fun () -> 0 in
           let r = g () in
           !tmp.req <- None;
@@ -146,15 +79,19 @@ let exec t f =
           if !tmp == cur then my_ret := r
           else begin
             Atomic.incr t.combine_count;
-            release t !tmp (Delegation.pack ~ret:r ~completed:true)
+            release t.pilot !tmp (Delegation.pack ~ret:r ~completed:true)
           end;
           tmp := nxt
+        | _ ->
+          (* unlinked, or out of budget: hand the combiner role on *)
+          release t.pilot !tmp Delegation.handoff;
+          looping := false
       done;
       !my_ret
     end
     else fst (Delegation.unpack payload)
   in
-  put_spare t cur;
+  Atomic.set t.spare (Some cur);
   result
 
 let combines t = Atomic.get t.combine_count

@@ -3,10 +3,7 @@ type slot = {
   req_flag : int Atomic.t;
   resp_plain : int Atomic.t; (* response sequence number (plain mode) *)
   resp_ret : int Atomic.t;
-  resp_pilot : int Atomic.t; (* Pilot data word *)
-  resp_pilot_flag : int Atomic.t;
-  mutable snd : Pilot_codec.sender; (* server side *)
-  mutable rcv : Pilot_codec.receiver; (* client side *)
+  resp : Pilot_codec.cell; (* pilot mode: the server sends, the client receives *)
   mutable client_seq : int; (* client-private *)
   mutable server_seen : int; (* server-private *)
 }
@@ -33,13 +30,9 @@ let server_loop t =
         let ret = fn () in
         Atomic.incr t.served_count;
         progressed := true;
-        if t.pilot then begin
+        if t.pilot then
           (* one single-copy-atomic store carries "done" + the value *)
-          match Pilot_codec.encode s.snd ret with
-          | Pilot_codec.Write_data d -> Atomic.set s.resp_pilot d
-          | Pilot_codec.Toggle_flag ->
-            Atomic.set s.resp_pilot_flag (Atomic.get s.resp_pilot_flag lxor 1)
-        end
+          ignore (Pilot_codec.send s.resp ret)
         else begin
           Atomic.set s.resp_ret ret;
           Atomic.set s.resp_plain flag
@@ -65,10 +58,7 @@ let create ?(pilot = false) ~clients () =
           req_flag = Atomic.make 0;
           resp_plain = Atomic.make 0;
           resp_ret = Atomic.make 0;
-          resp_pilot = Atomic.make 0;
-          resp_pilot_flag = Atomic.make 0;
-          snd = Pilot_codec.sender pool;
-          rcv = Pilot_codec.receiver pool;
+          resp = Pilot_codec.cell pool;
           client_seq = 0;
           server_seen = 0;
         })
@@ -85,23 +75,9 @@ let request t ~client fn =
   s.fn <- Some fn;
   s.client_seq <- s.client_seq + 1;
   Atomic.set s.req_flag s.client_seq;
-  let b = Backoff.create () in
-  if t.pilot then begin
-    let rec go () =
-      let d = Atomic.get s.resp_pilot in
-      let f = Atomic.get s.resp_pilot_flag in
-      match Pilot_codec.try_decode s.rcv ~data:d ~flag:f with
-      | Some ret -> ret
-      | None ->
-        Backoff.once b;
-        go ()
-    in
-    go ()
-  end
+  if t.pilot then Pilot_codec.recv s.resp
   else begin
-    while Atomic.get s.resp_plain <> s.client_seq do
-      Backoff.once b
-    done;
+    Backoff.wait (fun () -> Atomic.get s.resp_plain = s.client_seq);
     Atomic.get s.resp_ret
   end
 

@@ -1,8 +1,5 @@
 type t = {
-  data : int Atomic.t array;
-  flags : int Atomic.t array;
-  senders : Pilot_codec.sender array;
-  receivers : Pilot_codec.receiver array;
+  cells : Pilot_codec.cell array;
   cons : int Atomic.t;
   mask : int;
   mutable sent : int; (* producer-private *)
@@ -15,10 +12,7 @@ let create ?(seed = 7) ?(pool_size = 64) ~slots () =
     invalid_arg "Pilot_channel.create: slots must be a positive power of two";
   let pool = Pilot_codec.make_pool ~size:pool_size ~seed () in
   {
-    data = Array.init slots (fun _ -> Atomic.make 0);
-    flags = Array.init slots (fun _ -> Atomic.make 0);
-    senders = Array.init slots (fun _ -> Pilot_codec.sender pool);
-    receivers = Array.init slots (fun _ -> Pilot_codec.receiver pool);
+    cells = Array.init slots (fun _ -> Pilot_codec.cell pool);
     cons = Atomic.make 0;
     mask = slots - 1;
     sent = 0;
@@ -29,43 +23,23 @@ let create ?(seed = 7) ?(pool_size = 64) ~slots () =
 let try_send t v =
   if t.sent - Atomic.get t.cons > t.mask then false
   else begin
-    let slot = t.sent land t.mask in
-    (match Pilot_codec.encode t.senders.(slot) v with
-    | Pilot_codec.Write_data d -> Atomic.set t.data.(slot) d
-    | Pilot_codec.Toggle_flag ->
+    if Pilot_codec.send t.cells.(t.sent land t.mask) v then
       t.fallback_count <- t.fallback_count + 1;
-      let f = t.flags.(slot) in
-      Atomic.set f (Atomic.get f lxor 1));
     t.sent <- t.sent + 1;
     true
   end
 
-let send t v =
-  let b = Backoff.create () in
-  while not (try_send t v) do
-    Backoff.once b
-  done
+(* The first try is inline so that an uncontended send builds no closure. *)
+let send t v = if not (try_send t v) then Backoff.wait (fun () -> try_send t v)
 
 let try_recv t =
-  let slot = t.received land t.mask in
-  let d = Atomic.get t.data.(slot) in
-  let f = Atomic.get t.flags.(slot) in
-  match Pilot_codec.try_decode t.receivers.(slot) ~data:d ~flag:f with
-  | Some v ->
+  match Pilot_codec.poll t.cells.(t.received land t.mask) with
+  | Some _ as got ->
     t.received <- t.received + 1;
     Atomic.set t.cons t.received;
-    Some v
+    got
   | None -> None
 
-let recv t =
-  let b = Backoff.create () in
-  let rec go () =
-    match try_recv t with
-    | Some v -> v
-    | None ->
-      Backoff.once b;
-      go ()
-  in
-  go ()
+let recv t = Backoff.poll (fun () -> try_recv t)
 
 let fallbacks t = t.fallback_count

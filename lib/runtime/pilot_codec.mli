@@ -6,7 +6,9 @@
     consecutive equal messages still change the stored word; the rare
     residual collision falls back to toggling a separate flag word.
     One [Atomic.set] of an immediate [int] is a single-copy-atomic
-    store in OCaml, which is all the mechanism requires. *)
+    store in OCaml, which is all the mechanism requires.  A {!cell} is
+    the one native Pilot channel: every native Pilot user sends and
+    receives through it. *)
 
 type sender
 
@@ -29,3 +31,26 @@ val try_decode : receiver -> data:int -> flag:int -> int option
 
 val sent : sender -> int
 val received : receiver -> int
+
+(** {2 One channel over atomics} *)
+
+type cell = private {
+  data : int Atomic.t;
+  flag : int Atomic.t;  (** the collision fallback *)
+  tx : sender;  (** the sending domain's codec state *)
+  rx : receiver;  (** the receiving domain's codec state *)
+}
+(** A single-producer single-consumer channel; the producer must not send
+    again before the consumer has received. *)
+
+val cell : int array -> cell
+
+val send : cell -> int -> bool
+(** Store the shuffled word; on a collision toggle the flag instead and
+    return [true]. *)
+
+val poll : cell -> int option
+(** Read the data word, then the flag, then decode. *)
+
+val recv : cell -> int
+(** [poll] under {!Backoff.poll} until a message arrives. *)

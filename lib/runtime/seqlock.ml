@@ -1,35 +1,26 @@
-(* Native instance of the shared seqlock protocol body
-   (Armb_primitives.Seqlock_proto): words are SC atomics (no explicit
-   fences needed), readers back off exponentially while a writer is
-   inside or after a torn snapshot. *)
-module Proto = Armb_primitives.Seqlock_proto.Make (struct
-  type ctx = Backoff.t
-  type loc = int Atomic.t
-  type value = int
-
-  let succ v = v + 1
-  let equal = Int.equal
-  let odd v = v land 1 = 1
-  let read _ l = Atomic.get l
-  let write _ l v = Atomic.set l v
-  let read_payload _ cells = Array.map Atomic.get cells
-  let write_payload _ cells payload = Array.iteri (fun i v -> Atomic.set cells.(i) v) payload
-  let enter_fence _ = ()
-  let exit_fence _ = ()
-  let pre_read_fence _ = ()
-  let post_read_fence _ = ()
-  let wait_writer b _ _ = Backoff.once b
-  let on_retry b = Backoff.once b
-end)
-
-type t = Proto.t
+(* Seq_cst atomics order every access, so neither side needs a fence;
+   a reader backs off while a writer is inside or after a torn copy. *)
+type t = { seq : int Atomic.t; cells : int Atomic.t array }
 
 let create ~words =
   if words <= 0 then invalid_arg "Seqlock.create";
-  { Proto.seq = Atomic.make 0; cells = Array.init words (fun _ -> Atomic.make 0) }
+  { seq = Atomic.make 0; cells = Array.init words (fun _ -> Atomic.make 0) }
 
-let write t payload = Proto.write t (Backoff.create ()) payload
+let write t payload =
+  if Array.length payload <> Array.length t.cells then
+    invalid_arg "Seqlock.write: wrong payload arity";
+  let s = Atomic.get t.seq in
+  Atomic.set t.seq (s + 1);
+  Array.iteri (fun i v -> Atomic.set t.cells.(i) v) payload;
+  Atomic.set t.seq (s + 2)
 
-let read t = Proto.read t (Backoff.create ())
+let try_read t =
+  let s = Atomic.get t.seq in
+  if s land 1 = 1 then None
+  else
+    let snapshot = Array.map Atomic.get t.cells in
+    if Atomic.get t.seq = s then Some snapshot else None
 
-let writes t = Atomic.get t.Proto.seq / 2
+let read t = Backoff.poll (fun () -> try_read t)
+
+let writes t = Atomic.get t.seq / 2

@@ -1,8 +1,7 @@
 (** Native seqlock over OCaml 5 atomics: single writer publishes an
     [int array] snapshot; readers get torn-free copies through the
-    sequence-retry protocol.  The payload cells are plain mutable slots;
-    the sequence word's seq_cst accesses provide the two fences each
-    side needs. *)
+    sequence-retry protocol.  Every word is a seq_cst atomic, which
+    provides the two fences each side needs. *)
 
 type t
 

@@ -26,11 +26,8 @@ let try_send t v =
     true
   end
 
-let send t v =
-  let b = Backoff.create () in
-  while not (try_send t v) do
-    Backoff.once b
-  done
+(* The first try is inline so that an uncontended send builds no closure. *)
+let send t v = if not (try_send t v) then Backoff.wait (fun () -> try_send t v)
 
 let try_recv t =
   let c = Atomic.get t.cons in
@@ -41,15 +38,6 @@ let try_recv t =
     Some v
   end
 
-let recv t =
-  let b = Backoff.create () in
-  let rec go () =
-    match try_recv t with
-    | Some v -> v
-    | None ->
-      Backoff.once b;
-      go ()
-  in
-  go ()
+let recv t = Backoff.poll (fun () -> try_recv t)
 
 let length t = max 0 (Atomic.get t.prod - Atomic.get t.cons)

@@ -1,33 +1,14 @@
 type t = { next : int Atomic.t; serving : int Atomic.t }
 
-(* Native instance of the shared ticket-lock protocol body
-   (Armb_primitives.Ticket_proto): seq_cst atomics carry the fences, a
-   waiter spins on [serving] under exponential backoff. *)
-module Proto = Armb_primitives.Ticket_proto.Make (struct
-  type ctx = unit
-  type lock = t
-  type value = int
-
-  let succ v = v + 1
-  let equal = Int.equal
-  let take_ticket () l = Atomic.fetch_and_add l.next 1
-  let read_serving () l = Atomic.get l.serving
-
-  let wait_serving () l my =
-    let b = Backoff.create () in
-    while Atomic.get l.serving <> my do
-      Backoff.once b
-    done
-
-  let acquired_fence () = ()
-  let publish_serving () l v = Atomic.set l.serving v
-end)
-
 let create () = { next = Atomic.make 0; serving = Atomic.make 0 }
 
-let acquire t = Proto.acquire () t
+(* Seq_cst atomics carry the fences.  The first read of [serving] is
+   inline so that a free lock is taken without building a closure. *)
+let acquire t =
+  let my = Atomic.fetch_and_add t.next 1 in
+  if Atomic.get t.serving <> my then Backoff.wait (fun () -> Atomic.get t.serving = my)
 
-let release t = Proto.release () t
+let release t = Atomic.set t.serving (Atomic.get t.serving + 1)
 
 let with_lock t f =
   acquire t;

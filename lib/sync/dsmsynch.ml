@@ -32,9 +32,8 @@ type t = {
   combine_bound : int;
   critical : critical;
   tail : int;
-  node_index : (int, int) Hashtbl.t;
-  senders : Pilot.sender array;
-  receivers : Pilot.receiver array;
+  base : int; (* node i is the line at base + 64 * i; the boot node is last *)
+  lines : Pilot.line array; (* node i's release word and fallback flag *)
   spare : int array; (* per party: node to donate next *)
   mutable combine_count : int;
 }
@@ -43,22 +42,15 @@ let create m ~parties ?(pilot = false) ?(combine_bound = 64) ~critical () =
   if parties <= 0 then invalid_arg "Dsmsynch.create: no parties";
   if combine_bound < 1 then invalid_arg "Dsmsynch.create: combine_bound < 1";
   let tail = Machine.alloc_line m in
-  let node_index = Hashtbl.create 32 in
-  let nodes =
-    Array.init (parties + 1) (fun i ->
-        let a = Machine.alloc_line m in
-        Hashtbl.replace node_index a i;
-        a)
-  in
-  let boot = nodes.(parties) in
+  let base = Machine.alloc_lines m (parties + 1) in
+  let boot = base + (parties * 64) in
   let pool = Pilot.make_pool ~seed:13 () in
-  let senders = Array.map (fun _ -> Pilot.sender pool) nodes in
-  let receivers = Array.map (fun _ -> Pilot.receiver pool) nodes in
+  let lines = Array.init (parties + 1) (fun i -> Pilot.line pool ~data:(base + (i * 64))) in
   let mem = Machine.mem m in
   (* Seed: tail -> boot, already released as "you are the combiner". *)
   Armb_mem.Memsys.commit_store mem ~addr:tail (Int64.of_int boot);
   (if pilot then
-     match Pilot.encode senders.(parties) (pack ~ret:0L ~completed:false) with
+     match Pilot.encode lines.(parties).tx (pack ~ret:0L ~completed:false) with
      | Pilot.Write_data v -> Armb_mem.Memsys.commit_store mem ~addr:boot v
      | Pilot.Toggle_flag -> assert false
    else
@@ -70,27 +62,22 @@ let create m ~parties ?(pilot = false) ?(combine_bound = 64) ~critical () =
     combine_bound;
     critical;
     tail;
-    node_index;
-    senders;
-    receivers;
-    spare = Array.init parties (fun i -> nodes.(i));
+    base;
+    lines;
+    spare = Array.init parties (fun i -> base + (i * 64));
     combine_count = 0;
   }
 
 let combines t = t.combine_count
 
+let line t node = t.lines.((node - t.base) / 64)
+
 let release_node t (c : Core.t) node ~ret ~completed =
-  if t.pilot then begin
+  if t.pilot then
     (* Algorithm 6: one single-copy-atomic store carries both the
        return value and the completed/handoff bit — no barrier after
        the RMR. *)
-    match Pilot.encode t.senders.(Hashtbl.find t.node_index node) (pack ~ret ~completed) with
-    | Pilot.Write_data v -> Core.store c node v
-    | Pilot.Toggle_flag ->
-      let fa = node + 8 in
-      let cur = Core.await c (Core.load c fa) in
-      Core.store c fa (Int64.logxor cur 1L)
-  end
+    ignore (Pilot.send c (line t node) (pack ~ret ~completed))
   else begin
     (* Real DSM-Synch: store the return value into the waiter's node
        (a remote memory reference), then a barrier strictly after it,
@@ -102,12 +89,7 @@ let release_node t (c : Core.t) node ~ret ~completed =
   end
 
 let await_release t (c : Core.t) node =
-  if t.pilot then
-    unpack
-      (Core.spin_poll c node (fun () ->
-           let d = Core.await c (Core.load c node) in
-           let f = Core.await c (Core.load c (node + 8)) in
-           Pilot.try_decode t.receivers.(Hashtbl.find t.node_index node) ~data:d ~flag:f))
+  if t.pilot then unpack (Pilot.recv c (line t node))
   else begin
     ignore (Core.spin_until c node (fun v -> Int64.equal v 1L));
     Core.barrier c (Barrier.Dmb Ld);

@@ -10,8 +10,8 @@ type critical = Core.t -> client:int -> int64 -> int64
 
 (* Request line: flag word at +0, argument word at +8.
    Response line: flag word at +0, return word at +8.
-   Pilot mode uses word +0 as the piggybacked channel and +8 as the
-   collision-fallback flag, in both directions. *)
+   Pilot mode runs a Pilot.line over each (data word at +0, fallback
+   flag at +8), in both directions. *)
 type t = {
   num_clients : int;
   barriers : barriers;
@@ -19,10 +19,8 @@ type t = {
   critical : critical;
   req : int array;
   resp : int array;
-  req_send : Pilot.sender array;
-  req_recv : Pilot.receiver array;
-  resp_send : Pilot.sender array;
-  resp_recv : Pilot.receiver array;
+  req_line : Pilot.line array;
+  resp_line : Pilot.line array;
   (* host-side bookkeeping *)
   client_seq : int array; (* requests submitted per client *)
   served_seq : int array; (* requests served per client *)
@@ -33,43 +31,30 @@ type t = {
 let create m ~num_clients ~barriers ~pilot ~critical =
   if num_clients <= 0 then invalid_arg "Ffwd.create: no clients";
   let pool = Pilot.make_pool ~seed:11 () in
+  let resp = Array.init num_clients (fun _ -> Machine.alloc_line m) in
+  let req = Array.init num_clients (fun _ -> Machine.alloc_line m) in
+  let lines = Array.map (fun data -> Pilot.line pool ~data) in
   {
     num_clients;
     barriers;
     pilot;
     critical;
-    req = Array.init num_clients (fun _ -> Machine.alloc_line m);
-    resp = Array.init num_clients (fun _ -> Machine.alloc_line m);
-    req_send = Array.init num_clients (fun _ -> Pilot.sender pool);
-    req_recv = Array.init num_clients (fun _ -> Pilot.receiver pool);
-    resp_send = Array.init num_clients (fun _ -> Pilot.sender pool);
-    resp_recv = Array.init num_clients (fun _ -> Pilot.receiver pool);
+    req;
+    resp;
+    req_line = lines req;
+    resp_line = lines resp;
     client_seq = Array.make num_clients 0;
     served_seq = Array.make num_clients 0;
     done_flags = Array.make num_clients false;
     server_old_flag = Array.make num_clients 0L;
   }
 
-let pilot_send (c : Core.t) sender ~data_addr v =
-  match Pilot.encode sender v with
-  | Pilot.Write_data w -> Core.store c data_addr w
-  | Pilot.Toggle_flag ->
-    let fa = data_addr + 8 in
-    let cur = Core.await c (Core.load c fa) in
-    Core.store c fa (Int64.logxor cur 1L)
-
-let pilot_wait (c : Core.t) receiver ~data_addr =
-  Core.spin_poll c data_addr (fun () ->
-      let d = Core.await c (Core.load c data_addr) in
-      let f = Core.await c (Core.load c (data_addr + 8)) in
-      Pilot.try_decode receiver ~data:d ~flag:f)
-
 let request t (c : Core.t) ~client arg =
   if client < 0 || client >= t.num_clients then invalid_arg "Ffwd.request: bad client";
   t.client_seq.(client) <- t.client_seq.(client) + 1;
   if t.pilot then begin
-    pilot_send c t.req_send.(client) ~data_addr:t.req.(client) arg;
-    pilot_wait c t.resp_recv.(client) ~data_addr:t.resp.(client)
+    ignore (Pilot.send c t.req_line.(client) arg);
+    Pilot.recv c t.resp_line.(client)
   end
   else begin
     (* argument, barrier, flag toggle *)
@@ -110,9 +95,7 @@ let scan_instance t (c : Core.t) =
     let pending = t.served_seq.(idx) < t.client_seq.(idx) in
     if (not t.done_flags.(idx)) || pending then live := true;
     if t.pilot then begin
-      let d = Core.await c (Core.load c t.req.(idx)) in
-      let f = Core.await c (Core.load c (t.req.(idx) + 8)) in
-      match Pilot.try_decode t.req_recv.(idx) ~data:d ~flag:f with
+      match Pilot.poll c t.req_line.(idx) with
       | None -> ()
       | Some arg ->
         (* Algorithm 6: run the CS, one cheap barrier (no RMR precedes
@@ -120,7 +103,7 @@ let scan_instance t (c : Core.t) =
         let ret = t.critical c ~client:idx arg in
         t.served_seq.(idx) <- t.served_seq.(idx) + 1;
         Core.barrier c (Barrier.Dmb St);
-        pilot_send c t.resp_send.(idx) ~data_addr:t.resp.(idx) ret
+        ignore (Pilot.send c t.resp_line.(idx) ret)
     end
     else begin
       let flag = Core.await c (Core.load c t.req.(idx)) in

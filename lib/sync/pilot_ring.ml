@@ -36,12 +36,6 @@ type result = {
 
 let payload = Armb_primitives.Message.payload
 
-(* Slot layout: data word at +0, fallback flag word at +8 — same cache
-   line, so a delivery moves one line. *)
-let data_addr buf slot = Armb_primitives.Message.lane_addr ~buf slot
-
-let flag_addr buf slot = Armb_primitives.Message.lane_addr ~buf slot + 8
-
 (* The producer still guards buffer reuse with the availability barrier
    (Algorithm 2 line 3 survives Pilot, §4.4). *)
 let wait_free (c : Core.t) ~cons_cnt ~slots i =
@@ -50,21 +44,14 @@ let wait_free (c : Core.t) ~cons_cnt ~slots i =
   if not (avail v) then ignore (Core.spin_until c cons_cnt avail);
   Core.barrier c (Barrier.Dmb Ld)
 
-let producer spec ~cons_cnt ~buf ~senders ~fallbacks ~words ~msg_of (c : Core.t) =
+let producer spec ~cons_cnt ~lines ~fallbacks ~words ~msg_of (c : Core.t) =
   for i = 0 to spec.messages - 1 do
     wait_free c ~cons_cnt ~slots:spec.slots i;
     Core.compute c spec.produce_nops;
     let slot = i mod spec.slots in
     for w = 0 to words - 1 do
       (* one Pilot channel per 8-byte slice of the slot *)
-      let chan = (slot * words) + w in
-      match Pilot.encode senders.(chan) (msg_of i w) with
-      | Pilot.Write_data v -> Core.store c (data_addr buf chan) v
-      | Pilot.Toggle_flag ->
-        incr fallbacks;
-        let flag = flag_addr buf chan in
-        let cur = Core.await c (Core.load c flag) in
-        Core.store c flag (Int64.logxor cur 1L)
+      if Pilot.send c lines.((slot * words) + w) (msg_of i w) then incr fallbacks
     done;
     Core.compute c 3
   done
@@ -74,15 +61,15 @@ let producer spec ~cons_cnt ~buf ~senders ~fallbacks ~words ~msg_of (c : Core.t)
    decodes to "nothing new".  The consumer therefore keeps a small
    pipelined window of slot loads in flight, so back-to-back deliveries
    do not serialize on one miss latency per message. *)
-let consumer spec ~cons_cnt ~buf ~receivers ~words ~msg_of ~check (c : Core.t) =
+let consumer spec ~cons_cnt ~lines ~words ~msg_of ~check (c : Core.t) =
   let window = Int.min spec.slots 4 in
   let toks : (Core.token * Core.token) Queue.t = Queue.create () in
   let next_issue = ref 0 in
   let issue_up_to target =
     while !next_issue < target && !next_issue < spec.messages * words do
       let chan_of k = (k / words mod spec.slots * words) + (k mod words) in
-      let chan = chan_of !next_issue in
-      Queue.push (Core.load c (data_addr buf chan), Core.load c (flag_addr buf chan)) toks;
+      let l = lines.(chan_of !next_issue) in
+      Queue.push (Core.load c l.Pilot.data, Core.load c (l.Pilot.data + 8)) toks;
       incr next_issue
     done
   in
@@ -90,19 +77,15 @@ let consumer spec ~cons_cnt ~buf ~receivers ~words ~msg_of ~check (c : Core.t) =
   for i = 0 to spec.messages - 1 do
     let slot = i mod spec.slots in
     for w = 0 to words - 1 do
-      let chan = (slot * words) + w in
+      let l = lines.((slot * words) + w) in
       let d_tok, f_tok = Queue.pop toks in
       let d = Core.await c d_tok and f = Core.await c f_tok in
       let v =
-        match Pilot.try_decode receivers.(chan) ~data:d ~flag:f with
+        match Pilot.decode l ~data:d ~flag:f with
         | Some v -> v
         | None ->
           (* not arrived yet: fall back to watching the slot line *)
-          let d_addr = data_addr buf chan and f_addr = flag_addr buf chan in
-          Core.spin_poll c d_addr (fun () ->
-              let d = Core.await c (Core.load c d_addr) in
-              let f = Core.await c (Core.load c f_addr) in
-              Pilot.try_decode receivers.(chan) ~data:d ~flag:f)
+          Pilot.recv c l
       in
       if check && not (Int64.equal v (msg_of i w)) then
         failwith
@@ -122,15 +105,15 @@ let run_words ?(seed = 7) ?(check = true) ~words spec =
   (* one line per slice so each Pilot channel has its own line *)
   let buf = Machine.alloc_lines m (spec.slots * words) in
   let pool = Pilot.make_pool ~seed () in
-  let channels = spec.slots * words in
-  let senders = Array.init channels (fun _ -> Pilot.sender pool) in
-  let receivers = Array.init channels (fun _ -> Pilot.receiver pool) in
+  let lines =
+    Array.init (spec.slots * words) (fun chan ->
+        Pilot.line pool ~data:(Armb_primitives.Message.lane_addr ~buf chan))
+  in
   let fallbacks = ref 0 in
   let msg_of i w = Int64.add (payload i) (Int64.of_int w) in
   Machine.spawn m ~core:spec.producer_core
-    (producer spec ~cons_cnt ~buf ~senders ~fallbacks ~words ~msg_of);
-  Machine.spawn m ~core:spec.consumer_core
-    (consumer spec ~cons_cnt ~buf ~receivers ~words ~msg_of ~check);
+    (producer spec ~cons_cnt ~lines ~fallbacks ~words ~msg_of);
+  Machine.spawn m ~core:spec.consumer_core (consumer spec ~cons_cnt ~lines ~words ~msg_of ~check);
   Machine.run_exn m;
   {
     throughput = Machine.throughput m ~ops:spec.messages;

@@ -2,50 +2,11 @@ module Barrier = Armb_cpu.Barrier
 module Core = Armb_cpu.Core
 module Machine = Armb_cpu.Machine
 
-(* Simulator instance of the shared seqlock protocol body
-   (Armb_primitives.Seqlock_proto): words are simulated addresses, the
-   phases are separated by DMB st / DMB ld (togglable, so the protocol
-   can be run deliberately unprotected), a waiting reader parks on the
-   sequence line's watch list, and every wait/retry is counted. *)
-module Substrate = struct
-  type ctx = { core : Core.t; protected : bool; retries : int ref }
-  type loc = int
-  type value = int64
-
-  let succ = Int64.add 1L
-  let equal = Int64.equal
-  let odd v = Int64.rem v 2L = 1L
-  let read ctx a = Core.await ctx.core (Core.load ctx.core a)
-  let write ctx a v = Core.store ctx.core a v
-
-  (* issue all payload loads, then await: they may overlap *)
-  let read_payload ctx cells =
-    let toks = Array.map (fun a -> Core.load ctx.core a) cells in
-    Array.map (fun tok -> Core.await ctx.core tok) toks
-
-  let write_payload ctx cells payload =
-    Array.iteri (fun i v -> Core.store ctx.core cells.(i) v) payload
-
-  let st_fence ctx = if ctx.protected then Core.barrier ctx.core (Barrier.Dmb St)
-  let ld_fence ctx = if ctx.protected then Core.barrier ctx.core (Barrier.Dmb Ld)
-  let enter_fence = st_fence
-  let exit_fence = st_fence
-  let pre_read_fence = ld_fence
-  let post_read_fence = ld_fence
-
-  let wait_writer ctx a s1 =
-    incr ctx.retries;
-    ignore (Core.spin_until ctx.core a (fun v -> not (Int64.equal v s1)))
-
-  let on_retry ctx = incr ctx.retries
-end
-
-module Proto = Armb_primitives.Seqlock_proto.Make (Substrate)
-
 type t = {
-  lock : Proto.t;
+  seq : int;
+  cells : int array; (* one line per payload field *)
   words : int;
-  retry_count : int ref;
+  mutable retry_count : int; (* host-side accounting *)
 }
 
 let create m ~words =
@@ -54,11 +15,7 @@ let create m ~words =
      visibility is exactly what the protocol must guard against *)
   let seq = Machine.alloc_line m in
   let data = Machine.alloc_lines m words in
-  {
-    lock = { Proto.seq; cells = Array.init words (fun i -> data + (i * 64)) };
-    words;
-    retry_count = ref 0;
-  }
+  { seq; cells = Array.init words (fun i -> data + (i * 64)); words; retry_count = 0 }
 
 (* Payloads carry their own checksum in the last word so tearing is
    detectable by tests. *)
@@ -79,14 +36,45 @@ let torn t snapshot =
   Array.length snapshot <> t.words
   || not (Int64.equal snapshot.(t.words - 1) (checksum snapshot))
 
+(* The four orderings: DMB st on each side of the writer's payload
+   stores, DMB ld on each side of the reader's payload loads. *)
+let fence protected (c : Core.t) b = if protected then Core.barrier c b
+
 let write ?(protected = true) t (c : Core.t) payload =
-  Proto.write t.lock { core = c; protected; retries = t.retry_count } payload
+  if Array.length payload <> t.words then
+    invalid_arg "Seqlock.write: wrong payload arity";
+  let s = Core.await c (Core.load c t.seq) in
+  (* enter: odd sequence *)
+  Core.store c t.seq (Int64.add s 1L);
+  fence protected c (Barrier.Dmb St);
+  Array.iteri (fun i v -> Core.store c t.cells.(i) v) payload;
+  fence protected c (Barrier.Dmb St);
+  (* leave: even sequence *)
+  Core.store c t.seq (Int64.add s 2L)
 
-let read ?(protected = true) t (c : Core.t) =
-  Proto.read t.lock { core = c; protected; retries = t.retry_count }
+let rec read ?(protected = true) t (c : Core.t) =
+  let s1 = Core.await c (Core.load c t.seq) in
+  if Int64.rem s1 2L = 1L then begin
+    (* writer inside: park on the sequence line until it moves *)
+    t.retry_count <- t.retry_count + 1;
+    ignore (Core.spin_until c t.seq (fun v -> not (Int64.equal v s1)));
+    read ~protected t c
+  end
+  else begin
+    fence protected c (Barrier.Dmb Ld);
+    (* issue all payload loads, then await: they may overlap *)
+    let toks = Array.map (fun a -> Core.load c a) t.cells in
+    let snapshot = Array.map (fun tok -> Core.await c tok) toks in
+    fence protected c (Barrier.Dmb Ld);
+    if Int64.equal s1 (Core.await c (Core.load c t.seq)) then snapshot
+    else begin
+      t.retry_count <- t.retry_count + 1;
+      read ~protected t c
+    end
+  end
 
-let retries t = !(t.retry_count)
+let retries t = t.retry_count
 
 let data_addr t i =
   if i < 0 || i >= t.words then invalid_arg "Seqlock.data_addr";
-  t.lock.Proto.cells.(i)
+  t.cells.(i)

@@ -106,8 +106,7 @@ let pilot_chan m ~slots ~seed =
   let cons = Machine.alloc_line m in
   let buf = Machine.alloc_lines m slots in
   let pool = Pilot.make_pool ~seed () in
-  let senders = Array.init slots (fun _ -> Pilot.sender pool) in
-  let receivers = Array.init slots (fun _ -> Pilot.receiver pool) in
+  let lines = Array.init slots (fun slot -> Pilot.line pool ~data:(buf + (slot * 64))) in
   let sent = ref 0 and received = ref 0 in
   let send (c : Core.t) v =
     let i = !sent in
@@ -115,25 +114,12 @@ let pilot_chan m ~slots ~seed =
     let w = Core.await c (Core.load c cons) in
     if not (avail w) then ignore (Core.spin_until c cons avail);
     Core.barrier c (Barrier.Dmb Ld);
-    let slot = i mod slots in
-    (match Pilot.encode senders.(slot) v with
-    | Pilot.Write_data d -> Core.store c (buf + (slot * 64)) d
-    | Pilot.Toggle_flag ->
-      let fa = buf + (slot * 64) + 8 in
-      let cur = Core.await c (Core.load c fa) in
-      Core.store c fa (Int64.logxor cur 1L));
+    ignore (Pilot.send c lines.(i mod slots) v);
     incr sent
   in
   let recv (c : Core.t) =
     let i = !received in
-    let slot = i mod slots in
-    let d_addr = buf + (slot * 64) in
-    let v =
-      Core.spin_poll c d_addr (fun () ->
-          let d = Core.await c (Core.load c d_addr) in
-          let f = Core.await c (Core.load c (d_addr + 8)) in
-          Pilot.try_decode receivers.(slot) ~data:d ~flag:f)
-    in
+    let v = Pilot.recv c lines.(i mod slots) in
     Core.store c cons (Int64.of_int (i + 1));
     incr received;
     v

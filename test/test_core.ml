@@ -233,6 +233,34 @@ let test_pilot_fallback_used () =
   List.iter deliver [ 7L; 7L; 7L; 7L ];
   check Alcotest.bool "fallback exercised" true (!fallbacks >= 3)
 
+(* Every golden and figure run sends without a collision, so drive the
+   simulated line's fallback on purpose: with a one-value pool each
+   repeated message collides.  The receiver acks each message on its
+   own line before the sender may send the next. *)
+let test_pilot_line_fallback () =
+  let module Machine = Armb_cpu.Machine in
+  let module Core = Armb_cpu.Core in
+  let m = Machine.create P.kunpeng916 in
+  let line = Pilot.line (Pilot.make_pool ~size:1 ~seed:1 ()) ~data:(Machine.alloc_line m) in
+  let ack = Machine.alloc_line m in
+  let msgs = [ 7L; 7L; 7L; 0L; 0L; 9L; 9L ] in
+  let fallbacks = ref 0 and got = ref [] in
+  Machine.spawn m ~core:0 (fun c ->
+      List.iteri
+        (fun i v ->
+          if Pilot.send c line v then incr fallbacks;
+          ignore (Core.spin_until c ack (fun a -> Int64.to_int a > i)))
+        msgs);
+  Machine.spawn m ~core:1 (fun c ->
+      List.iteri
+        (fun i _ ->
+          got := Pilot.recv c line :: !got;
+          Core.store c ack (Int64.of_int (i + 1)))
+        msgs);
+  Machine.run_exn m;
+  check (Alcotest.list Alcotest.int64) "all seven, in order" msgs (List.rev !got);
+  check Alcotest.int "each repeat took the fallback" 4 !fallbacks
+
 let prop_pilot_any_sequence =
   QCheck.Test.make ~name:"pilot delivers any int64 sequence in order" ~count:200
     QCheck.(pair small_int (list int64))
@@ -336,6 +364,7 @@ let () =
           Alcotest.test_case "roundtrip with repeats" `Quick test_pilot_roundtrip_sequence;
           Alcotest.test_case "idempotent poll" `Quick test_pilot_idempotent_poll;
           Alcotest.test_case "collision fallback" `Quick test_pilot_fallback_used;
+          Alcotest.test_case "line fallback between cores" `Quick test_pilot_line_fallback;
           Alcotest.test_case "pool validation" `Quick test_pilot_pool_validation;
           QCheck_alcotest.to_alcotest prop_pilot_any_sequence;
           QCheck_alcotest.to_alcotest prop_pilot_counts_advance;

@@ -1,10 +1,11 @@
-(* The unified primitives layer: one canonical implementation per
-   protocol, instantiated by the simulator (int64 machine words, Core
-   effects) and the native runtime (immediate ints, Atomics).  These
-   tests pin the properties the unification must preserve: the two
-   Pilot codecs draw the same shuffle stream, the delegation payload
-   encoding agrees across widths, the protocol functors behave, and
-   Run_config validates the knobs every front end shares. *)
+(* lib/primitives holds only what the simulator (int64 machine words)
+   and the native runtime (immediate ints, Atomics) must agree on bit
+   for bit; every primitive itself is written in its own substrate.
+   These tests pin that agreement: the two Pilot codecs draw the same
+   shuffle stream and round-trip, and the delegation payload encoding
+   agrees across widths.  They also check the native seqlock and ticket
+   lock single-threaded, and that Run_config validates the knobs every
+   front end shares. *)
 
 module Pilot64 = Armb_core.Pilot
 module PilotInt = Armb_runtime.Pilot_codec
@@ -90,7 +91,7 @@ let delegation_roundtrip () =
   let _, c = D.Over_int64.unpack D.Over_int64.handoff in
   Alcotest.(check bool) "handoff not completed" false c
 
-(* ---------- native protocol instances ---------- *)
+(* ---------- native seqlock and ticket lock ---------- *)
 
 let native_seqlock () =
   let sl = Armb_runtime.Seqlock.create ~words:4 in

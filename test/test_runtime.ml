@@ -174,6 +174,21 @@ let test_dsmsynch_return_values () =
   check Alcotest.int "return value" 41 (R.Dsmsynch.exec d (fun () -> 41));
   check Alcotest.int "another" 17 (R.Dsmsynch.exec d (fun () -> 17))
 
+(* A lock keeps its nodes itself, so locks used once and dropped leave
+   nothing live behind them. *)
+let test_dsmsynch_no_retention () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for i = 1 to 10_000 do
+    ignore (R.Dsmsynch.exec (R.Dsmsynch.create ()) (fun () -> i))
+  done;
+  let grown = live () - before in
+  if grown >= 100_000 then
+    Alcotest.failf "10,000 dropped locks left %d more live words" grown
+
 (* ---------- FFWD ---------- *)
 
 let test_ffwd_counter () =
@@ -321,6 +336,7 @@ let () =
           Alcotest.test_case "counter" `Slow test_dsmsynch_counter;
           Alcotest.test_case "pilot counter" `Slow test_dsmsynch_pilot_counter;
           Alcotest.test_case "return values" `Quick test_dsmsynch_return_values;
+          Alcotest.test_case "dropped locks are freed" `Quick test_dsmsynch_no_retention;
         ] );
       ( "ffwd",
         [
