@@ -9,19 +9,30 @@ type t =
 
 (* ---------- printing ---------- *)
 
+(* Bytes that print as themselves go out in runs between escapes, one
+   [Buffer.add_substring] per run. *)
 let escape_into b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c ->
+        let hex d = "0123456789abcdef".[d] in
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b (hex (Char.code c lsr 4));
+        Buffer.add_char b (hex (Char.code c land 0xf))
+    end
+  done;
+  Buffer.add_substring b s !start (String.length s - !start);
   Buffer.add_char b '"'
 
 let to_buffer b v =
@@ -70,40 +81,48 @@ let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+  (* the byte at [pos], which must exist *)
+  let here () = String.unsafe_get s !pos in
+  let skip_ws () =
+    while
+      !pos < n && match here () with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
   in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  let at c = !pos < n && here () = c in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected %C" c) in
   let literal word v =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same i = i = l || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       v
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* One buffer per document.  A string is read in runs: the bytes up to
+     the next quote or backslash are copied at once, then the escape (or
+     the closing quote) is handled. *)
+  let b = Buffer.create 64 in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
+    Buffer.clear b;
     let rec go () =
+      let start = !pos in
+      while !pos < n && match here () with '"' | '\\' -> false | _ -> true do
+        advance ()
+      done;
+      Buffer.add_substring b s start (!pos - start);
       if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
+      let c = here () in
       advance ();
       match c with
       | '"' -> Buffer.contents b
-      | '\\' -> (
+      | _ -> (
         if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
+        let e = here () in
         advance ();
         match e with
         | '"' | '\\' | '/' ->
@@ -182,9 +201,6 @@ let of_string s =
           end;
           go ()
         | _ -> fail "bad escape")
-      | c ->
-        Buffer.add_char b c;
-        go ()
     in
     go ()
   in
@@ -249,12 +265,12 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    if !pos >= n then fail "unexpected end of input";
+    match here () with
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         advance ();
         Obj []
       end
@@ -268,20 +284,20 @@ let of_string s =
           let v = parse_value () in
           fields := (k, v) :: !fields;
           skip_ws ();
-          match peek () with
-          | Some ',' ->
+          if at ',' then begin
             advance ();
             fields_loop ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or } in object"
+          end
+          else if at '}' then advance ()
+          else fail "expected , or } in object"
         in
         fields_loop ();
         Obj (List.rev !fields)
       end
-    | Some '[' ->
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         advance ();
         List []
       end
@@ -291,21 +307,21 @@ let of_string s =
           let v = parse_value () in
           items := v :: !items;
           skip_ws ();
-          match peek () with
-          | Some ',' ->
+          if at ',' then begin
             advance ();
             items_loop ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ] in array"
+          end
+          else if at ']' then advance ()
+          else fail "expected , or ] in array"
         in
         items_loop ();
         List (List.rev !items)
       end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   match
     let v = parse_value () in
@@ -318,7 +334,11 @@ let of_string s =
 
 (* ---------- accessors ---------- *)
 
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+let rec assoc k = function
+  | [] -> None
+  | (k', v) :: tl -> if String.equal k k' then Some v else assoc k tl
+
+let member k = function Obj fields -> assoc k fields | _ -> None
 
 let str = function Str s -> Some s | _ -> None
 

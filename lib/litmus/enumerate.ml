@@ -35,7 +35,7 @@ let must_order model a b fences =
      | _ -> false)
   (* Dependencies: b consumes a register written by a. *)
   || (match Lang.writes_reg a with
-     | Some r -> List.mem r (Lang.reads_regs b)
+     | Some r -> List.exists (String.equal r) (Lang.reads_regs b)
      | None -> false)
   (* Acquire: nothing later may perform before an acquire load. *)
   || (match a with Lang.Load { acquire = true; _ } -> true | _ -> false)
@@ -77,6 +77,22 @@ let rec bytes_for n = if n < 0x100 then 1 else 1 + bytes_for (n lsr 8)
 
 let is_access = function Lang.Fence _ -> false | Lang.Load _ | Lang.Store _ -> true
 
+(* Tests are small, so the compiler's maps are assoc lists searched with
+   typed equality: no hashing and no polymorphic comparison per call. *)
+let rec index_of v i = function
+  | [] -> raise Not_found
+  | w :: tl -> if String.equal v w then i else index_of v (i + 1) tl
+
+let rec init_value v = function
+  | [] -> 0L
+  | (w, x) :: tl -> if String.equal v w then x else init_value v tl
+
+(* (thread, register) -> (cell, bit of the first load that writes it) *)
+let rec find_reg th r = function
+  | [] -> None
+  | (th', r', cell, bit) :: tl ->
+    if Int.equal th th' && String.equal r r' then Some (cell, bit) else find_reg th r tl
+
 let compile model (t : Lang.test) =
   let progs = Array.of_list (List.map Array.of_list t.threads) in
   let accesses =
@@ -94,21 +110,21 @@ let compile model (t : Lang.test) =
   in
   let vars = Lang.vars t in
   let nvars = List.length vars in
-  let var_cells = Hashtbl.create 8 in
-  List.iteri (fun i v -> Hashtbl.replace var_cells v i) vars;
-  let interned = Hashtbl.create 8 in
+  (* value -> index, newest first; indices count up from 0 *)
+  let interned = ref [] and nvalues = ref 0 in
   let intern x =
-    match Hashtbl.find_opt interned x with
-    | Some i -> i
+    match List.find_opt (fun (y, _) -> Int64.equal x y) !interned with
+    | Some (_, i) -> i
     | None ->
-      let i = Hashtbl.length interned in
-      Hashtbl.replace interned x i;
+      let i = !nvalues in
+      interned := (x, i) :: !interned;
+      incr nvalues;
       i
   in
   let zero = intern 0L in
   (* Each access's bit (fences get none), and per (thread, register)
      the register's cell and the bit of the first load that writes it. *)
-  let regs = Hashtbl.create 8 in
+  let regs = ref [] and nregs = ref 0 in
   let bits =
     Array.mapi
       (fun th prog ->
@@ -120,19 +136,20 @@ let compile model (t : Lang.test) =
               let bit = 1 lsl !next in
               incr next;
               (match instr with
-              | Lang.Load { reg; _ } when not (Hashtbl.mem regs (th, reg)) ->
-                Hashtbl.replace regs (th, reg) (nvars + Hashtbl.length regs, bit)
+              | Lang.Load { reg; _ } when Option.is_none (find_reg th reg !regs) ->
+                regs := (th, reg, nvars + !nregs, bit) :: !regs;
+                incr nregs
               | _ -> ());
               bit
             end)
           prog)
       progs
   in
-  let nregs = Hashtbl.length regs in
+  let regs = !regs and nregs = !nregs in
   let varying = nvars + nregs in
-  let var_cell v = Hashtbl.find var_cells v in
+  let var_cell v = index_of v 0 vars in
   let reg_cell th r =
-    match Hashtbl.find_opt regs (th, r) with
+    match find_reg th r regs with
     | Some (cell, _) -> cell
     | None -> varying + zero (* never loaded: reads 0 *)
   in
@@ -155,7 +172,7 @@ let compile model (t : Lang.test) =
                then never performs) *)
             List.iter
               (fun r ->
-                match Hashtbl.find_opt regs (th, r) with
+                match find_reg th r regs with
                 | Some (_, first) -> need := !need lor first
                 | None -> ())
               (Lang.reads_regs b);
@@ -170,19 +187,13 @@ let compile model (t : Lang.test) =
           end)
         prog)
     progs;
-  let init_mem =
-    List.map
-      (fun v -> intern (match List.assoc_opt v t.init with Some x -> x | None -> 0L))
-      vars
-  in
-  let nvalues = Hashtbl.length interned in
+  let init_mem = List.map (fun v -> intern (init_value v t.init)) vars in
+  let nvalues = !nvalues in
   let values = Array.make nvalues 0L in
-  Hashtbl.iter (fun x i -> values.(i) <- x) interned;
+  List.iter (fun (x, i) -> values.(i) <- x) !interned;
   let bindings =
     List.map (fun v -> ("mem:" ^ v, var_cell v)) vars
-    @ Hashtbl.fold
-        (fun (th, r) (cell, _) acc -> (string_of_int th ^ ":" ^ r, cell) :: acc)
-        regs []
+    @ List.map (fun (th, r, cell, _) -> (string_of_int th ^ ":" ^ r, cell)) regs
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {
@@ -207,26 +218,31 @@ module Visited = Hashtbl.Make (String)
    place: perform, recurse, undo.  A state is visited once, keyed on its
    packed bytes (performed masks, then varying cells); [on_final] sees
    the cells of each final state exactly once, with [order.(i)] the op
-   performed at step [i] on the way there. *)
+   performed at step [i] on the way there.  A visit allocates only when
+   its state is new: packing writes into one buffer, and the lookup reads
+   that buffer before a copy of it is stored. *)
 let explore c on_final =
   let cells = Array.copy c.init in
   let performed = Array.make (Array.length c.mask_bytes) 0 in
-  let key =
-    Bytes.create (Array.fold_left ( + ) 0 c.mask_bytes + (c.varying * c.width))
-  in
+  let mask_bytes = c.mask_bytes and width = c.width and varying = c.varying in
+  let key = Bytes.create (Array.fold_left ( + ) 0 mask_bytes + (varying * width)) in
   let pack () =
     let pos = ref 0 in
-    let put x n =
-      let x = ref x in
-      for _ = 1 to n do
+    for th = 0 to Array.length performed - 1 do
+      let x = ref (Array.unsafe_get performed th) in
+      for _ = 1 to Array.unsafe_get mask_bytes th do
         Bytes.unsafe_set key !pos (Char.unsafe_chr (!x land 0xff));
         x := !x lsr 8;
         incr pos
       done
-    in
-    Array.iteri (fun th m -> put m c.mask_bytes.(th)) performed;
-    for i = 0 to c.varying - 1 do
-      put cells.(i) c.width
+    done;
+    for i = 0 to varying - 1 do
+      let x = ref (Array.unsafe_get cells i) in
+      for _ = 1 to width do
+        Bytes.unsafe_set key !pos (Char.unsafe_chr (!x land 0xff));
+        x := !x lsr 8;
+        incr pos
+      done
     done
   in
   let seen = Visited.create 64 in
@@ -235,10 +251,8 @@ let explore c on_final =
   let order = Array.make nops 0 in
   let rec visit count =
     pack ();
-    (* one lookup: [replace] grows the table only for a new state *)
-    let size = Visited.length seen in
-    Visited.replace seen (Bytes.to_string key) ();
-    if Visited.length seen > size then
+    if not (Visited.mem seen (Bytes.unsafe_to_string key)) then begin
+      Visited.add seen (Bytes.to_string key) ();
       if count = nops then on_final cells order
       else
         for g = 0 to nops - 1 do
@@ -254,21 +268,48 @@ let explore c on_final =
             performed.(op.thread) <- m
           end
         done
+    end
   in
   visit 0
 
 (* Final state -> outcome: registers plus final memory (as "mem:<var>"
    bindings), so tests can constrain final state — needed for e.g.
-   2+2W. *)
-let outcome c cells = List.map (fun (name, cell) -> (name, c.values.(cells.(cell)))) c.bindings
+   2+2W.  Every varying cell is bound, so distinct final states are
+   distinct outcomes. *)
+let outcome_names c = List.map fst c.bindings
 
-let assoc_get k l = match List.assoc_opt k l with Some v -> v | None -> 0L
+let fold_finals c f init =
+  let cells_of = Array.of_list (List.map snd c.bindings) in
+  let vals = Array.make (Array.length cells_of) 0L in
+  let acc = ref init in
+  explore c (fun cells _ ->
+      for i = 0 to Array.length cells_of - 1 do
+        vals.(i) <- c.values.(cells.(cells_of.(i)))
+      done;
+      acc := f vals !acc);
+  !acc
+
+(* The value bound to outcome name [r] in the final state [cells]; an
+   unbound name reads 0. *)
+let lookup c cells r =
+  let rec go = function
+    | [] -> 0L
+    | (name, cell) :: tl -> if String.equal name r then c.values.(cells.(cell)) else go tl
+  in
+  go c.bindings
+
+(* [compare]'s order on outcomes, typed: binding by binding, name then
+   value. *)
+let compare_outcome =
+  List.compare (fun (a, x) (b, y) ->
+      let n = String.compare a b in
+      if n <> 0 then n else Int64.compare x y)
 
 let enumerate model t =
   let c = compile model t in
-  let outs = ref [] in
-  explore c (fun cells _ -> outs := outcome c cells :: !outs);
-  List.sort_uniq compare !outs
+  let names = outcome_names c in
+  fold_finals c (fun vals outs -> List.mapi (fun i name -> (name, vals.(i))) names :: outs) []
+  |> List.sort_uniq compare_outcome
 
 let needs c = Array.map (fun op -> op.need) c.ops
 
@@ -280,7 +321,12 @@ let needs_of base t =
   if
     Array.length c.ops <> Array.length base.ops
     || (not (Array.for_all2 same c.ops base.ops))
-    || c.init <> base.init || c.bindings <> base.bindings
+    || Array.length c.init <> Array.length base.init
+    || (not (Array.for_all2 Int.equal c.init base.init))
+    || not
+         (List.equal
+            (fun (a, x) (b, y) -> String.equal a b && Int.equal x y)
+            c.bindings base.bindings)
   then
     invalid_arg
       (Printf.sprintf
@@ -293,8 +339,7 @@ exception Accepted of int array
 let first_accepted c =
   match
     explore c (fun cells order ->
-        let o = outcome c cells in
-        if c.accept (fun r -> assoc_get r o) then
+        if c.accept (lookup c cells) then
           raise_notrace (Accepted (Array.copy order)))
   with
   | () -> None

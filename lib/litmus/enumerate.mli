@@ -53,6 +53,18 @@ type compiled
 val compile : model -> Lang.test -> compiled
 (** @raise Invalid_argument as {!enumerate}. *)
 
+val outcome_names : compiled -> string list
+(** The names every outcome of the test binds, sorted: each shared
+    variable as ["mem:var"] and each register some load writes as
+    ["thread:reg"]. *)
+
+val fold_finals : compiled -> (int64 array -> 'a -> 'a) -> 'a -> 'a
+(** [fold_finals c f init] folds [f] over the reachable final states,
+    each once, in depth-first order — the states {!enumerate} turns into
+    outcomes.  The array holds each of {!outcome_names}' final value, in
+    that order, and is reused from one state to the next: copy what you
+    keep.  Distinct final states bind distinct values. *)
+
 val needs : compiled -> int array
 (** A copy of the need masks, one per access in the compiled order: bit
     [i] of an access's mask is set when the [i]-th access of its thread

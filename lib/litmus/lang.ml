@@ -33,16 +33,14 @@ let var_of = function
   | Load { var; _ } | Store { var; _ } -> Some var
   | Fence _ -> None
 
+(* Tests are small: a list searched with typed equality beats hashing. *)
 let vars t =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (v, _) -> Hashtbl.replace tbl v ()) t.init;
-  List.iter
-    (fun th ->
-      List.iter
-        (fun i -> match var_of i with Some v -> Hashtbl.replace tbl v () | None -> ())
-        th)
-    t.threads;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+  let add vs v = if List.exists (String.equal v) vs then vs else v :: vs in
+  let vs = List.fold_left (fun vs (v, _) -> add vs v) [] t.init in
+  List.fold_left
+    (List.fold_left (fun vs i -> match var_of i with Some v -> add vs v | None -> vs))
+    vs t.threads
+  |> List.sort String.compare
 
 let writes_reg = function
   | Load { reg; _ } -> Some reg

@@ -17,10 +17,12 @@ type t = {
   pilot : bool;
   combine_bound : int;
   combine_count : int Atomic.t;
-  pool : int array;
 }
 
-let make_node pool = { req = None; release = Pilot_codec.cell pool; next = Atomic.make None }
+(* The Pilot shuffle pool is read-only, so every lock shares one. *)
+let pool = Pilot_codec.make_pool ~seed:23 ()
+
+let make_node () = { req = None; release = Pilot_codec.cell pool; next = Atomic.make None }
 
 let release pilot node payload =
   if pilot then ignore (Pilot_codec.send node.release payload)
@@ -36,8 +38,7 @@ let await pilot node =
 
 let create ?(pilot = false) ?(combine_bound = 64) () =
   if combine_bound < 1 then invalid_arg "Dsmsynch.create";
-  let pool = Pilot_codec.make_pool ~seed:23 () in
-  let boot = make_node pool in
+  let boot = make_node () in
   (* The bootstrap node is pre-released as "combiner handoff". *)
   release pilot boot Delegation.handoff;
   {
@@ -46,7 +47,6 @@ let create ?(pilot = false) ?(combine_bound = 64) () =
     pilot;
     combine_bound;
     combine_count = Atomic.make 0;
-    pool;
   }
 
 (* CC-Synch rotates nodes: a call enqueues a fresh node and is served in
@@ -56,7 +56,7 @@ let create ?(pilot = false) ?(combine_bound = 64) () =
    served in. *)
 let exec t f =
   let fresh =
-    match Atomic.exchange t.spare None with Some n -> n | None -> make_node t.pool
+    match Atomic.exchange t.spare None with Some n -> n | None -> make_node ()
   in
   Atomic.set fresh.next None;
   if not t.pilot then Atomic.set fresh.release.data Delegation.waiting;

@@ -48,9 +48,11 @@ let server_loop t =
     if not !progressed then Domain.cpu_relax ()
   done
 
+(* The Pilot shuffle pool is read-only, so every instance shares one. *)
+let pool = Pilot_codec.make_pool ~seed:31 ()
+
 let create ?(pilot = false) ~clients () =
   if clients <= 0 then invalid_arg "Ffwd.create: clients must be positive";
-  let pool = Pilot_codec.make_pool ~seed:31 () in
   let slots =
     Array.init clients (fun _ ->
         {

@@ -75,54 +75,94 @@ let model_spec (rc : RC.t) ~mem_ops ~approach ~location ~nops ~iters =
     invalid_arg (Printf.sprintf "Job: invalid model combination %s" (AM.label spec));
   spec
 
+(* A float key coordinate as [Printf.sprintf "%.6f"] prints it: the same
+   C conversion, called without interpreting a format at run time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* The fault plan is reconstructed from (intensity, rc.seed) at run
    time, so the key carries only the intensity — the seed is already a
-   key component. *)
+   key component.  The key text is written straight into one buffer. *)
 let key t =
   let b = Buffer.create 1024 in
+  let str s = Buffer.add_string b s and chr c = Buffer.add_char b c in
+  let int n = Key.add_int b n in
+  let fixed6 f = str (format_float "%.6f" f) in
+  let sep_list add = List.iteri (fun i x -> if i > 0 then chr ','; add x) in
   (match t.spec with
   | Litmus test ->
-    Buffer.add_string b "litmus\n";
-    Buffer.add_string b (Key.canonical_test test)
+    str "litmus\n";
+    str (Key.canonical_test test)
   | Check test ->
-    Buffer.add_string b "check\n";
-    Buffer.add_string b (Key.canonical_test test)
+    str "check\n";
+    str (Key.canonical_test test)
   | Model { mem_ops; approach; location; nops; iters; label = _ } ->
     (* validate the spec now so a job that cannot run fails at submit *)
     ignore (model_spec t.rc ~mem_ops ~approach ~location ~nops ~iters);
-    Buffer.add_string b
-      (Printf.sprintf "model|%s|%s|%d|%d|%d\n" (mem_ops_tag mem_ops)
-         (Armb_core.Ordering.to_string approach)
-         (location_tag location) nops iters)
+    str "model|";
+    str (mem_ops_tag mem_ops);
+    chr '|';
+    str (Armb_core.Ordering.to_string approach);
+    chr '|';
+    int (location_tag location);
+    chr '|';
+    int nops;
+    chr '|';
+    int iters;
+    chr '\n'
   | Ring { combo; messages } ->
     (* validate the combo name and count now so a job that cannot run fails at submit *)
     ignore (Spsc.combo combo);
     at_least "messages" 1 messages;
-    Buffer.add_string b (Printf.sprintf "ring|%s|%d\n" combo messages)
-  | Fuzz { tests } -> Buffer.add_string b (Printf.sprintf "fuzz|%d\n" tests)
+    str "ring|";
+    str combo;
+    chr '|';
+    int messages;
+    chr '\n'
+  | Fuzz { tests } ->
+    str "fuzz|";
+    int tests;
+    chr '\n'
   | Fix { test; max_edits; budget } ->
     (* validate the search limits now so a job that cannot search fails at submit *)
     Armb_synth.Search.check_limits ~max_edits ~budget ();
-    Buffer.add_string b (Printf.sprintf "fix|%d|%d\n" max_edits budget);
-    Buffer.add_string b (Key.canonical_test test)
+    str "fix|";
+    int max_edits;
+    chr '|';
+    int budget;
+    chr '\n';
+    str (Key.canonical_test test)
   | Perturb { test; intensities; plan_seeds } ->
-    Buffer.add_string b
-      (Printf.sprintf "perturb|%s|%s\n"
-         (String.concat "," (List.map (Printf.sprintf "%.6f") intensities))
-         (String.concat "," (List.map string_of_int plan_seeds)));
-    Buffer.add_string b (Key.canonical_test test)
+    str "perturb|";
+    sep_list fixed6 intensities;
+    chr '|';
+    sep_list int plan_seeds;
+    chr '\n';
+    str (Key.canonical_test test)
   | Opt { program; algorithm; unroll } ->
     (* validate the algorithm and unroll now so a job that cannot run fails at submit *)
     (match Armb_opt.Optimizer.algorithm_of_string algorithm with
     | Some _ -> ()
     | None -> invalid_arg (Printf.sprintf "Job.key: unknown algorithm %S" algorithm));
     at_least "unroll" 1 unroll;
-    Buffer.add_string b (Printf.sprintf "opt|%s|%d\n" algorithm unroll);
-    Buffer.add_string b (Key.canonical_program program));
+    str "opt|";
+    str algorithm;
+    chr '|';
+    int unroll;
+    chr '\n';
+    str (Key.canonical_program program));
   let a, bcore = t.rc.cores in
-  Buffer.add_string b
-    (Printf.sprintf "@%s|%d,%d|seed=%d|trials=%d|fault=%.6f"
-       t.rc.cfg.Armb_cpu.Config.name a bcore t.rc.seed t.rc.trials t.fault);
+  chr '@';
+  str t.rc.cfg.Armb_cpu.Config.name;
+  chr '|';
+  int a;
+  chr ',';
+  int bcore;
+  str "|seed=";
+  int t.rc.seed;
+  str "|trials=";
+  int t.rc.trials;
+  str "|fault=";
+  fixed6 t.fault;
   Key.digest (Buffer.contents b)
 
 let fault_plan t =

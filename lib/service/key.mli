@@ -32,5 +32,8 @@ val canonical_program : Armb_litmus.Cfg.program -> string
     computational equality; a hand-renamed variant only misses the
     cache, it can never coalesce wrongly. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n] to the buffer without a format string. *)
+
 val digest : string -> string
 (** Hex MD5 of a canonical serialization — the content address. *)

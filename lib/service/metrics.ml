@@ -10,9 +10,8 @@ type t = {
   completed : Stats.Counter.t;
   events : Stats.Counter.t;
   mutable queue_depth_peak : int;
-  (* 1ms buckets x 4096: sub-millisecond jobs land in bucket 0, multi-
-     second synthesis jobs in the overflow slot, which reports the
-     largest recorded sample rather than a fictitious edge. *)
+  (* log-linear buckets: p50 and p99 within 6.25% of the exact order
+     statistic, from a few microseconds to multi-second synthesis jobs *)
   latency : Stats.Histogram.t;
   mutable latency_n : int;
 }
@@ -28,7 +27,7 @@ let create () =
     completed = Stats.Counter.create ();
     events = Stats.Counter.create ();
     queue_depth_peak = 0;
-    latency = Stats.Histogram.create ~bucket_width:1000 ~buckets:4096;
+    latency = Stats.Histogram.create ();
     latency_n = 0;
   }
 

@@ -55,79 +55,75 @@ module Counter = struct
 end
 
 module Histogram = struct
+  (* Log-linear buckets: each value below [sub] has a bucket of its own;
+     above, every power of two [2^e, 2^(e+1)) splits into [sub] buckets
+     of width [2^e / sub], so a bucket is at most 1/[sub] of its lower
+     edge wide.  Index [i >= sub] holds mantissa [sub + i mod sub] at
+     shift [i / sub - 1]. *)
+  let sub_bits = 4
+  let sub = 1 lsl sub_bits
+
+  (* floor (log2 v) for v > 0 *)
+  let msb v =
+    let rec go v e k =
+      if k = 0 then e else if v lsr k <> 0 then go (v lsr k) (e + k) (k / 2) else go v e (k / 2)
+    in
+    go v 0 32
+
+  let bucket v =
+    if v < sub then Int.max v 0
+    else
+      let shift = msb v - sub_bits in
+      ((shift + 1) * sub) + ((v lsr shift) - sub)
+
+  let slots = bucket max_int + 1
+
   type t = {
-    width : int;
-    shift : int; (* log2 width when width is a power of two, else -1 *)
-    last : int; (* index of the overflow slot *)
-    counts : int array; (* last slot is overflow *)
+    counts : int array;
     mutable total : int;
-    mutable max_sample : int; (* largest raw value, for the overflow slot *)
+    mutable min_sample : int;
+    mutable max_sample : int;
     mutable min_bucket : int; (* smallest non-empty bucket *)
   }
 
-  let create ~bucket_width ~buckets =
-    assert (bucket_width > 0 && buckets > 0);
-    let shift =
-      if bucket_width land (bucket_width - 1) = 0 then
-        let rec lg i = if 1 lsl i = bucket_width then i else lg (i + 1) in
-        lg 0
-      else -1
-    in
-    {
-      width = bucket_width;
-      shift;
-      last = buckets;
-      counts = Array.make (buckets + 1) 0;
-      total = 0;
-      max_sample = 0;
-      min_bucket = max_int;
-    }
+  let create () =
+    { counts = Array.make slots 0; total = 0; min_sample = 0; max_sample = 0; min_bucket = slots }
+
+  (* the smallest and the largest value of bucket [i] *)
+  let lower i = if i < sub then i else (sub + (i mod sub)) lsl ((i / sub) - 1)
+  let upper i = if i < sub then i else lower i + (1 lsl ((i / sub) - 1)) - 1
 
   let add t v =
-    (* [asr] floors where [/] truncates toward zero, but negative inputs
-       clamp to bucket 0 either way, so the shift path is equivalent *)
-    let b = if t.shift >= 0 then v asr t.shift else v / t.width in
-    let b = if b < 0 then 0 else if b > t.last then t.last else b in
+    let v = Int.max v 0 in
+    let b = bucket v in
     Array.unsafe_set t.counts b (Array.unsafe_get t.counts b + 1);
-    t.total <- t.total + 1;
+    if t.total = 0 || v < t.min_sample then t.min_sample <- v;
+    if v > t.max_sample then t.max_sample <- v;
     if b < t.min_bucket then t.min_bucket <- b;
-    if v > t.max_sample then t.max_sample <- v
+    t.total <- t.total + 1
 
   let total t = t.total
 
-  let bucket_count t i = t.counts.(i)
+  let count_at t v = t.counts.(bucket v)
 
   let percentile t q =
     if t.total = 0 then 0
-    else if q <= 0.0 then
-      (* the tracked minimum non-empty bucket answers q = 0 directly *)
-      if t.min_bucket >= t.last then t.max_sample else t.min_bucket * t.width
+    else if q <= 0.0 then t.min_sample
     else begin
-      let n = Array.length t.counts in
-      let target = Int.max 1 (int_of_float (ceil (q *. float_of_int t.total))) in
-      let rec scan i acc =
-        if i = n - 1 then
-          (* the overflow slot has no finite upper bound; report the
-             largest sample seen instead of a fictitious edge *)
-          t.max_sample
-        else
-          let acc = acc + t.counts.(i) in
-          if acc >= target then (i + 1) * t.width else scan (i + 1) acc
-      in
+      let rank = int_of_float (ceil (q *. float_of_int t.total)) in
+      let target = Int.min t.total (Int.max 1 rank) in
       (* buckets below [min_bucket] are empty; skip them *)
+      let rec scan i acc =
+        let acc = acc + t.counts.(i) in
+        if acc >= target then Int.min (upper i) t.max_sample else scan (i + 1) acc
+      in
       scan t.min_bucket 0
     end
 
   let pp ppf t =
     Format.fprintf ppf "@[<v>";
-    let n = Array.length t.counts in
     Array.iteri
-      (fun i c ->
-        if c > 0 then
-          if i = n - 1 then
-            Format.fprintf ppf "[%6d..  +inf): %d (max %d)@," (i * t.width) c t.max_sample
-          else
-            Format.fprintf ppf "[%6d..%6d): %d@," (i * t.width) ((i + 1) * t.width) c)
+      (fun i c -> if c > 0 then Format.fprintf ppf "[%6d..%6d]: %d@," (lower i) (upper i) c)
       t.counts;
     Format.fprintf ppf "@]"
 end

@@ -37,24 +37,29 @@ module Counter : sig
   val reset : t -> unit
 end
 
-(** {2 Histogram with fixed-width buckets} *)
+(** {2 Histogram with log-linear buckets} *)
 
 module Histogram : sig
   type t
 
-  val create : bucket_width:int -> buckets:int -> t
-  (** Values >= bucket_width*buckets land in the overflow bucket. *)
+  val create : unit -> t
+  (** Every value below 16 has a bucket of its own; above, each power of
+      two splits into 16 equal buckets, so a bucket spans at most 1/16
+      (6.25%) of its lower edge.  944 buckets cover every non-negative
+      [int]; negative values count as 0. *)
 
   val add : t -> int -> unit
   val total : t -> int
-  val bucket_count : t -> int -> int
+
+  val count_at : t -> int -> int
+  (** [count_at h v]: the samples in the bucket that holds [v]. *)
 
   val percentile : t -> float -> int
-  (** [percentile h 0.99] returns an upper bound of the bucket containing
-      the requested quantile; [percentile h 0.0] returns the lower bound
-      of the first non-empty bucket.  A quantile landing in the overflow
-      slot reports the largest sample recorded rather than a fictitious
-      finite bucket edge. *)
+  (** [percentile h q] for [q] in (0, 1] returns the largest value of the
+      bucket holding the nearest-rank [q]-quantile, capped at the
+      largest sample: at least that order statistic and at most 6.25%
+      above it; [q] above 1 reads as 1.  [percentile h 0.0] is the
+      smallest sample; an empty histogram reports 0. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -438,32 +438,47 @@ let test_counter () =
   Stats.Counter.reset c;
   check Alcotest.int "reset" 0 (Stats.Counter.get c)
 
+(* Log-linear buckets: values below 16 are exact, and a quantile
+   reads at most 1/16 above the order statistic it reports. *)
 let test_histogram () =
-  let h = Stats.Histogram.create ~bucket_width:10 ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 1; 5; 15; 25; 95; 1000 ];
-  check Alcotest.int "total" 6 (Stats.Histogram.total h);
-  check Alcotest.int "bucket 0" 2 (Stats.Histogram.bucket_count h 0);
-  check Alcotest.int "overflow" 1 (Stats.Histogram.bucket_count h 10);
+  let h = Stats.Histogram.create () in
+  List.iter (Stats.Histogram.add h) [ 1; 5; 15; 25; 95; 1000; -3 ];
+  check Alcotest.int "total" 7 (Stats.Histogram.total h);
+  check Alcotest.int "negative counts as 0" 1 (Stats.Histogram.count_at h 0);
+  check Alcotest.int "small values are exact" 1 (Stats.Histogram.count_at h 15);
+  check Alcotest.int "16..31 are exact" 0 (Stats.Histogram.count_at h 24);
+  check Alcotest.int "95 shares 92..95" 1 (Stats.Histogram.count_at h 92);
+  check Alcotest.int "1000 shares 992..1023" 1 (Stats.Histogram.count_at h 1023);
+  check Alcotest.int "1024 is past it" 0 (Stats.Histogram.count_at h 1024);
   check Alcotest.bool "p50 <= p99" true
-    (Stats.Histogram.percentile h 0.5 <= Stats.Histogram.percentile h 0.99)
+    (Stats.Histogram.percentile h 0.5 <= Stats.Histogram.percentile h 0.99);
+  (* one value under a larger one: the median reports its bucket's top *)
+  let rng = Rng.create 3 in
+  for _ = 1 to 2000 do
+    let v = Rng.int rng (1 lsl (1 + Rng.int rng 50)) in
+    let h = Stats.Histogram.create () in
+    Stats.Histogram.add h v;
+    Stats.Histogram.add h max_int;
+    let p = Stats.Histogram.percentile h 0.5 in
+    if p < v || p - v > v / 16 then
+      Alcotest.failf "median of {%d, max_int} read %d: off by more than 1/16" v p
+  done
 
 let test_percentile_edges () =
-  let h = Stats.Histogram.create ~bucket_width:10 ~buckets:10 in
+  let h = Stats.Histogram.create () in
   check Alcotest.int "empty histogram" 0 (Stats.Histogram.percentile h 0.5);
-  (* all mass in bucket 2: q = 0 must skip the empty leading buckets
-     rather than reporting the edge of bucket 0 *)
   List.iter (Stats.Histogram.add h) [ 25; 27 ];
-  check Alcotest.int "q=0 is lower bound of first non-empty bucket" 20
-    (Stats.Histogram.percentile h 0.0);
-  check Alcotest.int "q=1 is upper bound of the occupied bucket" 30
-    (Stats.Histogram.percentile h 1.0);
-  (* a quantile landing in the overflow slot reports the recorded
-     maximum, not a fictitious finite bucket edge *)
+  check Alcotest.int "q=0 is the smallest sample" 25 (Stats.Histogram.percentile h 0.0);
+  check Alcotest.int "q=1 is the largest sample" 27 (Stats.Histogram.percentile h 1.0);
+  check Alcotest.int "q=0.5 is the first" 25 (Stats.Histogram.percentile h 0.5);
   Stats.Histogram.add h 1234;
-  check Alcotest.int "overflow quantile reports max sample" 1234
-    (Stats.Histogram.percentile h 1.0);
-  check Alcotest.int "low quantiles unaffected by overflow" 30
-    (Stats.Histogram.percentile h 0.5)
+  check Alcotest.int "q=1 follows the new maximum" 1234 (Stats.Histogram.percentile h 1.0);
+  check Alcotest.int "lower quantiles unaffected" 27 (Stats.Histogram.percentile h 0.5);
+  (* the top bucket never reports past the largest sample *)
+  Stats.Histogram.add h max_int;
+  check Alcotest.int "max_int" max_int (Stats.Histogram.percentile h 1.0);
+  check Alcotest.int "q above 1 reads as 1" max_int (Stats.Histogram.percentile h 1.5);
+  check Alcotest.int "q=0 still the smallest" 25 (Stats.Histogram.percentile h 0.0)
 
 let test_throughput () =
   check (Alcotest.float 1.0) "1000 ops in 1000 cycles at 1 GHz"
