@@ -342,9 +342,11 @@ let member k = function Obj fields -> assoc k fields | _ -> None
 
 let str = function Str s -> Some s | _ -> None
 
+(* [-2^62, 2^62) is the int range: [int_of_float] outside it is not
+   the float's value. *)
 let int = function
   | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
+  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Some (int_of_float f)
   | _ -> None
 
 let number = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None

@@ -31,7 +31,9 @@ val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on anything else. *)
 
 val int : t -> int option
-(** Accepts [Int] and integral [Float]. *)
+(** Accepts [Int], and a [Float] that is integral and in the int range,
+    from -2^62 up to but not including 2^62; so [int (Float f) = Some n]
+    only when [float_of_int n = f]. *)
 
 val number : t -> float option
 val list : t -> t list option

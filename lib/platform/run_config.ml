@@ -25,58 +25,6 @@ let core_list t =
   let a, b = t.cores in
   [ a; b ]
 
-(* ---------- wire codec (service job/request serialization) ---------- *)
-
-let to_kv t =
-  let a, b = t.cores in
-  [
-    ("platform", t.cfg.Armb_cpu.Config.name);
-    ("cores", Printf.sprintf "%d,%d" a b);
-    ("seed", string_of_int t.seed);
-    ("trials", string_of_int t.trials);
-  ]
-
-let of_kv ?(defaults = make Platform.kunpeng916) kv =
-  let find k = List.assoc_opt k kv in
-  let ( let* ) = Result.bind in
-  let* cfg =
-    match find "platform" with
-    | None -> Ok defaults.cfg
-    | Some name -> (
-      match Platform.by_name name with
-      | Some cfg -> Ok cfg
-      | None ->
-        Error
-          (Printf.sprintf "unknown platform %S (try: %s)" name
-             (String.concat ", " Platform.names)))
-  in
-  let* cores =
-    match find "cores" with
-    | None ->
-      (* a platform switch invalidates an inherited core pair *)
-      Ok (if cfg == defaults.cfg then defaults.cores else default_cores cfg)
-    | Some s -> (
-      match String.split_on_char ',' s with
-      | [ a; b ] -> (
-        match (int_of_string_opt (String.trim a), int_of_string_opt (String.trim b)) with
-        | Some a, Some b -> Ok (a, b)
-        | _ -> Error (Printf.sprintf "cores %S is not \"A,B\"" s))
-      | _ -> Error (Printf.sprintf "cores %S is not \"A,B\"" s))
-  in
-  let int_field k default =
-    match find k with
-    | None -> Ok default
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "%s %S is not an integer" k s))
-  in
-  let* seed = int_field "seed" defaults.seed in
-  let* trials = int_field "trials" defaults.trials in
-  match make ~cores ~seed ~trials cfg with
-  | rc -> Ok rc
-  | exception Invalid_argument m -> Error m
-
 let pp ppf t =
   let a, b = t.cores in
   Format.fprintf ppf "%s cores=(%d,%d) seed=%d trials=%d" t.cfg.Armb_cpu.Config.name a b t.seed

@@ -24,16 +24,4 @@ val make : ?cores:int * int -> ?seed:int -> ?trials:int -> Armb_cpu.Config.t -> 
 val core_list : t -> int list
 (** The two bound cores as a list (for multi-core harness specs). *)
 
-val to_kv : t -> (string * string) list
-(** Flat wire form: [("platform", name); ("cores", "A,B");
-    ("seed", n); ("trials", n)] — the request codec the job service
-    serializes run coordinates with. *)
-
-val of_kv : ?defaults:t -> (string * string) list -> (t, string) result
-(** Inverse of {!to_kv}; absent keys fall back to [defaults]
-    (kunpeng916 with {!make}'s defaults when not given).  When the
-    platform changes but no explicit cores are given, the core pair is
-    re-derived from the new topology rather than inherited.  All
-    {!make} validation applies; errors are returned, not raised. *)
-
 val pp : Format.formatter -> t -> unit

@@ -2,10 +2,57 @@ module Lang = Armb_litmus.Lang
 module Cfg = Armb_litmus.Cfg
 module AM = Armb_core.Abstracted_model
 module RC = Armb_platform.Run_config
+module Platform = Armb_platform.Platform
 
 let ( let* ) = Result.bind
 
-let required what = function Some v -> Ok v | None -> Error ("missing " ^ what)
+(* ------------------------------------------------------------------ *)
+(* Reading a field.
+
+   [field ?default ~ty dec k j] is the one way a request field is read.
+   An absent field takes [default], or is missing when there is none.  A
+   present field decodes with [dec], or is an error that names the field,
+   what it must be ([ty]) and the value it had: a value of the wrong type
+   is never read as absent. *)
+
+let field ?default ~ty dec k j =
+  match Json.member k j with
+  | None -> (
+    match default with Some d -> Ok d | None -> Error (Printf.sprintf "missing %S" k))
+  | Some v -> (
+    match dec v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "%S is not %s (got %s)" k ty (Json.to_string v)))
+
+let str = function Json.Str s -> Some s | _ -> None
+let bool = function Json.Bool b -> Some b | _ -> None
+
+(* For an optional field with no default: absent reads as [None]. *)
+let opt dec v = Option.map Option.some (dec v)
+
+(* A string that names one of a fixed set. *)
+let named of_name v = Option.bind (str v) of_name
+
+let one_of names = "one of " ^ String.concat ", " names
+
+let unit_interval v =
+  match Json.number v with Some f when f >= 0.0 && f <= 1.0 -> Some f | _ -> None
+
+let list_of dec = function
+  | Json.List l ->
+    List.fold_right
+      (fun v acc -> match (dec v, acc) with Some x, Some tl -> Some (x :: tl) | _ -> None)
+      l (Some [])
+  | _ -> None
+
+let nonempty dec v = match list_of dec v with Some (_ :: _) as l -> l | _ -> None
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: tl ->
+    let* y = f x in
+    let* tl = map_result f tl in
+    Ok (y :: tl)
 
 (* ------------------------------------------------------------------ *)
 (* Inline tests and CFG programs on the wire.
@@ -50,100 +97,80 @@ let instr_to_json = function
       @ match addr_dep with Some r -> [ ("addr_dep", Json.Str r) ] | None -> [])
   | Lang.Fence f -> Json.Obj [ ("op", Json.Str "fence"); ("fence", Json.Str (fence_to_wire f)) ]
 
-let bool_field ?(default = false) k j =
-  match Json.member k j with
-  | None -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "%S is not a boolean" k)
-
 let instr_of_json j =
-  let* op = required "instruction \"op\"" (Json.mem_str "op" j) in
-  let addr_dep = Json.mem_str "addr_dep" j in
+  let* op = field ~ty:"a string" str "op" j in
   match op with
   | "ld" ->
-    let* var = required "load \"var\"" (Json.mem_str "var" j) in
-    let* reg = required "load \"reg\"" (Json.mem_str "reg" j) in
-    let* acquire = bool_field "acquire" j in
+    let* var = field ~ty:"a string" str "var" j in
+    let* reg = field ~ty:"a string" str "reg" j in
+    let* acquire = field ~default:false ~ty:"a boolean" bool "acquire" j in
+    let* addr_dep = field ~default:None ~ty:"a string" (opt str) "addr_dep" j in
     Ok (Lang.Load { var; reg; acquire; addr_dep })
   | "st" ->
-    let* var = required "store \"var\"" (Json.mem_str "var" j) in
+    let* var = field ~ty:"a string" str "var" j in
+    let* const = field ~default:None ~ty:"an integer" (opt Json.int) "const" j in
+    let* from_reg = field ~default:None ~ty:"a string" (opt str) "from_reg" j in
     let* v =
-      match (Json.mem_int "const" j, Json.mem_str "from_reg" j) with
+      match (const, from_reg) with
       | Some k, None -> Ok (Lang.Const (Int64.of_int k))
       | None, Some r -> Ok (Lang.Reg r)
       | None, None -> Error "store needs \"const\" or \"from_reg\""
       | Some _, Some _ -> Error "store has both \"const\" and \"from_reg\""
     in
-    let* release = bool_field "release" j in
+    let* release = field ~default:false ~ty:"a boolean" bool "release" j in
+    let* addr_dep = field ~default:None ~ty:"a string" (opt str) "addr_dep" j in
     Ok (Lang.Store { var; v; release; addr_dep })
   | "fence" ->
-    let* f = required "fence \"fence\"" (Json.mem_str "fence" j) in
-    required (Printf.sprintf "valid fence (got %S)" f) (fence_of_wire f)
-    |> Result.map (fun f -> Lang.Fence f)
+    let* f =
+      field ~ty:"dmb, dmb.st, dmb.ld, dsb or ctrl+isb" (named fence_of_wire) "fence" j
+    in
+    Ok (Lang.Fence f)
   | op -> Error (Printf.sprintf "unknown instruction op %S" op)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: tl ->
-    let* y = f x in
-    let* tl = map_result f tl in
-    Ok (y :: tl)
-
-let pairs_of_json what j =
-  match j with
-  | Json.List l ->
-    map_result
-      (function
-        | Json.List [ Json.Str k; v ] -> (
-          match Json.int v with
-          | Some n -> Ok (k, Int64.of_int n)
-          | None -> Error (Printf.sprintf "%s: value for %S is not an integer" what k))
-        | _ -> Error (Printf.sprintf "%s entries must be [name, int] pairs" what))
-      l
-  | _ -> Error (Printf.sprintf "%s must be a list" what)
 
 let pairs_to_json l =
   Json.List
     (List.map (fun (k, v) -> Json.List [ Json.Str k; Json.Int (Int64.to_int v) ]) l)
 
+(* ["init"] and ["interesting_when"] entries: [[name, int]]. *)
+let pairs =
+  list_of (function
+    | Json.List [ Json.Str k; v ] -> Option.map (fun n -> (k, Int64.of_int n)) (Json.int v)
+    | _ -> None)
+
+let pairs_ty = "a list of [name, integer] pairs"
+
 let interesting_of_conds conds =
   if conds = [] then fun _ -> false
   else fun lookup -> List.for_all (fun (k, v) -> lookup k = v) conds
 
+(* The fields inline tests and programs share; [thread] decodes one
+   entry of ["threads"]. *)
+let inline_of_json ~thread j make =
+  let* name = field ~ty:"a string" str "name" j in
+  let* description = field ~default:"" ~ty:"a string" str "description" j in
+  let* init = field ~default:[] ~ty:pairs_ty pairs "init" j in
+  let* threads = field ~ty:"a list" Json.list "threads" j in
+  let* threads = map_result thread threads in
+  let* expect_tso = field ~default:false ~ty:"a boolean" bool "expect_tso" j in
+  let* expect_wmm = field ~default:false ~ty:"a boolean" bool "expect_wmm" j in
+  Ok (make ~name ~description ~init ~threads ~expect_tso ~expect_wmm)
+
 let test_inline_of_json j =
-  let* name = required "inline test \"name\"" (Json.mem_str "name" j) in
-  let* init =
-    match Json.member "init" j with
-    | None -> Ok []
-    | Some l -> pairs_of_json "\"init\"" l
-  in
-  let* threads =
-    match Json.member "threads" j with
-    | Some (Json.List ths) ->
-      map_result
-        (function
-          | Json.List instrs -> map_result instr_of_json instrs
-          | _ -> Error "each thread must be a list of instructions")
-        ths
-    | _ -> Error "inline test needs a \"threads\" list"
-  in
-  let* conds =
-    match Json.member "interesting_when" j with
-    | None -> Ok []
-    | Some l -> pairs_of_json "\"interesting_when\"" l
-  in
-  let* expect_tso = bool_field "expect_tso" j in
-  let* expect_wmm = bool_field "expect_wmm" j in
-  Ok
-    {
-      Lang.name;
-      description = Option.value ~default:"" (Json.mem_str "description" j);
-      init;
-      threads;
-      interesting = interesting_of_conds conds;
-      expect_tso;
-      expect_wmm;
-    }
+  let* conds = field ~default:[] ~ty:pairs_ty pairs "interesting_when" j in
+  inline_of_json j
+    ~thread:(function
+      | Json.List instrs -> map_result instr_of_json instrs
+      | _ -> Error "each thread must be a list of instructions")
+    (fun ~name ~description ~init ~threads ~expect_tso ~expect_wmm ->
+      {
+        Lang.name;
+        description;
+        init;
+        threads;
+        interesting = interesting_of_conds conds;
+        expect_tso;
+        expect_wmm;
+      })
 
 let test_inline_to_json ~interesting_when (t : Lang.test) =
   Json.Obj
@@ -171,67 +198,47 @@ let term_to_json = function
     Json.Obj [ ("branch", Json.List [ Json.Str reg; Json.Str if_nonzero; Json.Str if_zero ]) ]
 
 let term_of_json = function
-  | Json.Str "ret" -> Ok Cfg.Return
+  | Json.Str "ret" -> Some Cfg.Return
   | Json.Obj _ as j -> (
-    match (Json.mem_str "goto" j, Json.member "branch" j) with
-    | Some l, None -> Ok (Cfg.Goto l)
-    | None, Some (Json.List [ Json.Str reg; Json.Str nz; Json.Str z ]) ->
-      Ok (Cfg.Branch { reg; if_nonzero = nz; if_zero = z })
-    | _ -> Error "terminator must be \"ret\", {goto}, or {branch:[reg,nz,z]}")
-  | _ -> Error "terminator must be \"ret\", {goto}, or {branch:[reg,nz,z]}"
+    match (Json.member "goto" j, Json.member "branch" j) with
+    | Some (Json.Str l), None -> Some (Cfg.Goto l)
+    | None, Some (Json.List [ Json.Str reg; Json.Str if_nonzero; Json.Str if_zero ]) ->
+      Some (Cfg.Branch { reg; if_nonzero; if_zero })
+    | _ -> None)
+  | _ -> None
 
 let block_of_json j =
-  let* label = required "block \"label\"" (Json.mem_str "label" j) in
-  let* body =
-    match Json.member "body" j with
-    | Some (Json.List instrs) -> map_result instr_of_json instrs
-    | _ -> Error "block needs a \"body\" list"
-  in
+  let* label = field ~ty:"a string" str "label" j in
+  let* body = field ~ty:"a list" Json.list "body" j in
+  let* body = map_result instr_of_json body in
   let* term =
-    match Json.member "term" j with
-    | None -> Ok Cfg.Return
-    | Some t -> term_of_json t
+    field ~default:Cfg.Return ~ty:{|"ret", {goto} or {branch:[reg,nz,z]}|} term_of_json "term" j
   in
   Ok { Cfg.label; body; term }
+
+let cfg_thread_of_json j =
+  let* entry = field ~ty:"a string" str "entry" j in
+  let* blocks = field ~ty:"a list" Json.list "blocks" j in
+  let* blocks = map_result block_of_json blocks in
+  Ok { Cfg.entry; blocks }
 
 (* Programs on the wire always carry the trivially-false predicate —
    [Opt] jobs compare WMM-reachable outcome {e sets}, which never
    consult it — so no "interesting_when" field exists here; see
    {!Key.canonical_program} for why this keeps keying sound. *)
 let program_of_json j =
-  let* name = required "program \"name\"" (Json.mem_str "name" j) in
-  let* init =
-    match Json.member "init" j with
-    | None -> Ok []
-    | Some l -> pairs_of_json "\"init\"" l
-  in
-  let* threads =
-    match Json.member "threads" j with
-    | Some (Json.List ths) ->
-      map_result
-        (fun th ->
-          let* entry = required "thread \"entry\"" (Json.mem_str "entry" th) in
-          let* blocks =
-            match Json.member "blocks" th with
-            | Some (Json.List bs) -> map_result block_of_json bs
-            | _ -> Error "thread needs a \"blocks\" list"
-          in
-          Ok { Cfg.entry; blocks })
-        ths
-    | _ -> Error "program needs a \"threads\" list"
-  in
-  let* expect_tso = bool_field "expect_tso" j in
-  let* expect_wmm = bool_field "expect_wmm" j in
-  let p =
-    {
-      Cfg.name;
-      description = Option.value ~default:"" (Json.mem_str "description" j);
-      init;
-      threads;
-      interesting = (fun _ -> false);
-      expect_tso;
-      expect_wmm;
-    }
+  let* p =
+    inline_of_json j ~thread:cfg_thread_of_json
+      (fun ~name ~description ~init ~threads ~expect_tso ~expect_wmm ->
+        {
+          Cfg.name;
+          description;
+          init;
+          threads;
+          interesting = (fun _ -> false);
+          expect_tso;
+          expect_wmm;
+        })
   in
   match Cfg.validate p with Ok () -> Ok p | Error m -> Error ("invalid program: " ^ m)
 
@@ -268,37 +275,39 @@ let program_to_json (p : Cfg.program) =
 
 (* ------------------------------------------------------------------ *)
 
-let test_field j =
-  match Json.member "test_inline" j with
-  | Some inline -> test_inline_of_json inline
-  | None -> (
-    let* name = required "\"test\" or \"test_inline\"" (Json.mem_str "test" j) in
-    match Armb_litmus.Catalogue.find name with
-    | Some t -> Ok t
-    | None ->
-      Error
-        (Printf.sprintf "unknown test %S (try: %s)" name
-           (String.concat ", "
-              (List.map (fun (t : Lang.test) -> t.Lang.name) Armb_litmus.Catalogue.all))))
+let catalogue_tests =
+  one_of (List.map (fun (t : Lang.test) -> t.Lang.name) Armb_litmus.Catalogue.all)
 
-let mem_ops_of_string = function
+let test_field j =
+  let* inline =
+    field ~default:None ~ty:"an object"
+      (function Json.Obj _ as t -> Some (Some (test_inline_of_json t)) | _ -> None)
+      "test_inline" j
+  in
+  match inline with
+  | Some t -> t
+  | None -> field ~ty:catalogue_tests (named Armb_litmus.Catalogue.find) "test" j
+
+let mem_ops_of_string s =
+  match String.lowercase_ascii s with
   | "no-mem" -> Some AM.No_mem
   | "st-st" | "store-store" -> Some AM.Store_store
   | "ld-st" | "load-store" -> Some AM.Load_store
   | "ld-ld" | "load-load" -> Some AM.Load_load
   | _ -> None
 
-let int_field ?default k j =
-  match Json.member k j with
-  | None -> (
-    match default with Some d -> Ok d | None -> Error (Printf.sprintf "missing %S" k))
-  | Some v -> (
-    match Json.int v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "%S is not an integer" k))
+let approaches = one_of (List.map fst Armb_core.Ordering.named)
+
+let location_of_json v =
+  match Json.int v with Some 1 -> Some AM.Loc1 | Some 2 -> Some AM.Loc2 | _ -> None
+
+let algorithm_of_json v =
+  match str v with
+  | Some a when Option.is_some (Armb_opt.Optimizer.algorithm_of_string a) -> Some a
+  | _ -> None
 
 let spec_of_json j =
-  let* kind = required "\"kind\"" (Json.mem_str "kind" j) in
+  let* kind = field ~ty:"a string" str "kind" j in
   match String.lowercase_ascii kind with
   | "litmus" ->
     let* t = test_field j in
@@ -308,159 +317,100 @@ let spec_of_json j =
     Ok (Job.Check t)
   | "fix" ->
     let* t = test_field j in
-    let* max_edits = int_field ~default:3 "max_edits" j in
-    let* budget = int_field ~default:4000 "budget" j in
+    let* max_edits = field ~default:3 ~ty:"an integer" Json.int "max_edits" j in
+    let* budget = field ~default:4000 ~ty:"an integer" Json.int "budget" j in
     Ok (Job.Fix { test = t; max_edits; budget })
   | "model" ->
-    let* mem_ops_s = required "\"mem_ops\"" (Json.mem_str "mem_ops" j) in
     let* mem_ops =
-      required (Printf.sprintf "valid \"mem_ops\" (got %S)" mem_ops_s)
-        (mem_ops_of_string (String.lowercase_ascii mem_ops_s))
+      field ~ty:"no-mem, st-st, ld-st or ld-ld" (named mem_ops_of_string) "mem_ops" j
     in
-    let* approach_s = required "\"approach\"" (Json.mem_str "approach" j) in
-    let* approach =
-      required
-        (Printf.sprintf "valid \"approach\" (got %S; try: %s)" approach_s
-           (String.concat ", " (List.map fst Armb_core.Ordering.named)))
-        (Armb_core.Ordering.of_name approach_s)
-    in
-    let* loc = int_field ~default:1 "location" j in
-    let* location =
-      match loc with
-      | 1 -> Ok AM.Loc1
-      | 2 -> Ok AM.Loc2
-      | n -> Error (Printf.sprintf "\"location\" must be 1 or 2, got %d" n)
-    in
-    let* nops = int_field ~default:100 "nops" j in
-    let* iters = int_field ~default:300 "iters" j in
-    let label =
-      match Json.mem_str "label" j with
-      | Some l -> l
-      | None -> Armb_core.Ordering.to_string approach
-    in
-    Ok (Job.Model { label; mem_ops; approach; location; nops; iters })
+    let* approach = field ~ty:approaches (named Armb_core.Ordering.of_name) "approach" j in
+    let* location = field ~default:AM.Loc1 ~ty:"1 or 2" location_of_json "location" j in
+    let* nops = field ~default:100 ~ty:"an integer" Json.int "nops" j in
+    let* iters = field ~default:300 ~ty:"an integer" Json.int "iters" j in
+    Ok (Job.Model { mem_ops; approach; location; nops; iters })
   | "ring" ->
-    let* combo = required "\"combo\"" (Json.mem_str "combo" j) in
-    let* messages = int_field ~default:500 "messages" j in
+    let* combo = field ~ty:"a string" str "combo" j in
+    let* messages = field ~default:500 ~ty:"an integer" Json.int "messages" j in
     Ok (Job.Ring { combo; messages })
   | "fuzz" ->
-    let* tests = int_field ~default:10 "tests" j in
+    let* tests = field ~default:10 ~ty:"an integer" Json.int "tests" j in
     Ok (Job.Fuzz { tests })
   | "perturb" ->
     let* t = test_field j in
     let* intensities =
-      match Json.member "intensities" j with
-      | None -> Ok [ 0.5 ]
-      | Some (Json.List l) ->
-        map_result
-          (fun v ->
-            match Json.number v with
-            | Some f when f >= 0.0 && f <= 1.0 -> Ok f
-            | Some f -> Error (Printf.sprintf "intensity %g outside [0,1]" f)
-            | None -> Error "\"intensities\" entries must be numbers")
-          l
-      | Some _ -> Error "\"intensities\" must be a list"
+      field ~default:[ 0.5 ] ~ty:"a non-empty list of numbers in [0,1]"
+        (nonempty unit_interval) "intensities" j
     in
     let* plan_seeds =
-      match Json.member "plan_seeds" j with
-      | None -> Ok [ 1 ]
-      | Some (Json.List l) ->
-        map_result
-          (fun v ->
-            match Json.int v with
-            | Some n -> Ok n
-            | None -> Error "\"plan_seeds\" entries must be integers")
-          l
-      | Some _ -> Error "\"plan_seeds\" must be a list"
+      field ~default:[ 1 ] ~ty:"a non-empty list of integers" (nonempty Json.int)
+        "plan_seeds" j
     in
-    if intensities = [] || plan_seeds = [] then
-      Error "\"intensities\" and \"plan_seeds\" must be non-empty"
-    else Ok (Job.Perturb { test = t; intensities; plan_seeds })
+    Ok (Job.Perturb { test = t; intensities; plan_seeds })
   | "opt" ->
     let* program =
-      match Json.member "program" j with
-      | Some (Json.Str name) ->
-        required
-          (Printf.sprintf "known program (got %S)" name)
-          (Armb_opt.Optimizer.find_input name)
-      | Some (Json.Obj _ as p) -> program_of_json p
-      | Some _ -> Error "\"program\" must be a name or an inline object"
-      | None -> Error "missing \"program\""
+      field ~ty:"a known program name or an inline object"
+        (function
+          | Json.Str name -> Option.map Result.ok (Armb_opt.Optimizer.find_input name)
+          | Json.Obj _ as p -> Some (program_of_json p)
+          | _ -> None)
+        "program" j
     in
+    let* program = program in
     let* algorithm =
-      match Json.mem_str "algorithm" j with
-      | None -> Ok "second-chance"
-      | Some a -> (
-        match Armb_opt.Optimizer.algorithm_of_string a with
-        | Some _ -> Ok a
-        | None -> Error (Printf.sprintf "unknown algorithm %S" a))
+      field ~default:"second-chance" ~ty:"single-bb, linear-scan or second-chance"
+        algorithm_of_json "algorithm" j
     in
-    let* unroll = int_field ~default:2 "unroll" j in
+    let* unroll = field ~default:2 ~ty:"an integer" Json.int "unroll" j in
     Ok (Job.Opt { program; algorithm; unroll })
   | k -> Error (Printf.sprintf "unknown kind %S" k)
 
-(* ["cores"] in its two wire spellings, normalized to Run_config's
-   "A,B"; the string form is checked by Run_config.of_kv. *)
-let cores_of_json v =
-  let bad () =
-    Error (Printf.sprintf "\"cores\" must be [A,B] or \"A,B\", got %s" (Json.to_string v))
-  in
-  match v with
-  | Json.List [ a; b ] -> (
-    match (Json.int a, Json.int b) with
-    | Some a, Some b -> Ok (Printf.sprintf "%d,%d" a b)
-    | _ -> bad ())
-  | Json.Str s -> Ok s
-  | _ -> bad ()
+let platforms = one_of Platform.names
 
+(* ["cores"] in its two spellings, [[A,B]] and ["A,B"]. *)
+let cores_of_json v =
+  let pair a b = match (a, b) with Some a, Some b -> Some (a, b) | _ -> None in
+  match v with
+  | Json.List [ a; b ] -> pair (Json.int a) (Json.int b)
+  | Json.Str s -> (
+    match String.split_on_char ',' s with
+    | [ a; b ] -> pair (int_of_string_opt (String.trim a)) (int_of_string_opt (String.trim b))
+    | _ -> None)
+  | _ -> None
+
+(* A platform given without cores runs on that platform's default pair. *)
 let rc_of_json j =
-  let kv = ref [] in
-  (match Json.mem_str "platform" j with
-  | Some p -> kv := ("platform", p) :: !kv
-  | None -> ());
-  let* () =
-    match Json.member "cores" j with
-    | Some v -> Result.map (fun c -> kv := ("cores", c) :: !kv) (cores_of_json v)
-    | None -> Ok ()
+  let* cfg =
+    field ~default:Platform.kunpeng916 ~ty:platforms (named Platform.by_name) "platform" j
   in
-  (match Json.mem_int "seed" j with
-  | Some s -> kv := ("seed", string_of_int s) :: !kv
-  | None -> ());
-  (match Json.mem_int "trials" j with
-  | Some s -> kv := ("trials", string_of_int s) :: !kv
-  | None -> ());
-  RC.of_kv ~defaults:(RC.make ~seed:42 ~trials:40 Armb_platform.Platform.kunpeng916) !kv
+  let* cores = field ~default:None ~ty:{|[A,B] or "A,B"|} (opt cores_of_json) "cores" j in
+  let* seed = field ~default:42 ~ty:"an integer" Json.int "seed" j in
+  let* trials = field ~default:40 ~ty:"an integer" Json.int "trials" j in
+  match RC.make ?cores ~seed ~trials cfg with
+  | rc -> Ok rc
+  | exception Invalid_argument m -> Error m
+
+let id_field ~default_id j =
+  field ~default:default_id ~ty:"a string or an integer"
+    (function Json.Str s -> Some s | v -> Option.map string_of_int (Json.int v))
+    "id" j
+
+let client_field j = field ~default:"anon" ~ty:"a string" str "client" j
 
 let envelope ?(default_id = "?") j =
-  let id =
-    match Json.member "id" j with
-    | Some (Json.Str s) -> s
-    | Some (Json.Int n) -> string_of_int n
-    | _ -> default_id
-  in
-  (id, Option.value ~default:"anon" (Json.mem_str "client" j))
+  ( Result.value (id_field ~default_id j) ~default:default_id,
+    Result.value (client_field j) ~default:"anon" )
 
-let request_of_json ?default_id j =
-  let id, client = envelope ?default_id j in
+let request_of_json ?(default_id = "?") j =
+  let* id = id_field ~default_id j in
+  let* client = client_field j in
   let* priority =
-    match Json.mem_str "priority" j with
-    | None -> Ok Engine.Normal
-    | Some p ->
-      required
-        (Printf.sprintf "valid \"priority\" (got %S)" p)
-        (Engine.priority_of_string p)
+    field ~default:Engine.Normal ~ty:"high, normal or low" (named Engine.priority_of_string)
+      "priority" j
   in
   let* spec = spec_of_json j in
   let* rc = rc_of_json j in
-  let* fault =
-    match Json.member "fault" j with
-    | None -> Ok 0.0
-    | Some v -> (
-      match Json.number v with
-      | Some f when f >= 0.0 && f <= 1.0 -> Ok f
-      | Some f -> Error (Printf.sprintf "\"fault\" %g outside [0,1]" f)
-      | None -> Error "\"fault\" is not a number")
-  in
+  let* fault = field ~default:0.0 ~ty:"a number in [0,1]" unit_interval "fault" j in
   Ok { Engine.id; client; priority; job = { Job.spec; rc; fault } }
 
 let request_of_line ?default_id line =

@@ -1,12 +1,22 @@
 (** NDJSON wire codec for the service.
 
-    One request per line.  Common fields (all optional unless noted):
-    ["id"] (string or number; defaults to the line number assigned by
-    the caller), ["client"] (default "anon"), ["priority"]
-    ("high"|"normal"|"low", default normal), ["platform"], ["cores"]
-    ([[a,b]] array or "a,b" string), ["seed"], ["trials"] (run
-    coordinates, decoded through {!Armb_platform.Run_config.of_kv}),
-    ["fault"] (intensity in [0,1], default 0).
+    One request per line.  Every field is read the same way.  An absent
+    field takes its default, or the request is an error [missing "k"]
+    when the field has none.  A present field of the wrong type, or
+    outside the values it may take, is an error that names the field,
+    what it must be and the value it had, as in
+    ["trials" is not an integer (got "5")]; it is never read as absent.
+    An integer is a JSON integer, or an integral number from -2^62 up
+    to but not including 2^62.  Unknown keys are ignored.
+
+    Common fields (all optional unless noted): ["id"] (string or
+    integer; defaults to the line number assigned by the caller),
+    ["client"] (default "anon"), ["priority"] ("high"|"normal"|"low",
+    default normal), ["platform"] (default kunpeng916), ["cores"]
+    ([[a,b]] array or "a,b" string; default the platform's
+    {!Armb_platform.Run_config.default_cores}), ["seed"] (default 42),
+    ["trials"] (default 40), ["fault"] (intensity in [0,1], default 0).
+    The run coordinates are checked by {!Armb_platform.Run_config.make}.
 
     Kind-specific fields (["kind"] is required):
     - ["litmus"] | ["check"] | ["fix"] | ["perturb"]: ["test"] —
@@ -49,8 +59,8 @@
 
 val envelope : ?default_id:string -> Json.t -> string * string
 (** The request's [(id, client)] as every response to it echoes them:
-    ["id"] (string or number, else [default_id], default ["?"]) and
-    ["client"] (default ["anon"]).  Total: a value that is not an
+    ["id"] (string or integer, else [default_id], default ["?"]) and
+    ["client"] (a string, else ["anon"]).  Total: a value that is not an
     object yields [(default_id, "anon")]. *)
 
 val request_of_json :

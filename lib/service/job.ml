@@ -8,7 +8,6 @@ type spec =
   | Litmus of Lang.test
   | Check of Lang.test
   | Model of {
-      label : string;
       mem_ops : AM.mem_ops;
       approach : Armb_core.Ordering.t;
       location : AM.location;
@@ -48,8 +47,9 @@ let label t =
   match t.spec with
   | Litmus test -> "litmus " ^ test.Lang.name
   | Check test -> "check " ^ test.Lang.name
-  | Model { label; mem_ops; nops; _ } ->
-    Printf.sprintf "model %s %s nops=%d" (mem_ops_tag mem_ops) label nops
+  | Model { mem_ops; approach; nops; _ } ->
+    Printf.sprintf "model %s %s nops=%d" (mem_ops_tag mem_ops)
+      (Armb_core.Ordering.to_string approach) nops
   | Ring { combo; messages } -> Printf.sprintf "ring %s n=%d" combo messages
   | Fuzz { tests } -> Printf.sprintf "fuzz tests=%d" tests
   | Fix { test; _ } -> "fix " ^ test.Lang.name
@@ -95,7 +95,7 @@ let key t =
   | Check test ->
     str "check\n";
     str (Key.canonical_test test)
-  | Model { mem_ops; approach; location; nops; iters; label = _ } ->
+  | Model { mem_ops; approach; location; nops; iters } ->
     (* validate the spec now so a job that cannot run fails at submit *)
     ignore (model_spec t.rc ~mem_ops ~approach ~location ~nops ~iters);
     str "model|";
@@ -200,14 +200,14 @@ let run t =
       + match stripped with Some r -> r.Sim.cycles | None -> 0
     in
     { text = Format.asprintf "%a\n" Sim.pp_check_row row; events; cycles }
-  | Model { label; mem_ops; approach; location; nops; iters } ->
+  | Model { mem_ops; approach; location; nops; iters } ->
     let spec = model_spec rc ~mem_ops ~approach ~location ~nops ~iters in
     let cycles, events = AM.run_stats spec in
     let a, b = rc.cores in
     {
       text =
-        Printf.sprintf "%s %s (%d,%d) nops=%d cycles=%d\n" (mem_ops_tag mem_ops) label a b
-          nops cycles;
+        Printf.sprintf "%s %s (%d,%d) nops=%d cycles=%d\n" (mem_ops_tag mem_ops)
+          (Armb_core.Ordering.to_string approach) a b nops cycles;
       events;
       cycles;
     }

@@ -19,7 +19,6 @@ type spec =
       (** outcome histogram on the timing simulator ({!Armb_litmus.Sim_runner}) *)
   | Check of Lang.test  (** happens-before sanitizer verdict row *)
   | Model of {
-      label : string;  (** display name for the rendering (not keyed) *)
       mem_ops : AM.mem_ops;
       approach : Armb_core.Ordering.t;
       location : AM.location;

@@ -231,7 +231,7 @@ let job_key (t : Job.t) =
   | Check test ->
     Buffer.add_string b "check\n";
     Buffer.add_string b (canonical_test test)
-  | Model { mem_ops; approach; location; nops; iters; label = _ } ->
+  | Model { mem_ops; approach; location; nops; iters } ->
     Buffer.add_string b
       (Printf.sprintf "model|%s|%s|%d|%d|%d\n" (mem_ops_tag mem_ops)
          (Armb_core.Ordering.to_string approach)

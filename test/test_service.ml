@@ -507,7 +507,7 @@ let golden_jobs () =
         iters = 300;
       }
     in
-    Printf.sprintf "st-st dmb-full-1 (%d,%d) nops=100 cycles=%d\n"
+    Printf.sprintf "st-st DMB full (%d,%d) nops=100 cycles=%d\n"
       (fst rc40.RC.cores) (snd rc40.RC.cores) (AM.run_cycles spec)
   in
   [
@@ -516,7 +516,6 @@ let golden_jobs () =
         Job.spec =
           Job.Model
             {
-              label = "dmb-full-1";
               mem_ops = AM.Store_store;
               approach = Ordering.Bar (Barrier.Dmb Full);
               location = AM.Loc1;
@@ -614,7 +613,7 @@ let test_codec_errors () =
   in
   let bad_cores v =
     bad
-      ~mentions:(Printf.sprintf {|"cores" must be [A,B] or "A,B", got %s|} v)
+      ~mentions:(Printf.sprintf {|"cores" is not [A,B] or "A,B" (got %s)|} v)
       ("cores " ^ v)
       (Printf.sprintf {|{"kind":"litmus","test":"SB","cores":%s}|} v)
   in
@@ -662,24 +661,103 @@ let test_json_parser () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated input must be rejected"
 
-let test_run_config_kv () =
-  let r = RC.make ~cores:(1, 5) ~seed:9 ~trials:77 P.kirin960 in
-  match RC.of_kv (RC.to_kv r) with
-  | Error e -> Alcotest.fail e
-  | Ok r' ->
-    check Alcotest.string "platform survives" r.RC.cfg.Armb_cpu.Config.name
-      r'.RC.cfg.Armb_cpu.Config.name;
-    check Alcotest.(pair int int) "cores survive" r.RC.cores r'.RC.cores;
-    check Alcotest.int "seed survives" r.RC.seed r'.RC.seed;
-    check Alcotest.int "trials survive" r.RC.trials r'.RC.trials;
-    (* switching platform without explicit cores re-derives the default
-       far-half placement for the new machine *)
-    match RC.of_kv ~defaults:r [ ("platform", "raspberrypi4") ] with
-    | Error e -> Alcotest.fail e
-    | Ok r2 ->
-      check Alcotest.(pair int int) "cores re-derived"
-        (RC.default_cores (Option.get (P.by_name "raspberrypi4")))
-        r2.RC.cores
+(* Every field the codec reads, given a value of the wrong type, is an
+   error naming that field, never read as absent.  The three 1e300
+   values are integral floats outside the int range. *)
+let test_codec_wrong_types () =
+  let litmus = {|"kind":"litmus","test":"SB"|} in
+  let inline fields = Printf.sprintf {|"kind":"litmus","test_inline":{%s}|} fields in
+  let thread = {|"threads":[[{"op":"st","var":"x","const":1}]]|} in
+  let instr i = inline (Printf.sprintf {|"name":"t","threads":[[%s]]|} i) in
+  let program fields = Printf.sprintf {|"kind":"opt","program":{%s}|} fields in
+  let entry blocks = Printf.sprintf {|"name":"p","threads":[{"entry":"a","blocks":%s}]|} blocks in
+  let block b = program (entry (Printf.sprintf "[%s]" b)) in
+  let cases =
+    [
+      ("id", litmus ^ {|,"id":true|});
+      ("client", litmus ^ {|,"client":7|});
+      ("priority", litmus ^ {|,"priority":1|});
+      ("kind", {|"kind":5|});
+      ("platform", litmus ^ {|,"platform":3|});
+      ("cores", litmus ^ {|,"cores":true|});
+      ("seed", litmus ^ {|,"seed":"seven"|});
+      ("seed", litmus ^ {|,"seed":1e300|});
+      ("trials", litmus ^ {|,"trials":"5"|});
+      ("trials", litmus ^ {|,"trials":5.5|});
+      ("fault", litmus ^ {|,"fault":"x"|});
+      ("test", {|"kind":"check","test":5|});
+      ("test_inline", {|"kind":"litmus","test_inline":"MP"|});
+      ("max_edits", {|"kind":"fix","test":"MP","max_edits":"3"|});
+      ("budget", {|"kind":"fix","test":"MP","budget":1.5|});
+      ("mem_ops", {|"kind":"model","mem_ops":5,"approach":"dmb"|});
+      ("approach", {|"kind":"model","mem_ops":"st-st","approach":5|});
+      ("location", {|"kind":"model","mem_ops":"st-st","approach":"dmb","location":"1"|});
+      ("nops", {|"kind":"model","mem_ops":"st-st","approach":"dmb","nops":"x"|});
+      ("iters", {|"kind":"model","mem_ops":"st-st","approach":"dmb","iters":true|});
+      ("combo", {|"kind":"ring","combo":5|});
+      ("messages", {|"kind":"ring","combo":"DMB ld - DMB st","messages":"5"|});
+      ("tests", {|"kind":"fuzz","tests":"x"|});
+      ("tests", {|"kind":"fuzz","tests":1e300|});
+      ("intensities", {|"kind":"perturb","test":"SB","intensities":3|});
+      ("plan_seeds", {|"kind":"perturb","test":"SB","plan_seeds":[1.5]|});
+      ("plan_seeds", {|"kind":"perturb","test":"SB","plan_seeds":[1e300]|});
+      ("program", {|"kind":"opt","program":5|});
+      ("algorithm", {|"kind":"opt","program":"MP","algorithm":5|});
+      ("unroll", {|"kind":"opt","program":"MP","unroll":"2"|});
+      ("name", inline ({|"name":5,|} ^ thread));
+      ("description", inline ({|"name":"t","description":5,|} ^ thread));
+      ("init", inline ({|"name":"t","init":[["x","a"]],|} ^ thread));
+      ("threads", inline {|"name":"t","threads":5|});
+      ("interesting_when", inline ({|"name":"t","interesting_when":"x",|} ^ thread));
+      ("expect_tso", inline ({|"name":"t","expect_tso":"yes",|} ^ thread));
+      ("expect_wmm", inline ({|"name":"t","expect_wmm":0,|} ^ thread));
+      ("op", instr {|{"op":5}|});
+      ("var", instr {|{"op":"ld","var":5,"reg":"r1"}|});
+      ("reg", instr {|{"op":"ld","var":"x","reg":5}|});
+      ("acquire", instr {|{"op":"ld","var":"x","reg":"r1","acquire":1}|});
+      ("addr_dep", instr {|{"op":"ld","var":"x","reg":"r1","addr_dep":5}|});
+      ("const", instr {|{"op":"st","var":"x","const":"1"}|});
+      ("from_reg", instr {|{"op":"st","var":"x","from_reg":5}|});
+      ("release", instr {|{"op":"st","var":"x","const":1,"release":"y"}|});
+      ("addr_dep", instr {|{"op":"st","var":"x","const":1,"addr_dep":5}|});
+      ("fence", instr {|{"op":"fence","fence":5}|});
+      ("description", program (entry {|[{"label":"a","body":[]}]|} ^ {|,"description":5|}));
+      ("entry", program {|"name":"p","threads":[{"entry":5,"blocks":[]}]|});
+      ("blocks", program (entry "5"));
+      ("label", block {|{"label":5,"body":[]}|});
+      ("body", block {|{"label":"a","body":5}|});
+      ("term", block {|{"label":"a","body":[],"term":5}|});
+    ]
+  in
+  List.iter
+    (fun (k, fields) ->
+      let line = "{" ^ fields ^ "}" in
+      match Codec.request_of_line line with
+      | Ok _ -> Alcotest.failf "%s: accepted" line
+      | Error m ->
+        if not (contains m (Printf.sprintf "%S" k)) then
+          Alcotest.failf "%s: error %S does not name %S" line m k)
+    cases
+
+(* A platform given without cores runs on that platform's default pair;
+   explicit cores, in either spelling, are kept. *)
+let test_platform_cores () =
+  let rc line =
+    match Codec.request_of_line line with
+    | Ok r -> r.Engine.job.Job.rc
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  let cores fields = (rc ({|{"kind":"litmus","test":"SB"|} ^ fields ^ "}")).RC.cores in
+  let pair = Alcotest.(pair int int) in
+  let wire = rc {|{"kind":"litmus","test":"SB"}|} in
+  check Alcotest.string "wire platform" "kunpeng916" wire.RC.cfg.Armb_cpu.Config.name;
+  check Alcotest.int "wire seed" 42 wire.RC.seed;
+  check Alcotest.int "wire trials" 40 wire.RC.trials;
+  check pair "wire cores" (RC.default_cores P.kunpeng916) wire.RC.cores;
+  check pair "platform without cores" (RC.default_cores P.raspberrypi4)
+    (cores {|,"platform":"raspberrypi4"|});
+  check pair "explicit cores kept" (1, 5) (cores {|,"platform":"kirin960","cores":[1,5]|});
+  check pair "string cores kept" (1, 5) (cores {|,"platform":"kirin960","cores":" 1, 5"|})
 
 (* ---------- scalability regressions ---------- *)
 
@@ -995,6 +1073,34 @@ let prop_json_float_contract =
           if Float.is_integer f && Float.abs f < 1e15 then g = f
           else Float.abs (g -. f) <= 1e-5 *. Float.abs f)
 
+(* [Json.int] takes a float only when it is that integer exactly: an
+   integral float past the int range is no integer. *)
+let prop_json_int_exact =
+  let near_bound =
+    QCheck.Gen.(
+      map3
+        (fun neg e d ->
+          let f = ldexp 1.0 e +. float_of_int d in
+          if neg then -.f else f)
+        bool (int_range 52 66) (int_range (-4096) 4096))
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map float_of_int int;
+          near_bound;
+          oneofl [ 0x1p62; -0x1p62; 0x1p63; -0x1p63; 1e300; -1e300; infinity; nan ];
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"json int takes exact floats only"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      match Json.int (Json.Float f) with
+      | Some n -> float_of_int n = f
+      | None -> (not (Float.is_integer f)) || Float.abs f >= 0x1p62)
+
 let () =
   Alcotest.run "service"
     [
@@ -1052,6 +1158,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_escape_reference;
           QCheck_alcotest.to_alcotest prop_json_float_contract;
-          Alcotest.test_case "run_config kv round trip" `Quick test_run_config_kv;
+          QCheck_alcotest.to_alcotest prop_json_int_exact;
+          Alcotest.test_case "wrongly typed fields are errors" `Quick test_codec_wrong_types;
+          Alcotest.test_case "platform picks its default cores" `Quick test_platform_cores;
         ] );
     ]
