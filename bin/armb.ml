@@ -109,7 +109,7 @@ let test_arg =
 
 let program_arg =
   let name (p : Armb_litmus.Cfg.program) = p.name in
-  named ~what:"program" Opt.find_input (fun () -> List.map name (Opt.sweep_inputs ())) name
+  named ~what:"program" Opt.find_input (fun () -> List.map name Opt.sweep_inputs) name
 
 let algorithm_arg =
   named ~what:"algorithm" Opt.algorithm_of_string

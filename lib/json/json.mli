@@ -21,6 +21,10 @@ val to_string : t -> string
     back exactly), as [%.6g] otherwise, and as [null] when it is nan or
     infinite. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_string}'s rendering, appended to the buffer: a caller that
+    knows a document is long sizes the buffer for it. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Trailing garbage, unterminated strings
     and malformed numbers all yield [Error] with a position message. *)

@@ -266,9 +266,12 @@ let all =
     iriw_addr;
   ]
 
+(* [all] under lowercased names, so a lookup lowercases only its query *)
+let by_name = List.map (fun t -> (String.lowercase_ascii t.name, t)) all
+
 let find name =
   let name = String.lowercase_ascii name in
-  List.find_opt (fun t -> String.lowercase_ascii t.name = name) all
+  List.find_map (fun (n, t) -> if String.equal n name then Some t else None) by_name
 
 (* ---------- control-flow tests ---------- *)
 

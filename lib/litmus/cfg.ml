@@ -377,22 +377,11 @@ let allows ?unroll model p =
   List.exists (fun o -> p.interesting (fun r -> assoc_get r o)) (reachable ?unroll model p)
 
 let slice_test ~name p (s : slice) =
+  let names = Lang.outcome_names (raw_slice_test p s) in
   let interesting o =
     (* reconstruct an outcome binding list from the lookup to reuse
        [feasible]/[project]; predicates only consult known keys *)
-    let raw = raw_slice_test p s in
-    let keys =
-      List.concat
-        (List.mapi
-           (fun th th_instrs ->
-             List.filter_map
-               (fun i ->
-                 Option.map (fun r -> Printf.sprintf "%d:%s" th r) (Lang.writes_reg i))
-               th_instrs)
-           raw.Lang.threads)
-      @ List.map (fun v -> "mem:" ^ v) (Lang.vars raw)
-    in
-    let bindings = List.sort compare (List.map (fun k -> (k, o k)) keys) in
+    let bindings = List.map (fun k -> (k, o k)) names in
     feasible s bindings
     && p.interesting (fun r -> assoc_get r (project p s bindings))
   in

@@ -55,6 +55,14 @@ let reads_regs = function
 
 let regs_of_thread th = List.filter_map writes_reg th
 
+let outcome_names t =
+  let regs i th =
+    let pre = string_of_int i ^ ":" in
+    List.map (fun r -> pre ^ r) (List.sort_uniq String.compare (regs_of_thread th))
+  in
+  List.map (fun v -> "mem:" ^ v) (vars t) @ List.concat (List.mapi regs t.threads)
+  |> List.sort String.compare
+
 let fence_to_string = function
   | F_dmb_full -> "dmb"
   | F_dmb_st -> "dmb st"

@@ -56,6 +56,11 @@ val vars : test -> string list
 val regs_of_thread : thread -> reg list
 (** Registers written by the thread's loads, in program order. *)
 
+val outcome_names : test -> string list
+(** The names an outcome of the test binds, sorted: ["mem:<var>"] for
+    each of {!vars} and ["<thread>:<reg>"] for each register that
+    thread loads — the only names [interesting] can usefully look up. *)
+
 val writes_reg : instr -> reg option
 val reads_regs : instr -> reg list
 val fence_to_string : fence -> string

@@ -198,7 +198,10 @@ let simulate ?(cfg = Armb_platform.Platform.kunpeng916) ?(trials = 200) ?(seed =
   let rng = Rng.create seed in
   let nthreads = Array.length p.threads in
   let ncores = Armb_mem.Topology.num_cores cfg.topo in
-  if nthreads > ncores then invalid_arg "Sim_runner.run: more threads than cores";
+  if nthreads > ncores then
+    invalid_arg
+      (Printf.sprintf "Sim_runner.simulate: %d threads but %s has %d cores" nthreads
+         cfg.Armb_cpu.Config.name ncores);
   let nvars = Array.length p.init in
   (* Per-call scratch: line addresses, each trial's start pause and
      padding per thread, token slots, the outcome buffer, and one body

@@ -60,7 +60,9 @@ val run :
     trial; observing changes no result.  For an inspectable Perfetto
     export pass {!Armb_cpu.Trace.observer} and run one trial ([armb
     trace --test] does).  Raises [Invalid_argument] when given both
-    [~check:true] and an [observer]: the check installs its own. *)
+    [~check:true] and an [observer]: the check installs its own; and
+    when the test has more threads than the platform has cores, naming
+    both counts and the platform. *)
 
 (** {2 The trial driver in parts}
 

@@ -234,17 +234,22 @@ let optimize ?(algorithm = Second_chance) ?(unroll = 2) ?(cost = true) ?(trials 
 
 (* Every straight-line catalogue test (lifted) and every control-flow
    test, each both as-is and over-fenced — the benchmark [armb opt]
-   and CI report on. *)
-let sweep_inputs () =
+   and CI report on.  Built once: the service looks a named program up
+   here on every request that names one. *)
+let sweep_inputs =
   let base = List.map Cfg.of_test Catalogue.all @ Catalogue.cfg_all in
   base @ List.map Passes.over_fence base
 
+(* [sweep_inputs] under lowercased names, so a lookup lowercases only its query *)
+let by_name =
+  List.map (fun (p : Cfg.program) -> (String.lowercase_ascii p.Cfg.name, p)) sweep_inputs
+
 let find_input name =
-  let lc = String.lowercase_ascii name in
-  List.find_opt (fun (p : Cfg.program) -> String.lowercase_ascii p.Cfg.name = lc) (sweep_inputs ())
+  let name = String.lowercase_ascii name in
+  List.find_map (fun (n, p) -> if String.equal n name then Some p else None) by_name
 
 let sweep ?algorithm ?unroll ?cost ?trials ?seed () =
-  List.map (optimize ?algorithm ?unroll ?cost ?trials ?seed) (sweep_inputs ())
+  List.map (optimize ?algorithm ?unroll ?cost ?trials ?seed) sweep_inputs
 
 (* An input "improved" when a barrier disappeared or got weaker. *)
 let improved r = (not r.reverted) && (r.removed > 0 || r.weakened > 0)

@@ -53,13 +53,16 @@ val optimize :
     With [~cost:false] the platform race and the revert guard are
     skipped (the soak's mode). *)
 
-val sweep_inputs : unit -> Cfg.program list
+val sweep_inputs : Cfg.program list
 (** Every catalogue test (straight-line lifted and control-flow), each
-    as-is and over-fenced. *)
+    as-is and over-fenced: 44 programs, built once when the module is
+    initialised. *)
 
 val find_input : string -> Cfg.program option
 (** Case-insensitive lookup in {!sweep_inputs} (over-fenced variants
-    included, e.g. ["MP+overfenced"]). *)
+    included, e.g. ["MP+overfenced"]).  It builds nothing: every call
+    that finds a name returns the same physical program from
+    {!sweep_inputs}. *)
 
 val sweep :
   ?algorithm:algorithm ->

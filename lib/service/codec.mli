@@ -38,8 +38,11 @@
     boundary, so ["test_inline"] carries ["interesting_when"] instead: a
     list of [[key, value]] pairs denoting a conjunction of equalities
     over outcome bindings (key ["1:r1"] = register r1 of thread 1, or
-    ["mem:x"]); absent/empty means trivially false.  Other fields:
-    ["name"], ["init"] ([[var, int]] pairs), ["threads"] (lists of
+    ["mem:x"]); absent/empty means trivially false.  Each key must be
+    one of the test's {!Armb_litmus.Lang.outcome_names}, or the request
+    is an error that names the key and lists those names.  Other
+    fields: ["name"], ["init"] ([[var, int]] pairs, each variable at
+    most once, in tests and programs alike), ["threads"] (lists of
     instruction objects: [{op:"ld", var, reg, acquire?, addr_dep?}],
     [{op:"st", var, const | from_reg, release?, addr_dep?}],
     [{op:"fence", fence:"dmb"|"dmb.st"|"dmb.ld"|"dsb"|"ctrl+isb"}]),

@@ -63,6 +63,23 @@ let at_least field limit v =
   if v < limit then
     invalid_arg (Printf.sprintf "Job: %s must be at least %d (got %d)" field limit v)
 
+let cores (cfg : Armb_cpu.Config.t) = Armb_mem.Topology.num_cores cfg.topo
+
+(* The simulator runs each thread of a test on its own core of [cfg]. *)
+let fits_cores ?(note = "") test (cfg : Armb_cpu.Config.t) =
+  let threads = List.length test.Lang.threads and n = cores cfg in
+  if threads > n then
+    invalid_arg
+      (Printf.sprintf "Job: the test has %d threads but %s has %d cores%s" threads cfg.name n
+         note)
+
+(* A fix is costed on every platform ({!Armb_synth.Cost.measure} runs
+   on [Platform.all]), so its test must fit the one with fewest cores. *)
+let smallest_platform =
+  List.fold_left
+    (fun a b -> if cores b < cores a then b else a)
+    (List.hd Armb_platform.Platform.all) Armb_platform.Platform.all
+
 (* The abstracted-model spec a model job runs: its counts are checked
    first, each by name, then the combination. *)
 let model_spec (rc : RC.t) ~mem_ops ~approach ~location ~nops ~iters =
@@ -90,9 +107,11 @@ let key t =
   let sep_list add = List.iteri (fun i x -> if i > 0 then chr ','; add x) in
   (match t.spec with
   | Litmus test ->
+    fits_cores test t.rc.cfg;
     str "litmus\n";
     str (Key.canonical_test test)
   | Check test ->
+    fits_cores test t.rc.cfg;
     str "check\n";
     str (Key.canonical_test test)
   | Model { mem_ops; approach; location; nops; iters } ->
@@ -123,8 +142,10 @@ let key t =
     int tests;
     chr '\n'
   | Fix { test; max_edits; budget } ->
-    (* validate the search limits now so a job that cannot search fails at submit *)
+    (* validate the search limits and the test's size now so a job that
+       cannot search or be costed fails at submit *)
     Armb_synth.Search.check_limits ~max_edits ~budget ();
+    fits_cores test smallest_platform ~note:" (a fix is costed on every platform)";
     str "fix|";
     int max_edits;
     chr '|';
@@ -132,6 +153,7 @@ let key t =
     chr '\n';
     str (Key.canonical_test test)
   | Perturb { test; intensities; plan_seeds } ->
+    fits_cores test t.rc.cfg;
     str "perturb|";
     sep_list fixed6 intensities;
     chr '|';

@@ -106,7 +106,7 @@ let add_init b v x =
   add_int64 b x;
   Buffer.add_char b '\n'
 
-let canonical_test (t : Lang.test) =
+let canonicalise (t : Lang.test) =
   let b = Buffer.create 512 in
   let vars = names "v" in
   let cvar = canonical vars in
@@ -200,6 +200,20 @@ let canonical_test (t : Lang.test) =
       Buffer.add_char b '\n')
     (List.sort_uniq String.compare lines);
   Buffer.contents b
+
+(* The catalogue's tests are constants, and most requests name one, so
+   their text is computed once, when the module is initialised (a plain
+   value, not [Lazy]: forcing one lazy value from two domains raises).
+   A test is looked up by physical equality: an inline test that reuses
+   a catalogue name with another body is a different value, and a
+   structurally equal copy canonicalises to the same bytes anyway. *)
+let catalogue = List.map (fun t -> (t, canonicalise t)) Armb_litmus.Catalogue.all
+
+let rec cached t = function
+  | (c, text) :: tl -> if c == t then text else cached t tl
+  | [] -> canonicalise t
+
+let canonical_test t = cached t catalogue
 
 module Cfg = Armb_litmus.Cfg
 

@@ -22,7 +22,11 @@
 
 val canonical_test : Armb_litmus.Lang.test -> string
 (** Name-independent canonical serialization of a litmus test,
-    including the predicate fingerprint. *)
+    including the predicate fingerprint.  The text of each
+    {!Armb_litmus.Catalogue.all} test is computed once, when this
+    module is initialised, and returned for that test itself (compared
+    with [==]); any other test, a structurally equal copy included, is
+    canonicalised afresh (one WMM enumeration), to the same bytes. *)
 
 val canonical_program : Armb_litmus.Cfg.program -> string
 (** Structural serialization of a CFG program (blocks, terminators,

@@ -409,6 +409,36 @@ let test_opt_soak () =
     true (Opt_soak.ok r);
   checkb "soak improved something" true (r.Opt_soak.improved > 0)
 
+(* The sweep inputs are built once: every catalogue test and control-
+   flow program, then each over-fenced, and a lookup by any spelling of
+   a name returns that one program. *)
+let test_sweep_inputs_shared () =
+  let base =
+    List.map (fun (t : Lang.test) -> t.Lang.name) Catalogue.all
+    @ List.map (fun (p : Cfg.program) -> p.Cfg.name) Catalogue.cfg_all
+  in
+  check
+    Alcotest.(list string)
+    "names, in order"
+    (base @ List.map (fun n -> n ^ "+overfenced") base)
+    (List.map (fun (p : Cfg.program) -> p.Cfg.name) Optimizer.sweep_inputs);
+  checki "44 inputs" 44 (List.length Optimizer.sweep_inputs);
+  List.iter
+    (fun (p : Cfg.program) ->
+      List.iter
+        (fun name ->
+          match Optimizer.find_input name with
+          | Some q -> checkb (name ^ " is the sweep's own program") true (q == p)
+          | None -> Alcotest.failf "find_input %S found nothing" name)
+        [
+          p.Cfg.name;
+          p.Cfg.name;
+          String.lowercase_ascii p.Cfg.name;
+          String.uppercase_ascii p.Cfg.name;
+        ])
+    Optimizer.sweep_inputs;
+  checkb "unknown name" true (Option.is_none (Optimizer.find_input "MP+nope"))
+
 (* ---------- JSON report ---------- *)
 
 module Json = Armb_json.Json
@@ -528,6 +558,7 @@ let () =
           Alcotest.test_case "catalogue sweep sound" `Slow test_optimize_catalogue_sound;
           QCheck_alcotest.to_alcotest qcheck_optimize_preserves;
           Alcotest.test_case "soak" `Slow test_opt_soak;
+          Alcotest.test_case "sweep inputs built once" `Quick test_sweep_inputs_shared;
         ] );
       ("report", [ Alcotest.test_case "json" `Quick test_report_json ]);
     ]

@@ -118,6 +118,19 @@ let test_key_catalogue_distinct () =
         keys)
     keys
 
+(* A catalogue test's text comes from the table built when [Key] is
+   initialised; a physically distinct copy is canonicalised afresh, and
+   both write the reference keying's bytes. *)
+let test_key_catalogue_table () =
+  List.iter
+    (fun (t : Lang.test) ->
+      let copy = { t with Lang.name = t.Lang.name } in
+      check Alcotest.bool (t.Lang.name ^ ": the copy is another value") false (copy == t);
+      let want = Key_reference.canonical_test t in
+      check Alcotest.string (t.Lang.name ^ ": the table's text") want (Key.canonical_test t);
+      check Alcotest.string (t.Lang.name ^ ": a copy's text") want (Key.canonical_test copy))
+    Cat.all
+
 (* Fuzz skeletons: canonicalization is rename-invariant and
    collision-free over a stream of random tests. *)
 let prop_fuzz_keys =
@@ -300,6 +313,40 @@ let test_coalescing () =
   | _ -> Alcotest.fail "expected an immediate cache hit");
   check Alcotest.int "hit recorded" 1 (Metrics.get (Engine.metrics e) "hits")
 
+(* An inline test with MP's body is keyed by what it computes, not by
+   name: with MP's own predicate it gets the catalogue test's key and
+   coalesces onto it; with another predicate it gets another key. *)
+let test_inline_catalogue_copy () =
+  let decode line =
+    match Codec.request_of_line line with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "%s does not decode: %s" line m
+  in
+  let inline ~id conds =
+    decode
+      (Printf.sprintf {|{"id":"%s","kind":"litmus","trials":6,"test_inline":%s}|} id
+         (Json.to_string
+            (Codec.test_inline_to_json ~interesting_when:conds { Cat.mp with Lang.name = "my-MP" })))
+  in
+  let named = decode {|{"id":"named","kind":"litmus","trials":6,"test":"MP"}|} in
+  let same = inline ~id:"same" [ ("1:r1", 1L); ("1:r2", 0L) ] in
+  let other = inline ~id:"other" [ ("1:r1", 1L); ("1:r2", 23L) ] in
+  let key (r : Engine.request) = Job.key r.Engine.job in
+  check Alcotest.string "MP's own predicate: MP's key" (key named) (key same);
+  check Alcotest.bool "another predicate: another key" false (key named = key other);
+  let e = Engine.create () in
+  List.iter
+    (fun r ->
+      match Engine.submit e r with
+      | None -> ()
+      | Some _ -> Alcotest.failf "%s should queue" r.Engine.id)
+    [ named; same; other ];
+  check
+    Alcotest.(list (pair string bool))
+    "the inline copy coalesces, the other predicate computes"
+    [ ("named", false); ("same", true); ("other", false) ]
+    (List.map (fun (id, o) -> (id, o = Engine.Coalesced)) (origins (Engine.drain e)))
+
 let test_no_cache_disables_both () =
   let e = Engine.create ~no_cache:true () in
   let job = job_of_test (List.hd Cat.all) in
@@ -387,6 +434,24 @@ let test_error_reply () =
     | Ok r -> r.Engine.job
     | Error msg -> Alcotest.failf "%s does not decode: %s" line msg
   in
+  let five_threads =
+    Json.to_string
+      (Codec.test_inline_to_json ~interesting_when:[]
+         {
+           Cat.mp with
+           Lang.name = "five";
+           threads = Cat.mp.Lang.threads @ List.init 3 (fun _ -> [ Lang.ld "data" "r1" ]);
+         })
+  in
+  (* four threads fit raspberrypi4, so IRIW keys there, fix included *)
+  List.iter
+    (fun kind ->
+      ignore
+        (Job.key
+           (decode
+              (Printf.sprintf {|{"kind":"%s","test":"IRIW+addrs","platform":"raspberrypi4"}|}
+                 kind))))
+    [ "litmus"; "check"; "perturb"; "fix" ];
   let limits =
     List.map
       (fun (id, line, says) -> (id, decode line, says))
@@ -416,6 +481,25 @@ let test_error_reply () =
           {|{"kind":"opt","program":"MP+overfenced","unroll":0}|},
           "Job: unroll must be at least 1 (got 0)" );
       ]
+    (* a test with more threads than the platform has cores: the
+       request's platform, or for fix every platform it is costed on *)
+    @ List.map
+        (fun (id, kind, platform, says) ->
+          ( id,
+            decode
+              (Printf.sprintf {|{"kind":"%s","platform":"%s","trials":5,"test_inline":%s}|} kind
+                 platform five_threads),
+            says ))
+        [
+          ("13", "litmus", "raspberrypi4", "the test has 5 threads but raspberrypi4 has 4 cores");
+          ("14", "check", "raspberrypi4", "the test has 5 threads but raspberrypi4 has 4 cores");
+          ("15", "perturb", "raspberrypi4", "the test has 5 threads but raspberrypi4 has 4 cores");
+          ( "16",
+            "fix",
+            "kunpeng916",
+            "the test has 5 threads but raspberrypi4 has 4 cores (a fix is costed on every \
+             platform)" );
+        ]
   in
   (* 4,095 fences ahead of MP's two stores put the second store at the
      producer's 4,097th op, past the sanitizer's per-core limit, so
@@ -458,7 +542,7 @@ let test_error_reply () =
         if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
       | _ -> Alcotest.failf "invalid job %s must come back as an error row" id)
     late;
-  check Alcotest.int "failures counted" 12 (Metrics.get (Engine.metrics e) "failed")
+  check Alcotest.int "failures counted" 16 (Metrics.get (Engine.metrics e) "failed")
 
 (* ---------- warm-vs-cold bit-identity on the golden workloads ---------- *)
 
@@ -626,7 +710,37 @@ let test_codec_errors () =
   bad "fault out of range" {|{"kind":"litmus","test":"SB","fault":1.5}|};
   bad "bad priority" {|{"kind":"litmus","test":"SB","priority":"urgent"}|};
   bad "bad platform" {|{"kind":"litmus","test":"SB","platform":"m1"}|};
-  bad "not json" {|{"kind":|}
+  bad "not json" {|{"kind":|};
+  (* an inline input the engines would read one way and its key another *)
+  let twice = {|"x" more than once|} in
+  let test_init init =
+    Printf.sprintf
+      {|{"kind":"litmus","test_inline":{"name":"t","init":%s,"threads":[[{"op":"st","var":"y","const":1}],[{"op":"ld","var":"x","reg":"r1"}]]}}|}
+      init
+  in
+  let program_init init =
+    Printf.sprintf
+      {|{"kind":"opt","program":{"name":"p","init":%s,"threads":[{"entry":"a","blocks":[{"label":"a","body":[{"op":"ld","var":"x","reg":"r1"}]}]}]}}|}
+      init
+  in
+  bad ~mentions:twice "test init x 0 then 5" (test_init {|[["x",0],["x",5]]|});
+  bad ~mentions:twice "test init x 5 then 0" (test_init {|[["x",5],["x",0]]|});
+  bad ~mentions:twice "program init x 0 then 5" (program_init {|[["x",0],["x",5]]|});
+  bad ~mentions:twice "program init x 5 then 0" (program_init {|[["x",5],["x",0]]|});
+  (* a condition on a name the test never binds would read 0 *)
+  let sb_when conds =
+    Printf.sprintf
+      {|{"kind":"fix","test_inline":{"name":"sb","threads":[[{"op":"st","var":"x","const":1},{"op":"ld","var":"y","reg":"r1"}],[{"op":"st","var":"y","const":1},{"op":"ld","var":"x","reg":"r1"}]],"interesting_when":%s}}|}
+      conds
+  in
+  let binds = "it binds 0:r1, 1:r1, mem:x, mem:y" in
+  bad
+    ~mentions:({|"interesting_when" names "0:r9", which the test does not bind; |} ^ binds)
+    "unknown register" (sb_when {|[["0:r9",0]]|});
+  bad
+    ~mentions:({|"interesting_when" names "mem:zz", which the test does not bind; |} ^ binds)
+    "unknown variable" (sb_when {|[["0:r1",0],["mem:zz",5]]|});
+  bad ~mentions:{|"interesting_when" names "2:r1"|} "unknown thread" (sb_when {|[["2:r1",0]]|})
 
 let test_response_line_parses () =
   let e = Engine.create () in
@@ -1112,6 +1226,8 @@ let () =
             test_key_init_presentation;
           Alcotest.test_case "catalogue keys distinct" `Quick
             test_key_catalogue_distinct;
+          Alcotest.test_case "catalogue text equals a copy's" `Quick
+            test_key_catalogue_table;
           QCheck_alcotest.to_alcotest prop_fuzz_keys;
           Alcotest.test_case "run coordinates keyed" `Quick test_job_key_coordinates;
           Alcotest.test_case "same bytes as the reference" `Quick test_key_reference;
@@ -1121,6 +1237,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "coalescing then hit" `Quick test_coalescing;
+          Alcotest.test_case "inline copy of a catalogue test" `Quick
+            test_inline_catalogue_copy;
           Alcotest.test_case "no-cache disables memo and coalescing" `Quick
             test_no_cache_disables_both;
           Alcotest.test_case "load shedding" `Quick test_shedding;

@@ -108,7 +108,9 @@ let structural_key t =
   |> String.concat "\n"
 
 let test_inline_test_round_trip () =
-  let conds = [ ("0:r1", 1L) ] in
+  (* a register every one of the eight tests loads: the codec refuses
+     a condition on a name the test does not bind *)
+  let conds = [ ("1:r1", 1L) ] in
   List.iter
     (fun (t : Lang.test) ->
       let j = Codec.test_inline_to_json ~interesting_when:conds t in
