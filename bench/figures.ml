@@ -143,7 +143,7 @@ let fig6a () =
               let spec =
                 { (S.Spsc_ring.default_spec p.cfg ~cores) with barriers = S.Spsc_ring.combo name }
               in
-              (S.Spsc_ring.run spec).S.Spsc_ring.throughput /. 1e6)
+              (S.Spsc_ring.verified_run spec).S.Spsc_ring.throughput /. 1e6)
             placements ))
       S.Spsc_ring.combo_names
   in
@@ -156,22 +156,20 @@ let fig6a () =
 let fig6b () =
   section "Figure 6(b): Pilot vs best / theoretical / ideal";
   let cols = List.map (fun (p : P.placement) -> p.label) placements in
-  let run_combo (p : P.placement) name =
+  let run (p : P.placement) barriers =
     let cores = match p.cores with [ a; b ] -> (a, b) | _ -> assert false in
-    let spec = { (S.Spsc_ring.default_spec p.cfg ~cores) with barriers = S.Spsc_ring.combo name } in
-    (S.Spsc_ring.run spec).S.Spsc_ring.throughput /. 1e6
-  in
-  let run_pilot (p : P.placement) =
-    let cores = match p.cores with [ a; b ] -> (a, b) | _ -> assert false in
-    (S.Pilot_ring.run (S.Pilot_ring.default_spec p.cfg ~cores)).S.Pilot_ring.throughput /. 1e6
+    let spec = { (S.Spsc_ring.default_spec p.cfg ~cores) with barriers } in
+    (S.Spsc_ring.verified_run spec).S.Spsc_ring.throughput /. 1e6
   in
   let rows =
-    [
-      ("DMB ld - DMB st", List.map (fun p -> run_combo p "DMB ld - DMB st") placements);
-      ("Theoretical", List.map (fun p -> run_combo p "DMB ld - No Barrier") placements);
-      ("Pilot", List.map run_pilot placements);
-      ("Ideal", List.map (fun p -> run_combo p "Ideal") placements);
-    ]
+    List.map
+      (fun (name, barriers) -> (name, List.map (fun p -> run p barriers) placements))
+      [
+        ("DMB ld - DMB st", S.Spsc_ring.combo "DMB ld - DMB st");
+        ("Theoretical", S.Spsc_ring.combo "DMB ld - No Barrier");
+        ("Pilot", S.Spsc_ring.Pilot);
+        ("Ideal", S.Spsc_ring.combo "Ideal");
+      ]
   in
   Series.print (Series.make ~title:"Fig 6(b): Pilot" ~unit_label:"10^6 msgs/s" ~cols rows)
 
@@ -185,13 +183,13 @@ let fig6c () =
     List.map
       (fun (p : P.placement) ->
         let cores = match p.cores with [ a; b ] -> (a, b) | _ -> assert false in
-        let spec = { (S.Pilot_ring.default_spec p.cfg ~cores) with messages = 2000 } in
+        let spec = { (S.Spsc_ring.default_spec p.cfg ~cores) with messages = 2000 } in
         ( p.label,
           List.map
             (fun words ->
-              let pi = (S.Pilot_ring.run_batched ~words spec).S.Pilot_ring.throughput in
-              let base = (S.Pilot_ring.run_batched_baseline ~words spec).S.Pilot_ring.throughput in
-              (pi /. base) -. 1.0)
+              let pi = S.Spsc_ring.run_batched ~words { spec with barriers = S.Spsc_ring.Pilot } in
+              let base = S.Spsc_ring.run_batched ~words spec in
+              (pi.S.Spsc_ring.throughput /. base.S.Spsc_ring.throughput) -. 1.0)
             words_list ))
       placements
   in

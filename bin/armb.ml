@@ -349,24 +349,20 @@ let ring_cmd =
   let run (rc : RC.t) combo messages intensity =
     let cfg = rc.cfg in
     let fault = fault_of ~rc ~name:(Printf.sprintf "ring-%.2f" intensity) intensity in
-    if String.lowercase_ascii combo = "pilot" then begin
-      let spec = { (Armb_sync.Pilot_ring.default_spec cfg ~cores:rc.cores) with messages; fault } in
-      let r = Armb_sync.Pilot_ring.run spec in
+    let pilot = String.lowercase_ascii combo = "pilot" in
+    let barriers =
+      if pilot then Armb_sync.Spsc_ring.Pilot else Armb_sync.Spsc_ring.combo combo
+    in
+    let r =
+      Armb_sync.Spsc_ring.verified_run
+        { (Armb_sync.Spsc_ring.default_spec cfg ~cores:rc.cores) with messages; barriers; fault }
+    in
+    if pilot then
       Printf.printf "Pilot ring on %s: %.2f M msgs/s (%d fallbacks)\n" cfg.Armb_cpu.Config.name
         (r.throughput /. 1e6) r.fallbacks
-    end
-    else begin
-      let spec =
-        { (Armb_sync.Spsc_ring.default_spec cfg ~cores:rc.cores) with
-          messages;
-          barriers = Armb_sync.Spsc_ring.combo combo;
-          fault;
-        }
-      in
-      let r = Armb_sync.Spsc_ring.verified_run spec in
+    else
       Printf.printf "%s on %s: %.2f M msgs/s\n" combo cfg.Armb_cpu.Config.name
         (r.throughput /. 1e6)
-    end
   in
   Cmd.v
     (Cmd.info "ring" ~doc:"Run the producer-consumer ring with a chosen barrier combination.")
@@ -484,20 +480,15 @@ let perturb_cmd =
     let a, b = rc.cores in
     say "\n== MP ring degradation (%s, cores %d,%d, %d messages) ==\n"
       rc.cfg.Armb_cpu.Config.name a b messages;
-    let spsc intensity =
+    let ring barriers intensity =
       let fault = fault_of ~rc ~name:(Printf.sprintf "perturb-%.2f" intensity) intensity in
       let spec =
-        { (Armb_sync.Spsc_ring.default_spec rc.cfg ~cores:rc.cores) with messages; fault }
+        { (Armb_sync.Spsc_ring.default_spec rc.cfg ~cores:rc.cores) with messages; barriers; fault }
       in
       (Armb_sync.Spsc_ring.verified_run spec).Armb_sync.Spsc_ring.throughput
     in
-    let pilot intensity =
-      let fault = fault_of ~rc ~name:(Printf.sprintf "perturb-%.2f" intensity) intensity in
-      let spec =
-        { (Armb_sync.Pilot_ring.default_spec rc.cfg ~cores:rc.cores) with messages; fault }
-      in
-      (Armb_sync.Pilot_ring.run spec).Armb_sync.Pilot_ring.throughput
-    in
+    let spsc = ring (Armb_sync.Spsc_ring.combo "DMB ld - DMB st")
+    and pilot = ring Armb_sync.Spsc_ring.Pilot in
     let base_spsc = spsc 0.0 and base_pilot = pilot 0.0 in
     say "  %-10s %22s %22s\n" "intensity" "DMB ld - DMB st" "Pilot";
     let point intensity s p =

@@ -30,7 +30,9 @@ let () =
 
   (* 3. Pilot: the flag rides on the data word (single-copy atomicity),
         so the fatal barrier and the producer counter line disappear. *)
-  let pilot = S.Pilot_ring.run (S.Pilot_ring.default_spec cfg ~cores) in
+  let pilot =
+    S.Spsc_ring.verified_run { (S.Spsc_ring.default_spec cfg ~cores) with barriers = S.Spsc_ring.Pilot }
+  in
   Printf.printf "Pilot ring              : %6.1f M msgs/s (%d collision fallbacks)\n"
     (pilot.throughput /. 1e6) pilot.fallbacks;
 
@@ -45,8 +47,8 @@ let () =
   print_newline ();
   List.iter
     (fun words ->
-      let spec = { (S.Pilot_ring.default_spec cfg ~cores) with messages = 2000 } in
-      let p = (S.Pilot_ring.run_batched ~words spec).throughput in
-      let b = (S.Pilot_ring.run_batched_baseline ~words spec).throughput in
+      let spec = { (S.Spsc_ring.default_spec cfg ~cores) with messages = 2000 } in
+      let p = (S.Spsc_ring.run_batched ~words { spec with barriers = S.Spsc_ring.Pilot }).throughput in
+      let b = (S.Spsc_ring.run_batched ~words spec).throughput in
       Printf.printf "batched %dx8B: pilot/best ring = %.2fx\n" words (p /. b))
     [ 1; 2; 4; 8 ]

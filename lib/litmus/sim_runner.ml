@@ -361,11 +361,6 @@ let pp_result ppf r =
   List.iter (fun f -> Format.fprintf ppf "%a@," San.pp_finding f) r.findings;
   Format.fprintf ppf "@]"
 
-(* The service engine's entry point: one validated Run_config instead
-   of re-threading (cfg, trials, seed) positionally. *)
-let run_rc ?check ?fault (rc : Armb_platform.Run_config.t) t =
-  run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed ?check ?fault t
-
 (* ---------- Sanitizer cross-check over the catalogue ---------- *)
 
 type check_row = {

@@ -102,16 +102,6 @@ val render : tally -> result
 (** Render each distinct outcome's bindings, ask the test's
     [interesting] once per distinct outcome, and sort. *)
 
-val run_rc :
-  ?check:bool ->
-  ?fault:Armb_fault.Plan.spec ->
-  Armb_platform.Run_config.t ->
-  Lang.test ->
-  result
-(** {!run} with (platform, trials, seed) taken from one validated
-    {!Armb_platform.Run_config} — the pure entry point the job-service
-    engine memoizes. *)
-
 val consistent_with_model : result -> Lang.test -> bool
 (** No witnessed interesting outcome unless the weak model allows it —
     the cross-check property between the two backends. *)

@@ -25,6 +25,7 @@ module Cfg = Armb_litmus.Cfg
 module Enumerate = Armb_litmus.Enumerate
 module Catalogue = Armb_litmus.Catalogue
 module Cost = Armb_synth.Cost
+module Placement = Armb_synth.Placement
 
 type algorithm = Single_bb | Linear_scan | Second_chance
 
@@ -57,12 +58,6 @@ type result = {
 }
 
 (* ---------- second chance ---------- *)
-
-let fence_rank = function
-  | Lang.F_dmb_st | Lang.F_dmb_ld -> 4
-  | Lang.F_isb -> 6
-  | Lang.F_dmb_full -> 8
-  | Lang.F_dsb -> 20
 
 (* (thread, label, in-block index, fence) of every reachable non-DSB
    fence; DSB is pinned (see Passes). *)
@@ -130,7 +125,7 @@ let second_chance ~unroll ~reference q0 =
   let weaken_site q (th, lbl, idx, f) =
     let candidates =
       List.filter
-        (fun f' -> fence_rank f' < fence_rank f)
+        (fun f' -> Placement.fence_cost f' < Placement.fence_cost f)
         [ Lang.F_dmb_st; Lang.F_dmb_ld; Lang.F_isb; Lang.F_dmb_full ]
     in
     let rec try_kinds = function

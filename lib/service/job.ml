@@ -43,22 +43,6 @@ let mem_ops_tag = function
 
 let location_tag = function AM.Loc1 -> 1 | AM.Loc2 -> 2
 
-let label t =
-  match t.spec with
-  | Litmus test -> "litmus " ^ test.Lang.name
-  | Check test -> "check " ^ test.Lang.name
-  | Model { mem_ops; approach; nops; _ } ->
-    Printf.sprintf "model %s %s nops=%d" (mem_ops_tag mem_ops)
-      (Armb_core.Ordering.to_string approach) nops
-  | Ring { combo; messages } -> Printf.sprintf "ring %s n=%d" combo messages
-  | Fuzz { tests } -> Printf.sprintf "fuzz tests=%d" tests
-  | Fix { test; _ } -> "fix " ^ test.Lang.name
-  | Perturb { test; intensities; plan_seeds } ->
-    Printf.sprintf "perturb %s x%d" test.Lang.name
-      (List.length intensities * List.length plan_seeds)
-  | Opt { program; algorithm; _ } ->
-    Printf.sprintf "opt %s %s" algorithm program.Armb_litmus.Cfg.name
-
 let at_least field limit v =
   if v < limit then
     invalid_arg (Printf.sprintf "Job: %s must be at least %d (got %d)" field limit v)
@@ -200,7 +184,7 @@ let run t =
   let fault = fault_plan t in
   match t.spec with
   | Litmus test ->
-    let r = Sim.run_rc ?fault rc test in
+    let r = Sim.run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed ?fault test in
     let b = Buffer.create 256 in
     Buffer.add_string b
       (Printf.sprintf "%s witnessed=%b\n" test.Lang.name r.Sim.interesting_witnessed);
@@ -250,14 +234,16 @@ let run t =
       cycles = r.Spsc.cycles;
     }
   | Fuzz { tests } ->
-    let r = Armb_litmus.Fuzz.run ?fault ~tests ~trials_per_test:rc.trials ~seed:rc.seed () in
+    let r =
+      Armb_litmus.Fuzz.run ~cfg:rc.cfg ?fault ~tests ~trials_per_test:rc.trials ~seed:rc.seed ()
+    in
     {
       text = Format.asprintf "%a@." Armb_litmus.Fuzz.pp_report r;
       events = r.Armb_litmus.Fuzz.events;
       cycles = 0;
     }
   | Fix { test; max_edits; budget } ->
-    let o = Armb_synth.Fix.fix_rc ~max_edits ~budget rc test in
+    let o = Armb_synth.Fix.fix ~max_edits ~budget ~trials:rc.trials ~seed:rc.seed test in
     {
       text = Format.asprintf "%a@." Armb_synth.Report.pp_outcome o;
       events = o.Armb_synth.Fix.oracle_calls;

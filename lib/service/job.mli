@@ -72,9 +72,6 @@ val kind : t -> string
 (** "litmus" | "check" | "model" | "ring" | "fuzz" | "fix" | "perturb"
     | "opt". *)
 
-val label : t -> string
-(** Short human description for summary tables. *)
-
 val run : t -> result
 (** Execute the job.  Raises on invalid specs (e.g. a [Model]
     combination {!AM.valid} rejects); the engine maps exceptions to

@@ -1,11 +1,11 @@
 (* Shed responses carry a retry_after_ms hint that, until now, nothing
    consumed.  This is the consumer: a bounded exponential-backoff
    resubmit loop.  One attempt function is injected by the caller (the
-   soak driver and armb batch both resubmit through a one-line
-   run_batch), and the loop guarantees every shed request terminates in
-   one of exactly two observable states — completed (possibly after
-   several sheds) or given up with the last response in hand.  Nothing
-   is ever silently dropped. *)
+   soak driver resubmits through a one-line run_batch), and the loop
+   guarantees every shed request terminates in one of exactly two
+   observable states — completed (possibly after several sheds) or
+   given up with the last response in hand.  Nothing is ever silently
+   dropped. *)
 
 type policy = { max_retries : int; base_ms : int; cap_ms : int }
 

@@ -179,9 +179,3 @@ let strip_round_trip ?max_edits ?budget ?trials ?seed (t : Lang.test) =
 
 let catalogue_round_trips ?max_edits ?budget ?trials ?seed () =
   List.filter_map (strip_round_trip ?max_edits ?budget ?trials ?seed) Catalogue.all
-
-(* Service entry point: trials and seed from one validated Run_config
-   (the platform sweep in [Cost.measure] still covers every calibrated
-   platform — rc picks the seed/trials coordinates only). *)
-let fix_rc ?max_edits ?budget (rc : Armb_platform.Run_config.t) t =
-  fix ?max_edits ?budget ~trials:rc.trials ~seed:rc.seed t

@@ -80,9 +80,3 @@ val strip_round_trip :
 val catalogue_round_trips :
   ?max_edits:int -> ?budget:int -> ?trials:int -> ?seed:int -> unit -> round_trip list
 (** {!strip_round_trip} over every eligible catalogue test. *)
-
-val fix_rc :
-  ?max_edits:int -> ?budget:int -> Armb_platform.Run_config.t -> Lang.test -> outcome
-(** {!fix} with trials and seed drawn from a validated
-    {!Armb_platform.Run_config} — the pure entry point the job-service
-    engine memoizes. *)

@@ -15,15 +15,17 @@ type edit =
    free, LDAR/STLR are one-way, DMB LD/ST wait on one access kind, ISB
    flushes the pipeline, DMB full waits on everything, DSB blocks the
    whole core until the domain boundary answers. *)
+let fence_cost = function
+  | Lang.F_dmb_ld | Lang.F_dmb_st -> 4
+  | Lang.F_isb -> 6
+  | Lang.F_dmb_full -> 8
+  | Lang.F_dsb -> 20
+
 let static_cost = function
   | Add_addr_dep _ -> 1
   | Make_acquire _ -> 2
   | Make_release _ -> 3
-  | Insert_fence { fence = Lang.F_dmb_ld; _ } -> 4
-  | Insert_fence { fence = Lang.F_dmb_st; _ } -> 4
-  | Insert_fence { fence = Lang.F_isb; _ } -> 6
-  | Insert_fence { fence = Lang.F_dmb_full; _ } -> 8
-  | Insert_fence { fence = Lang.F_dsb; _ } -> 20
+  | Insert_fence { fence; _ } -> fence_cost fence
 
 let total_cost es = List.fold_left (fun a e -> a + static_cost e) 0 es
 

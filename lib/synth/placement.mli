@@ -36,6 +36,11 @@ val candidates : Lang.test -> edit list
     dependencies from each load to each later dependency-free access
     that does not already consume its register. *)
 
+val fence_cost : Lang.fence -> int
+(** The fence rungs of {!static_cost}: one-direction DMB 4, ISB 6,
+    DMB 8, DSB 20.  The optimizer's weakening pass ranks fences by it
+    too. *)
+
 val static_cost : edit -> int
 (** Architectural cost prior, used only to order the search so cheap
     repairs are found first — platform-measured cycles (see {!Cost})

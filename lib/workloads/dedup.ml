@@ -1,7 +1,5 @@
-module Barrier = Armb_cpu.Barrier
 module Core = Armb_cpu.Core
 module Machine = Armb_cpu.Machine
-module Pilot = Armb_core.Pilot
 module Rng = Armb_sim.Rng
 
 type queue_kind = Locked_queue | Ring | Ring_pilot
@@ -74,63 +72,18 @@ let locked_chan m ~slots =
   in
   { send; recv }
 
-(* Lock-free SPSC ring, best legal barriers (DMB ld - DMB st). *)
-let ring_chan m ~slots =
-  let prod = Machine.alloc_line m and cons = Machine.alloc_line m in
-  let buf = Machine.alloc_lines m slots in
-  let sent = ref 0 and received = ref 0 in
-  let send (c : Core.t) v =
-    let i = !sent in
-    let avail w = Int64.to_int w > i - slots in
-    let w = Core.await c (Core.load c cons) in
-    if not (avail w) then ignore (Core.spin_until c cons avail);
-    Core.barrier c (Barrier.Dmb Ld);
-    Core.store c (buf + (i mod slots * 64)) v;
-    Core.barrier c (Barrier.Dmb St);
-    Core.store c prod (Int64.of_int (i + 1));
-    incr sent
-  in
-  let recv (c : Core.t) =
-    let i = !received in
-    ignore (Core.spin_until c prod (fun w -> Int64.to_int w > i));
-    Core.barrier c (Barrier.Dmb Ld);
-    let v = Core.await c (Core.load c (buf + (i mod slots * 64))) in
-    Core.store c cons (Int64.of_int (i + 1));
-    incr received;
-    v
-  in
-  { send; recv }
-
-(* Pilot ring: arrival is piggybacked on the slot word itself. *)
-let pilot_chan m ~slots ~seed =
-  let cons = Machine.alloc_line m in
-  let buf = Machine.alloc_lines m slots in
-  let pool = Pilot.make_pool ~seed () in
-  let lines = Array.init slots (fun slot -> Pilot.line pool ~data:(buf + (slot * 64))) in
-  let sent = ref 0 and received = ref 0 in
-  let send (c : Core.t) v =
-    let i = !sent in
-    let avail w = Int64.to_int w > i - slots in
-    let w = Core.await c (Core.load c cons) in
-    if not (avail w) then ignore (Core.spin_until c cons avail);
-    Core.barrier c (Barrier.Dmb Ld);
-    ignore (Pilot.send c lines.(i mod slots) v);
-    incr sent
-  in
-  let recv (c : Core.t) =
-    let i = !received in
-    let v = Pilot.recv c lines.(i mod slots) in
-    Core.store c cons (Int64.of_int (i + 1));
-    incr received;
-    v
-  in
-  { send; recv }
-
+(* The two lock-free queues are the simulator's one SPSC ring
+   ({!Armb_sync.Spsc_ring}), with the best legal barriers or Pilot. *)
 let make_chan spec m ~seed =
+  let module R = Armb_sync.Spsc_ring in
+  let ring barriers =
+    let ch = R.chan m barriers ~slots:spec.slots ~seed in
+    { send = R.send ch; recv = R.recv ch }
+  in
   match spec.queue with
   | Locked_queue -> locked_chan m ~slots:spec.slots
-  | Ring -> ring_chan m ~slots:spec.slots
-  | Ring_pilot -> pilot_chan m ~slots:spec.slots ~seed
+  | Ring -> ring (R.combo "DMB ld - DMB st")
+  | Ring_pilot -> ring R.Pilot
 
 (* ---------- the pipeline ---------- *)
 

@@ -10,9 +10,9 @@
     Queue variants, as in the paper:
     - [Locked_queue] ("Q"): a shared ring protected by a ticket lock on
       both ends — dedup's original communication buffer;
-    - [Ring] ("RB"): the lock-free SPSC ring with the best legal
-      barriers (DMB ld - DMB st);
-    - [Ring_pilot] ("RB-P"): the Pilot ring.
+    - [Ring] ("RB"): the lock-free SPSC ring ({!Armb_sync.Spsc_ring}'s
+      channel) with the best legal barriers (DMB ld - DMB st);
+    - [Ring_pilot] ("RB-P"): the same channel with Pilot.
 
     Every chunk descriptor is checksummed end-to-end, so a run also
     validates the channels. *)

@@ -219,7 +219,7 @@ let test_key_reference () =
       List.iter
         (fun (job : Job.t) ->
           check Alcotest.string
-            (Printf.sprintf "%s at fault %h" (Job.label job) fault)
+            (Printf.sprintf "%s at fault %h" (Job.kind job) fault)
             (Key_reference.job_key job) (Job.key job))
         [
           { Job.spec = Job.Litmus Cat.mp; rc = rc (); fault };
@@ -645,6 +645,22 @@ let test_golden_cold_and_warm () =
           result.Job.text
       | _ -> Alcotest.fail (name ^ ": expected a warm hit"))
     (golden_jobs ())
+
+(* A fuzz job runs its trials on the request's platform: its text is
+   the direct fuzz round on that platform, not the default one's. *)
+let test_fuzz_job_platform () =
+  let line = {|{"kind":"fuzz","tests":8,"seed":1234,"platform":"kirin960"}|} in
+  match Codec.request_of_line line with
+  | Error e -> Alcotest.fail e
+  | Ok req ->
+    let direct cfg =
+      Format.asprintf "%a@." Fuzz.pp_report
+        (Fuzz.run ~cfg ~tests:8 ~trials_per_test:40 ~seed:1234 ())
+    in
+    let text = (Job.run req.Engine.job).Job.text in
+    check Alcotest.string "kirin960 fuzz round" (direct P.kirin960) text;
+    check Alcotest.bool "differs from kunpeng916's" false
+      (String.equal (direct P.kunpeng916) text)
 
 let soak_lines ~alpha =
   List.map (fun j -> j.Gen.line) (Gen.stream ~alpha ~requests:60 ~seed:3 ())
@@ -1264,6 +1280,7 @@ let () =
             test_golden_cold_and_warm;
           Alcotest.test_case "compare_cold identical" `Quick
             test_compare_cold_identical;
+          Alcotest.test_case "fuzz job runs on its platform" `Quick test_fuzz_job_platform;
         ] );
       ( "codec",
         [

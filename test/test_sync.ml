@@ -27,10 +27,14 @@ let test_ring_all_combos_verified () =
       check Alcotest.bool (name ^ " positive throughput") true (r.S.Spsc_ring.throughput > 0.0))
     S.Spsc_ring.combo_names
 
+(* Pilot is a [barriers] value, not a legend name. *)
 let test_ring_unknown_combo () =
-  match S.Spsc_ring.combo "nonsense" with
-  | _ -> Alcotest.fail "unknown combo accepted"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun name ->
+      match S.Spsc_ring.combo name with
+      | _ -> Alcotest.failf "unknown combo %S accepted" name
+      | exception Invalid_argument _ -> ())
+    [ "nonsense"; "Pilot"; "pilot" ]
 
 let test_ring_fatal_barrier_dominates () =
   let t name = (S.Spsc_ring.run { (ring_spec ()) with barriers = S.Spsc_ring.combo name }).S.Spsc_ring.throughput in
@@ -55,41 +59,40 @@ let test_ring_observer_neutral () =
 
 (* ---------- Pilot ring ---------- *)
 
-let pilot_spec () =
-  { (S.Pilot_ring.default_spec P.kunpeng916 ~cores:cross) with messages = 800 }
+let pilot_spec () = { (ring_spec ()) with barriers = S.Spsc_ring.Pilot }
 
 let test_pilot_ring_verified () =
-  let r = S.Pilot_ring.run (pilot_spec ()) in
-  check Alcotest.bool "throughput" true (r.S.Pilot_ring.throughput > 0.0)
+  let r = S.Spsc_ring.verified_run (pilot_spec ()) in
+  check Alcotest.bool "throughput" true (r.S.Spsc_ring.throughput > 0.0)
 
 let test_pilot_beats_best_legal () =
   let best =
     (S.Spsc_ring.run { (ring_spec ()) with barriers = S.Spsc_ring.combo "DMB ld - DMB st" })
       .S.Spsc_ring.throughput
   in
-  let pilot = (S.Pilot_ring.run (pilot_spec ())).S.Pilot_ring.throughput in
+  let pilot = (S.Spsc_ring.run (pilot_spec ())).S.Spsc_ring.throughput in
   check Alcotest.bool "pilot wins" true (pilot > 1.2 *. best)
 
 let test_pilot_batched_words () =
   List.iter
     (fun words ->
-      let r = S.Pilot_ring.run_batched ~words (pilot_spec ()) in
+      let r = S.Spsc_ring.run_batched ~words (pilot_spec ()) in
       check Alcotest.bool (Printf.sprintf "words=%d verified" words) true
-        (r.S.Pilot_ring.throughput > 0.0))
+        (r.S.Spsc_ring.throughput > 0.0))
     [ 1; 2; 4; 8 ]
 
 let test_pilot_batched_speedup_declines () =
   let speedup words =
-    let spec = { (pilot_spec ()) with messages = 600 } in
-    let p = (S.Pilot_ring.run_batched ~words spec).S.Pilot_ring.throughput in
-    let b = (S.Pilot_ring.run_batched_baseline ~words spec).S.Pilot_ring.throughput in
-    p /. b
+    let spec = { (ring_spec ()) with messages = 600 } in
+    let p = S.Spsc_ring.run_batched ~words { spec with barriers = S.Spsc_ring.Pilot } in
+    let b = S.Spsc_ring.run_batched ~words spec in
+    p.S.Spsc_ring.throughput /. b.S.Spsc_ring.throughput
   in
   let s1 = speedup 1 and s8 = speedup 8 in
   check Alcotest.bool "improvement declines with batching" true (s8 < s1)
 
 let test_pilot_bad_words () =
-  match S.Pilot_ring.run_batched ~words:9 (pilot_spec ()) with
+  match S.Spsc_ring.run_batched ~words:9 (pilot_spec ()) with
   | _ -> Alcotest.fail "words > 8 accepted"
   | exception Invalid_argument _ -> ()
 
