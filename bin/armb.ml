@@ -898,7 +898,6 @@ let batch_cmd =
 
 module Soak_gen = Armb_soak.Gen
 module Soak_driver = Armb_soak.Driver
-module Retry = Armb_service.Retry
 
 let soak_cmd =
   let seed =
@@ -946,12 +945,6 @@ let soak_cmd =
                    (schema armb-soak-violation-v1: seed, verbatim request line, \
                    response) under DIR.")
   in
-  let retry_max =
-    Arg.(value & opt (int_from 0) Retry.default_policy.Retry.max_retries
-         & info [ "retry-max" ] ~docv:"N"
-             ~doc:"Resubmission attempts for a shed response before giving up \
-                   (gave-up requests are reported, not fatal).")
-  in
   let emit =
     Arg.(value & opt (some string) None
          & info [ "emit" ] ~docv:"FILE"
@@ -959,8 +952,8 @@ let soak_cmd =
                    stream for this seed to FILE and exit.  Two runs with the same \
                    seed produce byte-identical files (the reproducibility check).")
   in
-  let run seed requests duration wave pool alpha snapshot_every metrics_out bundle_dir
-      retry_max emit queue_bound cache_cap =
+  let run seed requests duration wave pool alpha snapshot_every metrics_out bundle_dir emit
+      queue_bound cache_cap =
     if requests = 0 && emit <> None then begin
       Printf.eprintf "armb soak: --emit needs --requests N (> 0)\n";
       exit 2
@@ -988,7 +981,6 @@ let soak_cmd =
           snapshot_every;
           metrics_out;
           bundle_dir;
-          retry = { Retry.default_policy with Retry.max_retries = retry_max };
         }
       in
       let r = Soak_driver.run cfg in
@@ -1003,11 +995,12 @@ let soak_cmd =
        ~doc:"Continuous soak farm: a seeded, Zipf-skewed stream of litmus / check / \
              perturb / fix / opt jobs played against the in-process job service as \
              production traffic, every response invariant-checked (repair soundness, \
-             optimizer safety, sanitizer cleanliness, perturbation legality), shed \
-             responses retried with bounded backoff, violations persisted as repro \
-             bundles, and a rolling armb-soak-metrics-v1 artifact written atomically.")
+             optimizer safety, sanitizer cleanliness, perturbation legality), each \
+             shed request resubmitted once its wave has drained, violations persisted \
+             as repro bundles, and a rolling armb-soak-metrics-v2 artifact written \
+             atomically.")
     Term.(const run $ seed $ requests $ duration $ wave $ pool $ alpha $ snapshot_every
-          $ metrics_out $ bundle_dir $ retry_max $ emit $ queue_bound $ cache_cap)
+          $ metrics_out $ bundle_dir $ emit $ queue_bound $ cache_cap)
 
 let () =
   let doc = "ARM barrier characterization and optimization toolkit (PPoPP'20 reproduction)" in

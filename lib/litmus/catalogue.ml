@@ -276,9 +276,9 @@ let find name =
 (* ---------- control-flow tests ---------- *)
 
 (* Loop- and branch-shaped programs for the fence optimizer.  They live
-   in a separate list ([all] is pinned by the golden digests); [armb
-   check]/[armb fix] see them through their bounded-unroll slices
-   ({!cfg_slices}). *)
+   in a separate list ([all] is pinned by the golden digests).  Their
+   bounded-unroll slices ({!cfg_slices}) are straight-line tests that
+   only the tests and the [sanitizer-findings] golden run. *)
 
 (* The producer used by every spin-wait MP variant below. *)
 let spin_producer = Cfg.of_thread [ st "data" 23L; fence F_dmb_st; st "flag" 1L ]

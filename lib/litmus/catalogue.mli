@@ -98,5 +98,5 @@ val cfg_all : Cfg.program list
 
 val cfg_slices : ?unroll:int -> unit -> Lang.test list
 (** Bounded-unroll straight-line slices of every [cfg_all] program
-    ({!Cfg.slice_test}), named ["<test>@s<i>"] — the view [armb check]
-    and [armb fix] consume. *)
+    ({!Cfg.slice_test}), named ["<test>@s<i>"].  No command runs them;
+    tests and the [sanitizer-findings] golden do. *)

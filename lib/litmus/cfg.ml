@@ -126,44 +126,6 @@ let of_test (t : Lang.test) =
     expect_wmm = t.Lang.expect_wmm;
   }
 
-(* A thread is straight-line when following Goto edges from the entry
-   visits each block at most once, meets no Branch, and ends at Return:
-   exactly the programs today's [Lang.t] can express. *)
-let straight_line g =
-  let seen = Hashtbl.create 8 in
-  let rec walk l acc =
-    if Hashtbl.mem seen l then None
-    else begin
-      Hashtbl.add seen l ();
-      let b = block_exn g l in
-      let acc = List.rev_append b.body acc in
-      match b.term with
-      | Return -> Some (List.rev acc)
-      | Goto l' -> walk l' acc
-      | Branch _ -> None
-    end
-  in
-  walk g.entry []
-
-let lower p =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | g :: rest -> ( match straight_line g with Some th -> go (th :: acc) rest | None -> None)
-  in
-  match go [] p.threads with
-  | None -> None
-  | Some threads ->
-    Some
-      {
-        Lang.name = p.name;
-        description = p.description;
-        init = p.init;
-        threads;
-        interesting = p.interesting;
-        expect_tso = p.expect_tso;
-        expect_wmm = p.expect_wmm;
-      }
-
 let fence_count p =
   List.fold_left
     (fun acc g ->

@@ -2,18 +2,16 @@
     conditional branches on loaded registers, and back-edges (loops).
 
     A {!program} generalizes {!Lang.test}: each thread is a small CFG
-    instead of a straight line.  Straight-line programs round-trip
-    through {!of_test}/{!lower} unchanged, so every existing consumer
-    (enumerator, sanitizer, timing simulator, [armb fix]) works on the
-    loop-free fragment for free.  Programs with branches or loops are
-    given semantics by bounded unrolling: {!slices} enumerates the
-    acyclic paths through each thread (each block entered at most
-    [unroll] times per path), flattens them to straight-line
-    {!Lang.test}s with SSA-ish register versioning and recorded branch
-    constraints, and {!reachable} is the union over feasible slices of
-    the enumerator's outcomes projected back onto the program's base
-    registers — the reorder-bounded under-approximation that serves as
-    the optimizer's soundness oracle. *)
+    instead of a straight line, and {!of_test} lifts a test to one
+    block per thread.  Programs are given semantics by bounded
+    unrolling: {!slices} enumerates the acyclic paths through each
+    thread (each block entered at most [unroll] times per path),
+    flattens them to straight-line {!Lang.test}s with SSA-ish register
+    versioning and recorded branch constraints, and {!reachable} is the
+    union over feasible slices of the enumerator's outcomes projected
+    back onto the program's base registers — the reorder-bounded
+    under-approximation that serves as the optimizer's soundness
+    oracle. *)
 
 type label = string
 
@@ -64,18 +62,10 @@ val fence_count : program -> int
 val vars : program -> string list
 (** Shared variables: init plus any referenced in reachable blocks. *)
 
-(** {2 Lifting and lowering} *)
+(** {2 Lifting} *)
 
 val of_thread : Lang.thread -> thread_cfg
 val of_test : Lang.test -> program
-
-val straight_line : thread_cfg -> Lang.thread option
-(** [Some instrs] when following Goto edges from the entry meets no
-    branch and no repeated block; [None] otherwise. *)
-
-val lower : program -> Lang.test option
-(** [Some t] iff every thread is straight-line.  [lower (of_test t) =
-    Some t] for all [t]. *)
 
 (** {2 Bounded-unroll path semantics} *)
 

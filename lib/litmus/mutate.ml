@@ -42,28 +42,10 @@ let strip_order ?(keep_values = false) (t : Lang.test) =
     threads = List.map (List.filter_map strip_i) t.threads;
   }
 
-(* ---------- block-addressed point edits over CFG programs ---------- *)
+(* ---------- point edits ---------- *)
 
-(* The canonical edit surface addresses instructions by (thread, block
-   label, index within the block); the historical flat-offset API below
-   is a thin wrapper applying the same edits to the single block of a
-   lifted straight-line test. *)
-
-let on_block (p : Cfg.program) th lbl f =
-  {
-    p with
-    Cfg.threads =
-      List.mapi
-        (fun i (g : Cfg.thread_cfg) ->
-          if i <> th then g
-          else
-            {
-              g with
-              Cfg.blocks =
-                List.map (fun (b : Cfg.block) -> if b.Cfg.label = lbl then f b else b) g.Cfg.blocks;
-            })
-        p.Cfg.threads;
-  }
+let on_thread th f (t : Lang.test) =
+  { t with Lang.threads = List.mapi (fun i body -> if i = th then f body else body) t.threads }
 
 let insert_at pos x l =
   let rec go i = function
@@ -75,54 +57,26 @@ let insert_at pos x l =
 
 let map_nth idx f l = List.mapi (fun i x -> if i = idx then f x else x) l
 
-let on_body f (b : Cfg.block) = { b with Cfg.body = f b.Cfg.body }
-
-let insert_fence_cfg ~thread ~label ~pos f p =
-  on_block p thread label (on_body (insert_at pos (Lang.Fence f)))
-
-let set_acquire_cfg ~thread ~label ~idx p =
-  on_block p thread label
-    (on_body
-       (map_nth idx (function
-         | Lang.Load l -> Lang.Load { l with acquire = true }
-         | i -> i)))
-
-let set_release_cfg ~thread ~label ~idx p =
-  on_block p thread label
-    (on_body
-       (map_nth idx (function
-         | Lang.Store s -> Lang.Store { s with release = true }
-         | i -> i)))
-
-let set_addr_dep_cfg ~thread ~label ~idx ~reg p =
-  on_block p thread label
-    (on_body
-       (map_nth idx (function
-         | Lang.Load l -> Lang.Load { l with addr_dep = Some reg }
-         | Lang.Store s -> Lang.Store { s with addr_dep = Some reg }
-         | i -> i)))
-
-let rename_cfg name p = { p with Cfg.name = name }
-
-(* ---------- flat-offset point edits (wrappers) ---------- *)
-
-(* A lifted straight-line test has exactly one block per thread, so a
-   flat offset IS the in-block index; lowering is total on the result. *)
-let via_cfg edit t =
-  match Cfg.lower (edit (Cfg.of_test t)) with
-  | Some t' -> t'
-  | None -> assert false (* single-block threads always lower *)
-
-let insert_fence ~thread ~pos f t =
-  via_cfg (insert_fence_cfg ~thread ~label:Cfg.single_label ~pos f) t
+let insert_fence ~thread ~pos f t = on_thread thread (insert_at pos (Lang.Fence f)) t
 
 let set_acquire ~thread ~idx t =
-  via_cfg (set_acquire_cfg ~thread ~label:Cfg.single_label ~idx) t
+  on_thread thread
+    (map_nth idx (function Lang.Load l -> Lang.Load { l with acquire = true } | i -> i))
+    t
 
 let set_release ~thread ~idx t =
-  via_cfg (set_release_cfg ~thread ~label:Cfg.single_label ~idx) t
+  on_thread thread
+    (map_nth idx (function Lang.Store s -> Lang.Store { s with release = true } | i -> i))
+    t
 
 let set_addr_dep ~thread ~idx ~reg t =
-  via_cfg (set_addr_dep_cfg ~thread ~label:Cfg.single_label ~idx ~reg) t
+  on_thread thread
+    (map_nth idx (function
+      | Lang.Load l -> Lang.Load { l with addr_dep = Some reg }
+      | Lang.Store s -> Lang.Store { s with addr_dep = Some reg }
+      | i -> i))
+    t
 
 let rename name t = { t with Lang.name = name }
+
+let rename_cfg name p = { p with Cfg.name = name }

@@ -27,30 +27,14 @@ val strip_order : ?keep_values:bool -> Lang.test -> Lang.test
     value-neutral devices are stripped for repair).  The name gains a
     ["-stripped"] suffix. *)
 
-(** {2 Block-addressed point edits}
+(** {2 Point edits}
 
-    The canonical edit surface over CFG programs: instructions are
-    addressed by (thread, block label, index within the block).  All
-    edits are value-neutral: they add ordering without changing any
-    stored value, so outcome predicates keep their meaning.  Indices
-    are 0-based; out-of-range indices or unknown labels leave the
-    program unchanged (and an insert position past the block's end
-    appends to it). *)
-
-val insert_fence_cfg :
-  thread:int -> label:Cfg.label -> pos:int -> Lang.fence -> Cfg.program -> Cfg.program
-
-val set_acquire_cfg :
-  thread:int -> label:Cfg.label -> idx:int -> Cfg.program -> Cfg.program
-
-val rename_cfg : string -> Cfg.program -> Cfg.program
-
-(** {2 Flat-offset point edits}
-
-    The historical API over straight-line tests, kept as thin wrappers:
-    each lifts the test to a single-block CFG ({!Cfg.of_test}), applies
-    the block-addressed edit to {!Cfg.single_label}, and lowers back.
-    Behavior is unchanged for existing callers. *)
+    The synthesizer's placement vocabulary.  An instruction is addressed
+    by (thread, index within the thread), both 0-based.  All edits are
+    value-neutral: they add ordering without changing any stored value,
+    so outcome predicates keep their meaning.  An out-of-range thread or
+    index leaves the test unchanged, and an insert position past the
+    thread's end appends to it. *)
 
 val insert_fence : thread:int -> pos:int -> Lang.fence -> Lang.test -> Lang.test
 (** Insert a fence before the instruction at [pos]. *)
@@ -65,3 +49,5 @@ val set_addr_dep : thread:int -> idx:int -> reg:Lang.reg -> Lang.test -> Lang.te
 (** Give the access at [idx] a (bogus) address dependency on [reg]. *)
 
 val rename : string -> Lang.test -> Lang.test
+
+val rename_cfg : string -> Cfg.program -> Cfg.program

@@ -1,6 +1,5 @@
-(* Structure toolkit over one thread's CFG: reverse postorder,
-   dominators (the iterative Cooper-Harvey-Kennedy scheme), back-edge
-   detection, and the escape analysis the barrier passes consume — for
+(* Structure toolkit over one thread's CFG: predecessors, reverse
+   postorder, and the escape analysis the barrier passes consume — for
    each program point, which access kinds may already have executed
    before it (on some path from the entry, including around loops) and
    which may still execute after it.  A fence ordering pair whose
@@ -11,13 +10,11 @@
 module Lang = Armb_litmus.Lang
 module Cfg = Armb_litmus.Cfg
 
-let labels g = List.map (fun (b : Cfg.block) -> b.Cfg.label) (Cfg.reachable_blocks g)
-
 let successors_of g l = Cfg.successors (Cfg.block_exn g l).Cfg.term
 
 let predecessors g =
   let preds = Hashtbl.create 8 in
-  let ls = labels g in
+  let ls = List.map (fun (b : Cfg.block) -> b.Cfg.label) (Cfg.reachable_blocks g) in
   List.iter (fun l -> Hashtbl.replace preds l []) ls;
   List.iter
     (fun l ->
@@ -45,62 +42,6 @@ let rpo g =
   in
   dfs g.Cfg.entry;
   !post
-
-let unreachable g =
-  let r = labels g in
-  List.filter_map
-    (fun (b : Cfg.block) -> if List.mem b.Cfg.label r then None else Some b.Cfg.label)
-    g.Cfg.blocks
-
-(* Immediate dominators, iterating to fixpoint in RPO (Cooper, Harvey,
-   Kennedy, "A simple, fast dominance algorithm").  The entry maps to
-   itself. *)
-let idom g =
-  let order = rpo g in
-  let index = Hashtbl.create 8 in
-  List.iteri (fun i l -> Hashtbl.replace index l i) order;
-  let preds = predecessors g in
-  let idom = Hashtbl.create 8 in
-  Hashtbl.replace idom g.Cfg.entry g.Cfg.entry;
-  let rec intersect a b =
-    if a = b then a
-    else
-      let ia = Hashtbl.find index a and ib = Hashtbl.find index b in
-      if ia > ib then intersect (Hashtbl.find idom a) b else intersect a (Hashtbl.find idom b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun l ->
-        if l <> g.Cfg.entry then begin
-          let processed = List.filter (fun p -> Hashtbl.mem idom p) (preds l) in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if Hashtbl.find_opt idom l <> Some new_idom then begin
-              Hashtbl.replace idom l new_idom;
-              changed := true
-            end
-        end)
-      order
-  done;
-  fun l -> Hashtbl.find_opt idom l
-
-let dominates g =
-  let idom = idom g in
-  fun a b ->
-    (* does [a] dominate [b]?  walk b's dominator chain up to the entry *)
-    let rec up l = l = a || (l <> g.Cfg.entry && match idom l with Some p -> up p | None -> false) in
-    up b
-
-(* Edges u -> v where v dominates u: the loop back-edges. *)
-let back_edges g =
-  let dom = dominates g in
-  List.concat_map
-    (fun l -> List.filter_map (fun s -> if dom s l then Some (l, s) else None) (successors_of g l))
-    (labels g)
 
 (* ---------- escape analysis ---------- *)
 

@@ -1,30 +1,13 @@
-(** Structure toolkit over one thread's CFG: reverse postorder,
-    dominators, back edges, and the escape analysis the barrier passes
-    consume. *)
+(** Structure toolkit over one thread's CFG: predecessors, reverse
+    postorder, and the escape analysis the barrier passes consume. *)
 
 module Cfg = Armb_litmus.Cfg
-
-val labels : Cfg.thread_cfg -> Cfg.label list
-(** Reachable block labels in DFS order. *)
 
 val predecessors : Cfg.thread_cfg -> Cfg.label -> Cfg.label list
 (** Predecessors among reachable blocks. *)
 
 val rpo : Cfg.thread_cfg -> Cfg.label list
 (** Reverse postorder of the reachable blocks from the entry. *)
-
-val unreachable : Cfg.thread_cfg -> Cfg.label list
-(** Blocks no path from the entry reaches. *)
-
-val idom : Cfg.thread_cfg -> Cfg.label -> Cfg.label option
-(** Immediate dominator (Cooper-Harvey-Kennedy iterative scheme); the
-    entry maps to itself, unreachable blocks to [None]. *)
-
-val dominates : Cfg.thread_cfg -> Cfg.label -> Cfg.label -> bool
-(** [dominates g a b]: every path from the entry to [b] passes [a]. *)
-
-val back_edges : Cfg.thread_cfg -> (Cfg.label * Cfg.label) list
-(** Edges [u -> v] where [v] dominates [u] — the loop back edges. *)
 
 (** {2 Escape analysis}
 

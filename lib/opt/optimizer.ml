@@ -67,8 +67,7 @@ let fence_sites (p : Cfg.program) =
        (fun th (g : Cfg.thread_cfg) ->
          List.concat_map
            (fun (b : Cfg.block) ->
-             List.filteri (fun _ _ -> true) b.Cfg.body
-             |> List.mapi (fun idx instr -> (idx, instr))
+             List.mapi (fun idx instr -> (idx, instr)) b.Cfg.body
              |> List.filter_map (fun (idx, instr) ->
                     match instr with
                     | Lang.Fence Lang.F_dsb -> None

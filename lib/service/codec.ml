@@ -327,11 +327,6 @@ let approaches = one_of (List.map fst Armb_core.Ordering.named)
 let location_of_json v =
   match Json.int v with Some 1 -> Some AM.Loc1 | Some 2 -> Some AM.Loc2 | _ -> None
 
-let algorithm_of_json v =
-  match str v with
-  | Some a when Option.is_some (Armb_opt.Optimizer.algorithm_of_string a) -> Some a
-  | _ -> None
-
 let spec_of_json j =
   let* kind = field ~ty:"a string" str "kind" j in
   match String.lowercase_ascii kind with
@@ -384,8 +379,10 @@ let spec_of_json j =
     in
     let* program = program in
     let* algorithm =
-      field ~default:"second-chance" ~ty:"single-bb, linear-scan or second-chance"
-        algorithm_of_json "algorithm" j
+      field ~default:Armb_opt.Optimizer.Second_chance
+        ~ty:"single-bb, linear-scan or second-chance"
+        (named Armb_opt.Optimizer.algorithm_of_string)
+        "algorithm" j
     in
     let* unroll = field ~default:2 ~ty:"an integer" Json.int "unroll" j in
     Ok (Job.Opt { program; algorithm; unroll })

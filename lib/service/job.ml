@@ -18,7 +18,11 @@ type spec =
   | Fuzz of { tests : int }
   | Fix of { test : Lang.test; max_edits : int; budget : int }
   | Perturb of { test : Lang.test; intensities : float list; plan_seeds : int list }
-  | Opt of { program : Armb_litmus.Cfg.program; algorithm : string; unroll : int }
+  | Opt of {
+      program : Armb_litmus.Cfg.program;
+      algorithm : Armb_opt.Optimizer.algorithm;
+      unroll : int;
+    }
 
 type t = { spec : spec; rc : RC.t; fault : float }
 
@@ -145,13 +149,10 @@ let key t =
     chr '\n';
     str (Key.canonical_test test)
   | Opt { program; algorithm; unroll } ->
-    (* validate the algorithm and unroll now so a job that cannot run fails at submit *)
-    (match Armb_opt.Optimizer.algorithm_of_string algorithm with
-    | Some _ -> ()
-    | None -> invalid_arg (Printf.sprintf "Job.key: unknown algorithm %S" algorithm));
+    (* validate unroll now so a job that cannot run fails at submit *)
     at_least "unroll" 1 unroll;
     str "opt|";
-    str algorithm;
+    str (Armb_opt.Optimizer.algorithm_name algorithm);
     chr '|';
     int unroll;
     chr '\n';
@@ -275,11 +276,6 @@ let run t =
     { text = Buffer.contents b; events = delay_total; cycles = 0 }
   | Opt { program; algorithm; unroll } ->
     let module O = Armb_opt.Optimizer in
-    let algorithm =
-      match O.algorithm_of_string algorithm with
-      | Some a -> a
-      | None -> invalid_arg (Printf.sprintf "Job.run: unknown algorithm %S" algorithm)
-    in
     let r =
       O.optimize ~algorithm ~unroll ~cost:false ~trials:rc.trials ~seed:rc.seed
         program

@@ -37,7 +37,7 @@ type spec =
           ["drift-total=... sweep: OK|VIOLATIONS"] trailer. *)
   | Opt of {
       program : Armb_litmus.Cfg.program;
-      algorithm : string;  (** "single-bb" | "linear-scan" | "second-chance" *)
+      algorithm : Armb_opt.Optimizer.algorithm;
       unroll : int;
     }
       (** whole-program fence optimization ({!Armb_opt.Optimizer}),
@@ -59,14 +59,14 @@ val key : t -> string
 (** Content address (hex digest): canonical test form ({!Key}), kind
     tag, job parameters, platform name, cores, seed, trials and fault
     intensity.  Raises [Invalid_argument] on specs that cannot be
-    keyed or run: an unknown ring combo or opt algorithm, an opt
-    [unroll] or fix limits below 1, a ring of fewer than 1 message, a
-    model job whose [iters] is below 1, whose [nops] is below 0, or
-    whose combination {!AM.valid} rejects, or a test with more threads
-    than its platform has cores (for litmus, check and perturb the
-    request's platform; for fix, which is costed on every platform, the
-    one with fewest cores).  A count's message names the field, its
-    value and the limit; a thread count's names the platform. *)
+    keyed or run: an unknown ring combo, an opt [unroll] or fix limits
+    below 1, a ring of fewer than 1 message, a model job whose [iters]
+    is below 1, whose [nops] is below 0, or whose combination
+    {!AM.valid} rejects, or a test with more threads than its platform
+    has cores (for litmus, check and perturb the request's platform;
+    for fix, which is costed on every platform, the one with fewest
+    cores).  A count's message names the field, its value and the
+    limit; a thread count's names the platform. *)
 
 val kind : t -> string
 (** "litmus" | "check" | "model" | "ring" | "fuzz" | "fix" | "perturb"

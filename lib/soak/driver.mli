@@ -6,20 +6,19 @@
     admission and shedding.  Every terminal response is checked against the
     job's {!Invariant.expect}; violations persist as self-contained
     repro bundles ([armb-soak-violation-v1]: seed, verbatim request
-    line, response).  Shed responses are resubmitted through {!Retry}
-    — a request ends completed, gave-up (counted, reported), or
-    violated (bundled); never silently dropped.
+    line, response).  A shed request is resubmitted once, without
+    waiting, after its wave has drained and the engine is idle — a
+    request ends completed or violated (bundled); never silently
+    dropped.
 
-    A rolling [armb-soak-metrics-v1] snapshot — engine metrics
+    A rolling [armb-soak-metrics-v2] snapshot — engine metrics
     (hit/coalesce/shed rates, latency percentiles) merged with farm
-    counters (jobs per kind, drift totals, violations, retry cycles)
-    — is rewritten atomically every [snapshot_every] waves, so an
-    external watcher can tail a live run without ever reading a torn
-    file. *)
+    counters (jobs per kind, drift totals, violations, sheds) — is
+    rewritten atomically every [snapshot_every] waves, so an external
+    watcher can tail a live run without ever reading a torn file. *)
 
 module Engine = Armb_service.Engine
 module Metrics = Armb_service.Metrics
-module Retry = Armb_service.Retry
 
 type config = {
   seed : int;
@@ -33,13 +32,12 @@ type config = {
   snapshot_every : int;  (** waves between rolling snapshots; 0 = final only *)
   metrics_out : string option;
   bundle_dir : string option;
-  retry : Retry.policy;
 }
 
 val default_config : seed:int -> config
 (** 500 requests, wave 32, pool {!Gen.default_pool}, alpha 1.1, queue
     bound 24, cache 512, snapshot every 4 waves, no
-    artifact paths, {!Retry.default_policy}. *)
+    artifact paths. *)
 
 type violation = {
   index : int;  (** 1-based submission index *)
@@ -55,9 +53,7 @@ type report = {
   cold : int;
   hits : int;
   coalesced : int;
-  shed_seen : int;  (** shed responses observed before retrying *)
-  retried_ok : int;  (** shed -> retry -> complete cycles *)
-  gave_up : int;  (** still shed after the retry policy; reported *)
+  shed_seen : int;  (** shed responses, each resubmitted once *)
   errors : int;
   by_kind : (string * int) list;  (** submissions per job kind, sorted *)
   drift_total : float;  (** summed perturb drift, ms precision *)
@@ -65,18 +61,16 @@ type report = {
   snapshots : int;
   wall_s : float;
   metrics : Metrics.t;
-  ok : bool;  (** zero violations; gave-up/errors are reported, not fatal *)
+  ok : bool;  (** zero violations *)
 }
 
 val run :
-  ?sleep:(int -> unit) ->
   ?jobs:Gen.job list ->
   ?progress:(string -> unit) ->
   config ->
   report
 (** Runs the soak to its bound.  Raises [Invalid_argument] for an
     unbounded config ([requests <= 0], no [duration_s], no [?jobs]).
-    [?sleep] injects the retry backoff clock (tests pass [ignore]).
     [?jobs] replaces the generator stream with an explicit list —
     fixture injection for the violation-bundle tests.  [?progress]
     receives non-fatal operational notes (artifact write failures). *)

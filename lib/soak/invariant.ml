@@ -108,8 +108,8 @@ let check_text expect text =
       | Some _ -> pass
       | None -> fail "opt result missing fence counts")
 
-(* Sheds never reach here (the driver retries them; exhausted retries
-   are reported separately — backpressure is not a soundness bug).
+(* Sheds never reach here: the driver resubmits each one after its
+   wave drains, when the engine is idle and cannot shed it.
    Error replies are always violations: the generator only emits
    well-formed jobs, so the service has no excuse. *)
 let check expect (r : Engine.response) =

@@ -30,5 +30,5 @@ type verdict = {
 
 val check : expect -> Armb_service.Engine.response -> verdict
 (** [Error] replies are always violations; [Shed] replies must not
-    reach the checker (the driver retries them — backpressure is not a
-    soundness bug) and are flagged as driver bugs if they do. *)
+    reach the checker (the driver resubmits them once the engine is
+    idle) and are flagged as driver bugs if they do. *)

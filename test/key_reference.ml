@@ -248,7 +248,8 @@ let job_key (t : Job.t) =
          (String.concat "," (List.map string_of_int plan_seeds)));
     Buffer.add_string b (canonical_test test)
   | Opt { program; algorithm; unroll } ->
-    Buffer.add_string b (Printf.sprintf "opt|%s|%d\n" algorithm unroll);
+    Buffer.add_string b
+      (Printf.sprintf "opt|%s|%d\n" (Armb_opt.Optimizer.algorithm_name algorithm) unroll);
     Buffer.add_string b (canonical_program program));
   let a, bcore = t.rc.cores in
   Buffer.add_string b

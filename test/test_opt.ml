@@ -1,7 +1,7 @@
-(* CFG IR + fence optimizer tests: structure toolkit (RPO/dominators)
-   on known shapes, lowering round-trips, bounded-unroll semantics
-   against the enumerator, the mutate wrapper regression, and the
-   QCheck property that optimizing a random loop-free CFG preserves the
+(* CFG IR + fence optimizer tests: structure toolkit (RPO, escape) on
+   known shapes, lift/lower round trips, bounded-unroll semantics
+   against the enumerator, the point edits' rules, and the QCheck
+   property that optimizing a random loop-free CFG preserves the
    WMM-reachable outcome set bit-for-bit. *)
 
 module Lang = Armb_litmus.Lang
@@ -82,31 +82,21 @@ let test_reachable_blocks () =
 
 (* ---------- lowering ---------- *)
 
+(* A lifted straight-line test has one path per thread, so it lowers
+   back through the slicer to the test it came from. *)
 let test_round_trip () =
   List.iter
     (fun (t : Lang.test) ->
-      match Cfg.lower (Cfg.of_test t) with
-      | None -> Alcotest.fail ("lower(of_test " ^ t.Lang.name ^ ") = None")
-      | Some t' ->
+      let p = Cfg.of_test t in
+      match Cfg.slices p with
+      | [ s ] ->
+        let t' = Cfg.slice_test ~name:t.Lang.name p s in
         checkb ("round trip " ^ t.Lang.name) true
           (t'.Lang.threads = t.Lang.threads && t'.Lang.init = t.Lang.init
-         && t'.Lang.name = t.Lang.name))
+         && t'.Lang.name = t.Lang.name && t'.Lang.expect_wmm = t.Lang.expect_wmm
+         && t'.Lang.expect_tso = t.Lang.expect_tso)
+      | ss -> Alcotest.failf "%s lifts to %d slices" t.Lang.name (List.length ss))
     Catalogue.all
-
-let test_straight_line () =
-  (* goto chains flatten; branches and loops don't *)
-  let chain =
-    Cfg.cfg
-      [
-        Cfg.blk "b0" ~term:(Cfg.goto "b1") [ Lang.st "x" 1L ];
-        Cfg.blk "b1" [ Lang.ld "x" "r1" ];
-      ]
-  in
-  (match Cfg.straight_line chain with
-  | Some [ Lang.Store _; Lang.Load _ ] -> ()
-  | _ -> Alcotest.fail "chain should flatten to store;load");
-  checkb "diamond not straight-line" true (Cfg.straight_line diamond = None);
-  checkb "loop not straight-line" true (Cfg.straight_line loop = None)
 
 (* ---------- bounded-unroll semantics ---------- *)
 
@@ -167,15 +157,14 @@ let test_cfg_slice_tests () =
       checkb (t.Lang.name ^ ": " ^ detail) true ok)
     slices
 
-(* ---------- mutate wrappers ---------- *)
+(* ---------- point edits ---------- *)
 
 let test_mutate_wrappers () =
-  (* flat edits behave exactly as the historical direct implementation *)
   let t = List.find (fun (t : Lang.test) -> t.Lang.name = "MP") Catalogue.all in
   let fenced = Mutate.insert_fence ~thread:0 ~pos:1 Lang.F_dmb_st t in
   (match fenced.Lang.threads with
   | [ [ Lang.Store _; Lang.Fence Lang.F_dmb_st; Lang.Store _ ]; _ ] -> ()
-  | _ -> Alcotest.fail "insert_fence wrapper misplaced the fence");
+  | _ -> Alcotest.fail "insert_fence misplaced the fence");
   let beyond = Mutate.insert_fence ~thread:0 ~pos:99 Lang.F_dsb t in
   (match List.hd beyond.Lang.threads with
   | [ Lang.Store _; Lang.Store _; Lang.Fence Lang.F_dsb ] -> ()
@@ -183,50 +172,60 @@ let test_mutate_wrappers () =
   let acq = Mutate.set_acquire ~thread:1 ~idx:0 t in
   (match acq.Lang.threads with
   | [ _; Lang.Load { acquire = true; _ } :: _ ] -> ()
-  | _ -> Alcotest.fail "set_acquire wrapper failed");
+  | _ -> Alcotest.fail "set_acquire failed");
   let out_of_range = Mutate.set_release ~thread:1 ~idx:42 t in
   checkb "out-of-range edit is identity" true (out_of_range.Lang.threads = t.Lang.threads);
   checkb "name preserved" true (fenced.Lang.name = t.Lang.name);
-  (* interesting predicate survives the lift/lower round trip *)
   checkb "predicate survives" true
     (t.Lang.interesting (fun k -> if k = "1:r1" then 1L else 0L)
     = fenced.Lang.interesting (fun k -> if k = "1:r1" then 1L else 0L))
 
-let test_mutate_cfg_edits () =
-  let p = Catalogue.spin_mp in
-  let edited = Mutate.insert_fence_cfg ~thread:1 ~label:"done" ~pos:0 Lang.F_dmb_ld p in
-  checki "fence added" (Cfg.fence_count p + 1) (Cfg.fence_count edited);
-  (* the edited program is exactly spin_mp_dmb's ordering: forbidden *)
-  checkb "edit forbids the weak outcome" false (Cfg.allows Enumerate.Wmm edited);
-  checkb "original allows it" true (Cfg.allows Enumerate.Wmm p);
-  let unknown = Mutate.insert_fence_cfg ~thread:1 ~label:"nope" ~pos:0 Lang.F_dsb p in
-  checki "unknown label is identity" (Cfg.fence_count p) (Cfg.fence_count unknown);
-  let acq = Mutate.set_acquire_cfg ~thread:1 ~label:"poll" ~idx:0 p in
-  checkb "acquire in the loop forbids it" false (Cfg.allows Enumerate.Wmm acq)
+(* An edit addressing no instruction leaves the test as it was; an
+   insert past the end appends; an upgrade of the wrong kind of
+   instruction is a no-op; other threads are never touched. *)
+let test_mutate_edge_rules () =
+  let t = Catalogue.mp in
+  let unchanged what (t' : Lang.test) = checkb what true (t'.Lang.threads = t.Lang.threads) in
+  List.iter
+    (fun thread ->
+      let at = Printf.sprintf " (thread %d)" thread in
+      unchanged ("insert_fence" ^ at) (Mutate.insert_fence ~thread ~pos:0 Lang.F_dsb t);
+      unchanged ("set_acquire" ^ at) (Mutate.set_acquire ~thread ~idx:0 t);
+      unchanged ("set_release" ^ at) (Mutate.set_release ~thread ~idx:0 t);
+      unchanged ("set_addr_dep" ^ at) (Mutate.set_addr_dep ~thread ~idx:0 ~reg:"r1" t))
+    [ -1; 2; 7 ];
+  List.iter
+    (fun idx ->
+      let at = Printf.sprintf " (idx %d)" idx in
+      unchanged ("set_acquire" ^ at) (Mutate.set_acquire ~thread:1 ~idx t);
+      unchanged ("set_release" ^ at) (Mutate.set_release ~thread:0 ~idx t);
+      unchanged ("set_addr_dep" ^ at) (Mutate.set_addr_dep ~thread:1 ~idx ~reg:"r1" t))
+    [ -1; 2; 42 ];
+  unchanged "set_acquire on a store" (Mutate.set_acquire ~thread:0 ~idx:0 t);
+  unchanged "set_release on a load" (Mutate.set_release ~thread:1 ~idx:0 t);
+  let fenced = Mutate.insert_fence ~thread:0 ~pos:1 Lang.F_dmb_st t in
+  checkb "set_addr_dep on a fence is a no-op" true
+    ((Mutate.set_addr_dep ~thread:0 ~idx:1 ~reg:"r1" fenced).Lang.threads = fenced.Lang.threads);
+  List.iter
+    (fun pos ->
+      match (Mutate.insert_fence ~thread:1 ~pos Lang.F_dmb_ld t).Lang.threads with
+      | [ producer; [ Lang.Load _; Lang.Load _; Lang.Fence Lang.F_dmb_ld ] ] ->
+        checkb (Printf.sprintf "insert at %d leaves thread 0" pos) true
+          (producer = List.hd t.Lang.threads)
+      | _ -> Alcotest.failf "insert at %d should append to thread 1" pos)
+    [ 2; 3; 99 ];
+  match (Mutate.insert_fence ~thread:1 ~pos:0 Lang.F_dmb_ld t).Lang.threads with
+  | [ _; Lang.Fence Lang.F_dmb_ld :: _ ] -> ()
+  | _ -> Alcotest.fail "insert at 0 should prepend"
 
 (* ---------- analysis ---------- *)
 
-let test_rpo_dominators () =
-  (* diamond: b0 dominates all; join dominated by b0 only *)
-  check (Alcotest.list Alcotest.string) "diamond rpo head" [ "b0" ]
-    [ List.hd (Analysis.rpo diamond) ];
-  checkb "b0 dominates join" true (Analysis.dominates diamond "b0" "join");
-  checkb "then does not dominate join" false (Analysis.dominates diamond "then" "join");
-  checkb "else does not dominate join" false (Analysis.dominates diamond "else" "join");
-  check (Alcotest.option Alcotest.string) "idom(join) = b0" (Some "b0")
-    (Analysis.idom diamond "join");
-  check (Alcotest.option Alcotest.string) "idom(entry) = entry" (Some "b0")
-    (Analysis.idom diamond "b0");
-  (* loop: the self back-edge head -> head *)
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-    "loop back edge" [ ("head", "head") ] (Analysis.back_edges loop);
-  checkb "no back edges in diamond" true (Analysis.back_edges diamond = []);
-  (* unreachable blocks are invisible to the toolkit *)
-  check (Alcotest.list Alcotest.string) "island listed" [ "island" ]
-    (Analysis.unreachable with_unreachable);
-  check (Alcotest.option Alcotest.string) "idom(island) = None" None
-    (Analysis.idom with_unreachable "island")
+let test_rpo () =
+  let rpo = Alcotest.(list string) in
+  check rpo "diamond: entry first, join last" [ "b0"; "else"; "then"; "join" ]
+    (Analysis.rpo diamond);
+  check rpo "loop" [ "head"; "exit" ] (Analysis.rpo loop);
+  check rpo "unreachable island left out" [ "b0"; "b1" ] (Analysis.rpo with_unreachable)
 
 let test_escape () =
   let esc = Analysis.escape loop in
@@ -523,7 +522,6 @@ let () =
       ( "cfg-lowering",
         [
           Alcotest.test_case "of_test/lower round trip" `Quick test_round_trip;
-          Alcotest.test_case "straight-line detection" `Quick test_straight_line;
         ] );
       ( "cfg-semantics",
         [
@@ -537,11 +535,11 @@ let () =
       ( "mutate",
         [
           Alcotest.test_case "flat wrappers" `Quick test_mutate_wrappers;
-          Alcotest.test_case "block-addressed edits" `Quick test_mutate_cfg_edits;
+          Alcotest.test_case "edge rules" `Quick test_mutate_edge_rules;
         ] );
       ( "analysis",
         [
-          Alcotest.test_case "rpo + dominators" `Quick test_rpo_dominators;
+          Alcotest.test_case "rpo" `Quick test_rpo;
           Alcotest.test_case "escape" `Quick test_escape;
         ] );
       ( "passes",

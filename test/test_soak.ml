@@ -1,7 +1,7 @@
 (* Tests for the continuous soak farm: seeded stream determinism,
-   the inline-test / inline-program wire codecs, the retry client,
-   bounded serve, the metrics-v1 artifact, violation repro bundles,
-   and end-to-end mixed runs through the engine. *)
+   the inline-test / inline-program wire codecs, bounded serve, the
+   metrics-v2 artifact, violation repro bundles, and end-to-end mixed
+   runs through the engine. *)
 
 module Lang = Armb_litmus.Lang
 module Cat = Armb_litmus.Catalogue
@@ -12,7 +12,6 @@ module Key = Armb_service.Key
 module Codec = Armb_service.Codec
 module Engine = Armb_service.Engine
 module Serve = Armb_service.Serve
-module Retry = Armb_service.Retry
 module Out = Armb_service.Out
 module Gen = Armb_soak.Gen
 module Invariant = Armb_soak.Invariant
@@ -164,55 +163,6 @@ let test_inline_program_round_trip () =
         (Json.to_string (Codec.program_to_json p'))
   done
 
-(* ---------- retry client ---------- *)
-
-let shed_resp ms = { Engine.id = "r"; client = "c"; reply = Engine.Shed { retry_after_ms = ms } }
-
-let ok_resp =
-  {
-    Engine.id = "r";
-    client = "c";
-    reply = Engine.Error "stand-in terminal reply";
-  }
-
-let test_retry_completes () =
-  let sleeps = ref [] in
-  let remaining_sheds = ref 2 in
-  let attempt () =
-    if !remaining_sheds > 0 then begin
-      decr remaining_sheds;
-      shed_resp 15
-    end
-    else ok_resp
-  in
-  match
-    Retry.resubmit
-      ~policy:{ Retry.max_retries = 5; base_ms = 10; cap_ms = 1000 }
-      ~sleep:(fun ms -> sleeps := ms :: !sleeps)
-      ~attempt (shed_resp 15)
-  with
-  | Retry.Completed { retries; _ } ->
-    check Alcotest.int "completed after 3 attempts" 3 retries;
-    (* backoff honors the engine hint as a floor and doubles the base *)
-    check (Alcotest.list Alcotest.int) "backoffs: max(hint, base*2^n)"
-      [ 15; 20; 40 ] (List.rev !sleeps)
-  | Retry.Gave_up _ -> Alcotest.fail "retry gave up with retries remaining"
-
-let test_retry_gives_up () =
-  let attempts = ref 0 in
-  match
-    Retry.resubmit
-      ~policy:{ Retry.max_retries = 3; base_ms = 1; cap_ms = 4 }
-      ~sleep:ignore
-      ~attempt:(fun () -> incr attempts; shed_resp 1)
-      (shed_resp 1)
-  with
-  | Retry.Completed _ -> Alcotest.fail "cannot complete: every attempt sheds"
-  | Retry.Gave_up { last; retries } ->
-    check Alcotest.int "exactly max_retries attempts" 3 !attempts;
-    check Alcotest.int "retries reported" 3 retries;
-    check Alcotest.bool "last response is the shed" true (Retry.is_shed last)
-
 (* ---------- atomic artifact writes ---------- *)
 
 (* The target changes only when the writer returns: a writer that
@@ -307,7 +257,7 @@ let small_config ~seed =
 let test_metrics_artifact_round_trips () =
   let path = tmp_path "metrics.json" in
   let cfg = { (small_config ~seed:7) with Driver.metrics_out = Some path } in
-  let r = Driver.run ~sleep:ignore cfg in
+  let r = Driver.run cfg in
   check Alcotest.bool "run is clean" true r.Driver.ok;
   check Alcotest.bool "at least one rolling + one final snapshot" true
     (r.Driver.snapshots >= 2);
@@ -316,8 +266,11 @@ let test_metrics_artifact_round_trips () =
     | Ok j -> j
     | Error e -> Alcotest.fail ("metrics artifact does not parse: " ^ e)
   in
-  check (Alcotest.option Alcotest.string) "schema" (Some "armb-soak-metrics-v1")
+  check (Alcotest.option Alcotest.string) "schema" (Some "armb-soak-metrics-v2")
     (Json.mem_str "schema" j);
+  List.iter
+    (fun k -> check Alcotest.bool (k ^ " absent") true (Json.member k j = None))
+    [ "retried_ok"; "gave_up" ];
   check (Alcotest.option Alcotest.int) "submitted" (Some 120)
     (Json.mem_int "submitted" j);
   check (Alcotest.option Alcotest.int) "violations" (Some 0)
@@ -377,7 +330,7 @@ let test_injected_violation_bundle () =
       bundle_dir = Some dir;
     }
   in
-  let r = Driver.run ~sleep:ignore ~jobs:(benign @ [ bad ]) cfg in
+  let r = Driver.run ~jobs:(benign @ [ bad ]) cfg in
   check Alcotest.bool "run is flagged" false r.Driver.ok;
   check Alcotest.int "exactly one violation" 1 (List.length r.Driver.violations);
   let v = List.hd r.Driver.violations in
@@ -415,30 +368,32 @@ let test_injected_violation_bundle () =
 (* ---------- end-to-end mixed runs ---------- *)
 
 let test_mixed_run_single_engine () =
-  (* queue bound 4 under waves of 48 forces shedding, so the run must
-     demonstrate shed -> retry -> complete cycles *)
-  let cfg =
-    {
-      (Driver.default_config ~seed:11) with
-      Driver.requests = 200;
-      wave = 48;
-      pool = 48;
-      queue_bound = 4;
-    }
-  in
-  let r = Driver.run ~sleep:ignore cfg in
-  check Alcotest.bool "zero violations" true r.Driver.ok;
-  check Alcotest.int "every request submitted" 200 r.Driver.submitted;
-  check Alcotest.int "completed + gave_up accounts for every request" 200
-    (r.Driver.completed + r.Driver.gave_up);
-  check Alcotest.int "no error replies" 0 r.Driver.errors;
-  check Alcotest.bool "memo cache hit" true (r.Driver.hits > 0);
-  check Alcotest.bool "shed observed" true (r.Driver.shed_seen > 0);
-  check Alcotest.bool "shed -> retry -> complete cycle" true
-    (r.Driver.retried_ok > 0);
-  check Alcotest.bool "perturb drift accumulated" true (r.Driver.drift_total > 0.0);
-  check Alcotest.bool "at least 5 kinds exercised" true
-    (List.length r.Driver.by_kind >= 5)
+  (* queue bounds 4 and 1 under waves of 48 force shedding, so the run
+     must resubmit shed requests and still complete every one *)
+  List.iter
+    (fun queue_bound ->
+      let cfg =
+        {
+          (Driver.default_config ~seed:11) with
+          Driver.requests = 200;
+          wave = 48;
+          pool = 48;
+          queue_bound;
+        }
+      in
+      let r = Driver.run cfg in
+      let name s = Printf.sprintf "queue bound %d: %s" queue_bound s in
+      check Alcotest.bool (name "zero violations") true r.Driver.ok;
+      check Alcotest.int (name "every request submitted") 200 r.Driver.submitted;
+      check Alcotest.int (name "every request completed") 200 r.Driver.completed;
+      check Alcotest.int (name "no error replies") 0 r.Driver.errors;
+      check Alcotest.bool (name "memo cache hit") true (r.Driver.hits > 0);
+      check Alcotest.bool (name "shed observed") true (r.Driver.shed_seen > 0);
+      check Alcotest.bool (name "perturb drift accumulated") true
+        (r.Driver.drift_total > 0.0);
+      check Alcotest.bool (name "at least 5 kinds exercised") true
+        (List.length r.Driver.by_kind >= 5))
+    [ 4; 1 ]
 
 let () =
   Alcotest.run "soak"
@@ -459,13 +414,6 @@ let () =
             test_inline_test_round_trip;
           Alcotest.test_case "inline program round trip" `Quick
             test_inline_program_round_trip;
-        ] );
-      ( "retry",
-        [
-          Alcotest.test_case "sheds then completes, hint-floored backoff" `Quick
-            test_retry_completes;
-          Alcotest.test_case "gives up after the policy, never drops" `Quick
-            test_retry_gives_up;
         ] );
       ( "out",
         [
