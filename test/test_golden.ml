@@ -32,6 +32,12 @@ let cross = Armb_mem.Topology.num_cores kunpeng.Armb_cpu.Config.topo / 2
 
 (* ---------- canonical texts ---------- *)
 
+let mem_ops_name = function
+  | AM.No_mem -> "no-mem"
+  | AM.Store_store -> "st-st"
+  | AM.Load_store -> "ld-st"
+  | AM.Load_load -> "ld-ld"
+
 (* Exact cycle counts of an abstracted-model sweep slice: covers loads,
    stores, barriers, LDAR/STLR, dependencies and both NUMA placements. *)
 let fig3_text () =
@@ -42,13 +48,8 @@ let fig3_text () =
     in
     if AM.valid spec then
       Buffer.add_string b
-        (Printf.sprintf "%s %s (%d,%d) nops=%d cycles=%d\n"
-           (match mem_ops with
-           | AM.No_mem -> "no-mem"
-           | AM.Store_store -> "st-st"
-           | AM.Load_store -> "ld-st"
-           | AM.Load_load -> "ld-ld")
-           aname (fst cores) (snd cores) nops (AM.run_cycles spec))
+        (Printf.sprintf "%s %s (%d,%d) nops=%d cycles=%d\n" (mem_ops_name mem_ops) aname
+           (fst cores) (snd cores) nops (AM.run_cycles spec))
   in
   let store_approaches =
     [
@@ -79,6 +80,50 @@ let fig3_text () =
           emit AM.Load_load ("ldar", Ordering.Ldar_acquire, AM.Loc1) cores nops)
         [ 100; 500 ])
     [ (0, 4); (0, cross) ];
+  Buffer.contents b
+
+(* Cycles and events of every valid abstracted model at 200 iterations:
+   each memory-op kind under each named approach at both locations, at
+   0, 7 and 100 NOPs, on a same-cluster and a half-machine core pair
+   (cross-node on kunpeng916, cross-cluster on kirin960). *)
+let model_approaches_text () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (cfg : Armb_cpu.Config.t) ->
+      let half = Armb_mem.Topology.num_cores cfg.topo / 2 in
+      List.iter
+        (fun cores ->
+          List.iter
+            (fun mem_ops ->
+              List.iter
+                (fun (aname, approach) ->
+                  List.iter
+                    (fun (lname, location) ->
+                      List.iter
+                        (fun nops ->
+                          let spec =
+                            {
+                              (AM.default_spec cfg) with
+                              cores;
+                              mem_ops;
+                              approach;
+                              location;
+                              nops;
+                              iters = 200;
+                            }
+                          in
+                          if AM.valid spec then begin
+                            let cycles, events = AM.run_stats spec in
+                            Printf.bprintf b "%s %s %s-%s (%d,%d) nops=%d cycles=%d events=%d\n"
+                              cfg.name (mem_ops_name mem_ops) aname lname (fst cores)
+                              (snd cores) nops cycles events
+                          end)
+                        [ 0; 7; 100 ])
+                    [ ("1", AM.Loc1); ("2", AM.Loc2) ])
+                Ordering.named)
+            [ AM.No_mem; AM.Store_store; AM.Load_store; AM.Load_load ])
+        [ (0, 1); (0, half) ])
+    [ P.kunpeng916; P.kirin960 ];
   Buffer.contents b
 
 (* Outcome histograms of the whole litmus catalogue at a fixed seed. *)
@@ -511,6 +556,8 @@ let expected =
     (* captured before the Pilot ring and the Figure 6(c) baseline
        merged into Spsc_ring *)
     ("ring-harnesses", "c2548ade776e0496cb0c19d2a21d3919");
+    (* captured before Algorithm 1's loop body was written once *)
+    ("model-approaches", "9ec861eb2d38e5f0853e355fe9bf1758");
   ]
 
 let texts =
@@ -529,6 +576,7 @@ let texts =
     ("lock-harnesses", lock_harnesses_text);
     ("primitive-kernels", primitive_kernels_text);
     ("ring-harnesses", ring_harnesses_text);
+    ("model-approaches", model_approaches_text);
   ]
 
 let golden name () =
