@@ -209,9 +209,12 @@ let model_cmd =
       Printf.eprintf "invalid combination: %s with this mem-ops kind\n" (AM.label spec);
       exit 1
     end;
-    let thr = AM.run spec in
+    let cycles, _ = AM.run_stats spec in
+    let thr =
+      Armb_sim.Stats.throughput_per_sec ~ops:iters ~cycles ~freq_ghz:rc.cfg.Armb_cpu.Config.freq_ghz
+    in
     Printf.printf "%s on %s, %d nops: %.2f M loops/s (%d cycles)\n" (AM.label spec)
-      rc.cfg.Armb_cpu.Config.name nops (thr /. 1e6) (AM.run_cycles spec)
+      rc.cfg.Armb_cpu.Config.name nops (thr /. 1e6) cycles
   in
   Cmd.v
     (Cmd.info "model" ~doc:"Run one abstracted model (the paper's Algorithm 1).")

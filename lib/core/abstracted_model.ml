@@ -50,133 +50,76 @@ let valid spec =
     (not (Ordering.requires_leading_load spec.approach && not (first_is_load spec)))
     && not (Ordering.requires_trailing_store spec.approach && not (second_is_store spec))
 
-(* One thread's loop body.  Both threads walk the same two line streams
-   half a buffer apart, so each line a thread touches was last written
-   by the other thread — every access around the barrier is a remote
-   memory reference, as in the paper's harness, without the two threads
-   colliding on the same line at the same instant. *)
+(* The barrier at X-1, the NOPs, the barrier at X-2. *)
+let between c ~barrier1 ~nops ~barrier2 =
+  (match barrier1 with Some b -> Core.barrier c b | None -> ());
+  Core.compute c nops;
+  match barrier2 with Some b -> Core.barrier c b | None -> ()
+
+(* One thread's loop body, Algorithm 1 step by step.  Both threads walk
+   the same two line streams half a buffer apart, so each line a thread
+   touches was last written by the other thread — every access around
+   the barrier is a remote memory reference, as in the paper's harness,
+   without the two threads colliding on the same line at the same
+   instant.  Everything the loop reads is decided before it starts, so
+   an iteration builds no closure, option or boxed value (beyond the
+   DATA store's value). *)
 let thread_body spec ~buf_a ~buf_b ~phase (c : Core.t) =
   let loop_overhead = 3 in
   (* add x0 / add x1 / add-cmp-branch of Algorithm 1 *)
-  let n = spec.iters and lines = spec.buffer_lines in
+  let lines = spec.buffer_lines and nops = spec.nops in
   let offset = if phase = 0 then 0 else lines / 2 in
-  for i = 0 to n - 1 do
+  let load_first = first_is_load spec and store_second = second_is_store spec in
+  let store_first = spec.mem_ops = Store_store and load_second = spec.mem_ops = Load_load in
+  let barrier1, barrier2 =
+    match (spec.approach, spec.location) with
+    | Ordering.Bar b, Loc1 -> (Some b, None)
+    | Ordering.Bar b, Loc2 -> (None, Some b)
+    | _ -> (None, None)
+  in
+  let approach = spec.approach in
+  let acquire = approach = Ordering.Ldar_acquire and release = approach = Ordering.Stlr_release in
+  let data = approach = Ordering.Data_dep and addr = approach = Ordering.Addr_dep in
+  let isb = approach = Ordering.Ctrl_isb in
+  let bogus = data || addr || isb || approach = Ordering.Ctrl_dep in
+  for i = 0 to spec.iters - 1 do
     let slot = (i + offset) mod lines in
     let addr_a = buf_a + (slot * 64) and addr_b = buf_b + (slot * 64) in
-    (match spec.mem_ops with
-    | No_mem ->
-      (* Barrier placed on the critical path between NOP batches. *)
-      (match (spec.approach, spec.location) with
-      | Ordering.Bar b, Loc1 -> Core.barrier c b
-      | _ -> ());
-      Core.compute c spec.nops;
-      (match (spec.approach, spec.location) with
-      | Ordering.Bar b, Loc2 -> Core.barrier c b
-      | _ -> ())
-    | Store_store -> (
-      match spec.approach with
-      | Ordering.Stlr_release ->
-        Core.store c addr_a 1L;
-        Core.compute c spec.nops;
-        Core.stlr c addr_b 2L
-      | Ordering.Bar b ->
-        Core.store c addr_a 1L;
-        if spec.location = Loc1 then Core.barrier c b;
-        Core.compute c spec.nops;
-        if spec.location = Loc2 then Core.barrier c b;
-        Core.store c addr_b 2L
-      | Ordering.No_barrier ->
-        Core.store c addr_a 1L;
-        Core.compute c spec.nops;
-        Core.store c addr_b 2L
-      | _ -> assert false)
-    | Load_store -> (
-      match spec.approach with
-      | Ordering.No_barrier ->
-        ignore (Core.load c addr_a);
-        Core.compute c spec.nops;
-        Core.store c addr_b 2L
-      | Ordering.Bar b ->
-        ignore (Core.load c addr_a);
-        if spec.location = Loc1 then Core.barrier c b;
-        Core.compute c spec.nops;
-        if spec.location = Loc2 then Core.barrier c b;
-        Core.store c addr_b 2L
-      | Ordering.Ldar_acquire ->
-        ignore (Core.ldar c addr_a);
-        Core.compute c spec.nops;
-        Core.store c addr_b 2L
-      | Ordering.Stlr_release ->
-        ignore (Core.load c addr_a);
-        Core.compute c spec.nops;
-        Core.stlr c addr_b 2L
-      | Ordering.Data_dep ->
-        (* NOPs are independent of the load; only the stored value is
-           data-dependent (bogus xor), so they overlap the miss. *)
-        let tok = Core.load c addr_a in
-        Core.compute c spec.nops;
-        let v = Core.await c tok in
-        Core.compute c 1;
-        Core.store c addr_b (Int64.logxor v v |> Int64.add 2L)
-      | Ordering.Addr_dep ->
-        let tok = Core.load c addr_a in
-        Core.compute c spec.nops;
-        let v = Core.await c tok in
-        Core.compute c 1;
-        let bogus = Int64.to_int (Int64.logxor v v) in
-        Core.store c (addr_b + bogus) 2L
-      | Ordering.Ctrl_dep ->
-        let tok = Core.load c addr_a in
-        Core.compute c spec.nops;
-        let v = Core.await c tok in
-        Core.compute c 1;
-        if Int64.equal (Int64.logxor v v) 0L then Core.store c addr_b 2L
-      | Ordering.Ctrl_isb ->
-        let tok = Core.load c addr_a in
-        Core.compute c spec.nops;
-        let v = Core.await c tok in
-        Core.compute c 1;
-        if Int64.equal (Int64.logxor v v) 0L then begin
-          Core.barrier c Barrier.Isb;
-          Core.store c addr_b 2L
-        end)
-    | Load_load -> (
-      match spec.approach with
-      | Ordering.No_barrier ->
-        ignore (Core.load c addr_a);
-        Core.compute c spec.nops;
-        ignore (Core.load c addr_b)
-      | Ordering.Bar b ->
-        ignore (Core.load c addr_a);
-        if spec.location = Loc1 then Core.barrier c b;
-        Core.compute c spec.nops;
-        if spec.location = Loc2 then Core.barrier c b;
-        ignore (Core.load c addr_b)
-      | Ordering.Ldar_acquire ->
-        ignore (Core.ldar c addr_a);
-        Core.compute c spec.nops;
-        ignore (Core.load c addr_b)
-      | Ordering.Addr_dep ->
-        let tok = Core.load c addr_a in
-        Core.compute c spec.nops;
-        let v = Core.await c tok in
-        Core.compute c 1;
-        let bogus = Int64.to_int (Int64.logxor v v) in
-        ignore (Core.load c (addr_b + bogus))
-      | Ordering.Ctrl_isb ->
-        let tok = Core.load c addr_a in
-        Core.compute c spec.nops;
-        let v = Core.await c tok in
-        Core.compute c 1;
-        if Int64.equal (Int64.logxor v v) 0L then begin
-          Core.barrier c Barrier.Isb;
-          ignore (Core.load c addr_b)
+    (* First access.  A bogus dependency awaits a first load after the
+       NOPs (which overlap its miss), spends one ALU op and xors the
+       value with itself: a zero the core cannot predict. *)
+    let zero =
+      if load_first then begin
+        let tok = if acquire then Core.ldar c addr_a else Core.load c addr_a in
+        between c ~barrier1 ~nops ~barrier2;
+        if bogus then begin
+          let v = Core.await c tok in
+          Core.compute c 1;
+          Int64.to_int (Int64.logxor v v)
         end
-      | _ -> assert false));
+        else 0
+      end
+      else begin
+        if store_first then Core.store c addr_a 1L;
+        between c ~barrier1 ~nops ~barrier2;
+        0
+      end
+    in
+    (* Second access: DATA folds the zero into the stored value, ADDR
+       into the address; CTRL branches on it (always taken), CTRL+ISB
+       adds an ISB behind the branch. *)
+    if zero = 0 then begin
+      if isb then Core.barrier c Barrier.Isb;
+      let addr_b = if addr then addr_b + zero else addr_b in
+      if store_second then
+        if release then Core.stlr c addr_b 2L
+        else Core.store c addr_b (if data then Int64.of_int (2 + zero) else 2L)
+      else if load_second then ignore (Core.load c addr_b)
+    end;
     Core.compute c loop_overhead
   done
 
-let run_machine spec =
+let run_stats spec =
   if not (valid spec) then
     invalid_arg
       (Printf.sprintf "Abstracted_model: invalid combination (%s)" (label spec));
@@ -187,16 +130,9 @@ let run_machine spec =
   Machine.spawn m ~core:c0 (thread_body spec ~buf_a ~buf_b ~phase:0);
   Machine.spawn m ~core:c1 (thread_body spec ~buf_a ~buf_b ~phase:1);
   Machine.run_exn m;
-  m
-
-let run_cycles spec = Machine.elapsed (run_machine spec)
-
-let run_stats spec =
-  let m = run_machine spec in
   (Machine.elapsed m, Armb_sim.Event_queue.processed (Machine.queue m))
 
+(* Per-thread loop throughput, as reported in the paper's figures. *)
 let run spec =
-  let m = run_machine spec in
-  (* Per-thread loop throughput, as reported in the paper's figures. *)
-  Armb_sim.Stats.throughput_per_sec ~ops:spec.iters ~cycles:(Machine.elapsed m)
+  Armb_sim.Stats.throughput_per_sec ~ops:spec.iters ~cycles:(fst (run_stats spec))
     ~freq_ghz:spec.cfg.freq_ghz

@@ -47,11 +47,7 @@ val run : spec -> float
 (** Execute the model and return throughput in loops/second (per
     thread).  Raises [Invalid_argument] if [valid spec] is false. *)
 
-val run_cycles : spec -> int
-(** Same run, returning the makespan in cycles (for tests that assert
-    exact deterministic values). *)
-
 val run_stats : spec -> int * int
-(** Same run, returning [(cycles, events)] where [events] is the number
-    of kernel events the run processed — the denominator of the perf
-    harness' events/sec metric. *)
+(** Same run, returning [(cycles, events)]: the makespan in cycles and
+    the number of kernel events the run processed (the denominator of
+    the perf harness' events/sec metric). *)

@@ -104,7 +104,7 @@ let obs3_stlr_unstable () =
 let added_cycles cfg ~cores ~nops =
   let cyc approach location =
     let s = spec cfg ~cores ~mem_ops:AM.Store_store ~approach ~location ~nops in
-    float_of_int (AM.run_cycles s) /. float_of_int s.AM.iters
+    float_of_int (fst (AM.run_stats s)) /. float_of_int s.AM.iters
   in
   let base = cyc Ordering.No_barrier AM.Loc1 in
   let overheads =

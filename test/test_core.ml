@@ -65,7 +65,8 @@ let test_am_validity () =
 
 let test_am_deterministic () =
   let s = { (small P.kunpeng916) with approach = Ordering.Bar (Barrier.Dmb St) } in
-  check Alcotest.int "same spec, same cycles" (AM.run_cycles s) (AM.run_cycles s)
+  check Alcotest.(pair int int) "same spec, same cycles and events" (AM.run_stats s)
+    (AM.run_stats s)
 
 let test_am_nops_scale () =
   let s = small P.kunpeng916 in

@@ -49,7 +49,7 @@ let fig3_text () =
     if AM.valid spec then
       Buffer.add_string b
         (Printf.sprintf "%s %s (%d,%d) nops=%d cycles=%d\n" (mem_ops_name mem_ops) aname
-           (fst cores) (snd cores) nops (AM.run_cycles spec))
+           (fst cores) (snd cores) nops (fst (AM.run_stats spec)))
   in
   let store_approaches =
     [

@@ -616,7 +616,7 @@ let golden_jobs () =
       }
     in
     Printf.sprintf "st-st DMB full (%d,%d) nops=100 cycles=%d\n"
-      (fst rc40.RC.cores) (snd rc40.RC.cores) (AM.run_cycles spec)
+      (fst rc40.RC.cores) (snd rc40.RC.cores) (fst (AM.run_stats spec))
   in
   [
     ( "model",
