@@ -741,7 +741,7 @@ let trace_cmd =
     | None ->
       let tr = Trace.create () in
       let spec = { (Armb_sync.Spsc_ring.default_spec rc.cfg ~cores:rc.cores) with messages } in
-      let r = Armb_sync.Spsc_ring.run ~observer:(Trace.observer tr) spec in
+      let r = Armb_sync.Spsc_ring.verified_run ~observer:(Trace.observer tr) spec in
       write out tr;
       Printf.printf "%d spans (%d dropped) covering %d cycles\n" (Trace.length tr)
         (Trace.dropped tr) r.cycles;

@@ -4,7 +4,8 @@
 
     A trace is a consumer of the {!Observe} stream: attach its
     {!observer} to a machine before spawning threads, or pass it to a
-    runner that takes an observer ([Sim_runner.run], [Spsc_ring.run]):
+    runner that takes an observer ([Sim_runner.run],
+    [Spsc_ring.verified_run]):
     {[
       let tr = Trace.create () in
       let m = Machine.create ~observer:(Trace.observer tr) cfg in

@@ -226,7 +226,7 @@ let run t =
         fault;
       }
     in
-    let r = Spsc.run spec in
+    let r = Spsc.verified_run spec in
     {
       text =
         Format.asprintf "%s cycles=%d %a\n" combo r.Spsc.cycles Armb_mem.Memsys.pp_counters

@@ -266,10 +266,10 @@ let window (spec : spec) ch ~check (c : Core.t) =
 
 (* [batched] selects Figure 6(c)'s consumers: a fenced ring then takes
    one whole message at a time. *)
-let run_gen ?observer ~words ~batched ~verified (spec : spec) =
+let run_gen ?observer ~words ~batched (spec : spec) =
   if spec.slots <= 0 || spec.messages <= 0 then invalid_arg "Spsc_ring: bad spec";
   if words <= 0 || words > 8 then invalid_arg "Spsc_ring: words must be in 1..8";
-  let check = verified && sound spec.barriers in
+  let check = sound spec.barriers in
   let m = Machine.create ?observer ?fault:spec.fault spec.cfg in
   let ch = make m spec.barriers ~slots:spec.slots ~words ~seed:7 in
   let producer (c : Core.t) =
@@ -301,8 +301,6 @@ let run_gen ?observer ~words ~batched ~verified (spec : spec) =
     lines_touched = Armb_mem.Memsys.counters (Machine.mem m);
   }
 
-let run ?observer spec = run_gen ?observer ~words:1 ~batched:false ~verified:false spec
+let verified_run ?observer spec = run_gen ?observer ~words:1 ~batched:false spec
 
-let verified_run spec = run_gen ~words:1 ~batched:false ~verified:true spec
-
-let run_batched ~words spec = run_gen ~words ~batched:true ~verified:true spec
+let run_batched ~words spec = run_gen ~words ~batched:true spec

@@ -68,25 +68,22 @@ type result = {
   lines_touched : Armb_mem.Memsys.counters;
 }
 
-val run : ?observer:Armb_cpu.Observe.t -> spec -> result
-(** Run the ring to completion.  A fenced ring's consumer drains every
-    message available at each counter observation (Figure 6(a)); a
-    Pilot ring's keeps a four-deep window of slot loads in flight
-    (Figure 6(b)).  [observer] receives both cores'
-    {!Armb_cpu.Observe} stream ([armb trace] passes a
+val verified_run : ?observer:Armb_cpu.Observe.t -> spec -> result
+(** Run the ring to completion, the consumer checking every payload it
+    receives; raises [Failure] on corruption.  (With a [No Barrier]
+    publish the check is skipped — removing the publish barrier is
+    unsound by design and serves only as a performance reference.)  A
+    fenced ring's consumer drains every message available at each
+    counter observation (Figure 6(a)); a Pilot ring's keeps a four-deep
+    window of slot loads in flight (Figure 6(b)).  [observer] receives
+    both cores' {!Armb_cpu.Observe} stream ([armb trace] passes a
     {!Armb_cpu.Trace.observer}); observing changes no result.  Raises
     [Invalid_argument] unless [slots] and [messages] are positive. *)
-
-val verified_run : spec -> result
-(** Like {!run} but additionally has the consumer check every received
-    payload; raises [Failure] on corruption.  (With a [No Barrier]
-    publish the check is skipped — removing the publish barrier is
-    unsound by design and serves only as a performance reference.) *)
 
 val run_batched : words:int -> spec -> result
 (** Figure 6(c): messages of [words] 8-byte lanes, one cache line per
     lane, every payload checked as in {!verified_run}.  Pilot sends
-    each lane on its own channel and keeps {!run}'s window; a fenced
+    each lane on its own channel and keeps {!verified_run}'s window; a fenced
     ring publishes the whole message under one counter bump, and its
     consumer takes one message at a time, issuing all its lane loads
     before awaiting them.  Raises [Invalid_argument] unless [words] is

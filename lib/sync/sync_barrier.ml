@@ -57,45 +57,21 @@ let check_progress ~kind ~progress ~self ~ep =
                 (kind_name kind) self ep j arrived)))
     progress
 
-let spawn_central m ~cores ~episodes ~work ~progress =
-  let n = List.length cores in
-  let ctr = Machine.alloc_line m in
-  let sense = Machine.alloc_line m in
-  List.iteri
-    (fun idx core ->
-      Machine.spawn m ~core (fun c ->
-          for ep = 1 to episodes do
-            Core.compute c work;
-            progress.(idx) <- ep;
-            let prev = Core.await c (Core.fetch_add c ctr 1L) in
-            if Int64.to_int prev = (ep * n) - 1 then begin
-              (* Last arriver releases everyone: order the arrival rmw
-                 before the sense publication. *)
-              Core.barrier c (Barrier.Dmb St);
-              Core.store c sense (Int64.of_int ep)
-            end
-            else begin
-              ignore (Core.spin_until c sense (fun v -> Int64.to_int v >= ep));
-              Core.barrier c (Barrier.Dmb Ld)
-            end;
-            check_progress ~kind:Central ~progress ~self:idx ~ep
-          done))
-    cores
-
 (* Combining tree: groups of [arity] cores share a leaf counter; the
    last arriver at each node climbs to the parent; whoever completes
    the root publishes the episode on the (single, machine-wide) sense
    line.  Arrival traffic is spread over ~n/arity lines; the release is
    one store whose invalidation fans out to every spinning sharer —
    which is exactly the wide-sharer-set path the directory must walk in
-   word steps, not per-core. *)
+   word steps, not per-core.  The central barrier is the tree whose one
+   node has all n cores as its width. *)
 type tree_node = { addr : int; width : int; parent : int (* -1 at root *) }
 
 let build_tree m ~arity ~leaves =
   let group count = (count + arity - 1) / arity in
   let nodes = ref [] and total = ref 0 in
   (* level widths: leaves is the number of participants *)
-  let rec level ~count ~parent_base_hint:_ =
+  let rec level ~count =
     let n_nodes = group count in
     let base = !total in
     total := !total + n_nodes;
@@ -105,9 +81,9 @@ let build_tree m ~arity ~leaves =
           Int.min arity (count - lo))
     in
     nodes := (base, widths) :: !nodes;
-    if n_nodes > 1 then level ~count:n_nodes ~parent_base_hint:()
+    if n_nodes > 1 then level ~count:n_nodes
   in
-  level ~count:leaves ~parent_base_hint:();
+  level ~count:leaves;
   let levels = List.rev !nodes in
   let arr = Array.make !total { addr = 0; width = 0; parent = -1 } in
   List.iteri
@@ -123,12 +99,11 @@ let build_tree m ~arity ~leaves =
     levels;
   arr
 
-let spawn_tree m ~arity ~cores ~episodes ~work ~progress =
+let spawn_tree m ~kind ~arity ~cores ~episodes ~work ~progress =
   if arity < 2 then invalid_arg "Sync_barrier: tree arity must be >= 2";
   let n = List.length cores in
   let nodes = build_tree m ~arity ~leaves:n in
   let sense = Machine.alloc_line m in
-  let kind = Tree arity in
   List.iteri
     (fun idx core ->
       Machine.spawn m ~core (fun c ->
@@ -196,10 +171,13 @@ let run spec =
   if spec.work < 0 then invalid_arg "Sync_barrier.run: negative work";
   let m = Machine.create spec.cfg in
   let progress = Array.make n 0 in
-  (match spec.kind with
-  | Central -> spawn_central m ~cores:spec.cores ~episodes:spec.episodes ~work:spec.work ~progress
+  let kind = spec.kind in
+  (match kind with
+  | Central ->
+    spawn_tree m ~kind ~arity:(Int.max 2 n) ~cores:spec.cores ~episodes:spec.episodes
+      ~work:spec.work ~progress
   | Tree arity ->
-    spawn_tree m ~arity ~cores:spec.cores ~episodes:spec.episodes ~work:spec.work ~progress
+    spawn_tree m ~kind ~arity ~cores:spec.cores ~episodes:spec.episodes ~work:spec.work ~progress
   | Dissemination ->
     spawn_dissemination m ~cores:spec.cores ~episodes:spec.episodes ~work:spec.work ~progress);
   Machine.run_exn m;

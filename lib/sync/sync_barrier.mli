@@ -8,7 +8,8 @@
     - {b Central}: one fetch-add counter, one sense line.  O(n)
       serialized rmws per episode on a single hot line, plus one release
       store whose invalidation fans out to every spinner — the
-      quadratic-ish pattern that melts past a few dozen cores.
+      quadratic-ish pattern that melts past a few dozen cores.  It runs
+      as the combining tree below with one node of width n.
     - {b Tree}: combining tree of the given arity; arrival rmws spread
       over ~n/arity lines, the root publishes the sense.  O(n) rmws but
       only O(arity) contention per line and O(log n) depth on the

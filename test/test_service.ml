@@ -594,7 +594,7 @@ let golden_jobs () =
         barriers = Armb_sync.Spsc_ring.combo "DMB ld - DMB st";
       }
     in
-    let r = Armb_sync.Spsc_ring.run spec in
+    let r = Armb_sync.Spsc_ring.verified_run spec in
     Format.asprintf "%s cycles=%d %a\n" "DMB ld - DMB st" r.Armb_sync.Spsc_ring.cycles
       Armb_mem.Memsys.pp_counters r.Armb_sync.Spsc_ring.lines_touched
   in

@@ -37,7 +37,7 @@ let test_ring_unknown_combo () =
     [ "nonsense"; "Pilot"; "pilot" ]
 
 let test_ring_fatal_barrier_dominates () =
-  let t name = (S.Spsc_ring.run { (ring_spec ()) with barriers = S.Spsc_ring.combo name }).S.Spsc_ring.throughput in
+  let t name = (S.Spsc_ring.verified_run { (ring_spec ()) with barriers = S.Spsc_ring.combo name }).S.Spsc_ring.throughput in
   let ld_st = t "DMB ld - DMB st" in
   let ld_none = t "DMB ld - No Barrier" in
   let full_stlr = t "DMB full - STLR" in
@@ -53,9 +53,9 @@ let test_ring_small_buffers () =
 let test_ring_observer_neutral () =
   let spec = { (S.Spsc_ring.default_spec P.kunpeng916 ~cores:cross) with messages = 500 } in
   let observed = ref 0 in
-  let traced = S.Spsc_ring.run ~observer:(fun _ -> incr observed) spec in
+  let traced = S.Spsc_ring.verified_run ~observer:(fun _ -> incr observed) spec in
   check Alcotest.bool "observer saw the run" true (!observed > 0);
-  check Alcotest.bool "observing changes nothing" true (S.Spsc_ring.run spec = traced)
+  check Alcotest.bool "observing changes nothing" true (S.Spsc_ring.verified_run spec = traced)
 
 (* ---------- Pilot ring ---------- *)
 
@@ -67,10 +67,10 @@ let test_pilot_ring_verified () =
 
 let test_pilot_beats_best_legal () =
   let best =
-    (S.Spsc_ring.run { (ring_spec ()) with barriers = S.Spsc_ring.combo "DMB ld - DMB st" })
+    (S.Spsc_ring.verified_run { (ring_spec ()) with barriers = S.Spsc_ring.combo "DMB ld - DMB st" })
       .S.Spsc_ring.throughput
   in
-  let pilot = (S.Spsc_ring.run (pilot_spec ())).S.Spsc_ring.throughput in
+  let pilot = (S.Spsc_ring.verified_run (pilot_spec ())).S.Spsc_ring.throughput in
   check Alcotest.bool "pilot wins" true (pilot > 1.2 *. best)
 
 let test_pilot_batched_words () =
