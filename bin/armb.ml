@@ -173,9 +173,9 @@ let messages ~default =
   Arg.(value & opt (int_from 1) default
        & info [ "messages" ] ~docv:"N" ~doc:"Messages the producer-consumer ring transfers.")
 
-let fault_of ~(rc : RC.t) ~name intensity =
+let fault_of ~(rc : RC.t) intensity =
   if intensity <= 0.0 then None
-  else Some (Armb_fault.Plan.of_intensity ~seed:rc.seed ~name intensity)
+  else Some (Armb_fault.Plan.of_intensity ~seed:rc.seed intensity)
 
 let approach =
   Arg.(value & opt (enum Ordering.named) (Ordering.Bar (Barrier.Dmb Full)) & info [ "a"; "approach" ] ~docv:"APPROACH" ~doc:"Order-preserving approach.")
@@ -351,7 +351,7 @@ let ring_cmd =
   in
   let run (rc : RC.t) combo messages intensity =
     let cfg = rc.cfg in
-    let fault = fault_of ~rc ~name:(Printf.sprintf "ring-%.2f" intensity) intensity in
+    let fault = fault_of ~rc intensity in
     let pilot = String.lowercase_ascii combo = "pilot" in
     let barriers =
       if pilot then Armb_sync.Spsc_ring.Pilot else Armb_sync.Spsc_ring.combo combo
@@ -386,7 +386,7 @@ let report_cmd =
 let fuzz_cmd =
   let tests = Arg.(value & opt (int_from 0) 50 & info [ "tests" ] ~docv:"N" ~doc:"Random tests to generate.") in
   let run (rc : RC.t) tests intensity =
-    let fault = fault_of ~rc ~name:(Printf.sprintf "fuzz-%.2f" intensity) intensity in
+    let fault = fault_of ~rc intensity in
     let r =
       Armb_litmus.Fuzz.run ~cfg:rc.cfg ?fault ~tests ~trials_per_test:rc.trials ~seed:rc.seed ()
     in
@@ -484,7 +484,7 @@ let perturb_cmd =
     say "\n== MP ring degradation (%s, cores %d,%d, %d messages) ==\n"
       rc.cfg.Armb_cpu.Config.name a b messages;
     let ring barriers intensity =
-      let fault = fault_of ~rc ~name:(Printf.sprintf "perturb-%.2f" intensity) intensity in
+      let fault = fault_of ~rc intensity in
       let spec =
         { (Armb_sync.Spsc_ring.default_spec rc.cfg ~cores:rc.cores) with messages; barriers; fault }
       in

@@ -116,38 +116,3 @@ let best ~from_ ~to_ =
   match suggest ~from_ ~to_ with
   | s :: _ -> s.approach
   | [] -> Ordering.Bar (Barrier.Dmb Full)
-
-let table () =
-  let cols = List.map to_to_string all_to in
-  let rows =
-    List.map
-      (fun f ->
-        ( from_to_string f,
-          List.map
-            (fun t ->
-              (* encode the best approach as its index in a stable list
-                 for a numeric table; the CLI prints names instead *)
-              let a = best ~from_:f ~to_:t in
-              let order =
-                [
-                  Ordering.Addr_dep;
-                  Ordering.Data_dep;
-                  Ordering.Ctrl_dep;
-                  Ordering.Ldar_acquire;
-                  Ordering.Bar (Barrier.Dmb Ld);
-                  Ordering.Bar (Barrier.Dmb St);
-                  Ordering.Stlr_release;
-                  Ordering.Bar (Barrier.Dmb Full);
-                  Ordering.Bar (Barrier.Dsb Full);
-                ]
-              in
-              let rec idx i = function
-                | [] -> float_of_int (List.length order)
-                | x :: rest -> if x = a then float_of_int i else idx (i + 1) rest
-              in
-              idx 0 order)
-            all_to ))
-      all_from
-  in
-  Armb_sim.Series.make ~title:"Table 3: best approach index (0=ADDR dep ... 8=DSB)"
-    ~unit_label:"approach rank" ~cols rows

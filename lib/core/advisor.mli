@@ -30,9 +30,6 @@ val sufficient : Ordering.t -> from_:from_access -> to_:to_access -> bool
 (** Architectural sufficiency check (used to cross-validate the table
     against {!Ordering} predicates and in tests). *)
 
-val table : unit -> Armb_sim.Series.table
-(** Render the full suggestion matrix as a printable table. *)
-
 val all_from : from_access list
 val all_to : to_access list
 val from_to_string : from_access -> string

@@ -30,8 +30,6 @@ type sender
 
 type receiver
 
-val default_pool_size : int
-
 val make_pool : ?size:int -> seed:int -> unit -> int64 array
 (** Deterministic pseudo-random shuffle pool.  Sender and receiver must
     use identical pools. *)

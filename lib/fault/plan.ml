@@ -1,7 +1,6 @@
 type backoff = { base : int; multiplier : int; cap : int }
 
 type spec = {
-  name : string;
   seed : int;
   barrier_nack_prob : float;
   barrier_max_retries : int;
@@ -18,7 +17,6 @@ let default_backoff = { base = 8; multiplier = 2; cap = 256 }
 
 let none =
   {
-    name = "none";
     seed = 0;
     barrier_nack_prob = 0.;
     barrier_max_retries = 0;
@@ -37,15 +35,11 @@ let is_null s =
 
 let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
-let of_intensity ?(seed = 1) ?name x =
+let of_intensity ?(seed = 1) x =
   let x = clamp01 x in
-  if x = 0. then { none with seed; name = "intensity-0.00" }
+  if x = 0. then { none with seed }
   else
-    let name =
-      match name with Some n -> n | None -> Printf.sprintf "intensity-%.2f" x
-    in
     {
-      name;
       seed;
       (* Probabilities ramp linearly; magnitudes ramp with intensity so a
          full-strength storm both fires often and hits hard. *)
@@ -89,15 +83,3 @@ let validate s =
   if s.barrier_backoff.base <= 0 || s.barrier_backoff.multiplier < 1
      || s.barrier_backoff.cap < s.barrier_backoff.base
   then invalid_arg "Fault.Plan: bad backoff"
-
-let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>fault plan %s (seed %d)@,\
-     barrier: nack=%.2f retries<=%d backoff=%d*%d^k<=%d@,\
-     snoop:   delay=%.2f <=%d cy/rank@,\
-     dram:    jitter=%.2f <=%d cy@,\
-     core:    stall=%.2f <=%d cy@]"
-    s.name s.seed s.barrier_nack_prob s.barrier_max_retries s.barrier_backoff.base
-    s.barrier_backoff.multiplier s.barrier_backoff.cap s.snoop_delay_prob
-    s.snoop_delay_cycles s.dram_jitter_prob s.dram_jitter_cycles s.stall_prob
-    s.stall_cycles

@@ -28,7 +28,6 @@ type backoff = {
 }
 
 type spec = {
-  name : string;
   seed : int;  (** root of the injector's private RNG stream *)
   barrier_nack_prob : float;  (** P(one more NACK) per retry round *)
   barrier_max_retries : int;  (** NACK rounds before the fabric must accept *)
@@ -48,7 +47,7 @@ val is_null : spec -> bool
 (** No site can ever fire: wiring this plan must be equivalent to
     wiring no plan at all (the machine drops it at creation). *)
 
-val of_intensity : ?seed:int -> ?name:string -> float -> spec
+val of_intensity : ?seed:int -> float -> spec
 (** A one-knob family used by sweeps: intensity 0.0 is {!none},
     intensity 1.0 is an aggressive but still coherent storm (every
     site armed).  Values outside [0,1] are clamped.  Probabilities and
@@ -63,5 +62,3 @@ val with_seed : spec -> int -> spec
 val validate : spec -> unit
 (** Raises [Invalid_argument] on negative magnitudes, probabilities
     outside [0,1] or a non-positive backoff. *)
-
-val pp : Format.formatter -> spec -> unit

@@ -55,11 +55,7 @@ let sweep ?cfg ?(trials = 40) ?(seed = 42) ?(intensities = [ 0.25; 0.5; 1.0 ])
           (fun intensity ->
             List.map
               (fun plan_seed ->
-                let plan =
-                  Plan.of_intensity ~seed:plan_seed
-                    ~name:(Printf.sprintf "sweep-%.2f" intensity)
-                    intensity
-                in
+                let plan = Plan.of_intensity ~seed:plan_seed intensity in
                 let r = Sim_runner.run ?cfg ~trials ~seed ~check:true ~fault:plan t in
                 let illegal =
                   List.filter_map

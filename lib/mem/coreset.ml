@@ -138,6 +138,3 @@ let to_list t =
   let acc = ref [] in
   iter t (fun i -> acc := i :: !acc);
   List.rev !acc
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (to_list t)))

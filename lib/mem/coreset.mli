@@ -53,4 +53,3 @@ val iter : t -> (int -> unit) -> unit
 val equal : t -> t -> bool
 val copy : t -> t
 val to_list : t -> int list
-val pp : Format.formatter -> t -> unit

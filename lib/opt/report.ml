@@ -21,23 +21,6 @@ let cost_pairs (r : Optimizer.result) =
       (cb.Cost.platform, cb.Cost.cycles, after))
     r.Optimizer.costs_before
 
-let pp_result ppf (r : Optimizer.result) =
-  Format.fprintf ppf "%s [%s]@." r.Optimizer.name
-    (Optimizer.algorithm_name r.Optimizer.algorithm);
-  Format.fprintf ppf "  fences: %d -> %d (removed %d, weakened %d, merged %d)@."
-    r.Optimizer.input_fences r.Optimizer.output_fences r.Optimizer.removed
-    r.Optimizer.weakened r.Optimizer.merged;
-  Format.fprintf ppf "  verdict: %s via %s — %s@."
-    (if r.Optimizer.verdict.Verify.sound then "SOUND" else "UNSOUND")
-    r.Optimizer.verdict.Verify.oracle r.Optimizer.verdict.Verify.detail;
-  if r.Optimizer.reverted then
-    Format.fprintf ppf "  REVERTED: some platform regressed; input kept@.";
-  List.iter
-    (fun (pl, before, after) ->
-      Format.fprintf ppf "  %s: %.1f -> %.1f cycles (%.1f%%)@." pl before after
-        (pct_saving before after))
-    (cost_pairs r)
-
 let summary_counts results =
   let count f = List.length (List.filter f results) in
   ( List.length results,

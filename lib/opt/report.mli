@@ -1,10 +1,6 @@
 (** Markdown and JSON rendering of optimizer results (the [armb opt]
     report and the CI artifact). *)
 
-val pp_result : Format.formatter -> Optimizer.result -> unit
-(** Human-readable single-program report: fence counts, verdict,
-    per-platform before/after cycles. *)
-
 val markdown : Optimizer.result list -> string
 (** Summary table: one row per program, fence deltas, soundness,
     per-platform estimated-cycle savings. *)

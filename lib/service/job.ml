@@ -175,10 +175,7 @@ let key t =
 let fault_plan t =
   if t.fault <= 0.0 then None
   else
-    Some
-      (Armb_fault.Plan.of_intensity ~seed:t.rc.seed
-         ~name:(Printf.sprintf "serve-%.2f" t.fault)
-         t.fault)
+    Some (Armb_fault.Plan.of_intensity ~seed:t.rc.seed t.fault)
 
 let run t =
   let rc = t.rc in

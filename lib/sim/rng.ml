@@ -45,8 +45,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let exponential t mean =
-  let u = ref (float t 1.0) in
-  if !u <= 0.0 then u := 1e-12;
-  -.mean *. log !u

@@ -37,6 +37,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] samples an exponential distribution. *)

@@ -41,9 +41,6 @@ let summary t =
     max = (if t.n = 0 then 0.0 else t.max);
   }
 
-let pp_summary ppf (s : summary) =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.n s.mean s.stddev s.min s.max
-
 module Counter = struct
   type t = { mutable v : int }
 

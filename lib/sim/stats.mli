@@ -23,8 +23,6 @@ val stddev : t -> float
 
 val summary : t -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** {2 Counters} *)
 
 module Counter : sig
