@@ -126,6 +126,7 @@ let key t =
     int messages;
     chr '\n'
   | Fuzz { tests } ->
+    at_least "tests" 0 tests;
     str "fuzz|";
     int tests;
     chr '\n'

@@ -451,8 +451,9 @@ let test_error_reply () =
     | Ok r -> r.Engine.job
     | Error msg -> Alcotest.failf "model job does not decode: %s" msg
   in
-  (* a fix job's search limits, a model job's counts and combination
-     and a ring job's message count are checked when the job is keyed *)
+  (* a fix job's search limits, a model job's counts and combination,
+     a ring job's message count and a fuzz job's test count are checked
+     when the job is keyed *)
   let decode line =
     match Codec.request_of_line line with
     | Ok r -> r.Engine.job
@@ -504,6 +505,7 @@ let test_error_reply () =
         ( "12",
           {|{"kind":"opt","program":"MP+overfenced","unroll":0}|},
           "Job: unroll must be at least 1 (got 0)" );
+        ("17", {|{"kind":"fuzz","tests":-5}|}, "Job: tests must be at least 0 (got -5)");
       ]
     (* a test with more threads than the platform has cores: the
        request's platform, or for fix every platform it is costed on *)
@@ -566,7 +568,7 @@ let test_error_reply () =
         if not (contains msg says) then Alcotest.failf "job %s: error %S lacks %S" id msg says
       | _ -> Alcotest.failf "invalid job %s must come back as an error row" id)
     late;
-  check Alcotest.int "failures counted" 16 (Metrics.get (Engine.metrics e) "failed")
+  check Alcotest.int "failures counted" 17 (Metrics.get (Engine.metrics e) "failed")
 
 (* ---------- warm-vs-cold bit-identity on the golden workloads ---------- *)
 
