@@ -991,7 +991,10 @@ let soak_cmd =
       (match metrics_out with
       | Some p -> Printf.eprintf "metrics artifact: %s (%d snapshots)\n" p r.Soak_driver.snapshots
       | None -> ());
-      if not r.Soak_driver.ok then exit 1
+      List.iter
+        (fun (path, m) -> Printf.eprintf "armb soak: cannot write %s: %s\n" path m)
+        r.Soak_driver.write_failures;
+      if not r.Soak_driver.ok || r.Soak_driver.write_failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "soak"

@@ -68,6 +68,7 @@ type report = {
   drift_total : float;
   violations : violation list;
   snapshots : int;
+  write_failures : (string * string) list;
   wall_s : float;
   metrics : Metrics.t;
   ok : bool;  (** zero violations *)
@@ -123,7 +124,7 @@ let snapshot_json ~cfg ~wall_s ~counters ~by_kind ~violations ~snapshots metrics
       ("engine", Metrics.to_json metrics);
     ]
 
-let run ?jobs ?(progress = fun _ -> ()) cfg =
+let run ?jobs cfg =
   if cfg.wave < 1 then invalid_arg "Driver.run: wave must be >= 1";
   if cfg.requests <= 0 && cfg.duration_s = None && jobs = None then
     invalid_arg "Driver.run: unbounded soak (no requests, duration or job list)";
@@ -143,6 +144,14 @@ let run ?jobs ?(progress = fun _ -> ()) cfg =
   let violations = ref [] in
   let nviol = ref 0 in
   let snapshots = ref 0 in
+  let write_failures = ref [] in
+  let write path text =
+    match Out.write ~path text with
+    | Ok () -> true
+    | Error m ->
+      write_failures := (path, m) :: !write_failures;
+      false
+  in
   let bundle (job : Gen.job) resp reason =
     incr nviol;
     let path =
@@ -150,16 +159,8 @@ let run ?jobs ?(progress = fun _ -> ()) cfg =
       | None -> None
       | Some dir ->
         let p = Filename.concat dir (Printf.sprintf "violation-%03d.json" !nviol) in
-        (match
-           Out.write ~path:p
-             (Json.to_string
-                (violation_bundle_json ~seed:cfg.seed ~index:!submitted job resp reason)
-             ^ "\n")
-         with
-        | Ok () -> Some p
-        | Error m ->
-          progress (Printf.sprintf "bundle write failed: %s" m);
-          None)
+        let j = violation_bundle_json ~seed:cfg.seed ~index:!submitted job resp reason in
+        if write p (Json.to_string j ^ "\n") then Some p else None
     in
     violations :=
       { index = !submitted; job; response = resp; reason; bundle = path } :: !violations
@@ -183,15 +184,12 @@ let run ?jobs ?(progress = fun _ -> ()) cfg =
     match cfg.metrics_out with
     | None -> ()
     | Some path ->
-      incr snapshots;
       let j =
         snapshot_json ~cfg ~wall_s:(wall_s ()) ~counters:(counters ())
-          ~by_kind:(kind_counts ()) ~violations:!nviol ~snapshots:!snapshots
+          ~by_kind:(kind_counts ()) ~violations:!nviol ~snapshots:(!snapshots + 1)
           (Engine.metrics engine)
       in
-      (match Out.write ~path (Json.to_string j ^ "\n") with
-      | Ok () -> ()
-      | Error m -> progress (Printf.sprintf "snapshot write failed: %s" m))
+      if write path (Json.to_string j ^ "\n") then incr snapshots
   in
   (* terminal (non-shed) response: account + invariant-check *)
   let settle (job : Gen.job) (resp : Engine.response) =
@@ -281,6 +279,7 @@ let run ?jobs ?(progress = fun _ -> ()) cfg =
     drift_total = float_of_int !drift_milli /. 1000.0;
     violations = List.rev !violations;
     snapshots = !snapshots;
+    write_failures = List.rev !write_failures;
     wall_s = wall_s ();
     metrics = Engine.metrics engine;
     ok = !violations = [];

@@ -58,21 +58,21 @@ type report = {
   by_kind : (string * int) list;  (** submissions per job kind, sorted *)
   drift_total : float;  (** summed perturb drift, ms precision *)
   violations : violation list;
-  snapshots : int;
+  snapshots : int;  (** metrics snapshots written *)
+  write_failures : (string * string) list;
+      (** each artifact write that failed, in order: its path and the
+          reason *)
   wall_s : float;
   metrics : Metrics.t;
   ok : bool;  (** zero violations *)
 }
 
-val run :
-  ?jobs:Gen.job list ->
-  ?progress:(string -> unit) ->
-  config ->
-  report
+val run : ?jobs:Gen.job list -> config -> report
 (** Runs the soak to its bound.  Raises [Invalid_argument] for an
     unbounded config ([requests <= 0], no [duration_s], no [?jobs]).
     [?jobs] replaces the generator stream with an explicit list —
-    fixture injection for the violation-bundle tests.  [?progress]
-    receives non-fatal operational notes (artifact write failures). *)
+    fixture injection for the violation-bundle tests.  A snapshot or
+    bundle that cannot be written does not stop the run: it is listed
+    in [write_failures], and the violation's [bundle] is [None]. *)
 
 val pp_report : Format.formatter -> report -> unit

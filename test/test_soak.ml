@@ -298,19 +298,19 @@ let test_metrics_artifact_round_trips () =
 (* A fix job on an already-fenced catalogue test with a
    must-repair expectation: the service truthfully answers "already
    sound", the invariant cannot be satisfied, and the driver must
-   persist exactly one self-contained bundle. *)
-let test_injected_violation_bundle () =
-  let dir = tmp_path "bundles" in
-  let bad =
-    {
-      Gen.id = "inject-1";
-      kind = "fix";
-      expect = Invariant.Fix_must_repair;
-      line =
-        "{\"id\":\"inject-1\",\"kind\":\"fix\",\"test\":\"MP+dmb.st+dmb.ld\",\
-         \"max_edits\":1,\"budget\":200,\"trials\":10,\"seed\":42}";
-    }
-  in
+   persist exactly one self-contained bundle.  Three benign litmus jobs
+   run ahead of it. *)
+let injected_bad =
+  {
+    Gen.id = "inject-1";
+    kind = "fix";
+    expect = Invariant.Fix_must_repair;
+    line =
+      "{\"id\":\"inject-1\",\"kind\":\"fix\",\"test\":\"MP+dmb.st+dmb.ld\",\
+       \"max_edits\":1,\"budget\":200,\"trials\":10,\"seed\":42}";
+  }
+
+let run_injected ~bundle_dir =
   let benign =
     List.map
       (fun i ->
@@ -327,10 +327,17 @@ let test_injected_violation_bundle () =
       (Driver.default_config ~seed:1) with
       Driver.requests = 0;
       wave = 4;
-      bundle_dir = Some dir;
+      bundle_dir = Some bundle_dir;
     }
   in
-  let r = Driver.run ~jobs:(benign @ [ bad ]) cfg in
+  Driver.run ~jobs:(benign @ [ injected_bad ]) cfg
+
+let test_injected_violation_bundle () =
+  let dir = tmp_path "bundles" in
+  let bad = injected_bad in
+  let r = run_injected ~bundle_dir:dir in
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)) "no write failed" []
+    r.Driver.write_failures;
   check Alcotest.bool "run is flagged" false r.Driver.ok;
   check Alcotest.int "exactly one violation" 1 (List.length r.Driver.violations);
   let v = List.hd r.Driver.violations in
@@ -364,6 +371,47 @@ let test_injected_violation_bundle () =
       | _ -> Alcotest.fail "replay produced no response"));
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
   Unix.rmdir dir
+
+(* ---------- artifacts that cannot be written ---------- *)
+
+(* A regular file where a directory must be: every write under it
+   fails, and the report lists each one instead of dropping it. *)
+let with_plain_file f =
+  let plain = tmp_path "plain" in
+  Out.write ~path:plain "not a directory\n" |> Result.get_ok;
+  Fun.protect ~finally:(fun () -> Sys.remove plain) (fun () -> f plain)
+
+let test_metrics_write_failure () =
+  with_plain_file (fun plain ->
+      let path = Filename.concat plain "m.json" in
+      let cfg =
+        { (small_config ~seed:7) with Driver.requests = 40; metrics_out = Some path }
+      in
+      let r = Driver.run cfg in
+      check Alcotest.bool "run is clean" true r.Driver.ok;
+      check Alcotest.int "no snapshot written" 0 r.Driver.snapshots;
+      check Alcotest.bool "the final snapshot's failure is listed" true
+        (r.Driver.write_failures <> []);
+      List.iter
+        (fun (p, reason) ->
+          check Alcotest.string "failed path" path p;
+          check Alcotest.bool "reason given" true (reason <> ""))
+        r.Driver.write_failures;
+      check Alcotest.bool "nothing written" false (Sys.file_exists path))
+
+let test_bundle_write_failure () =
+  with_plain_file (fun plain ->
+      let r = run_injected ~bundle_dir:plain in
+      check Alcotest.bool "run is flagged" false r.Driver.ok;
+      match (r.Driver.violations, r.Driver.write_failures) with
+      | [ v ], [ (p, reason) ] ->
+        check Alcotest.string "the injected job violated" "inject-1" v.Driver.job.Gen.id;
+        check (Alcotest.option Alcotest.string) "no bundle path" None v.Driver.bundle;
+        check Alcotest.string "failed path" (Filename.concat plain "violation-001.json") p;
+        check Alcotest.bool "reason given" true (reason <> "")
+      | vs, fs ->
+        Alcotest.failf "want one violation and one failed write, got %d and %d"
+          (List.length vs) (List.length fs))
 
 (* ---------- end-to-end mixed runs ---------- *)
 
@@ -431,6 +479,10 @@ let () =
             test_metrics_artifact_round_trips;
           Alcotest.test_case "injected unsound repair -> one repro bundle" `Quick
             test_injected_violation_bundle;
+          Alcotest.test_case "metrics path under a regular file is a listed failure" `Quick
+            test_metrics_write_failure;
+          Alcotest.test_case "bundle into a regular file is a listed failure" `Quick
+            test_bundle_write_failure;
           Alcotest.test_case "200 mixed jobs, single engine" `Quick
             test_mixed_run_single_engine;
         ] );
