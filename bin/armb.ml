@@ -237,13 +237,17 @@ let tipping_cmd =
 
 let observations_cmd =
   let run () =
+    let verdicts = Armb_core.Observations.all () in
     List.iter
       (fun (name, (v : Armb_core.Observations.verdict)) ->
         Printf.printf "%-50s %s\n  %s\n" name (if v.holds then "HOLDS" else "FAILS") v.detail)
-      (Armb_core.Observations.all ())
+      verdicts;
+    if not (List.for_all (fun (_, (v : Armb_core.Observations.verdict)) -> v.holds) verdicts)
+    then exit 1
   in
   Cmd.v
-    (Cmd.info "observations" ~doc:"Check the paper's six observations against the simulator.")
+    (Cmd.info "observations"
+       ~doc:"Check the paper's six observations against the simulator; exit 1 if one fails.")
     Term.(const run $ const ())
 
 (* ---------- advise ---------- *)
