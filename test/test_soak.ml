@@ -334,7 +334,6 @@ let run_injected ~bundle_dir =
 
 let test_injected_violation_bundle () =
   let dir = tmp_path "bundles" in
-  let bad = injected_bad in
   let r = run_injected ~bundle_dir:dir in
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)) "no write failed" []
     r.Driver.write_failures;
@@ -354,7 +353,7 @@ let test_injected_violation_bundle () =
       (Some "armb-soak-violation-v1")
       (Json.mem_str "schema" j);
     check (Alcotest.option Alcotest.string) "bundle carries the verbatim request"
-      (Some bad.Gen.line) (Json.mem_str "request" j);
+      (Some injected_bad.Gen.line) (Json.mem_str "request" j);
     check Alcotest.bool "bundle carries a reason" true
       (Json.mem_str "reason" j <> None);
     (* self-contained: the recorded request replays through a fresh
