@@ -478,11 +478,11 @@ let () =
             test_metrics_artifact_round_trips;
           Alcotest.test_case "injected unsound repair -> one repro bundle" `Quick
             test_injected_violation_bundle;
+          Alcotest.test_case "200 mixed jobs, single engine" `Quick
+            test_mixed_run_single_engine;
           Alcotest.test_case "metrics path under a regular file is a listed failure" `Quick
             test_metrics_write_failure;
           Alcotest.test_case "bundle into a regular file is a listed failure" `Quick
             test_bundle_write_failure;
-          Alcotest.test_case "200 mixed jobs, single engine" `Quick
-            test_mixed_run_single_engine;
         ] );
     ]
