@@ -200,7 +200,8 @@ let fuzz_text () =
    eight job kinds, catalogue and inline tests (declarative predicates
    included), so the canonical renaming, the WMM predicate fingerprint
    and the non-test key coordinates all feed the digest.  This is the
-   ["key"] every service result row carries. *)
+   ["key"] every service result row carries; 1,000 requests reach all
+   54 pool jobs. *)
 let job_keys_text () =
   let b = Buffer.create 16384 in
   List.iter
@@ -209,13 +210,16 @@ let job_keys_text () =
       | Ok req ->
         Buffer.add_string b (Printf.sprintf "%s %s\n" j.Gen.id (Job.key req.Engine.job))
       | Error e -> Buffer.add_string b (Printf.sprintf "%s error %s\n" j.Gen.id e))
-    (Gen.stream ~pool:54 ~requests:200 ~seed:1 ());
+    (Gen.stream ~pool:54 ~requests:1000 ~seed:1 ());
   Buffer.contents b
 
 (* The result of every distinct job of a fixed soak stream: all 54 pool
    jobs and all eight kinds, so fix costs on four platforms, faulted
    litmus runs, perturb sweeps and check rows — every number the
-   simulator feeds the service — enter the digest. *)
+   simulator feeds the service — enter the digest.  Each job is named
+   by the first stream id that carries it, not by its key, so a change
+   to the key layout that keeps every job apart leaves this digest
+   alone; [job-keys] pins the keys. *)
 let job_results_text () =
   let b = Buffer.create 65536 in
   let seen = Hashtbl.create 64 in
@@ -229,7 +233,7 @@ let job_results_text () =
           Hashtbl.add seen key ();
           let r = Job.run req.Engine.job in
           Buffer.add_string b
-            (Printf.sprintf "%s %d %d\n%s" key r.Job.events r.Job.cycles r.Job.text)
+            (Printf.sprintf "%s %d %d\n%s" j.Gen.id r.Job.events r.Job.cycles r.Job.text)
         end)
     (Gen.stream ~pool:54 ~requests:1000 ~seed:1 ());
   Buffer.contents b
@@ -538,10 +542,10 @@ let expected =
     ("sanitizer-findings", "c27d3725bd6f8ce9912db5b4eb6dc5d9");
     ("spsc-ring", "98d7af687535a82f397ce19c55218635");
     ("fuzz-round", "929108fb4b9ca4066ad8de43298a4211");
-    (* captured before the compiled WMM enumerator replaced the seed's *)
-    ("job-keys", "f2873fce20d04411639b19ddcad4e5c6");
-    (* captured before litmus trials shared one reset machine *)
-    ("job-results", "d92915b8e8db7d8a7d4441dda9e7b760");
+    (* recaptured when the stream grew to 1,000 requests *)
+    ("job-keys", "aebca8b6520c9a2f5d6e9466e889567a");
+    (* recaptured when each job was named by its first stream id *)
+    ("job-results", "a81c390eefc1aca5e023326794cd278a");
     (* captured before the repair search replayed counterexamples *)
     ("fix-catalogue", "372620c57b304a50f3f6c20f26e9ee73");
     (* captured before Trace became a consumer of the Observe stream *)
