@@ -327,20 +327,23 @@ let approaches = one_of (List.map fst Armb_core.Ordering.named)
 let location_of_json v =
   match Json.int v with Some 1 -> Some AM.Loc1 | Some 2 -> Some AM.Loc2 | _ -> None
 
-let spec_of_json j =
+(* A kind's parameters, decoded before the run settings so that errors
+   come in the same order for every kind; the job is built from the
+   checked settings, keeping those the kind reads. *)
+let job_of_json j =
   let* kind = field ~ty:"a string" str "kind" j in
   match String.lowercase_ascii kind with
   | "litmus" ->
-    let* t = test_field j in
-    Ok (Job.Litmus t)
+    let* test = test_field j in
+    Ok (fun { RC.cfg; seed; trials; _ } fault -> Job.Litmus { test; cfg; seed; trials; fault })
   | "check" ->
-    let* t = test_field j in
-    Ok (Job.Check t)
+    let* test = test_field j in
+    Ok (fun { RC.cfg; seed; trials; _ } fault -> Job.Check { test; cfg; seed; trials; fault })
   | "fix" ->
-    let* t = test_field j in
+    let* test = test_field j in
     let* max_edits = field ~default:3 ~ty:"an integer" Json.int "max_edits" j in
     let* budget = field ~default:4000 ~ty:"an integer" Json.int "budget" j in
-    Ok (Job.Fix { test = t; max_edits; budget })
+    Ok (fun { RC.seed; trials; _ } _ -> Job.Fix { test; max_edits; budget; seed; trials })
   | "model" ->
     let* mem_ops =
       field ~ty:"no-mem, st-st, ld-st or ld-ld" (named mem_ops_of_string) "mem_ops" j
@@ -349,16 +352,20 @@ let spec_of_json j =
     let* location = field ~default:AM.Loc1 ~ty:"1 or 2" location_of_json "location" j in
     let* nops = field ~default:100 ~ty:"an integer" Json.int "nops" j in
     let* iters = field ~default:300 ~ty:"an integer" Json.int "iters" j in
-    Ok (Job.Model { mem_ops; approach; location; nops; iters })
+    Ok
+      (fun { RC.cfg; cores; seed; _ } _ ->
+        Job.Model { mem_ops; approach; location; nops; iters; cfg; cores; seed })
   | "ring" ->
     let* combo = field ~ty:"a string" str "combo" j in
     let* messages = field ~default:500 ~ty:"an integer" Json.int "messages" j in
-    Ok (Job.Ring { combo; messages })
+    Ok
+      (fun { RC.cfg; cores; seed; _ } fault ->
+        Job.Ring { combo; messages; cfg; cores; seed; fault })
   | "fuzz" ->
     let* tests = field ~default:10 ~ty:"an integer" Json.int "tests" j in
-    Ok (Job.Fuzz { tests })
+    Ok (fun { RC.cfg; seed; trials; _ } fault -> Job.Fuzz { tests; cfg; seed; trials; fault })
   | "perturb" ->
-    let* t = test_field j in
+    let* test = test_field j in
     let* intensities =
       field ~default:[ 0.5 ] ~ty:"a non-empty list of numbers in [0,1]"
         (nonempty unit_interval) "intensities" j
@@ -367,7 +374,9 @@ let spec_of_json j =
       field ~default:[ 1 ] ~ty:"a non-empty list of integers" (nonempty Json.int)
         "plan_seeds" j
     in
-    Ok (Job.Perturb { test = t; intensities; plan_seeds })
+    Ok
+      (fun { RC.cfg; seed; trials; _ } _ ->
+        Job.Perturb { test; intensities; plan_seeds; cfg; seed; trials })
   | "opt" ->
     let* program =
       field ~ty:"a known program name or an inline object"
@@ -385,7 +394,7 @@ let spec_of_json j =
         "algorithm" j
     in
     let* unroll = field ~default:2 ~ty:"an integer" Json.int "unroll" j in
-    Ok (Job.Opt { program; algorithm; unroll })
+    Ok (fun { RC.seed; _ } _ -> Job.Opt { program; algorithm; unroll; seed })
   | k -> Error (Printf.sprintf "unknown kind %S" k)
 
 let platforms = one_of Platform.names
@@ -431,10 +440,10 @@ let request_of_json ?(default_id = "?") j =
     field ~default:Engine.Normal ~ty:"high, normal or low" (named Engine.priority_of_string)
       "priority" j
   in
-  let* spec = spec_of_json j in
+  let* job = job_of_json j in
   let* rc = rc_of_json j in
   let* fault = field ~default:0.0 ~ty:"a number in [0,1]" unit_interval "fault" j in
-  Ok { Engine.id; client; priority; job = { Job.spec; rc; fault } }
+  Ok { Engine.id; client; priority; job = job rc fault }
 
 let request_of_line ?default_id line =
   let* j = Json.of_string line in

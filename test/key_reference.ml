@@ -208,9 +208,9 @@ let canonical_program (p : Cfg.program) =
     (Printf.sprintf "E tso=%b wmm=%b\n" p.Cfg.expect_tso p.Cfg.expect_wmm);
   Buffer.contents b
 
-(* The text [Job.key] digested, formatted as it was: one
-   [Printf.sprintf] per coordinate line.  Validation is left out; it
-   did not change. *)
+(* The text [Job.key] digests, formatted with one [Printf.sprintf] per
+   coordinate line: a kind's parameters and canonical form, then the
+   run settings its record keeps.  Validation is left out. *)
 module Job = Armb_service.Job
 module AM = Armb_core.Abstracted_model
 
@@ -224,35 +224,44 @@ let location_tag = function AM.Loc1 -> 1 | AM.Loc2 -> 2
 
 let job_key (t : Job.t) =
   let b = Buffer.create 1024 in
-  (match t.spec with
-  | Litmus test ->
-    Buffer.add_string b "litmus\n";
-    Buffer.add_string b (canonical_test test)
-  | Check test ->
-    Buffer.add_string b "check\n";
-    Buffer.add_string b (canonical_test test)
-  | Model { mem_ops; approach; location; nops; iters } ->
-    Buffer.add_string b
+  let add = Buffer.add_string b in
+  let sim_settings (cfg : Armb_cpu.Config.t) seed trials fault =
+    Printf.sprintf "@%s|seed=%d|trials=%d|fault=%.6f" cfg.name seed trials fault
+  in
+  (match t with
+  | Litmus { test; cfg; seed; trials; fault } ->
+    add "litmus\n";
+    add (canonical_test test);
+    add (sim_settings cfg seed trials fault)
+  | Check { test; cfg; seed; trials; fault } ->
+    add "check\n";
+    add (canonical_test test);
+    add (sim_settings cfg seed trials fault)
+  | Model { mem_ops; approach; location; nops; iters; cfg; cores = a, c; seed } ->
+    add
       (Printf.sprintf "model|%s|%s|%d|%d|%d\n" (mem_ops_tag mem_ops)
          (Armb_core.Ordering.to_string approach)
-         (location_tag location) nops iters)
-  | Ring { combo; messages } -> Buffer.add_string b (Printf.sprintf "ring|%s|%d\n" combo messages)
-  | Fuzz { tests } -> Buffer.add_string b (Printf.sprintf "fuzz|%d\n" tests)
-  | Fix { test; max_edits; budget } ->
-    Buffer.add_string b (Printf.sprintf "fix|%d|%d\n" max_edits budget);
-    Buffer.add_string b (canonical_test test)
-  | Perturb { test; intensities; plan_seeds } ->
-    Buffer.add_string b
+         (location_tag location) nops iters);
+    add (Printf.sprintf "@%s|%d,%d|seed=%d" cfg.name a c seed)
+  | Ring { combo; messages; cfg; cores = a, c; seed; fault } ->
+    add (Printf.sprintf "ring|%s|%d\n" combo messages);
+    add (Printf.sprintf "@%s|%d,%d|seed=%d|fault=%.6f" cfg.name a c seed fault)
+  | Fuzz { tests; cfg; seed; trials; fault } ->
+    add (Printf.sprintf "fuzz|%d\n" tests);
+    add (sim_settings cfg seed trials fault)
+  | Fix { test; max_edits; budget; seed; trials } ->
+    add (Printf.sprintf "fix|%d|%d\n" max_edits budget);
+    add (canonical_test test);
+    add (Printf.sprintf "|seed=%d|trials=%d" seed trials)
+  | Perturb { test; intensities; plan_seeds; cfg; seed; trials } ->
+    add
       (Printf.sprintf "perturb|%s|%s\n"
          (String.concat "," (List.map (Printf.sprintf "%.6f") intensities))
          (String.concat "," (List.map string_of_int plan_seeds)));
-    Buffer.add_string b (canonical_test test)
-  | Opt { program; algorithm; unroll } ->
-    Buffer.add_string b
-      (Printf.sprintf "opt|%s|%d\n" (Armb_opt.Optimizer.algorithm_name algorithm) unroll);
-    Buffer.add_string b (canonical_program program));
-  let a, bcore = t.rc.cores in
-  Buffer.add_string b
-    (Printf.sprintf "@%s|%d,%d|seed=%d|trials=%d|fault=%.6f"
-       t.rc.cfg.Armb_cpu.Config.name a bcore t.rc.seed t.rc.trials t.fault);
+    add (canonical_test test);
+    add (Printf.sprintf "@%s|seed=%d|trials=%d" cfg.name seed trials)
+  | Opt { program; algorithm; unroll; seed } ->
+    add (Printf.sprintf "opt|%s|%d\n" (Armb_opt.Optimizer.algorithm_name algorithm) unroll);
+    add (canonical_program program);
+    add (Printf.sprintf "|seed=%d" seed));
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -542,8 +542,8 @@ let expected =
     ("sanitizer-findings", "c27d3725bd6f8ce9912db5b4eb6dc5d9");
     ("spsc-ring", "98d7af687535a82f397ce19c55218635");
     ("fuzz-round", "929108fb4b9ca4066ad8de43298a4211");
-    (* recaptured when the stream grew to 1,000 requests *)
-    ("job-keys", "aebca8b6520c9a2f5d6e9466e889567a");
+    (* recaptured when each job kind kept only the run settings it reads *)
+    ("job-keys", "314aa114e0d8ad751da342ea5330a619");
     (* recaptured when each job was named by its first stream id *)
     ("job-results", "a81c390eefc1aca5e023326794cd278a");
     (* captured before the repair search replayed counterexamples *)

@@ -26,7 +26,9 @@ module Gen = Armb_soak.Gen
 
 let check = Alcotest.check
 
-let rc ?(seed = 42) ?(trials = 40) () = RC.make ~seed ~trials P.kunpeng916
+(* A litmus job with the wire's defaults. *)
+let litmus ?(cfg = P.kunpeng916) ?(seed = 42) ?(trials = 40) ?(fault = 0.0) test =
+  Job.Litmus { test; cfg; seed; trials; fault }
 
 (* Does [s] contain [sub]? *)
 let contains s sub =
@@ -190,8 +192,11 @@ let test_key_reference () =
         check Alcotest.string (j.Gen.id ^ " job key")
           (Key_reference.job_key req.Engine.job)
           (Job.key req.Engine.job);
-        match req.Engine.job.Job.spec with
-        | Job.Litmus t | Job.Check t | Job.Fix { test = t; _ } | Job.Perturb { test = t; _ } ->
+        match req.Engine.job with
+        | Job.Litmus { test = t; _ }
+        | Job.Check { test = t; _ }
+        | Job.Fix { test = t; _ }
+        | Job.Perturb { test = t; _ } ->
           same_test "stream" t
         | Job.Opt { program; _ } -> same_program "stream" program
         | Job.Model _ | Job.Ring _ | Job.Fuzz _ -> ()))
@@ -214,40 +219,91 @@ let test_key_reference () =
       done)
     [ false; true ];
   let floats = [ 0.0; -0.0; 1.0 /. 128.0; 0.1; 0.0000005; 1e-7; 0.999_999_5; 1.0; 3e9 ] in
+  let same what (job : Job.t) =
+    check Alcotest.string what (Key_reference.job_key job) (Job.key job)
+  in
   List.iter
-    (fun fault ->
-      List.iter
-        (fun (job : Job.t) ->
-          check Alcotest.string
-            (Printf.sprintf "%s at fault %h" (Job.kind job) fault)
-            (Key_reference.job_key job) (Job.key job))
-        [
-          { Job.spec = Job.Litmus Cat.mp; rc = rc (); fault };
-          {
-            Job.spec =
-              Job.Perturb { test = Cat.sb; intensities = floats; plan_seeds = [ 3; -1; 0 ] };
-            rc = rc ~seed:7 ();
-            fault;
-          };
-        ])
-    floats
+    (fun fault -> same (Printf.sprintf "litmus at fault %h" fault) (litmus ~fault Cat.mp))
+    floats;
+  (* a perturb job keys no fault; its floats reach the key as intensities *)
+  same "perturb intensities"
+    (Job.Perturb
+       {
+         test = Cat.sb;
+         intensities = floats;
+         plan_seeds = [ 3; -1; 0 ];
+         cfg = P.kunpeng916;
+         seed = 7;
+         trials = 40;
+       })
 
 let test_job_key_coordinates () =
   let t = List.hd Cat.all in
-  let base = { Job.spec = Job.Litmus t; rc = rc (); fault = 0.0 } in
-  let key = Job.key base in
+  let key = Job.key (litmus t) in
   let distinct name j =
     check Alcotest.bool (name ^ " changes the key") false (Job.key j = key)
   in
-  distinct "kind" { base with Job.spec = Job.Check t };
-  distinct "seed" { base with Job.rc = rc ~seed:43 () };
-  distinct "trials" { base with Job.rc = rc ~trials:41 () };
-  distinct "fault plan" { base with Job.fault = 0.5 };
-  distinct "platform"
-    { base with Job.rc = RC.make ~seed:42 ~trials:40 P.kirin970 };
+  distinct "kind"
+    (Job.Check { test = t; cfg = P.kunpeng916; seed = 42; trials = 40; fault = 0.0 });
+  distinct "seed" (litmus ~seed:43 t);
+  distinct "trials" (litmus ~trials:41 t);
+  distinct "fault plan" (litmus ~fault:0.5 t);
+  distinct "platform" (litmus ~cfg:P.kirin970 t);
   (* ...but a renamed test is the same job *)
-  check Alcotest.string "renamed test, same key" key
-    (Job.key { base with Job.spec = Job.Litmus (rename_test t) })
+  check Alcotest.string "renamed test, same key" key (Job.key (litmus (rename_test t)))
+
+(* Per kind: a request that changes one run setting to another valid
+   value keys as the base request exactly when the kind's record lacks
+   that setting, and then runs to the same text.  Model and opt jobs
+   keep a seed they do not read (Job.mli). *)
+let test_key_per_kind () =
+  let variants =
+    [
+      ("platform", {|"kirin960"|});
+      ("cores", "[1,2]");
+      ("seed", "5");
+      ("trials", "3");
+      ("fault", "0.5");
+    ]
+  in
+  let job params settings =
+    let line =
+      "{"
+      ^ String.concat "," (params :: List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) settings)
+      ^ "}"
+    in
+    match Codec.request_of_line line with
+    | Ok r -> (line, r.Engine.job)
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  List.iter
+    (fun (params, kept) ->
+      let base_settings = [ ("trials", "2") ] in
+      let _, base = job params base_settings in
+      let base_text = lazy (Job.run base).Job.text in
+      List.iter
+        (fun (setting, value) ->
+          let line, j = job params ((setting, value) :: List.remove_assoc setting base_settings) in
+          let same = String.equal (Job.key j) (Job.key base) in
+          if same = List.mem setting kept then
+            Alcotest.failf "%s: the key %s" line
+              (if same then "ignores a setting the job keeps" else "holds a setting the job lacks");
+          if same then
+            check Alcotest.string (line ^ " runs as the base") (Lazy.force base_text)
+              (Job.run j).Job.text)
+        variants)
+    [
+      ({|"kind":"litmus","test":"MP"|}, [ "platform"; "seed"; "trials"; "fault" ]);
+      ({|"kind":"check","test":"MP"|}, [ "platform"; "seed"; "trials"; "fault" ]);
+      ({|"kind":"fuzz","tests":2|}, [ "platform"; "seed"; "trials"; "fault" ]);
+      ({|"kind":"perturb","test":"SB"|}, [ "platform"; "seed"; "trials" ]);
+      ({|"kind":"fix","test":"SB","max_edits":2,"budget":300|}, [ "seed"; "trials" ]);
+      ( {|"kind":"ring","combo":"DMB full - DMB full","messages":50|},
+        [ "platform"; "cores"; "seed"; "fault" ] );
+      ( {|"kind":"model","mem_ops":"st-st","approach":"dmb","nops":10,"iters":50|},
+        [ "platform"; "cores"; "seed" ] );
+      ({|"kind":"opt","program":"MP+overfenced"|}, [ "seed" ]);
+    ]
 
 (* ---------- LRU cache ---------- *)
 
@@ -274,8 +330,7 @@ let test_cache_lru () =
 
 (* ---------- engine: coalescing, hits, shedding, scheduling ---------- *)
 
-let job_of_test ?(trials = 6) (t : Lang.test) =
-  { Job.spec = Job.Litmus t; rc = rc ~trials (); fault = 0.0 }
+let job_of_test ?(trials = 6) (t : Lang.test) = litmus ~trials t
 
 let req ?(client = "anon") ?(priority = Engine.Normal) ~id job =
   { Engine.id; client; priority; job }
@@ -432,7 +487,17 @@ let test_fair_share () =
 
 let test_error_reply () =
   let e = Engine.create () in
-  let bad = { Job.spec = Job.Ring { combo = "no such combo"; messages = 10 }; rc = rc (); fault = 0.0 } in
+  let bad =
+    Job.Ring
+      {
+        combo = "no such combo";
+        messages = 10;
+        cfg = P.kunpeng916;
+        cores = RC.default_cores P.kunpeng916;
+        seed = 42;
+        fault = 0.0;
+      }
+  in
   (* 64 accesses in one thread are past the WMM enumerator's limit, so keying fails *)
   let long =
     {
@@ -536,7 +601,7 @@ let test_error_reply () =
       match Cat.mp.Lang.threads with th0 :: rest -> (fences @ th0) :: rest | [] -> []
     in
     let test = { Cat.mp with Lang.name = "MP-long"; threads; expect_wmm = false } in
-    { Job.spec = Job.Check test; rc = rc (); fault = 0.0 }
+    Job.Check { test; cfg = P.kunpeng916; seed = 42; trials = 40; fault = 0.0 }
   in
   List.iter
     (fun (id, job, says) ->
@@ -577,7 +642,7 @@ let test_error_reply () =
    golden-digest suite pins. *)
 let golden_jobs () =
   let t = List.find (fun (t : Lang.test) -> t.Lang.name = "MP") Cat.all in
-  let rc40 = rc () in
+  let cfg = P.kunpeng916 and cores = RC.default_cores P.kunpeng916 in
   let litmus_direct =
     let r = Sim.run ~trials:40 ~seed:42 t in
     Printf.sprintf "%s witnessed=%b\n" t.Lang.name r.Sim.interesting_witnessed
@@ -585,13 +650,13 @@ let golden_jobs () =
         (List.map (fun (o, k) -> Printf.sprintf "  %d %s\n" k o) r.Sim.outcomes)
   in
   let check_direct =
-    let base, stripped = Sim.check_test ~cfg:rc40.RC.cfg ~trials:12 t in
+    let base, stripped = Sim.check_test ~cfg ~trials:12 t in
     Format.asprintf "%a\n" Sim.pp_check_row (Sim.check_row_of t ~base ~stripped)
   in
   let ring_direct =
     let spec =
       {
-        (Armb_sync.Spsc_ring.default_spec rc40.RC.cfg ~cores:rc40.RC.cores) with
+        (Armb_sync.Spsc_ring.default_spec cfg ~cores) with
         Armb_sync.Spsc_ring.messages = 200;
         barriers = Armb_sync.Spsc_ring.combo "DMB ld - DMB st";
       }
@@ -608,8 +673,8 @@ let golden_jobs () =
   let model_direct =
     let spec =
       {
-        (AM.default_spec rc40.RC.cfg) with
-        AM.cores = rc40.RC.cores;
+        (AM.default_spec cfg) with
+        AM.cores;
         mem_ops = AM.Store_store;
         approach = Ordering.Bar (Barrier.Dmb Full);
         location = AM.Loc1;
@@ -618,38 +683,31 @@ let golden_jobs () =
       }
     in
     Printf.sprintf "st-st DMB full (%d,%d) nops=100 cycles=%d\n"
-      (fst rc40.RC.cores) (snd rc40.RC.cores) (fst (AM.run_stats spec))
+      (fst cores) (snd cores) (fst (AM.run_stats spec))
   in
   [
     ( "model",
-      {
-        Job.spec =
-          Job.Model
-            {
-              mem_ops = AM.Store_store;
-              approach = Ordering.Bar (Barrier.Dmb Full);
-              location = AM.Loc1;
-              nops = 100;
-              iters = 300;
-            };
-        rc = rc40;
-        fault = 0.0;
-      },
+      Job.Model
+        {
+          mem_ops = AM.Store_store;
+          approach = Ordering.Bar (Barrier.Dmb Full);
+          location = AM.Loc1;
+          nops = 100;
+          iters = 300;
+          cfg;
+          cores;
+          seed = 42;
+        },
       model_direct );
-    ("litmus", { Job.spec = Job.Litmus t; rc = rc40; fault = 0.0 }, litmus_direct);
+    ("litmus", litmus t, litmus_direct);
     ( "check",
-      { Job.spec = Job.Check t; rc = rc ~trials:12 (); fault = 0.0 },
+      Job.Check { test = t; cfg; seed = 42; trials = 12; fault = 0.0 },
       check_direct );
     ( "ring",
-      {
-        Job.spec = Job.Ring { combo = "DMB ld - DMB st"; messages = 200 };
-        rc = rc40;
-        fault = 0.0;
-      },
+      Job.Ring
+        { combo = "DMB ld - DMB st"; messages = 200; cfg; cores; seed = 42; fault = 0.0 },
       ring_direct );
-    ( "fuzz",
-      { Job.spec = Job.Fuzz { tests = 5 }; rc = rc40; fault = 0.0 },
-      fuzz_direct );
+    ("fuzz", Job.Fuzz { tests = 5; cfg; seed = 42; trials = 40; fault = 0.0 }, fuzz_direct);
   ]
 
 let test_golden_cold_and_warm () =
@@ -719,14 +777,14 @@ let test_codec_roundtrip () =
     check Alcotest.string "numeric id accepted" "7" r.Engine.id;
     check Alcotest.string "client" "alice" r.Engine.client;
     check Alcotest.bool "priority" true (r.Engine.priority = Engine.High);
-    (match r.Engine.job.Job.spec with
-    | Job.Litmus t -> check Alcotest.string "case-insensitive test lookup" "SB" t.Lang.name
-    | _ -> Alcotest.fail "wrong kind");
-    check Alcotest.int "trials" 9 r.Engine.job.Job.rc.RC.trials;
-    check Alcotest.int "seed" 3 r.Engine.job.Job.rc.RC.seed;
-    check Alcotest.string "platform" "kirin970"
-      r.Engine.job.Job.rc.RC.cfg.Armb_cpu.Config.name;
-    check (Alcotest.float 1e-9) "fault" 0.25 r.Engine.job.Job.fault
+    match r.Engine.job with
+    | Job.Litmus { test; cfg; seed; trials; fault } ->
+      check Alcotest.string "case-insensitive test lookup" "SB" test.Lang.name;
+      check Alcotest.int "trials" 9 trials;
+      check Alcotest.int "seed" 3 seed;
+      check Alcotest.string "platform" "kirin970" cfg.Armb_cpu.Config.name;
+      check (Alcotest.float 1e-9) "fault" 0.25 fault
+    | _ -> Alcotest.fail "wrong kind"
 
 let test_codec_errors () =
   (* [mentions]: a substring the error message must contain *)
@@ -896,20 +954,28 @@ let test_codec_wrong_types () =
     cases
 
 (* A platform given without cores runs on that platform's default pair;
-   explicit cores, in either spelling, are kept. *)
+   explicit cores, in either spelling, are kept.  A model job keeps its
+   platform, cores and seed; a litmus job its trials. *)
 let test_platform_cores () =
-  let rc line =
+  let decode line =
     match Codec.request_of_line line with
-    | Ok r -> r.Engine.job.Job.rc
+    | Ok r -> r.Engine.job
     | Error e -> Alcotest.failf "%s: %s" line e
   in
-  let cores fields = (rc ({|{"kind":"litmus","test":"SB"|} ^ fields ^ "}")).RC.cores in
+  let model fields =
+    match decode ({|{"kind":"model","mem_ops":"st-st","approach":"dmb"|} ^ fields ^ "}") with
+    | Job.Model { cfg; cores; seed; _ } -> (cfg, cores, seed)
+    | _ -> Alcotest.fail "not a model job"
+  in
+  let cores fields = match model fields with _, cores, _ -> cores in
   let pair = Alcotest.(pair int int) in
-  let wire = rc {|{"kind":"litmus","test":"SB"}|} in
-  check Alcotest.string "wire platform" "kunpeng916" wire.RC.cfg.Armb_cpu.Config.name;
-  check Alcotest.int "wire seed" 42 wire.RC.seed;
-  check Alcotest.int "wire trials" 40 wire.RC.trials;
-  check pair "wire cores" (RC.default_cores P.kunpeng916) wire.RC.cores;
+  let cfg, wire_cores, seed = model "" in
+  check Alcotest.string "wire platform" "kunpeng916" cfg.Armb_cpu.Config.name;
+  check Alcotest.int "wire seed" 42 seed;
+  (match decode {|{"kind":"litmus","test":"SB"}|} with
+  | Job.Litmus { trials; _ } -> check Alcotest.int "wire trials" 40 trials
+  | _ -> Alcotest.fail "not a litmus job");
+  check pair "wire cores" (RC.default_cores P.kunpeng916) wire_cores;
   check pair "platform without cores" (RC.default_cores P.raspberrypi4)
     (cores {|,"platform":"raspberrypi4"|});
   check pair "explicit cores kept" (1, 5) (cores {|,"platform":"kirin960","cores":[1,5]|});
@@ -1272,6 +1338,7 @@ let () =
             test_key_catalogue_table;
           QCheck_alcotest.to_alcotest prop_fuzz_keys;
           Alcotest.test_case "run coordinates keyed" `Quick test_job_key_coordinates;
+          Alcotest.test_case "each kind keys exactly what it runs" `Quick test_key_per_kind;
           Alcotest.test_case "same bytes as the reference" `Quick test_key_reference;
         ] );
       ( "cache",

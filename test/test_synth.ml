@@ -385,7 +385,7 @@ let pool_fix_jobs () =
   List.filter_map
     (fun (j : Gen.job) ->
       match Codec.request_of_line j.Gen.line with
-      | Ok { Engine.job = { Job.spec = Job.Fix { test; max_edits; budget }; _ }; _ }
+      | Ok { Engine.job = Job.Fix { test; max_edits; budget; _ }; _ }
         when not (Hashtbl.mem seen test.Lang.name) ->
         Hashtbl.add seen test.Lang.name ();
         Some (test, max_edits, budget)
