@@ -135,30 +135,35 @@ let soak ~doc = Arg.(value & opt (int_from 0) 0 & info [ "soak" ] ~docv:"N" ~doc
 let platform =
   Arg.(value & opt platform_arg P.kunpeng916 & info [ "p"; "platform" ] ~docv:"NAME" ~doc:"Target platform (kunpeng916, kirin960, kirin970, raspberrypi4).")
 
-(* Every simulator-facing subcommand shares one validated Run_config
-   term: platform, core pair, seed and trial count all parse and
-   validate in one place instead of each command re-plumbing positional
-   tuples.  [trials_default] keeps each command's historical default. *)
-let run_config ?(trials_default = 300) () =
+(* The run settings, one term each, so a simulator command takes only
+   those its run reads: [platform], [placement] (the platform and the
+   two cores its threads bind to, validated together), [seed], and
+   [trials] at the command's historical default.  [run_config] is all
+   four, for the commands that read them all. *)
+let placement =
   let cores =
     Arg.(value & opt (some (pair ~sep:',' int int)) None
          & info [ "cores" ] ~docv:"A,B"
              ~doc:"Cores the two threads bind to (default: core 0 and the first core of the \
                    far half of the machine).")
   in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Base RNG seed (litmus harnesses, fault plans).")
-  in
-  let trials =
-    Arg.(value & opt (int_from 1) trials_default
-         & info [ "trials" ] ~docv:"N" ~doc:"Simulator trials per litmus experiment.")
-  in
-  let build cfg cores seed trials =
-    match RC.make ?cores ~seed ~trials cfg with
-    | rc -> Ok rc
+  let build cfg cores =
+    match RC.make ?cores cfg with
+    | rc -> Ok (rc.cfg, rc.cores)
     | exception Invalid_argument m -> Error (`Msg m)
   in
-  Term.(term_result (const build $ platform $ cores $ seed $ trials))
+  Term.(term_result (const build $ platform $ cores))
+
+let seed =
+  Arg.(value & opt (int_from 0) 42 & info [ "seed" ] ~docv:"N" ~doc:"Base RNG seed (litmus harnesses, fault plans).")
+
+let trials ~default =
+  Arg.(value & opt (int_from 1) default
+       & info [ "trials" ] ~docv:"N" ~doc:"Simulator trials per litmus experiment.")
+
+let run_config ?(trials_default = 300) () =
+  let make (cfg, cores) seed trials = RC.make ~cores ~seed ~trials cfg in
+  Term.(const make $ placement $ seed $ trials ~default:trials_default)
 
 (* Fault intensity knob shared by the subcommands that can perturb a
    run (ring, perturb, fuzz). *)
@@ -173,9 +178,8 @@ let messages ~default =
   Arg.(value & opt (int_from 1) default
        & info [ "messages" ] ~docv:"N" ~doc:"Messages the producer-consumer ring transfers.")
 
-let fault_of ~(rc : RC.t) intensity =
-  if intensity <= 0.0 then None
-  else Some (Armb_fault.Plan.of_intensity ~seed:rc.seed intensity)
+let fault_of ~seed intensity =
+  if intensity <= 0.0 then None else Some (Armb_fault.Plan.of_intensity ~seed intensity)
 
 let approach =
   Arg.(value & opt (enum Ordering.named) (Ordering.Bar (Barrier.Dmb Full)) & info [ "a"; "approach" ] ~docv:"APPROACH" ~doc:"Order-preserving approach.")
@@ -201,37 +205,35 @@ let platforms_cmd =
 (* ---------- model ---------- *)
 
 let model_cmd =
-  let run (rc : RC.t) mem_ops approach location nops iters =
-    let spec =
-      { (AM.default_spec rc.cfg) with cores = rc.cores; mem_ops; approach; location; nops; iters }
-    in
+  let run (cfg, cores) mem_ops approach location nops iters =
+    let spec = { (AM.default_spec cfg) with cores; mem_ops; approach; location; nops; iters } in
     if not (AM.valid spec) then begin
       Printf.eprintf "invalid combination: %s with this mem-ops kind\n" (AM.label spec);
       exit 1
     end;
     let cycles, _ = AM.run_stats spec in
     let thr =
-      Armb_sim.Stats.throughput_per_sec ~ops:iters ~cycles ~freq_ghz:rc.cfg.Armb_cpu.Config.freq_ghz
+      Armb_sim.Stats.throughput_per_sec ~ops:iters ~cycles ~freq_ghz:cfg.Armb_cpu.Config.freq_ghz
     in
     Printf.printf "%s on %s, %d nops: %.2f M loops/s (%d cycles)\n" (AM.label spec)
-      rc.cfg.Armb_cpu.Config.name nops (thr /. 1e6) cycles
+      cfg.Armb_cpu.Config.name nops (thr /. 1e6) cycles
   in
   Cmd.v
     (Cmd.info "model" ~doc:"Run one abstracted model (the paper's Algorithm 1).")
-    Term.(const run $ run_config () $ mem_ops $ approach $ location $ nops $ iters)
+    Term.(const run $ placement $ mem_ops $ approach $ location $ nops $ iters)
 
 (* ---------- tipping ---------- *)
 
 let tipping_cmd =
-  let run (rc : RC.t) =
-    match Armb_core.Characterize.tipping_point rc.cfg ~cores:rc.cores () with
+  let run (cfg, cores) =
+    match Armb_core.Characterize.tipping_point cfg ~cores () with
     | Some n ->
-      Printf.printf "DMB full fully hidden behind ~%d NOPs on %s\n" n rc.cfg.Armb_cpu.Config.name
+      Printf.printf "DMB full fully hidden behind ~%d NOPs on %s\n" n cfg.Armb_cpu.Config.name
     | None -> print_endline "no tipping point found in the sweep"
   in
   Cmd.v
     (Cmd.info "tipping" ~doc:"Find the NOP count at which DMB full-2 matches No Barrier (Figure 4).")
-    Term.(const run $ run_config ())
+    Term.(const run $ placement)
 
 (* ---------- observations ---------- *)
 
@@ -278,13 +280,13 @@ let advise_cmd =
 
 let litmus_cmd =
   let test = name_pos test_arg ~doc:"Test name (default: all)." in
-  let run (rc : RC.t) test =
+  let run cfg seed trials test =
     let tests = match test with None -> Catalogue.all | Some t -> [ t ] in
     List.iter
       (fun (t : Lang.test) ->
         let wmm = Armb_litmus.Enumerate.allows Armb_litmus.Enumerate.Wmm t in
         let tso = Armb_litmus.Enumerate.allows Armb_litmus.Enumerate.Tso t in
-        let r = Armb_litmus.Sim_runner.run ~cfg:rc.cfg ~trials:rc.trials ~seed:rc.seed t in
+        let r = Armb_litmus.Sim_runner.run ~cfg ~trials ~seed t in
         Printf.printf "%-18s TSO:%-9s WMM:%-9s witnessed:%b\n" t.name
           (if tso then "Allowed" else "Forbidden")
           (if wmm then "Allowed" else "Forbidden")
@@ -294,7 +296,7 @@ let litmus_cmd =
   in
   Cmd.v
     (Cmd.info "litmus" ~doc:"Run litmus tests exhaustively and on the timing simulator.")
-    Term.(const run $ run_config () $ test)
+    Term.(const run $ platform $ seed $ trials ~default:300 $ test)
 
 (* ---------- check ---------- *)
 
@@ -302,8 +304,7 @@ let check_cmd =
   let test =
     name_pos test_arg ~doc:"Litmus test to sanitize (default: cross-check the whole catalogue)."
   in
-  let run (rc : RC.t) test =
-    let cfg = rc.cfg and trials = rc.trials and seed = rc.seed in
+  let run cfg seed trials test =
     let module Sim = Armb_litmus.Sim_runner in
     match test with
     | None ->
@@ -333,7 +334,7 @@ let check_cmd =
        ~doc:"Happens-before sanitizer: flag program-order pairs left unordered by \
              barriers/dependencies that other cores can observe reordered, with a \
              suggested minimal fix.")
-    Term.(const run $ run_config ~trials_default:50 () $ test)
+    Term.(const run $ platform $ seed $ trials ~default:50 $ test)
 
 (* ---------- ring ---------- *)
 
@@ -353,16 +354,15 @@ let ring_cmd =
   let combo =
     Arg.(value & opt combo_arg "DMB ld - DMB st" & info [ "combo" ] ~docv:"NAME" ~doc:"Barrier combination (Figure 6(a) legend name), or \"pilot\".")
   in
-  let run (rc : RC.t) combo messages intensity =
-    let cfg = rc.cfg in
-    let fault = fault_of ~rc intensity in
+  let run (cfg, cores) seed combo messages intensity =
+    let fault = fault_of ~seed intensity in
     let pilot = String.lowercase_ascii combo = "pilot" in
     let barriers =
       if pilot then Armb_sync.Spsc_ring.Pilot else Armb_sync.Spsc_ring.combo combo
     in
     let r =
       Armb_sync.Spsc_ring.verified_run
-        { (Armb_sync.Spsc_ring.default_spec cfg ~cores:rc.cores) with messages; barriers; fault }
+        { (Armb_sync.Spsc_ring.default_spec cfg ~cores) with messages; barriers; fault }
     in
     if pilot then
       Printf.printf "Pilot ring on %s: %.2f M msgs/s (%d fallbacks)\n" cfg.Armb_cpu.Config.name
@@ -373,7 +373,7 @@ let ring_cmd =
   in
   Cmd.v
     (Cmd.info "ring" ~doc:"Run the producer-consumer ring with a chosen barrier combination.")
-    Term.(const run $ run_config () $ combo $ messages ~default:4000 $ fault_intensity)
+    Term.(const run $ placement $ seed $ combo $ messages ~default:4000 $ fault_intensity)
 
 (* ---------- report ---------- *)
 
@@ -389,18 +389,16 @@ let report_cmd =
 
 let fuzz_cmd =
   let tests = Arg.(value & opt (int_from 0) 50 & info [ "tests" ] ~docv:"N" ~doc:"Random tests to generate.") in
-  let run (rc : RC.t) tests intensity =
-    let fault = fault_of ~rc intensity in
-    let r =
-      Armb_litmus.Fuzz.run ~cfg:rc.cfg ?fault ~tests ~trials_per_test:rc.trials ~seed:rc.seed ()
-    in
+  let run cfg seed trials tests intensity =
+    let fault = fault_of ~seed intensity in
+    let r = Armb_litmus.Fuzz.run ~cfg ?fault ~tests ~trials_per_test:trials ~seed () in
     Format.printf "%a@." Armb_litmus.Fuzz.pp_report r;
     if r.Armb_litmus.Fuzz.violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differential fuzz: random litmus tests, simulator outcomes checked against the operational model.")
-    Term.(const run $ run_config ~trials_default:60 () $ tests $ fault_intensity)
+    Term.(const run $ platform $ seed $ trials ~default:60 $ tests $ fault_intensity)
 
 (* ---------- barrier ---------- *)
 
@@ -488,7 +486,7 @@ let perturb_cmd =
     say "\n== MP ring degradation (%s, cores %d,%d, %d messages) ==\n"
       rc.cfg.Armb_cpu.Config.name a b messages;
     let ring barriers intensity =
-      let fault = fault_of ~rc intensity in
+      let fault = fault_of ~seed:rc.seed intensity in
       let spec =
         { (Armb_sync.Spsc_ring.default_spec rc.cfg ~cores:rc.cores) with messages; barriers; fault }
       in
@@ -546,8 +544,7 @@ let fix_cmd =
     Arg.(value & opt (int_from 1) 4000
          & info [ "budget" ] ~docv:"N" ~doc:"Oracle-call budget per search.")
   in
-  let run (rc : RC.t) test all strip soak json out max_edits budget =
-    let trials = rc.trials and seed = rc.seed in
+  let run seed trials test all strip soak json out max_edits budget =
     let emit = emit out in
     if soak > 0 then begin
       let r = Soak.run ~tests:soak ~seed ~max_edits:(min max_edits 2) ~budget () in
@@ -593,7 +590,7 @@ let fix_cmd =
        ~doc:"Synthesize minimal-cost ordering repairs: irredundant sufficient fence/\
              acquire-release/dependency edit sets (plus the Pilot single-word rewrite \
              for MP-shaped tests), costed per platform on the timing simulator.")
-    Term.(const run $ run_config ~trials_default:60 () $ test $ all $ strip $ soak
+    Term.(const run $ seed $ trials ~default:60 $ test $ all $ strip $ soak
           $ json $ out $ max_edits $ budget)
 
 (* ---------- opt ---------- *)
@@ -637,7 +634,7 @@ let opt_cmd =
          & info [ "min-improved" ] ~docv:"N"
              ~doc:"Fail unless at least N programs improved (the CI guard).")
   in
-  let run (rc : RC.t) program all soak algorithm unroll json out no_cost min_improved =
+  let run seed trials program all soak algorithm unroll json out no_cost min_improved =
     let cost = not no_cost in
     let finish results =
       emit out
@@ -666,18 +663,18 @@ let opt_cmd =
       end
     in
     if soak > 0 then begin
-      let r = Opt_soak.run ~rounds:soak ~seed:rc.seed ~algorithm ~unroll () in
+      let r = Opt_soak.run ~rounds:soak ~seed ~algorithm ~unroll () in
       Format.printf "%a@." Opt_soak.pp_report r;
       if not (Opt_soak.ok r) then exit 1
     end
     else if all then
-      finish (Opt.sweep ~algorithm ~unroll ~cost ~trials:rc.trials ~seed:rc.seed ())
+      finish (Opt.sweep ~algorithm ~unroll ~cost ~trials ~seed ())
     else
       match program with
       | None ->
         Printf.eprintf "opt: give a program NAME, or --all, or --soak N\n";
         exit 2
-      | Some p -> finish [ Opt.optimize ~algorithm ~unroll ~cost ~trials:rc.trials ~seed:rc.seed p ]
+      | Some p -> finish [ Opt.optimize ~algorithm ~unroll ~cost ~trials ~seed p ]
   in
   Cmd.v
     (Cmd.info "opt"
@@ -686,7 +683,7 @@ let opt_cmd =
              against the exhaustive WMM enumerator (loop-free) or bounded unrolling with \
              the happens-before sanitizer (loops), and priced per platform on the timing \
              simulator.")
-    Term.(const run $ run_config ~trials_default:30 () $ program $ all $ soak $ algorithm
+    Term.(const run $ seed $ trials ~default:30 $ program $ all $ soak $ algorithm
           $ unroll $ json $ out $ no_cost $ min_improved)
 
 (* ---------- trace ---------- *)
