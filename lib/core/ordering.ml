@@ -20,8 +20,6 @@ let to_string = function
   | Ctrl_dep -> "CTRL"
   | Ctrl_isb -> "CTRL+ISB"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let named =
   [
     ("none", No_barrier);

@@ -13,7 +13,6 @@ type t =
   | Ctrl_isb  (** control dependency + ISB (orders load->load too) *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val named : (string * t) list
 (** The stable machine-readable spellings ("dmb-st", "ldar",

@@ -9,10 +9,6 @@ let to_string = function
   | Dsb a -> "DSB " ^ access_to_string a
   | Isb -> "ISB"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-let all = [ Dmb Full; Dmb Ld; Dmb St; Dsb Full; Dsb Ld; Dsb St; Isb ]
-
 let orders_loads = function
   | Dmb Full | Dsb Full | Dmb Ld | Dsb Ld -> true
   | Dmb St | Dsb St -> false

@@ -23,10 +23,6 @@ type t =
   | Isb  (** Instruction Synchronization Barrier: pipeline flush. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
-val all : t list
-(** Every modelled barrier, in strength order used by the figures. *)
 
 val orders_loads : t -> bool
 (** Does the barrier wait on prior loads? *)

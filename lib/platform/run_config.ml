@@ -24,8 +24,3 @@ let make ?cores ?(seed = 42) ?(trials = 300) cfg =
 let core_list t =
   let a, b = t.cores in
   [ a; b ]
-
-let pp ppf t =
-  let a, b = t.cores in
-  Format.fprintf ppf "%s cores=(%d,%d) seed=%d trials=%d" t.cfg.Armb_cpu.Config.name a b t.seed
-    t.trials

@@ -23,5 +23,3 @@ val make : ?cores:int * int -> ?seed:int -> ?trials:int -> Armb_cpu.Config.t -> 
 
 val core_list : t -> int list
 (** The two bound cores as a list (for multi-core harness specs). *)
-
-val pp : Format.formatter -> t -> unit

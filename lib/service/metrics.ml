@@ -87,10 +87,3 @@ let to_json t =
         ("latency_p99_us", Json.Int p99);
         ("hit_rate", Json.Float (hit_rate t));
       ])
-
-let pp ppf t =
-  let p50, p99 = latency_us t in
-  Format.fprintf ppf "@[<v>service metrics:@,";
-  List.iter (fun (k, v) -> Format.fprintf ppf "  %-18s %d@," k v) (counts t);
-  Format.fprintf ppf "  %-18s %.3f@," "hit_rate" (hit_rate t);
-  Format.fprintf ppf "  %-18s p50=%dus p99=%dus@]" "latency" p50 p99

@@ -50,5 +50,3 @@ val hit_rate : t -> float
 
 val to_json : t -> Json.t
 (** The metrics artifact schema ["armb-serve-metrics-v1"]. *)
-
-val pp : Format.formatter -> t -> unit
