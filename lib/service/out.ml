@@ -13,28 +13,30 @@ let rec ensure_dir d =
   end
 
 let write_with ~path writer =
+  (* same directory as the target so the rename cannot cross a
+     filesystem boundary (rename is atomic only within one) *)
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   match
     ensure_dir (Filename.dirname path);
-    (* same directory as the target so the rename cannot cross a
-       filesystem boundary (rename is atomic only within one) *)
-    let tmp =
-      Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
-    in
     let oc = open_out tmp in
     (* [close_out], not [close_out_noerr]: the last flush can fail too,
        and a short temp file must not be renamed into place *)
     (match
        writer oc;
-       close_out oc
+       close_out oc;
+       Sys.rename tmp path
      with
     | () -> ()
     | exception e ->
       close_out_noerr oc;
       (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-    Sys.rename tmp path
+      raise e)
   with
   | () -> Ok ()
-  | exception Sys_error m -> Error m
+  | exception Sys_error m ->
+    (* the caller names the target, so drop the temp file's name *)
+    let prefix = tmp ^ ": " in
+    let n = String.length prefix in
+    Error (if String.starts_with ~prefix m then String.sub m n (String.length m - n) else m)
 
 let write ~path text = write_with ~path (fun oc -> output_string oc text)

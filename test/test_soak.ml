@@ -29,6 +29,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Does [s] contain [sub]? *)
+let contains s sub =
+  let n = String.length sub in
+  let rec found i = i + n <= String.length s && (String.sub s i n = sub || found (i + 1)) in
+  found 0
+
 (* ---------- generator determinism ---------- *)
 
 let test_stream_deterministic () =
@@ -380,6 +386,26 @@ let with_plain_file f =
   Out.write ~path:plain "not a directory\n" |> Result.get_ok;
   Fun.protect ~finally:(fun () -> Sys.remove plain) (fun () -> f plain)
 
+(* A failed write's reason names no temp file (the caller names the
+   target), and a failed rename leaves no temp file behind. *)
+let test_out_failure_names_no_temp_file () =
+  let fails what path =
+    match Out.write ~path "{}\n" with
+    | Ok () -> Alcotest.failf "a write %s must fail" what
+    | Error reason ->
+      if contains reason ".tmp." then Alcotest.failf "the reason %S names the temp file" reason
+  in
+  with_plain_file (fun plain -> fails "under a regular file" (Filename.concat plain "m.json"));
+  let dir = tmp_path "out-onto-dir" in
+  let target = Filename.concat dir "m.json" in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir target 0o755;
+  fails "onto a directory" target;
+  check (Alcotest.list Alcotest.string) "no temp file left" [ "m.json" ]
+    (Array.to_list (Sys.readdir dir));
+  Sys.rmdir target;
+  Sys.rmdir dir
+
 let test_metrics_write_failure () =
   with_plain_file (fun plain ->
       let path = Filename.concat plain "m.json" in
@@ -466,6 +492,8 @@ let () =
         [
           Alcotest.test_case "writer raises -> old target, no temp file" `Quick
             test_out_write_with;
+          Alcotest.test_case "a failed write names and leaves no temp file" `Quick
+            test_out_failure_names_no_temp_file;
         ] );
       ( "serve",
         [
