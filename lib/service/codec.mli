@@ -17,6 +17,12 @@
     {!Armb_platform.Run_config.default_cores}), ["seed"] (default 42),
     ["trials"] (default 40), ["fault"] (intensity in [0,1], default 0).
     The run coordinates are checked by {!Armb_platform.Run_config.make}.
+    Every kind decodes and checks all five settings, then keeps those
+    its run reads ({!Job.t}): litmus, check and fuzz keep platform,
+    seed, trials and fault; perturb platform, seed and trials; fix seed
+    and trials; ring platform, cores, seed and fault; model platform,
+    cores and seed; opt seed.  So a request that names a setting its
+    kind ignores is answered, and one malformed there is refused.
 
     Kind-specific fields (["kind"] is required):
     - ["litmus"] | ["check"] | ["fix"] | ["perturb"]: ["test"] —

@@ -16,9 +16,9 @@
     predicate (evaluated over every WMM-reachable outcome, with renamed
     bindings) all feed the serialization.
 
-    The job key then appends the non-test coordinates that change the
-    computation's result: platform, core binding, seed, trial count,
-    job kind and parameters, and the fault intensity. *)
+    The job key then adds the job kind, its parameters and the run
+    settings that kind's run reads, out of platform, core binding,
+    seed, trial count and fault intensity. *)
 
 val canonical_test : Armb_litmus.Lang.test -> string
 (** Name-independent canonical serialization of a litmus test,
