@@ -286,8 +286,9 @@ let run = function
     { text = Buffer.contents b; events = delay_total; cycles = 0 }
   | Opt { program; algorithm; unroll; seed = _ } ->
     let module O = Armb_opt.Optimizer in
-    (* With costing off the optimizer reads no seed; the key keeps one
-       for the same reason as a model job's. *)
+    (* With costing off the optimizer reads no seed.  The key keeps one
+       for perfbench/test's [serve-cold keys are distinct], as a model
+       job's does. *)
     let r = O.optimize ~algorithm ~unroll ~cost:false program in
     {
       text =
