@@ -967,7 +967,10 @@ let test_platform_cores () =
     | Job.Model { cfg; cores; seed; _ } -> (cfg, cores, seed)
     | _ -> Alcotest.fail "not a model job"
   in
-  let cores fields = match model fields with _, cores, _ -> cores in
+  let cores fields =
+    let _, cores, _ = model fields in
+    cores
+  in
   let pair = Alcotest.(pair int int) in
   let cfg, wire_cores, seed = model "" in
   check Alcotest.string "wire platform" "kunpeng916" cfg.Armb_cpu.Config.name;
