@@ -2,7 +2,7 @@
 
    Subcommands: platforms, model, tipping, observations, advise, litmus,
    check, fix, opt, ring, report, fuzz, perturb, barrier, trace, serve,
-   batch, soak.
+   soak.
    See `armb --help`. *)
 
 open Cmdliner
@@ -755,7 +755,7 @@ let trace_cmd =
              and export Chrome trace-event JSON.")
     Term.(const run $ run_config () $ out $ messages ~default:200 $ test $ fixed)
 
-(* ---------- serve / batch ---------- *)
+(* ---------- serve ---------- *)
 
 module Engine = Armb_service.Engine
 module Serve = Armb_service.Serve
@@ -784,10 +784,9 @@ let metrics_out =
            ~doc:"Write the engine's metrics JSON (schema armb-serve-metrics-v1) to \
                  FILE on exit.")
 
-let dump_metrics engine = function
+let dump_metrics metrics = function
   | None -> ()
-  | Some path ->
-    write_out path (Json.to_string (Metrics.to_json (Engine.metrics engine)) ^ "\n")
+  | Some path -> write_out path (Json.to_string (Metrics.to_json metrics) ^ "\n")
 
 let serve_cmd =
   let batch_file =
@@ -799,8 +798,8 @@ let serve_cmd =
   let drain_every =
     Arg.(value & opt (int_from 0) 16
          & info [ "drain-every" ] ~docv:"N"
-             ~doc:"Streaming mode: run queued computations whenever N are pending \
-                   (and at end of input).")
+             ~doc:"Streaming mode: run queued computations whenever N are pending, \
+                   whenever the next request has not arrived yet, and at end of input.")
   in
   let max_requests =
     Arg.(value & opt (some (int_from 0)) None
@@ -817,86 +816,66 @@ let serve_cmd =
                    clock, with the same drain-then-exit semantics as \
                    $(b,--max-requests).")
   in
+  let compare_cold =
+    Arg.(value & flag
+         & info [ "compare-cold" ]
+             ~doc:"With $(b,--batch): run FILE through a cacheless engine and a caching \
+                   engine, each with a queue sized to FILE so neither sheds, print the \
+                   caching engine's responses, report on stderr whether the two agree \
+                   response for response and the speedup, and exit 1 if they differ.  \
+                   $(b,--metrics-out) writes the caching engine's metrics.")
+  in
+  let min_speedup =
+    Arg.(value & opt non_negative_float 0.0
+         & info [ "min-speedup" ] ~docv:"X"
+             ~doc:"With $(b,--compare-cold): exit 1 unless warm is at least X times \
+                   faster than cold (0 disables the gate).")
+  in
   let run no_cache queue_bound cache_cap drain_every max_requests duration batch_file
-      metrics_out =
-    let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-    (match batch_file with
-    | None ->
-      Serve.serve ~drain_every ?max_requests ?duration_s:duration engine stdin stdout
-    | Some f ->
-      let b = Serve.run_batch engine ~lines:(read_lines f) in
-      List.iter (fun r -> print_endline (Codec.response_to_line r)) b.Serve.responses);
-    dump_metrics engine metrics_out
+      compare_cold min_speedup metrics_out =
+    let usage m =
+      Printf.eprintf "armb serve: %s\n" m;
+      exit 2
+    in
+    if compare_cold && batch_file = None then usage "--compare-cold needs --batch FILE";
+    if compare_cold && no_cache then
+      usage "--compare-cold runs its own cacheless engine; drop --no-cache";
+    if min_speedup > 0.0 && not compare_cold then usage "--min-speedup needs --compare-cold";
+    let print_responses (b : Serve.batch) =
+      List.iter (fun r -> print_endline (Codec.response_to_line r)) b.responses
+    in
+    match batch_file with
+    | Some f when compare_cold ->
+      let c = Serve.compare_cold ~cache_cap ~lines:(read_lines f) () in
+      print_responses c.warm;
+      Printf.eprintf "armb serve: identical %b, speedup %.2fx (cold %.3f s, warm %.3f s)\n"
+        c.identical c.speedup c.cold.wall_s c.warm.wall_s;
+      dump_metrics c.warm_metrics metrics_out;
+      if not c.identical then begin
+        Printf.eprintf "armb serve: warm responses differ from cold responses\n";
+        exit 1
+      end;
+      if c.speedup < min_speedup then begin
+        Printf.eprintf "armb serve: speedup %.2fx below required %.2fx\n" c.speedup
+          min_speedup;
+        exit 1
+      end
+    | _ ->
+      let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
+      (match batch_file with
+      | None ->
+        Serve.serve ~drain_every ?max_requests ?duration_s:duration engine stdin stdout
+      | Some f -> print_responses (Serve.run_batch engine ~lines:(read_lines f)));
+      dump_metrics (Engine.metrics engine) metrics_out
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Job service: newline-delimited JSON requests in, responses out, with \
              content-addressed memoization, request coalescing, fair-share priority \
-             scheduling and load shedding.")
+             scheduling and load shedding; $(b,--batch) $(b,--compare-cold) checks the \
+             memo cache against a cold run.")
     Term.(const run $ no_cache $ queue_bound $ cache_cap $ drain_every $ max_requests
-          $ duration $ batch_file $ metrics_out)
-
-let batch_cmd =
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"NDJSON request file (one JSON object per line).")
-  in
-  let compare_cold =
-    Arg.(value & flag
-         & info [ "compare-cold" ]
-             ~doc:"Run the batch through a cacheless engine and a caching engine, \
-                   verify the responses are byte-identical, and report the speedup.")
-  in
-  let min_speedup =
-    Arg.(value & opt non_negative_float 0.0
-         & info [ "min-speedup" ] ~docv:"X"
-             ~doc:"With $(b,--compare-cold): fail unless warm is at least X times \
-                   faster than cold (0 disables the gate).")
-  in
-  let out = out ~doc:"Also write the responses NDJSON to FILE." in
-  let run file compare_cold min_speedup no_cache queue_bound cache_cap out metrics_out =
-    let lines = read_lines file in
-    let responses_text (b : Serve.batch) =
-      String.concat "" (List.map (fun r -> Codec.response_to_line r ^ "\n") b.responses)
-    in
-    if compare_cold then begin
-      let c = Serve.compare_cold ~cache_cap ~lines () in
-      Printf.printf "== cold (no cache) ==\n%s\n"
-        (Serve.summary c.Serve.cold c.Serve.cold_metrics);
-      Printf.printf "== warm (memoized) ==\n%s\n"
-        (Serve.summary c.Serve.warm c.Serve.warm_metrics);
-      Printf.printf "identical: %b\nspeedup: %.2fx\n" c.Serve.identical c.Serve.speedup;
-      Option.iter (fun path -> write_out path (responses_text c.Serve.warm)) out;
-      (* warm-engine metrics are the interesting artifact here *)
-      Option.iter
-        (fun path -> write_out path (Json.to_string (Metrics.to_json c.Serve.warm_metrics) ^ "\n"))
-        metrics_out;
-      if not c.Serve.identical then begin
-        Printf.eprintf "armb batch: warm responses differ from cold responses\n";
-        exit 1
-      end;
-      if min_speedup > 0.0 && c.Serve.speedup < min_speedup then begin
-        Printf.eprintf "armb batch: speedup %.2fx below required %.2fx\n"
-          c.Serve.speedup min_speedup;
-        exit 1
-      end
-    end
-    else begin
-      let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
-      let b = Serve.run_batch engine ~lines in
-      print_string (Serve.summary b (Engine.metrics engine));
-      Option.iter (fun path -> write_out path (responses_text b)) out;
-      dump_metrics engine metrics_out
-    end
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:"Client convenience over the job service: run an NDJSON request file \
-             (for example one written by $(b,armb soak --emit)) through an engine and \
-             print a summary table, or verify the memo cache against a cold run \
-             ($(b,--compare-cold)).")
-    Term.(const run $ file $ compare_cold $ min_speedup $ no_cache $ queue_bound $ cache_cap
-          $ out $ metrics_out)
+          $ duration $ batch_file $ compare_cold $ min_speedup $ metrics_out)
 
 (* ---------- soak ---------- *)
 
@@ -1031,6 +1010,5 @@ let () =
             barrier_cmd;
             trace_cmd;
             serve_cmd;
-            batch_cmd;
             soak_cmd;
           ]))

@@ -468,6 +468,52 @@ let test_mixed_run_single_engine () =
         (List.length r.Driver.by_kind >= 5))
     [ 4; 1 ]
 
+(* A client that sends one request and waits for its answer, keeping
+   its end of the pipe open, is answered without closing it: the loop
+   drains pending work before a read that would block.  The wait is
+   bounded through [select], so a loop that holds the request until end
+   of input fails the test instead of hanging it. *)
+let test_serve_answers_before_eof () =
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let server =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr req_r and oc = Unix.out_channel_of_descr resp_w in
+        Serve.serve (Engine.create ()) ic oc;
+        close_in ic;
+        close_out oc)
+  in
+  let line = litmus_line 0 ^ "\n" in
+  ignore (Unix.write_substring req_w line 0 (String.length line));
+  (* the first response line, read until its newline or for 10 s *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let got = Buffer.create 512 and chunk = Bytes.create 4096 in
+  let rec read () =
+    let left = deadline -. Unix.gettimeofday () in
+    if (not (String.contains (Buffer.contents got) '\n')) && left > 0.0 then
+      match Unix.select [ resp_r ] [] [] left with
+      | [], _, _ -> ()
+      | _ ->
+        let n = Unix.read resp_r chunk 0 (Bytes.length chunk) in
+        if n > 0 then begin
+          Buffer.add_subbytes got chunk 0 n;
+          read ()
+        end
+  in
+  read ();
+  Unix.close req_w;
+  Domain.join server;
+  Unix.close resp_r;
+  match String.split_on_char '\n' (Buffer.contents got) with
+  | [ _ ] -> Alcotest.fail "no response within 10 s while the client kept its pipe open"
+  | first :: _ -> (
+    match Json.of_string first with
+    | Ok j ->
+      check (Alcotest.option Alcotest.string) "answers the request" (Some "q0")
+        (Json.mem_str "id" j);
+      check (Alcotest.option Alcotest.string) "computed" (Some "ok") (Json.mem_str "status" j)
+    | Error e -> Alcotest.fail ("response does not parse: " ^ e))
+  | [] -> assert false
+
 let () =
   Alcotest.run "soak"
     [
@@ -499,6 +545,8 @@ let () =
         [
           Alcotest.test_case "--max-requests answers the accepted prefix" `Quick
             test_serve_max_requests;
+          Alcotest.test_case "a lone request is answered before end of input" `Quick
+            test_serve_answers_before_eof;
         ] );
       ( "driver",
         [
