@@ -401,116 +401,63 @@ let fig8d () =
 
 (* ---------- Ablations ---------- *)
 
+(* One sweep of a Kunpeng 916 configuration field: each row runs a
+   cross-node abstracted model of 1000 iterations on [cfg v] for every
+   column value [v]. *)
+let config_sweep ~title ~values rows =
+  let row (label, cfg, approach, nops) =
+    ( label,
+      List.map
+        (fun v ->
+          AM.run
+            { (AM.default_spec (cfg v)) with cores = cross_pair; approach; nops; iters = 1000 }
+          /. 1e6)
+        values )
+  in
+  Series.print
+    (Series.make ~title ~unit_label:"10^6 loops/s" ~cols:(List.map string_of_int values)
+       (List.map row rows))
+
 let ablations () =
   section "Ablation: store-buffer size (Observation 2's mechanism)";
-  let sbs = [ 2; 8; 24; 64 ] in
-  let rows =
+  config_sweep ~title:"store-buffer sweep" ~values:[ 2; 8; 24; 64 ]
     [
       ( "DMB st-1 cross-node",
-        List.map
-          (fun sb_size ->
-            let cfg = { kunpeng with Armb_cpu.Config.sb_size } in
-            AM.run
-              {
-                (AM.default_spec cfg) with
-                cores = cross_pair;
-                approach = Ordering.Bar (Barrier.Dmb St);
-                nops = 300;
-                iters = 1000;
-              }
-            /. 1e6)
-          sbs );
-    ]
-  in
-  Series.print
-    (Series.make ~title:"store-buffer sweep" ~unit_label:"10^6 loops/s"
-       ~cols:(List.map string_of_int sbs) rows);
+        (fun sb_size -> { kunpeng with Armb_cpu.Config.sb_size }),
+        Ordering.Bar (Barrier.Dmb St),
+        300 );
+    ];
 
   section "Ablation: in-flight window size (Figure 4's mechanism)";
-  let robs = [ 8; 32; 128; 512 ] in
-  let rows =
+  config_sweep ~title:"window sweep" ~values:[ 8; 32; 128; 512 ]
     [
       ( "DMB full-1 cross-node",
-        List.map
-          (fun rob_size ->
-            let cfg = { kunpeng with Armb_cpu.Config.rob_size } in
-            AM.run
-              {
-                (AM.default_spec cfg) with
-                cores = cross_pair;
-                approach = Ordering.Bar (Barrier.Dmb Full);
-                nops = 700;
-                iters = 1000;
-              }
-            /. 1e6)
-          robs );
-    ]
-  in
-  Series.print
-    (Series.make ~title:"window sweep" ~unit_label:"10^6 loops/s"
-       ~cols:(List.map string_of_int robs) rows);
+        (fun rob_size -> { kunpeng with Armb_cpu.Config.rob_size }),
+        Ordering.Bar (Barrier.Dmb Full),
+        700 );
+    ];
 
   section "Ablation: domain-boundary round trip (Observation 4's axis)";
-  let rts = [ 40; 160; 320; 640 ] in
-  let rows =
+  config_sweep ~title:"boundary sweep" ~values:[ 40; 160; 320; 640 ]
     [
       ( "DSB full-1",
-        List.map
-          (fun domain_rt ->
-            let cfg = { kunpeng with Armb_cpu.Config.lat = { kunpeng.Armb_cpu.Config.lat with domain_rt } } in
-            AM.run
-              {
-                (AM.default_spec cfg) with
-                cores = cross_pair;
-                approach = Ordering.Bar (Barrier.Dsb Full);
-                nops = 300;
-                iters = 1000;
-              }
-            /. 1e6)
-          rts );
-    ]
-  in
-  Series.print
-    (Series.make ~title:"boundary sweep" ~unit_label:"10^6 loops/s"
-       ~cols:(List.map string_of_int rts) rows);
+        (fun domain_rt ->
+          { kunpeng with Armb_cpu.Config.lat = { kunpeng.Armb_cpu.Config.lat with domain_rt } }),
+        Ordering.Bar (Barrier.Dsb Full),
+        300 );
+    ];
 
   section "Ablation: STLR interconnect surcharge (Observation 3's axis)";
-  let extras = [ 0; 20; 70; 150 ] in
-  let rows =
+  config_sweep
+    ~title:"STLR surcharge sweep: where STLR crosses below the stronger DMB full"
+    ~values:[ 0; 20; 70; 150 ]
     [
       ( "STLR cross-node",
-        List.map
-          (fun stlr_extra ->
-            let cfg = { kunpeng with Armb_cpu.Config.stlr_extra } in
-            AM.run
-              {
-                (AM.default_spec cfg) with
-                cores = cross_pair;
-                approach = Ordering.Stlr_release;
-                nops = 300;
-                iters = 1000;
-              }
-            /. 1e6)
-          extras );
-      ( "DMB full-1 (reference)",
-        List.map
-          (fun _ ->
-            AM.run
-              {
-                (AM.default_spec kunpeng) with
-                cores = cross_pair;
-                approach = Ordering.Bar (Barrier.Dmb Full);
-                nops = 300;
-                iters = 1000;
-              }
-            /. 1e6)
-          extras );
-    ]
-  in
-  Series.print
-    (Series.make
-       ~title:"STLR surcharge sweep: where STLR crosses below the stronger DMB full"
-       ~unit_label:"10^6 loops/s" ~cols:(List.map string_of_int extras) rows);
+        (fun stlr_extra -> { kunpeng with Armb_cpu.Config.stlr_extra }),
+        Ordering.Stlr_release,
+        300 );
+      ("DMB full-1 (reference)", (fun _ -> kunpeng), Ordering.Bar (Barrier.Dmb Full), 300);
+    ];
 
   section "Ablation: Pilot fallback rate vs shuffle-pool size";
   let pools = [ 1; 2; 8; 64 ] in
