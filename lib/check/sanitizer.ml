@@ -392,8 +392,6 @@ let findings t =
         if c <> 0 then c else Int.compare f.second.op_seq g.second.op_seq)
     !out
 
-let clean t = findings t = []
-
 let pp_access ppf = function
   | Read -> Format.pp_print_string ppf "ld"
   | Write -> Format.pp_print_string ppf "st"

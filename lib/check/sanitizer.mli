@@ -51,9 +51,6 @@ val findings : t -> finding list
     (core, access kinds, addresses) and sorted by core and program
     order. *)
 
-val clean : t -> bool
-(** [clean t] iff {!findings} is empty. *)
-
 val signature : finding -> string
 (** Stable key for deduplicating findings across trials. *)
 

@@ -135,8 +135,6 @@ let reset ?observer ?fault t =
 
 let id t = t.id
 let cursor t = t.cursor
-let config t = t.cfg
-let mem t = t.memory
 
 (* Yield to the event queue when the thread has run too far ahead of
    global simulated time, so concurrently-running threads interleave at

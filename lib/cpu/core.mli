@@ -34,9 +34,6 @@ val id : t -> int
 val cursor : t -> int
 (** Local cycle count: issue time of the next instruction. *)
 
-val config : t -> Config.t
-val mem : t -> Armb_mem.Memsys.t
-
 (** {2 Micro-ops} *)
 
 val compute : t -> int -> unit

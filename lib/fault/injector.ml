@@ -28,8 +28,6 @@ let create spec =
     delay_cycles = 0;
   }
 
-let spec t = t.spec
-
 (* SplitMix64 finalizer, same mixing constants as Rng: good avalanche,
    so the digest distinguishes single-query differences. *)
 let mix z =
@@ -147,8 +145,3 @@ let counters (t : t) =
     stalls = t.stalls;
     delay_cycles = t.delay_cycles;
   }
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "queries=%d faults=%d nacks=%d snoop-delays=%d dram-jitters=%d stalls=%d extra-cycles=%d"
-    c.queries c.faults c.barrier_nacks c.snoop_delays c.dram_jitters c.stalls c.delay_cycles

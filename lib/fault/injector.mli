@@ -18,8 +18,6 @@ type t
 val create : Plan.spec -> t
 (** Validates the plan. *)
 
-val spec : t -> Plan.spec
-
 (** {2 Site queries} *)
 
 val dram_jitter : t -> int
@@ -61,4 +59,3 @@ type counters = {
 }
 
 val counters : t -> counters
-val pp_counters : Format.formatter -> counters -> unit

@@ -40,9 +40,6 @@ type program = {
 
 (** {2 Structure} *)
 
-val single_label : label
-(** The block label used by {!of_thread} ("b0"). *)
-
 val block : thread_cfg -> label -> block option
 val block_exn : thread_cfg -> label -> block
 val successors : terminator -> label list
@@ -58,9 +55,6 @@ val has_loop : thread_cfg -> bool
 
 val fence_count : program -> int
 (** Fences in reachable blocks across all threads. *)
-
-val vars : program -> string list
-(** Shared variables: init plus any referenced in reachable blocks. *)
 
 (** {2 Lifting} *)
 
@@ -92,11 +86,6 @@ val slices : ?unroll:int -> program -> slice list
 (** Cartesian product of per-thread paths.  Raises [Invalid_argument]
     beyond 512 combinations or when a thread has no in-bound path. *)
 
-val project : program -> slice -> Enumerate.outcome -> Enumerate.outcome
-(** Fold a slice outcome onto the program universe: base registers get
-    their path-final version's value (0 if never written), every
-    program variable gets its final (or initial) value. *)
-
 val reachable : ?unroll:int -> Enumerate.model -> program -> Enumerate.outcome list
 (** Sorted, de-duplicated union over all slices of feasible, projected
     enumerator outcomes.  On a loop-free program this is exact; with
@@ -124,5 +113,5 @@ val goto : label -> terminator
 val branch : Lang.reg -> nonzero:label -> zero:label -> terminator
 
 val cfg : ?entry:label -> block list -> thread_cfg
-(** [entry] defaults to {!single_label}.  Raises [Invalid_argument] on
+(** [entry] defaults to the label {!of_thread} uses ("b0").  Raises [Invalid_argument] on
     an invalid thread (duplicate labels, missing targets). *)

@@ -47,10 +47,6 @@ type sweep = {
   ok : bool;  (** conjunction of [row_ok] *)
 }
 
-val drift : (string * int) list -> (string * int) list -> float
-(** Total-variation distance between two outcome histograms (0 = same
-    distribution, 1 = disjoint support). *)
-
 val sweep :
   ?cfg:Armb_cpu.Config.t ->
   ?trials:int ->

@@ -66,10 +66,10 @@ val run :
 
 (** {2 The trial driver in parts}
 
-    {!run} is [render (simulate (compile t))].  A caller that runs one
-    test on several platforms compiles it once, and a caller that only
-    needs {!cycles} skips {!render}: {!Armb_synth.Cost.measure} does
-    both.  There is one trial loop, {!simulate}; only what is done with
+    {!run} compiles the test, runs {!simulate} and renders the tally
+    into a {!result}.  A caller that runs one test on several platforms
+    compiles it once, and a caller that only needs {!cycles} skips the
+    rendering: {!Armb_synth.Cost.measure} does both.  There is one trial loop, {!simulate}; only what is done with
     its tally differs. *)
 
 type compiled
@@ -96,11 +96,7 @@ val simulate :
 (** The trial loop of {!run}, with the same arguments and defaults. *)
 
 val cycles : tally -> int
-(** The [cycles] field {!render} gives, without rendering outcomes. *)
-
-val render : tally -> result
-(** Render each distinct outcome's bindings, ask the test's
-    [interesting] once per distinct outcome, and sort. *)
+(** The [cycles] field {!run} gives, without rendering outcomes. *)
 
 val consistent_with_model : result -> Lang.test -> bool
 (** No witnessed interesting outcome unless the weak model allows it —

@@ -47,9 +47,6 @@ val cardinal_except : t -> int -> int
 (** [cardinal t] members; [cardinal_except t i] members other than [i]
     (the invalidation fan-out of a write by [i]). *)
 
-val iter : t -> (int -> unit) -> unit
-(** Ascending core order. *)
-
 val equal : t -> t -> bool
 val copy : t -> t
 val to_list : t -> int list

@@ -101,10 +101,6 @@ let reset ?inj t =
   Int_table.clear t.values;
   reset_counters t
 
-let topology t = t.topo
-let latencies t = t.lat
-let injector t = t.inj
-
 (* Fault-injection hooks: pure extra delay, zero when no injector is
    wired (the faults-off path must stay bit-identical to the seed
    kernel — the golden digests pin it). *)

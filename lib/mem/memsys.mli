@@ -37,12 +37,6 @@ val reset : ?inj:Armb_fault.Injector.t -> t -> unit
     nothing; no access can tell a kept line from a new one.  Topology
     and latencies are kept. *)
 
-val topology : t -> Topology.t
-val latencies : t -> Latency.t
-
-val injector : t -> Armb_fault.Injector.t option
-(** The wired fault injector, if any (for post-run accounting). *)
-
 val line_of : int -> int
 (** Cache-line index of a byte address (64-byte lines). *)
 

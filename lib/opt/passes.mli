@@ -20,10 +20,6 @@ module Cfg = Armb_litmus.Cfg
 
 type kind = Ld | St
 
-val cover : (kind * kind) list -> Lang.fence
-(** Cheapest fence whose pairs are a superset of the (non-empty)
-    needed set: DMB st, then DMB ld, then DMB full. *)
-
 type stats = {
   mutable dead : int;  (** fences dropped: no ordering pair alive *)
   mutable weakened : int;  (** fences re-emitted as a cheaper kind *)

@@ -13,7 +13,6 @@ module type S = sig
   type sender
   type receiver
 
-  val default_pool_size : int
   val make_pool : ?size:int -> seed:int -> unit -> word array
   val sender : word array -> sender
   val receiver : word array -> receiver

@@ -43,8 +43,6 @@ module type S = sig
   type sender
   type receiver
 
-  val default_pool_size : int
-
   val make_pool : ?size:int -> seed:int -> unit -> word array
   (** Deterministic pseudo-random shuffle pool.  Sender and receiver
       must use identical pools. *)

@@ -41,8 +41,6 @@ module Stack_d = struct
   let pop t p =
     let r = exec p (fun () -> match Stack.pop_opt t with Some v -> v | None -> min_int) in
     if r = min_int then None else Some r
-
-  let length t p = exec p (fun () -> Stack.length t)
 end
 
 module Sorted_list_d = struct

@@ -12,9 +12,6 @@ type protect =
   | With_dsmsynch of Dsmsynch.t
   | With_ffwd of Ffwd.t * int  (** server handle and this thread's client slot *)
 
-val exec : protect -> (unit -> int) -> int
-(** Run a critical section under the discipline. *)
-
 (** {2 Queue (FIFO) of ints} *)
 
 module Queue_d : sig
@@ -34,7 +31,6 @@ module Stack_d : sig
   val create : unit -> t
   val push : t -> protect -> int -> unit
   val pop : t -> protect -> int option
-  val length : t -> protect -> int
 end
 
 (** {2 Sorted int list (set semantics)} *)

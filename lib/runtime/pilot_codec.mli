@@ -29,9 +29,6 @@ val try_decode : receiver -> data:int -> flag:int -> int option
 (** [Some msg] consumes one message; sender and receiver advance in
     lock-step (single-producer single-consumer per channel). *)
 
-val sent : sender -> int
-val received : receiver -> int
-
 (** {2 One channel over atomics} *)
 
 type cell = private {

@@ -39,5 +39,3 @@ let try_recv t =
   end
 
 let recv t = Backoff.poll (fun () -> try_recv t)
-
-let length t = max 0 (Atomic.get t.prod - Atomic.get t.cons)

@@ -21,5 +21,3 @@ val try_recv : t -> int option
 
 val recv : t -> int
 
-val length : t -> int
-(** Messages currently buffered (racy snapshot). *)

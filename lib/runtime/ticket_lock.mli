@@ -4,10 +4,6 @@ type t
 
 val create : unit -> t
 
-val acquire : t -> unit
-
-val release : t -> unit
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Exception-safe bracket. *)
 

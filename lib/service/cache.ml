@@ -20,7 +20,6 @@ let create ~cap =
   if cap < 1 then invalid_arg "Cache.create: cap must be >= 1";
   { capacity = cap; table = Hashtbl.create (2 * cap); head = None; tail = None }
 
-let cap t = t.capacity
 let size t = Hashtbl.length t.table
 
 let unlink t n =

@@ -13,7 +13,6 @@ val create : cap:int -> 'a t
     expressed by not consulting the cache, not by a zero-capacity
     one). *)
 
-val cap : 'a t -> int
 val size : 'a t -> int
 
 val find : 'a t -> string -> 'a option

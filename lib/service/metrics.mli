@@ -32,10 +32,6 @@ val add_events : t -> int -> unit
 
 (** {2 Reading} *)
 
-val counts : t -> (string * int) list
-(** All counters by name (submitted, hits, misses, coalesced, shed,
-    failed, completed, queue_depth_peak, events). *)
-
 val get : t -> string -> int
 (** Lookup in {!counts}; 0 for unknown names. *)
 

@@ -107,13 +107,6 @@ let find_or_add t k make =
     v
   end
 
-let iter t f =
-  let keys = t.keys and vals = t.vals in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
-    if k >= 0 then f k (Array.unsafe_get vals i)
-  done
-
 let fold t f acc =
   let keys = t.keys and vals = t.vals in
   let acc = ref acc in

@@ -28,9 +28,6 @@ val find_or_add : 'a t -> int -> (int -> 'a) -> 'a
     first when absent.  [make] must not touch the table.  The
     already-present path never allocates. *)
 
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-(** Iterate over bindings in unspecified (storage) order. *)
-
 val fold : 'a t -> (int -> 'a -> 'b -> 'b) -> 'b -> 'b
 (** Fold over bindings in unspecified (storage) order. *)
 

@@ -17,9 +17,6 @@ val split : t -> t
     simulated core its own stream so event order does not perturb
     other cores' draws. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

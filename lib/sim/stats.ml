@@ -24,8 +24,6 @@ let add t x =
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let count t = t.n
-
 let mean t = t.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
@@ -116,13 +114,6 @@ module Histogram = struct
       in
       scan t.min_bucket 0
     end
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>";
-    Array.iteri
-      (fun i c -> if c > 0 then Format.fprintf ppf "[%6d..%6d]: %d@," (lower i) (upper i) c)
-      t.counts;
-    Format.fprintf ppf "@]"
 end
 
 let throughput_per_sec ~ops ~cycles ~freq_ghz =

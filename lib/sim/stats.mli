@@ -15,8 +15,6 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 
 val stddev : t -> float
@@ -58,8 +56,6 @@ module Histogram : sig
       largest sample: at least that order statistic and at most 6.25%
       above it; [q] above 1 reads as 1.  [percentile h 0.0] is the
       smallest sample; an empty histogram reports 0. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {2 Throughput helpers} *)

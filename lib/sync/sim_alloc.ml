@@ -1,9 +1,9 @@
-type t = { mutable free_list : int list; capacity : int; mutable used : int }
+type t = { mutable free_list : int list; mutable used : int }
 
 let create m ~capacity =
   if capacity <= 0 then invalid_arg "Sim_alloc.create";
   let base = Armb_cpu.Machine.alloc_lines m capacity in
-  { free_list = List.init capacity (fun i -> base + (i * 64)); capacity; used = 0 }
+  { free_list = List.init capacity (fun i -> base + (i * 64)); used = 0 }
 
 let alloc t =
   match t.free_list with
@@ -18,5 +18,3 @@ let free t a =
   t.used <- t.used - 1
 
 let in_use t = t.used
-
-let capacity t = t.capacity

@@ -15,4 +15,3 @@ val alloc : t -> int
 val free : t -> int -> unit
 
 val in_use : t -> int
-val capacity : t -> int

@@ -18,10 +18,6 @@ type spec = {
   work : int;
 }
 
-let default_spec cfg ~kind =
-  let n = Armb_mem.Topology.num_cores cfg.Armb_cpu.Config.topo in
-  { cfg; kind; cores = List.init n Fun.id; episodes = 4; work = 64 }
-
 type result = {
   cycles : int;
   episodes : int;

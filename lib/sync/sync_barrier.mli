@@ -37,9 +37,6 @@ type spec = {
   work : int;  (** ALU cycles of per-core work between barriers, >= 0 *)
 }
 
-val default_spec : Armb_cpu.Config.t -> kind:kind -> spec
-(** All cores of the platform, 4 episodes, 64 cycles of work. *)
-
 type result = {
   cycles : int;  (** makespan *)
   episodes : int;

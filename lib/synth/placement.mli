@@ -30,25 +30,24 @@ val apply : Lang.test -> edit list -> Lang.test
     ["<name>+fixN"] with [N] the edit count. *)
 
 val candidates : Lang.test -> edit list
-(** Every applicable point edit, cheapest first (see {!static_cost}):
+(** Every applicable point edit, cheapest first by the cost prior
+    (see {!total_cost}):
     all five fences at every inter-instruction gap, acquire upgrades for
     plain loads, release upgrades for plain stores, and address
     dependencies from each load to each later dependency-free access
     that does not already consume its register. *)
 
 val fence_cost : Lang.fence -> int
-(** The fence rungs of {!static_cost}: one-direction DMB 4, ISB 6,
+(** The fence rungs of the cost prior: one-direction DMB 4, ISB 6,
     DMB 8, DSB 20.  The optimizer's weakening pass ranks fences by it
     too. *)
 
-val static_cost : edit -> int
-(** Architectural cost prior, used only to order the search so cheap
-    repairs are found first — platform-measured cycles (see {!Cost})
-    decide winners.  Ranks follow the paper's Table 3 / Figure 3:
-    dependency < acquire < release < one-direction DMB < ISB < DMB <
-    DSB. *)
-
 val total_cost : edit list -> int
+(** The sum of each edit's architectural cost prior, used only to order
+    the search so cheap repairs are found first — platform-measured
+    cycles (see {!Cost}) decide winners.  Ranks follow the paper's
+    Table 3 / Figure 3: dependency < acquire < release < one-direction
+    DMB < ISB < DMB < DSB. *)
 
 val thread_of : edit -> int
 
