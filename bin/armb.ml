@@ -768,9 +768,11 @@ let no_cache =
            ~doc:"Disable memoization and coalescing: every request computes from \
                  scratch (cold baseline).")
 
+(* [None] when the flag is absent, so a command can tell whether it was
+   given; an engine's bound is 256 unless it is. *)
 let queue_bound =
-  Arg.(value & opt (int_from 1) 256
-       & info [ "queue-bound" ] ~docv:"N"
+  Arg.(value & opt (some (int_from 1)) None
+       & info [ "queue-bound" ] ~docv:"N" ~absent:"256"
            ~doc:"Most distinct computations queued at once; beyond it requests are \
                  shed with a retry-after hint.")
 
@@ -796,8 +798,8 @@ let serve_cmd =
                    to stdout, then exit (instead of streaming stdin/stdout).")
   in
   let drain_every =
-    Arg.(value & opt (int_from 0) 16
-         & info [ "drain-every" ] ~docv:"N"
+    Arg.(value & opt (some (int_from 0)) None
+         & info [ "drain-every" ] ~docv:"N" ~absent:"16"
              ~doc:"Streaming mode: run queued computations whenever N are pending, \
                    whenever the next request has not arrived yet, and at end of input.")
   in
@@ -840,7 +842,18 @@ let serve_cmd =
     if compare_cold && batch_file = None then usage "--compare-cold needs --batch FILE";
     if compare_cold && no_cache then
       usage "--compare-cold runs its own cacheless engine; drop --no-cache";
+    if compare_cold && queue_bound <> None then
+      usage "--compare-cold sizes both queues to FILE; drop --queue-bound";
     if min_speedup > 0.0 && not compare_cold then usage "--min-speedup needs --compare-cold";
+    if batch_file <> None then
+      List.iter
+        (fun (given, flag) ->
+          if given then usage (flag ^ " is for streaming mode; --batch answers all of FILE"))
+        [
+          (max_requests <> None, "--max-requests");
+          (duration <> None, "--duration");
+          (drain_every <> None, "--drain-every");
+        ];
     let print_responses (b : Serve.batch) =
       List.iter (fun r -> print_endline (Codec.response_to_line r)) b.responses
     in
@@ -861,10 +874,10 @@ let serve_cmd =
         exit 1
       end
     | _ ->
-      let engine = Engine.create ~cache_cap ~queue_bound ~no_cache () in
+      let engine = Engine.create ~cache_cap ?queue_bound ~no_cache () in
       (match batch_file with
       | None ->
-        Serve.serve ~drain_every ?max_requests ?duration_s:duration engine stdin stdout
+        Serve.serve ?drain_every ?max_requests ?duration_s:duration engine stdin stdout
       | Some f -> print_responses (Serve.run_batch engine ~lines:(read_lines f)));
       dump_metrics (Engine.metrics engine) metrics_out
   in
@@ -959,7 +972,7 @@ let soak_cmd =
           wave;
           pool;
           alpha;
-          queue_bound;
+          queue_bound = Option.value queue_bound ~default:256;
           cache_cap;
           snapshot_every;
           metrics_out;

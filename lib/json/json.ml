@@ -11,7 +11,7 @@ type t =
 
 (* Bytes that print as themselves go out in runs between escapes, one
    [Buffer.add_substring] per run. *)
-let escape_into b s =
+let add_quoted b s =
   Buffer.add_char b '"';
   let start = ref 0 in
   for i = 0 to String.length s - 1 do
@@ -35,7 +35,8 @@ let escape_into b s =
   Buffer.add_substring b s !start (String.length s - !start);
   Buffer.add_char b '"'
 
-let to_buffer b v =
+let to_string v =
+  let b = Buffer.create 256 in
   let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (if x then "true" else "false")
@@ -46,7 +47,7 @@ let to_buffer b v =
         Buffer.add_string b (Printf.sprintf "%.1f" f)
       else if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
       else Buffer.add_string b "null"
-    | Str s -> escape_into b s
+    | Str s -> add_quoted b s
     | List xs ->
       Buffer.add_char b '[';
       List.iteri
@@ -60,17 +61,20 @@ let to_buffer b v =
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char b ',';
-          escape_into b k;
+          add_quoted b k;
           Buffer.add_char b ':';
           go x)
         fields;
       Buffer.add_char b '}'
   in
-  go v
+  go v;
+  Buffer.contents b
 
-let to_string v =
-  let b = Buffer.create 256 in
-  to_buffer b v;
+(* Sized for a text with a few escapes, such as a multi-line result. *)
+let quote s =
+  let n = String.length s in
+  let b = Buffer.create (n + (n / 16) + 8) in
+  add_quoted b s;
   Buffer.contents b
 
 (* ---------- parsing ---------- *)

@@ -21,9 +21,14 @@ val to_string : t -> string
     back exactly), as [%.6g] otherwise, and as [null] when it is nan or
     infinite. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** {!to_string}'s rendering, appended to the buffer: a caller that
-    knows a document is long sizes the buffer for it. *)
+val quote : string -> string
+(** The string as a JSON string literal, quotes included: the same
+    bytes as [to_string (Str s)].  There is no constructor for text
+    that is already escaped; a writer that renders one string many
+    times keeps its [quote] and copies those bytes into its output. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** {!quote}'s bytes, appended to the buffer. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Trailing garbage, unterminated strings

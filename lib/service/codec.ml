@@ -449,20 +449,20 @@ let request_of_line ?default_id line =
   let* j = Json.of_string line in
   request_of_json ?default_id j
 
+let origin_name = function
+  | Engine.Cold -> "cold"
+  | Engine.Hit -> "hit"
+  | Engine.Coalesced -> "coalesced"
+
 let response_to_json (r : Engine.response) =
   let base = [ ("id", Json.Str r.id); ("client", Json.Str r.client) ] in
   match r.reply with
-  | Engine.Result { origin; key; wall_us; result } ->
+  | Engine.Result { origin; key; wall_us; result; escaped = _ } ->
     Json.Obj
       (base
       @ [
           ("status", Json.Str "ok");
-          ( "origin",
-            Json.Str
-              (match origin with
-              | Engine.Cold -> "cold"
-              | Engine.Hit -> "hit"
-              | Engine.Coalesced -> "coalesced") );
+          ("origin", Json.Str (origin_name origin));
           ("key", Json.Str key);
           ("wall_us", Json.Int wall_us);
           ("events", Json.Int result.Job.events);
@@ -475,16 +475,35 @@ let response_to_json (r : Engine.response) =
   | Engine.Error msg ->
     Json.Obj (base @ [ ("status", Json.Str "error"); ("message", Json.Str msg) ])
 
-(* A result's text is most of its line, and a fix result runs to
-   several KB: the buffer is sized for it, so the line is not copied
-   through every doubling of a small buffer, each copy past 2 KB a
-   block on the major heap. *)
+(* An ok line is [response_to_json]'s rendering written in two parts: a
+   short head (every field before the result, escaped here) and the
+   result text the engine escaped once, copied.  The line is allocated
+   at its final size, so a fix result of several KB costs one block. *)
 let response_to_line (r : Engine.response) =
-  let text =
-    match r.reply with
-    | Engine.Result { result; _ } -> String.length result.Job.text
-    | Engine.Shed _ | Engine.Error _ -> 0
-  in
-  let b = Buffer.create (256 + text + (text / 8)) in
-  Json.to_buffer b (response_to_json r);
-  Buffer.contents b
+  match r.reply with
+  | Engine.Result { origin; key; wall_us; result; escaped } ->
+    let b = Buffer.create 256 in
+    let str k v =
+      Buffer.add_string b k;
+      Json.add_quoted b v
+    in
+    let int k v =
+      Buffer.add_string b k;
+      Buffer.add_string b (string_of_int v)
+    in
+    str {|{"id":|} r.id;
+    str {|,"client":|} r.client;
+    str {|,"status":|} "ok";
+    str {|,"origin":|} (origin_name origin);
+    str {|,"key":|} key;
+    int {|,"wall_us":|} wall_us;
+    int {|,"events":|} result.Job.events;
+    int {|,"cycles":|} result.Job.cycles;
+    Buffer.add_string b {|,"result":|};
+    let head = Buffer.length b and n = String.length escaped in
+    let line = Bytes.create (head + n + 1) in
+    Buffer.blit b 0 line 0 head;
+    Bytes.blit_string escaped 0 line head n;
+    Bytes.set line (head + n) '}';
+    Bytes.unsafe_to_string line
+  | Engine.Shed _ | Engine.Error _ -> Json.to_string (response_to_json r)

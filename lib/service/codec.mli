@@ -80,8 +80,13 @@ val request_of_line :
 (** Parse + decode one NDJSON line. *)
 
 val response_to_json : Engine.response -> Json.t
+(** The response as a value: the form an artifact embeds, and the
+    reference {!response_to_line} must equal. *)
+
 val response_to_line : Engine.response -> string
-(** One line, no trailing newline. *)
+(** One line, no trailing newline: the bytes of
+    [Json.to_string (response_to_json r)].  An ok line copies the
+    reply's [escaped] text instead of escaping the result again. *)
 
 val test_inline_to_json :
   interesting_when:(string * int64) list -> Armb_litmus.Lang.test -> Json.t

@@ -14,7 +14,13 @@ type request = { id : string; client : string; priority : priority; job : Job.t 
 type origin = Cold | Hit | Coalesced
 
 type reply =
-  | Result of { origin : origin; key : string; wall_us : int; result : Job.result }
+  | Result of {
+      origin : origin;
+      key : string;
+      wall_us : int;
+      result : Job.result;
+      escaped : string;
+    }
   | Shed of { retry_after_ms : int }
   | Error of string
 
@@ -38,8 +44,15 @@ type lane = { client : string; jobs : computation Queue.t; mutable enqueued : bo
 
 type level = { lanes : (string, lane) Hashtbl.t; rotation : lane Queue.t }
 
+(* A cached result and its text escaped as a JSON string.  The escape
+   waits for the entry's first hit: an entry that is never hit, as on
+   traffic that never repeats, holds one copy of its text, not two.  The
+   engine runs on one domain (DESIGN §4f), so nothing forces a [Lazy]
+   from two domains at once. *)
+type entry = { result : Job.result; escaped : string Lazy.t }
+
 type t = {
-  cache : Job.result Cache.t option;
+  cache : entry Cache.t option;
   queue_bound : int;
   coalesce : bool;
   by_key : (string, computation) Hashtbl.t;
@@ -98,13 +111,14 @@ let submit t (req : request) =
     Some { id = req.id; client = req.client; reply = Error (error_text e) }
   | key -> (
     match Option.bind t.cache (fun c -> Cache.find c key) with
-    | Some result ->
+    | Some { result; escaped } ->
       Metrics.hit t.metrics;
       Some
         {
           id = req.id;
           client = req.client;
-          reply = Result { origin = Hit; key; wall_us = 0; result };
+          reply =
+            Result { origin = Hit; key; wall_us = 0; result; escaped = Lazy.force escaped };
         }
     | None -> (
       match (if t.coalesce then Hashtbl.find_opt t.by_key key else None) with
@@ -181,7 +195,12 @@ let execute t (comp : computation) =
   let waiters = List.of_seq (Queue.to_seq comp.waiters) in
   match outcome with
   | Ok result ->
-    Option.iter (fun c -> Cache.put c comp.key result) t.cache;
+    let text = result.Job.text in
+    Option.iter
+      (fun c -> Cache.put c comp.key { result; escaped = lazy (Json.quote text) })
+      t.cache;
+    (* one escape for every waiter; the entry makes its own on a hit *)
+    let escaped = Json.quote text in
     Metrics.record_latency_us t.metrics wall_us;
     Metrics.completed t.metrics (List.length waiters);
     Metrics.add_events t.metrics result.Job.events;
@@ -193,7 +212,7 @@ let execute t (comp : computation) =
         {
           id = req.id;
           client = req.client;
-          reply = Result { origin; key = comp.key; wall_us; result };
+          reply = Result { origin; key = comp.key; wall_us; result; escaped };
         })
       waiters
   | Error e ->

@@ -20,6 +20,13 @@
     request at equal priority.  Each computation runs once and answers
     every waiter; results enter the cache (unless [no_cache]).
 
+    {b Escaping.}  A reply carries its result text already escaped as a
+    JSON string, so writing a response line copies it.  A computation
+    escapes its text once, for its cold reply and every coalesced
+    waiter.  A cache entry escapes its text on its first hit and keeps
+    that form for every later hit; an entry that is never hit holds the
+    text alone.
+
     Jobs are pure ({!Job.run}), so scheduling order, coalescing and
     caching cannot change any response's [text] — a warm hit is
     bit-identical to a cold run by construction, and the tests pin that
@@ -37,7 +44,13 @@ type origin =
   | Coalesced  (** absorbed by an identical in-flight computation *)
 
 type reply =
-  | Result of { origin : origin; key : string; wall_us : int; result : Job.result }
+  | Result of {
+      origin : origin;
+      key : string;
+      wall_us : int;
+      result : Job.result;
+      escaped : string;  (** [Json.quote result.text] *)
+    }
   | Shed of { retry_after_ms : int }
   | Error of string
       (** the message of an [Invalid_argument] or [Failure], or any

@@ -27,8 +27,10 @@ val serve :
 
     Termination: the loop stops reading at EOF, after [max_requests]
     accepted (non-blank) request lines, or once [duration_s] seconds of
-    wall clock have elapsed (checked between lines — a request in
-    flight is never abandoned), whichever comes first.  Shutdown drain
+    wall clock have elapsed, whichever comes first.  The duration is
+    checked between lines and bounds the wait for the next one, so a
+    client that keeps its end open and sends nothing does not hold the
+    loop past it; a request in flight is never abandoned.  Shutdown drain
     semantics: stopping only stops {e reading}; every accepted request
     is drained to a response and flushed before return, and later
     lines are left unanswered — a bounded serve is a prefix of the
@@ -58,20 +60,27 @@ val signature : Engine.response -> string * string
 (** The identity-relevant projection of a response: (status, result
     text).  Wall time, retry hints and cache origin are excluded — two
     responses with equal signatures answer the request identically.
-    The warm-vs-cold comparison gates on it. *)
+    It compares raw text; {!compare_cold} compares the lines clients
+    get. *)
 
 type comparison = {
   cold : batch;  (** computed by a [no_cache] engine: every request runs *)
-  warm : batch;  (** computed by a caching engine: duplicates hit/coalesce *)
-  warm_metrics : Metrics.t;
-  identical : bool;  (** ok-response result texts agree request-by-request *)
+  warm : batch;  (** computed by a caching engine: duplicates coalesce *)
+  warm_metrics : Metrics.t;  (** the caching engine's, over both of its batches *)
+  identical : bool;
+      (** every line of both caching-engine batches equals its cold line
+          byte for byte, apart from origin, [wall_us] and retry hints *)
   speedup : float;  (** cold wall / warm wall *)
 }
 
 val compare_cold :
   ?cache_cap:int -> lines:string list -> unit -> comparison
-(** Run the same batch through a cacheless engine and a caching engine
-    and compare byte-for-byte — the determinism oracle for the memo
-    cache, and the speedup measurement the CI gate asserts on.  Both
-    queues hold the larger of 256 and the number of lines, so neither
-    engine sheds. *)
+(** Run the same batch through a cacheless engine and a caching engine,
+    then once more through the caching engine, and compare each
+    response's {!Codec.response_to_line} with the origin, [wall_us] and
+    retry hint fixed: id, client, key, events, cycles and the escaped
+    result must all match the cold line.  The warm batch coalesces
+    duplicates and the hot batch hits the cache, so this is the
+    determinism oracle for both paths, and the warm batch's speedup is
+    the measurement the CI gate asserts on.  Both queues hold the
+    larger of 256 and the number of lines, so neither engine sheds. *)

@@ -855,6 +855,63 @@ let test_response_line_parses () =
     | Error e -> Alcotest.fail ("response line does not parse: " ^ e))
   | _ -> Alcotest.fail "expected one response"
 
+(* The bytes of a line's "result" value: everything after its key up to
+   the closing brace.  An escaped string holds no bare quote, so the key
+   cannot match inside the id, client or key before it. *)
+let result_bytes line =
+  let key = {|,"result":|} in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length line then Alcotest.fail ("no result in " ^ line)
+    else if String.sub line i n = key then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  String.sub line start (String.length line - start - 1)
+
+(* One job's cold reply, a waiter coalesced onto it and its hits all
+   carry the result text escaped once: the same bytes, equal to the
+   reference printer's, shared by every reply of one computation and by
+   every hit on one cache entry.  That holds again once the entry has
+   been evicted and the job recomputed. *)
+let test_escaped_once () =
+  let e = Engine.create ~cache_cap:1 () in
+  let job = job_of_test Cat.mp and other = job_of_test Cat.sb in
+  let want = Json.to_string (Json.Str (Job.run job).Job.text) in
+  check Alcotest.bool "the text has bytes to escape" true (String.contains want '\\');
+  let escaped what (r : Engine.response) =
+    check Alcotest.string "the reply answers its request" what r.Engine.id;
+    match r.Engine.reply with
+    | Engine.Result { escaped; _ } ->
+      check Alcotest.string (what ^ ": escaped text") want escaped;
+      check Alcotest.string (what ^ ": line's result bytes") want
+        (result_bytes (Codec.response_to_line r));
+      escaped
+    | _ -> Alcotest.fail (what ^ ": expected an ok reply")
+  in
+  let hit id =
+    match Engine.submit e (req ~id job) with
+    | Some ({ Engine.reply = Engine.Result { origin = Engine.Hit; _ }; _ } as r) ->
+      escaped id r
+    | _ -> Alcotest.fail (id ^ ": expected a hit")
+  in
+  let computed ids =
+    List.iter (fun id -> ignore (Engine.submit e (req ~id job) : Engine.response option)) ids;
+    List.map2 escaped ids (Engine.drain e)
+  in
+  (match computed [ "cold"; "waiter" ] with
+  | [ cold; waiter ] ->
+    check Alcotest.bool "one escape per computation" true (cold == waiter)
+  | _ -> Alcotest.fail "expected two replies");
+  let h1 = hit "hit-1" in
+  check Alcotest.bool "one escape per cache entry" true (h1 == hit "hit-2");
+  (* a second job evicts the first from the one-entry cache *)
+  ignore (Engine.submit e (req ~id:"other" other) : Engine.response option);
+  ignore (Engine.drain e : Engine.response list);
+  ignore (computed [ "recomputed" ] : string list);
+  let h2 = hit "hit-after-eviction" in
+  check Alcotest.bool "the new entry escapes again" true (h2 == hit "hit-after-eviction-2")
+
 let test_json_parser () =
   let roundtrip s =
     match Json.of_string s with
@@ -1273,6 +1330,36 @@ let prop_json_escape_reference =
       && Json.to_string (Json.Obj [ (s, Json.List [ Json.Str s ]) ])
          = "{" ^ e ^ ":[" ^ e ^ "]}")
 
+(* The line writer writes a head itself and splices in the engine's
+   escaped text: every reply kind, at every origin, must print what the
+   reference printer prints, whatever bytes the strings hold.  Result
+   texts run past 2 KB, where a line is allocated on the major heap. *)
+let prop_response_line =
+  let open QCheck in
+  let text = Gen.(string_size ~gen:char (oneof [ int_bound 24; int_bound 4096 ])) in
+  let gen =
+    Gen.(pair (quad any_string any_string any_string text) (quad int int int any_string))
+  in
+  let print ((id, client, key, text), (n, events, cycles, message)) =
+    Printf.sprintf "id %S client %S key %S text %S n %d events %d cycles %d message %S" id
+      client key text n events cycles message
+  in
+  Test.make ~name:"response line = reference rendering, every reply" ~count:500
+    (make ~print gen) (fun ((id, client, key, text), (n, events, cycles, message)) ->
+      let result = { Job.text; events; cycles } and escaped = Json.quote text in
+      let ok origin = Engine.Result { origin; key; wall_us = n; result; escaped } in
+      List.for_all
+        (fun reply ->
+          let r = { Engine.id; client; reply } in
+          String.equal (Codec.response_to_line r) (Json.to_string (Codec.response_to_json r)))
+        [
+          ok Engine.Cold;
+          ok Engine.Hit;
+          ok Engine.Coalesced;
+          Engine.Shed { retry_after_ms = n };
+          Engine.Error message;
+        ])
+
 (* The float contract the reports rely on: a finite float reads back
    within a relative 1e-5, an integral one below 1e15 exactly, and nan
    and the infinities print as null. *)
@@ -1385,6 +1472,9 @@ let () =
           Alcotest.test_case "request round trip" `Quick test_codec_roundtrip;
           Alcotest.test_case "request errors" `Quick test_codec_errors;
           Alcotest.test_case "response line parses" `Quick test_response_line_parses;
+          QCheck_alcotest.to_alcotest prop_response_line;
+          Alcotest.test_case "a result is escaped once per computation and entry" `Quick
+            test_escaped_once;
           Alcotest.test_case "json parser" `Quick test_json_parser;
           Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
           Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogate_pairs;

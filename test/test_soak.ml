@@ -468,43 +468,48 @@ let test_mixed_run_single_engine () =
         (List.length r.Driver.by_kind >= 5))
     [ 4; 1 ]
 
-(* A client that sends one request and waits for its answer, keeping
-   its end of the pipe open, is answered without closing it: the loop
-   drains pending work before a read that would block.  The wait is
-   bounded through [select], so a loop that holds the request until end
-   of input fails the test instead of hanging it. *)
-let test_serve_answers_before_eof () =
+(* A serve loop on its own domain, reading requests from a pipe the
+   test writes and answering on a pipe the test reads.  The loop closes
+   the response pipe when it returns. *)
+let serve_on_pipes serve =
   let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
   let server =
     Domain.spawn (fun () ->
         let ic = Unix.in_channel_of_descr req_r and oc = Unix.out_channel_of_descr resp_w in
-        Serve.serve (Engine.create ()) ic oc;
+        serve (Engine.create ()) ic oc;
         close_in ic;
         close_out oc)
   in
-  let line = litmus_line 0 ^ "\n" in
-  ignore (Unix.write_substring req_w line 0 (String.length line));
-  (* the first response line, read until its newline or for 10 s *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
+  (req_w, resp_r, server)
+
+(* What arrives on [fd] within [seconds], stopping early once [enough]
+   holds of it, and whether the writer closed its end by then.  The
+   wait is bounded through [select], so a loop that never answers fails
+   its test instead of hanging it. *)
+let read_for fd ~seconds ~enough =
+  let deadline = Unix.gettimeofday () +. seconds in
   let got = Buffer.create 512 and chunk = Bytes.create 4096 in
   let rec read () =
     let left = deadline -. Unix.gettimeofday () in
-    if (not (String.contains (Buffer.contents got) '\n')) && left > 0.0 then
-      match Unix.select [ resp_r ] [] [] left with
-      | [], _, _ -> ()
+    if enough (Buffer.contents got) || left <= 0.0 then false
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> false
       | _ ->
-        let n = Unix.read resp_r chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes got chunk 0 n;
-          read ()
-        end
+        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+        n = 0
+        || begin
+             Buffer.add_subbytes got chunk 0 n;
+             read ()
+           end
   in
-  read ();
-  Unix.close req_w;
-  Domain.join server;
-  Unix.close resp_r;
-  match String.split_on_char '\n' (Buffer.contents got) with
-  | [ _ ] -> Alcotest.fail "no response within 10 s while the client kept its pipe open"
+  let closed = read () in
+  (Buffer.contents got, closed)
+
+(* The first of [got]'s lines answers request q0 with a computed result. *)
+let check_answers_q0 got =
+  match String.split_on_char '\n' got with
+  | [ _ ] | [] -> Alcotest.fail "no response within 10 s while the client kept its pipe open"
   | first :: _ -> (
     match Json.of_string first with
     | Ok j ->
@@ -512,7 +517,42 @@ let test_serve_answers_before_eof () =
         (Json.mem_str "id" j);
       check (Alcotest.option Alcotest.string) "computed" (Some "ok") (Json.mem_str "status" j)
     | Error e -> Alcotest.fail ("response does not parse: " ^ e))
-  | [] -> assert false
+
+let send fd line =
+  let line = line ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line))
+
+(* A client that sends one request and waits for its answer, keeping
+   its end of the pipe open, is answered without closing it: the loop
+   drains pending work before a read that would block. *)
+let test_serve_answers_before_eof () =
+  let req_w, resp_r, server = serve_on_pipes (fun e ic oc -> Serve.serve e ic oc) in
+  send req_w (litmus_line 0);
+  let got, _ = read_for resp_r ~seconds:10.0 ~enough:(fun s -> String.contains s '\n') in
+  Unix.close req_w;
+  Domain.join server;
+  Unix.close resp_r;
+  check_answers_q0 got
+
+(* With a duration, a client that sends one request and then keeps its
+   end open without sending more does not hold the loop past it: the
+   wait for the next line is bounded too, and the accepted request is
+   still answered. *)
+let test_serve_duration_quiet_client () =
+  let req_w, resp_r, server =
+    serve_on_pipes (fun e ic oc -> Serve.serve ~duration_s:0.5 e ic oc)
+  in
+  send req_w (litmus_line 0);
+  let got, returned = read_for resp_r ~seconds:10.0 ~enough:(fun _ -> false) in
+  (* ends a loop that ignored its duration, so the domain can be joined *)
+  Unix.close req_w;
+  Domain.join server;
+  Unix.close resp_r;
+  check Alcotest.bool "serve returned within 10 s while the client kept its pipe open"
+    true returned;
+  check_answers_q0 got;
+  check Alcotest.int "one response line" 1
+    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' got)))
 
 let () =
   Alcotest.run "soak"
@@ -547,6 +587,8 @@ let () =
             test_serve_max_requests;
           Alcotest.test_case "a lone request is answered before end of input" `Quick
             test_serve_answers_before_eof;
+          Alcotest.test_case "--duration ends the wait on a quiet client" `Quick
+            test_serve_duration_quiet_client;
         ] );
       ( "driver",
         [
